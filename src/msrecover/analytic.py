@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "RateFunction",
@@ -164,6 +163,8 @@ def eval_radial_deriv(fn: RadialFunction, r: float) -> float:
 
 
 def _radial_integral(g, dim: int, lo: float, hi: float, kinks=()) -> float:
+    from scipy.integrate import quad
+
     pts = sorted({k for k in kinks if lo < k < hi})
 
     def integrand(r):

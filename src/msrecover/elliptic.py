@@ -36,6 +36,8 @@ __all__ = [
 
 # direct factorization cap; larger systems fall back to Jacobi-preconditioned CG
 DIRECT_SOLVE_MAX_NODES = 80_000
+# normwise backward-error bound a Neumann solve must meet
+NEUMANN_TOL = 1e-10
 
 
 class CoefficientField:
@@ -132,7 +134,7 @@ class StiffnessOperator:
     """
 
     __slots__ = ("spec", "coefficient", "matrix", "full_matrix",
-                 "interior_indices", "_lu", "_lu_pinned", "_norm")
+                 "interior_indices", "_lu", "_lu_pinned", "_norm", "_full_norm")
 
     def __init__(self, spec, coefficient, matrix, full_matrix, interior_indices):
         self.spec = spec
@@ -143,12 +145,13 @@ class StiffnessOperator:
         self._lu = None
         self._lu_pinned = None
         self._norm = None
+        self._full_norm = None
 
     @property
     def matrix_norm(self) -> float:
         """Infinity norm of the interior matrix (for backward-error checks)."""
         if self._norm is None:
-            self._norm = float(np.abs(self.matrix).sum(axis=1).max())
+            self._norm = _inf_norm(self.matrix)
         return self._norm
 
     @property
@@ -175,8 +178,7 @@ class StiffnessOperator:
             return np.zeros_like(b_int)
 
         def accepted(x):
-            res = float(np.linalg.norm(self.matrix @ x - b_int))
-            return res <= tol * (bnorm + self.matrix_norm * float(np.linalg.norm(x))), res
+            return _backward_error_ok(self.matrix, self.matrix_norm, x, b_int, tol)
 
         if self.num_interior <= DIRECT_SOLVE_MAX_NODES:
             if self._lu is None:
@@ -209,13 +211,34 @@ class StiffnessOperator:
 
         The full matrix annihilates constants; pinning node 0 makes the system
         nonsingular, and for compatible b (sum zero) the pinned solution solves
-        the original system exactly with x[0] = 0.
+        the original system exactly with x[0] = 0.  The solution must meet the
+        same normwise backward-error test as ``solve_interior``, against the
+        full matrix, so an incompatible b raises ``SolverError``.
         """
         if self._lu_pinned is None:
-            pinned = self.full_matrix.tolil(copy=True)
-            pinned[0, 0] += 1.0
-            self._lu_pinned = splu(pinned.tocsc())
-        return self._lu_pinned.solve(b_full)
+            pinned = self.full_matrix.tocsc(copy=True)
+            pinned[0, 0] += 1.0  # an entry of the pattern, so no structural change
+            # set before the factor: a caller that sees the factor also needs the norm
+            self._full_norm = _inf_norm(self.full_matrix)
+            self._lu_pinned = splu(pinned)
+        x = self._lu_pinned.solve(b_full)
+        ok, res = _backward_error_ok(self.full_matrix, self._full_norm, x, b_full, NEUMANN_TOL)
+        if not ok:
+            raise SolverError(
+                f"Neumann solve backward error {res:.3e} exceeds tolerance {NEUMANN_TOL:.1e}"
+            )
+        return x
+
+
+def _inf_norm(matrix) -> float:
+    return float(np.abs(matrix).sum(axis=1).max())
+
+
+def _backward_error_ok(matrix, matrix_norm: float, x, b, tol: float):
+    """(||Ax-b|| <= tol*(||b|| + ||A|| ||x||), ||Ax-b||): the normwise backward-error test."""
+    res = float(np.linalg.norm(matrix @ x - b))
+    bound = tol * (float(np.linalg.norm(b)) + matrix_norm * float(np.linalg.norm(x)))
+    return res <= bound, res
 
 
 class _DiagonalOperator:

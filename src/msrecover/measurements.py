@@ -14,7 +14,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import DomainSpec, GridFunction, SubsampleSpec
 
@@ -185,6 +184,8 @@ def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
         raise ValueError(
             "sliced measurements need p > 1: the envelope integral diverges at t=0 for p=1"
         )
+    from scipy.integrate import quad
+
     tstar = h / (H + h)
     e = dim if kind == "cube" else dim - 1
     ratio_pow = (H / h) ** (e / p)
@@ -212,6 +213,10 @@ def save_measurements(vec: MeasurementVector, path) -> None:
 
 
 def load_measurements(path) -> MeasurementVector:
+    """Read a ``save_measurements`` file; rows may come in any order.
+
+    Raises ValueError unless the patch indices are exactly 0..N-1, each once.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -219,5 +224,11 @@ def load_measurements(path) -> MeasurementVector:
         next(reader)
         rows = [(int(r[0]), float(r[1])) for r in reader]
     rows.sort()
+    indices = [i for i, _ in rows]
+    for a, b in zip(indices, indices[1:]):
+        if a == b:
+            raise ValueError(f"{path}: duplicate patch index {a}")
+    if indices != list(range(len(indices))):
+        raise ValueError(f"{path}: patch indices are not exactly 0..{len(indices) - 1}")
     vals = np.array([v for _, v in rows])
     return MeasurementVector(vals, kind, float(h), float(H), int(dim))

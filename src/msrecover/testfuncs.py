@@ -28,37 +28,49 @@ def _mode_indices(dim: int, kmax: int):
     return modes
 
 
+def _axis_modes(spec: DomainSpec, fn, kmax: int) -> list:
+    """fn(pi k x) on each axis's nodes for k = 0..kmax, shaped to broadcast along it."""
+    tables = []
+    for axis, x in enumerate(spec.node_coordinates()):
+        shape = [1] * spec.dim
+        shape[axis] = -1
+        tables.append([fn(np.pi * k * x).reshape(shape) for k in range(kmax + 1)])
+    return tables
+
+
+def _product_term(tables: list, k) -> np.ndarray:
+    """Tensor product of the axis factors of mode k, multiplied in axis order."""
+    term = tables[0][k[0]]
+    for axis in range(1, len(tables)):
+        term = term * tables[axis][k[axis]]
+    return term
+
+
 def fourier_h01(spec: DomainSpec, seed: int, kmax: int = 3) -> GridFunction:
     """Random low-order sine series with decaying coefficients; boundary zero."""
     rng = np.random.default_rng(seed)
-    grids = np.meshgrid(*spec.node_coordinates(), indexing="ij")
+    tables = _axis_modes(spec, np.sin, kmax)
     vals = np.zeros(spec.node_shape)
     modes = _mode_indices(spec.dim, kmax)
     for k in modes:
         if np.any(k == 0):
             continue
         c = rng.standard_normal() / (1.0 + float(np.sum(k * k)))
-        term = np.ones(spec.node_shape)
-        for axis in range(spec.dim):
-            term = term * np.sin(np.pi * k[axis] * grids[axis])
-        vals += c * term
+        vals += c * _product_term(tables, k)
     return GridFunction(spec, vals)
 
 
 def fourier_free(spec: DomainSpec, seed: int, kmax: int = 3) -> GridFunction:
     """Random low-order cosine series; generic boundary values, nonconstant."""
     rng = np.random.default_rng(seed)
-    grids = np.meshgrid(*spec.node_coordinates(), indexing="ij")
+    tables = _axis_modes(spec, np.cos, kmax)
     vals = np.zeros(spec.node_shape)
     modes = _mode_indices(spec.dim, kmax)
     for k in modes:
         c = rng.standard_normal() / (1.0 + float(np.sum(k * k)))
         if np.all(k == 0):
             continue  # constants drop out of every average-removed quantity
-        term = np.ones(spec.node_shape)
-        for axis in range(spec.dim):
-            term = term * np.cos(np.pi * k[axis] * grids[axis])
-        vals += c * term
+        vals += c * _product_term(tables, k)
     return GridFunction(spec, vals)
 
 

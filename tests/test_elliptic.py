@@ -5,6 +5,7 @@ from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coeffic
                                 coefficient_from_csv, constant_coefficient, energy_inner,
                                 l2_inner, layered_coefficient, load_vector,
                                 lognormal_coefficient, solve)
+from msrecover.errors import SolverError
 from msrecover.grid import DomainSpec, GridFunction, build_partition, build_subsample
 from msrecover.measurements import build_functionals, measure
 
@@ -187,6 +188,31 @@ def test_high_contrast_solve():
     res = np.linalg.norm(op.matrix @ x - b)
     backward = res / (np.linalg.norm(b) + op.matrix_norm * np.linalg.norm(x))
     assert backward <= 1e-10
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+def test_neumann_solve_zero_sum_rhs(dim, n):
+    spec = DomainSpec(dim, n)
+    op = assemble(spec, lognormal_coefficient(spec, sigma=1.0, seed=3))
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal(spec.num_nodes)
+    b -= b.mean()
+    x = op.solve_neumann(b)
+    K = op.full_matrix
+    res = np.linalg.norm(K @ x - b)
+    norm_k = np.abs(K).sum(axis=1).max()
+    assert res / (np.linalg.norm(b) + norm_k * np.linalg.norm(x)) <= 1e-10
+    assert abs(x[0]) <= 1e-10 * np.linalg.norm(x)  # the pinned node, up to sum(b) rounding
+    assert res <= 1e-8 * np.linalg.norm(b)
+
+
+def test_neumann_solve_rejects_incompatible_rhs():
+    spec = DomainSpec(2, 8)
+    op = assemble(spec, constant_coefficient(spec))
+    b = np.zeros(spec.num_nodes)
+    b[5] = 1.0  # nonzero sum: no solution exists
+    with pytest.raises(SolverError, match="Neumann"):
+        op.solve_neumann(b)
 
 
 def test_coefficient_csv_roundtrip(tmp_path):

@@ -140,6 +140,13 @@ def test_cli_pass_and_fail_and_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_default_rates_report_monotone_growth(tmp_path, capsys):
+    # the first two default estimates differ only by solver noise (relative ~1e-9)
+    assert cli_main(["rates", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "rates_report.json").read_text())
+    assert rep["grid"]["monotone_growth"] is True
+
+
 def test_cli_failing_gate_returns_one(tmp_path, capsys):
     # quadratic ms slope cannot appear over a 3-point sweep of identical H: force
     # a failure by demanding an absurd tolerance band

@@ -197,3 +197,31 @@ def test_measurement_vector_csv_roundtrip(tmp_path):
     assert back.h == vec.h
     assert back.H == vec.H
     np.testing.assert_array_equal(back.values, vec.values)
+
+
+def _write_measurement_rows(path, indices):
+    with open(path, "w") as fh:
+        fh.write("kind,h,H,dim\ncube,0.25,0.5,2\npatch_index,value\n")
+        for k, i in enumerate(indices):
+            fh.write(f"{i},{float(k)!r}\n")
+
+
+def test_load_measurements_accepts_any_row_order(tmp_path):
+    path = tmp_path / "m.csv"
+    _write_measurement_rows(path, [2, 0, 3, 1])
+    np.testing.assert_array_equal(load_measurements(path).values, [1.0, 3.0, 0.0, 2.0])
+
+
+def test_load_measurements_rejects_duplicate_index(tmp_path):
+    path = tmp_path / "m.csv"
+    _write_measurement_rows(path, [0, 1, 1, 2])
+    with pytest.raises(ValueError, match="duplicate patch index 1"):
+        load_measurements(path)
+
+
+@pytest.mark.parametrize("indices", [[0, 1, 3], [1, 2, 3], [-1, 0, 1]])
+def test_load_measurements_rejects_index_gaps(tmp_path, indices):
+    path = tmp_path / "m.csv"
+    _write_measurement_rows(path, indices)
+    with pytest.raises(ValueError, match="not exactly 0..2"):
+        load_measurements(path)
