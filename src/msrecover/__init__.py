@@ -22,7 +22,7 @@ from .recovery import (BasisSet, RecoveryReport, ThetaMatrix, build_theta, ms_re
                        multiscale_basis, pc_recover, recovery_error_report,
                        sharp_constant_estimate)
 from .weights import (DistanceField, WeightField, build_weight, distance_field,
-                      weight_condition_check, weighted_basis, weighted_basis_and_recover)
+                      weight_condition_check, weighted_basis)
 from .analytic import (RadialFunction, RateFunction, ball_average_sequence,
                        critical_ratio, eval_radial, eval_radial_deriv, power_profile,
                        radial_function, rho)

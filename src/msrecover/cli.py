@@ -30,7 +30,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON config file (defaults per subcommand)")
     sub.add_argument("--out", help="output directory for CSV/JSON records")
     sub.add_argument("--seed", type=int, help="override the config seed")
-    sub.add_argument("--threads", type=int, help="worker threads for sweep points")
     sub.add_argument("--format", choices=["csv", "json"], help="row output format")
 
 
@@ -41,8 +40,6 @@ def _load_config(args, defaults: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(**defaults)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     if getattr(args, "format", None):
         cfg.out_format = args.format
     return cfg

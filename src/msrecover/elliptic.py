@@ -13,7 +13,7 @@ import csv
 import itertools
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, diags
 from scipy.sparse.linalg import cg, splu
 
 from .errors import SolverError
@@ -87,15 +87,26 @@ def lognormal_coefficient(spec: DomainSpec, sigma: float = 1.0, seed: int = 0) -
 
 
 def coefficient_from_csv(spec: DomainSpec, path) -> CoefficientField:
-    """CSV rows (cell_index, value) in C cell order."""
-    vals = np.empty(spec.n**spec.dim)
-    vals[:] = np.nan
+    """CSV rows (cell_index, value) in C cell order.
+
+    Raises ValueError on a cell index outside 0..n^dim-1, on a repeated index
+    and unless every cell is covered.
+    """
+    ncell = spec.n**spec.dim
+    vals = np.empty(ncell)
+    seen = np.zeros(ncell, dtype=bool)
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].startswith("#") or row[0] == "cell_index":
                 continue
-            vals[int(row[0])] = float(row[1])
-    if np.any(np.isnan(vals)):
+            i = int(row[0])
+            if not 0 <= i < ncell:
+                raise ValueError(f"{path}: cell index {i} outside 0..{ncell - 1}")
+            if seen[i]:
+                raise ValueError(f"{path}: duplicate cell index {i}")
+            seen[i] = True
+            vals[i] = float(row[1])
+    if not seen.all():
         raise ValueError("coefficient CSV does not cover every cell")
     return CoefficientField(spec, vals)
 
@@ -192,9 +203,8 @@ class StiffnessOperator:
         else:
             contrast = self.coefficient.a_max / self.coefficient.a_min
             maxiter = int(4000 * max(1.0, np.sqrt(contrast)))
-            inv_diag = 1.0 / self.matrix.diagonal()
             x, info = cg(self.matrix, b_int, rtol=tol * 0.1, atol=0.0,
-                         maxiter=maxiter, M=_DiagonalOperator(inv_diag))
+                         maxiter=maxiter, M=diags(1.0 / self.matrix.diagonal()))
             if info != 0:
                 res = np.linalg.norm(self.matrix @ x - b_int) / bnorm
                 raise SolverError(
@@ -239,16 +249,6 @@ def _backward_error_ok(matrix, matrix_norm: float, x, b, tol: float):
     res = float(np.linalg.norm(matrix @ x - b))
     bound = tol * (float(np.linalg.norm(b)) + matrix_norm * float(np.linalg.norm(x)))
     return res <= bound, res
-
-
-class _DiagonalOperator:
-    def __init__(self, d):
-        self.d = d
-        self.shape = (len(d), len(d))
-        self.dtype = np.float64
-
-    def matvec(self, x):
-        return self.d * x
 
 
 def _interior_mask(spec: DomainSpec) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 Every study returns a plain dict embedding its fully resolved configuration
 and writes deterministic CSV/JSON when given an output directory: same config
-and seed, byte-identical files.  Sweep points are independent jobs gathered in
-sweep order, so worker count never changes results.
+and seed, byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,13 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import testfuncs
-from .analytic import ball_average_sequence, critical_ratio, power_profile, radial_function, rho
+from .analytic import (RadialFunction, ball_average_sequence, critical_ratio, power_profile,
+                       radial_function, rho)
 from .elliptic import (assemble, checkerboard_coefficient, constant_coefficient,
                        layered_coefficient, lognormal_coefficient)
 from .errors import ConfigError
@@ -93,7 +92,6 @@ class ExperimentConfig:
     seed: int = 0
     num_functions: int = 50
     test_function: str = "sine"
-    threads: int = 1
     out_format: str = "csv"
     tolerances: dict = field(default_factory=dict)
 
@@ -136,13 +134,6 @@ def _test_function(spec: DomainSpec, cfg: ExperimentConfig) -> GridFunction:
     if cfg.test_function == "fourier":
         return testfuncs.fourier_h01(spec, cfg.seed)
     raise ConfigError(f"unknown test function {cfg.test_function!r}")
-
-
-def _map_ordered(fn, jobs, threads: int):
-    if threads <= 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def _nondecreasing(estimates) -> bool:
@@ -221,7 +212,7 @@ def run_convergence_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         return (H, sub.h, rep_pc.l2_error, rep_ms.l2_error, rep_ms.energy_error,
                 rep_ms.energy_stable)
 
-    rows = _map_ordered(one_point, list(cfg.H_sweep), cfg.threads)
+    rows = [one_point(H) for H in cfg.H_sweep]
     hs = [row[0] for row in rows]
     fits = {
         "pc_l2": fit_loglog(zip(hs, [r[2] for r in rows])).to_dict(),
@@ -355,7 +346,7 @@ def run_degeneracy_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         weighted_l2 = lp_norm(u - msw, 2.0)
         return (sub.h, unweighted_l2, weighted_l2)
 
-    rows = _map_ordered(one_point, sweep, cfg.threads)
+    rows = [one_point(job) for job in sweep]
 
     # single-patch optimal constants on the same ratios (cross-check curve)
     spec1 = DomainSpec(cfg.dim, cfg.n // cfg.m if cfg.n // cfg.m >= 4 else cfg.n)
@@ -477,15 +468,11 @@ def run_pointwise_limit_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         fn = radial_function(cfg.profile_kind)
         expect = "divergent"
     elif cfg.profile_kind == "constant":
-        fn = power_profile(1.0)  # placeholder, replaced below
+        fn = RadialFunction("custom", None, lambda r: np.ones_like(np.asarray(r, float)),
+                            lambda r: np.zeros_like(np.asarray(r, float)))
         expect = "convergent"
     else:
         raise ConfigError(f"unknown profile kind {cfg.profile_kind!r}")
-    if cfg.profile_kind == "constant":
-        from .analytic import RadialFunction
-
-        fn = RadialFunction("custom", None, lambda r: np.ones_like(np.asarray(r, float)),
-                            lambda r: np.zeros_like(np.asarray(r, float)))
 
     seq = ball_average_sequence(fn, cfg.radii, cfg.dim)
     diffs = seq["differences"]

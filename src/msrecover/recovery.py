@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .elliptic import StiffnessOperator, energy_inner, load_vector
+from .elliptic import StiffnessOperator, energy_inner
 from .errors import SolverError
-from .grid import (CoarsePartition, GridFunction, SubsampleSpec, _BINARY_MAGIC,
+from .grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec, _BINARY_MAGIC,
                    cell_center_values, lp_norm, scatter_cells_to_nodes)
-from .measurements import MeasurementFunctional, MeasurementVector
+from .measurements import MeasurementVector, build_functionals
 
 __all__ = [
     "ThetaMatrix",
@@ -128,16 +128,14 @@ class BasisSet:
         return GridFunction(self.spec, self.stack[i].reshape(self.spec.node_shape))
 
 
-def multiscale_basis(theta: ThetaMatrix, solves: np.ndarray | None = None) -> BasisSet:
+def multiscale_basis(theta: ThetaMatrix) -> BasisSet:
     """Combine the operator solves through the inverse coupling matrix.
 
     The result is biorthogonal to the measurement functionals and each field
     vanishes on the boundary.
     """
-    if solves is None:
-        solves = theta.solves
     inv = cho_solve(theta.cho, np.eye(theta.size))
-    stack = inv @ solves
+    stack = inv @ theta.solves
     return BasisSet(theta.spec, stack, dict(theta.provenance))
 
 
@@ -153,7 +151,6 @@ def ms_recover(data: MeasurementVector, basis: BasisSet) -> GridFunction:
 class RecoveryReport:
     l2_error: float
     energy_error: float | None
-    weighted_energy_error: float | None
     params: dict
     per_patch_l2: list = field(default_factory=list)
     energy_stable: bool | None = None
@@ -162,7 +159,6 @@ class RecoveryReport:
         payload = {
             "l2_error": self.l2_error,
             "energy_error": self.energy_error,
-            "weighted_energy_error": self.weighted_energy_error,
             "params": self.params,
             "per_patch_l2": self.per_patch_l2,
             "energy_stable": self.energy_stable,
@@ -171,8 +167,7 @@ class RecoveryReport:
 
 
 def recovery_error_report(u: GridFunction, recovered: GridFunction, params: dict,
-                          a=None, partition: CoarsePartition | None = None,
-                          weight_op=None) -> RecoveryReport:
+                          a=None, partition: CoarsePartition | None = None) -> RecoveryReport:
     """Error summary of a recovery against the ground truth on the same grid.
 
     ``a`` (CoefficientField or StiffnessOperator) enables the energy-norm
@@ -192,14 +187,11 @@ def recovery_error_report(u: GridFunction, recovered: GridFunction, params: dict
         if basis_kind != "pc":
             u_energy = float(np.sqrt(max(energy_inner(u, u, a), 0.0)))
             stable = energy <= u_energy * (1.0 + 1e-10)
-    weighted = None
-    if weight_op is not None:
-        weighted = float(np.sqrt(max(energy_inner(diff, diff, weight_op), 0.0)))
     per_patch = []
     if partition is not None:
         per_patch = [lp_norm(diff, 2.0, region=partition.patch_cells(i))
                      for i in range(partition.num_patches)]
-    return RecoveryReport(l2, energy, weighted, dict(params), per_patch, stable)
+    return RecoveryReport(l2, energy, dict(params), per_patch, stable)
 
 
 def sharp_constant_estimate(part: CoarsePartition, sub: SubsampleSpec,
@@ -217,7 +209,6 @@ def sharp_constant_estimate(part: CoarsePartition, sub: SubsampleSpec,
         raise ValueError("the constant estimate runs on a single-patch configuration")
     if abs(op.coefficient.a_min - 1.0) > 1e-14 or abs(op.coefficient.a_max - 1.0) > 1e-14:
         raise ValueError("the constant estimate needs unit coefficient")
-    from .measurements import build_functionals
 
     spec = part.spec
     phi = build_functionals(sub)[0]
@@ -285,8 +276,6 @@ def save_basis(basis: BasisSet, container_path, manifest_path) -> None:
 
 
 def load_basis(container_path, manifest_path) -> BasisSet:
-    from .grid import DomainSpec
-
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     spec = DomainSpec(manifest["dim"], manifest["n"])
@@ -297,7 +286,9 @@ def load_basis(container_path, manifest_path) -> BasisSet:
         for i in range(count):
             fh.seek(manifest["offsets"][str(i)])
             raw = fh.read(blob)
-            if raw[:4] != _BINARY_MAGIC:
-                raise ValueError("corrupt basis container")
+            # a short read or a header for another grid would misplace every value
+            if (len(raw) != blob or raw[:4] != _BINARY_MAGIC
+                    or struct.unpack("<qq", raw[4:20]) != (spec.dim, spec.n)):
+                raise ValueError(f"corrupt basis container: blob {i}")
             stack[i] = np.frombuffer(raw[20:], dtype="<f8")
     return BasisSet(spec, stack, manifest.get("provenance", {}))

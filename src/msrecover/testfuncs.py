@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import CoarsePartition, DomainSpec, GridFunction
+from .grid import CoarsePartition, DomainSpec, GridFunction, build_subsample
+from .measurements import build_functionals, measure_all
 
-LIBRARY_VERSION = 1
+LIBRARY_VERSION = 2
 
 __all__ = ["LIBRARY_VERSION", "sine_product", "fourier_h01", "fourier_free",
            "flattened_profile"]
@@ -95,15 +96,8 @@ def flattened_profile(part: CoarsePartition, seed: int, kmax: int = 3,
     dist = np.sqrt(np.sum((pts - centers) ** 2, axis=1))
 
     own_flat = np.ravel_multi_index(own.T, (part.m,) * spec.dim)
-    center_nodes = centers * spec.n
-    # centers sit on nodes or half-cells; sample the base field there multilinearly
-    center_vals = np.empty(part.num_patches)
-    for i in range(part.num_patches):
-        mask = own_flat == i
-        if not np.any(mask):
-            continue
-        c = centers[np.argmax(mask)]
-        center_vals[i] = _interp_at(base, c)
+    # the anchor of each patch is the base field's point measurement at its center
+    center_vals = measure_all(base, build_functionals(build_subsample(part, "point"))).values
     anchor = center_vals[own_flat]
 
     s = np.clip((dist - plateau * part.H) / (ramp * part.H), 0.0, 1.0)
@@ -111,25 +105,3 @@ def flattened_profile(part: CoarsePartition, seed: int, kmax: int = 3,
     vals = eta * base.values.reshape(-1) + (1.0 - eta) * anchor
     return GridFunction(spec, vals.reshape(spec.node_shape))
 
-
-def _interp_at(u: GridFunction, x: np.ndarray) -> float:
-    spec = u.spec
-    idx = []
-    wts = []
-    for axis in range(spec.dim):
-        g = x[axis] * spec.n
-        j = min(int(np.floor(g)), spec.n - 1)
-        frac = g - j
-        idx.append((j, j + 1))
-        wts.append((1.0 - frac, frac))
-    total = 0.0
-    import itertools
-
-    for corner in itertools.product((0, 1), repeat=spec.dim):
-        w = 1.0
-        pos = []
-        for axis, c in enumerate(corner):
-            w *= wts[axis][c]
-            pos.append(idx[axis][c])
-        total += w * u.values[tuple(pos)]
-    return total

@@ -15,12 +15,15 @@ centers, never nodes.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
+from .elliptic import CoefficientField, assemble
 from .errors import AlignmentError
-from .grid import CoarsePartition, GridFunction, SubsampleSpec
-from .measurements import MeasurementVector
-from .recovery import BasisSet, build_theta, ms_recover, multiscale_basis
+from .grid import CoarsePartition, SubsampleSpec
+from .measurements import build_functionals
+from .recovery import build_theta, multiscale_basis
 
 __all__ = [
     "DistanceField",
@@ -29,7 +32,6 @@ __all__ = [
     "build_weight",
     "weight_condition_check",
     "weighted_basis",
-    "weighted_basis_and_recover",
     "save_weight_field",
     "load_weight_field",
 ]
@@ -173,12 +175,9 @@ def weighted_basis(part: CoarsePartition, sub: SubsampleSpec, w: WeightField,
                    tol: float = 1e-10):
     """Multiscale basis with the weight as the operator coefficient.
 
-    Returns (basis, operator); the operator is reusable for weighted-energy
-    error reports.
+    Returns (basis, operator); ``energy_inner`` with the operator gives
+    weighted energies.
     """
-    from .elliptic import CoefficientField, assemble
-    from .measurements import build_functionals
-
     coeff = CoefficientField(part.spec, w.values)
     op = assemble(part.spec, coeff)
     functionals = build_functionals(sub)
@@ -186,21 +185,11 @@ def weighted_basis(part: CoarsePartition, sub: SubsampleSpec, w: WeightField,
     return multiscale_basis(theta), op
 
 
-def weighted_basis_and_recover(data: MeasurementVector, part: CoarsePartition,
-                               sub: SubsampleSpec, w: WeightField,
-                               tol: float = 1e-10) -> GridFunction:
-    """Weighted multiscale recovery from measured data."""
-    basis, _ = weighted_basis(part, sub, w, tol)
-    return ms_recover(data, basis)
-
-
 def save_weight_field(w: WeightField, path) -> None:
     """CSV: params header, then cell values one per line in C cell order."""
-    import csv as _csv
-
     keys = sorted(w.params)
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(keys)
         writer.writerow([repr(w.params[k]) if isinstance(w.params[k], float)
                          else w.params[k] for k in keys])
@@ -210,14 +199,21 @@ def save_weight_field(w: WeightField, path) -> None:
 
 
 def load_weight_field(spec, path) -> WeightField:
-    import csv as _csv
+    """Read a ``save_weight_field`` file for the grid ``spec``.
 
+    Raises ValueError unless it holds one finite, positive value per cell.
+    """
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         keys = next(reader)
         raw = next(reader)
         next(reader)
         vals = np.array([float(r[0]) for r in reader])
+    ncell = spec.n**spec.dim
+    if len(vals) != ncell:
+        raise ValueError(f"{path}: {len(vals)} cell values for a grid of {ncell} cells")
+    if not np.all(np.isfinite(vals) & (vals > 0.0)):
+        raise ValueError(f"{path}: weight values must be finite and positive")
     params = {}
     for k, v in zip(keys, raw):
         try:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from msrecover import elliptic
 from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coefficient,
                                 coefficient_from_csv, constant_coefficient, energy_inner,
                                 l2_inner, layered_coefficient, load_vector,
@@ -190,6 +191,27 @@ def test_high_contrast_solve():
     assert backward <= 1e-10
 
 
+@pytest.mark.parametrize("coefficient", [
+    constant_coefficient,
+    lambda spec: checkerboard_coefficient(spec, 100.0),
+    lambda spec: lognormal_coefficient(spec, sigma=1.0, seed=3),
+], ids=["constant", "checkerboard", "lognormal"])
+def test_cg_fallback_agrees_with_direct_solve(monkeypatch, coefficient):
+    spec = DomainSpec(2, 16)
+    a = coefficient(spec)
+    f = GridFunction.from_callable(spec, lambda x, y: np.exp(x) * (1.0 + y * y))
+    direct_op = assemble(spec, a)
+    b = load_vector(spec, f)[direct_op.interior_indices]
+    direct = direct_op.solve_interior(b)
+    monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0)
+    op = assemble(spec, a)
+    x = op.solve_interior(b)
+    assert op._lu is None  # the conjugate-gradient path ran
+    res = np.linalg.norm(op.matrix @ x - b)
+    assert res / (np.linalg.norm(b) + op.matrix_norm * np.linalg.norm(x)) <= 1e-10
+    assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
+
+
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
 def test_neumann_solve_zero_sum_rhs(dim, n):
     spec = DomainSpec(dim, n)
@@ -225,3 +247,14 @@ def test_coefficient_csv_roundtrip(tmp_path):
             fh.write(f"{i},{float(v)!r}\n")
     back = coefficient_from_csv(spec, path)
     np.testing.assert_array_equal(back.values, a.values)
+
+
+@pytest.mark.parametrize("row,match", [("-1,9.0", "outside"), ("16,9.0", "outside"),
+                                       ("0,7.0", "duplicate")],
+                         ids=["negative", "past-the-end", "duplicate"])
+def test_coefficient_csv_rejects_bad_cell_index(tmp_path, row, match):
+    spec = DomainSpec(2, 4)
+    path = tmp_path / "a.csv"
+    path.write_text("cell_index,value\n" + "".join(f"{i},1.0\n" for i in range(16)) + row + "\n")
+    with pytest.raises(ValueError, match=match):
+        coefficient_from_csv(spec, path)

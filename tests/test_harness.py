@@ -74,18 +74,6 @@ def test_rate_study_grid_free_only():
     assert abs(rep["grid_free"]["fit"]["slope"] - 0.5) <= 0.1
 
 
-def test_threads_do_not_change_results(tmp_path):
-    base = dict(name="thr", dim=1, n=64, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8])
-    rep1 = run_convergence_study(ExperimentConfig(**base, threads=1),
-                                 out_dir=tmp_path / "a")
-    rep2 = run_convergence_study(ExperimentConfig(**base, threads=3),
-                                 out_dir=tmp_path / "b")
-    rows1 = (tmp_path / "a" / "thr_rows.csv").read_bytes()
-    rows2 = (tmp_path / "b" / "thr_rows.csv").read_bytes()
-    assert rows1 == rows2
-    assert rep1["fits"] == rep2["fits"]
-
-
 def test_determinism_byte_identical(tmp_path):
     cfg = dict(name="det", dim=1, n=64, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8], seed=5)
     for sub in ("x", "y"):
@@ -112,6 +100,15 @@ def test_weighted_study_report_shape(tmp_path):
 def test_pointwise_study_validation():
     with pytest.raises(ConfigError):
         run_pointwise_limit_study(ExperimentConfig(name="p", radii=[0.5]))
+
+
+def test_pointwise_study_constant_profile_is_convergent():
+    rep = run_pointwise_limit_study(ExperimentConfig(
+        name="pc", dim=2, p=2.0, profile_kind="constant",
+        radii=[2.0**-k for k in range(1, 8)]))
+    assert rep["classification"] == "convergent"
+    assert rep["measured_ratio"] == 0.0
+    assert rep["passed"]
 
 
 def test_cli_pass_and_fail_and_config_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,27 @@ def test_basis_container_roundtrip(tmp_path):
     back = load_basis(cpath, mpath)
     np.testing.assert_array_equal(back.stack, basis.stack)
     assert back.spec == basis.spec
+
+
+def test_basis_container_rejects_a_short_blob(tmp_path):
+    basis = _pipeline(1, 16, 2, "cube", 0.5)[-1]
+    cpath = tmp_path / "basis.bin"
+    mpath = tmp_path / "basis.json"
+    save_basis(basis, cpath, mpath)
+    cpath.write_bytes(cpath.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="corrupt basis container"):
+        load_basis(cpath, mpath)
+
+
+@pytest.mark.parametrize("grid", [{"n": 40}, {"dim": 2, "n": 8}], ids=["n", "dim"])
+def test_basis_container_rejects_a_header_for_another_grid(tmp_path, grid):
+    # blobs of a 1D n=80 grid; 2D n=8 has as many nodes, 1D n=40 fits inside a blob
+    basis = _pipeline(1, 80, 2, "cube", 0.5)[-1]
+    cpath = tmp_path / "basis.bin"
+    mpath = tmp_path / "basis.json"
+    save_basis(basis, cpath, mpath)
+    manifest = json.loads(mpath.read_text())
+    manifest.update(grid)
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="corrupt basis container"):
+        load_basis(cpath, mpath)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import msrecover
-from msrecover.grid import DomainSpec
-from msrecover.testfuncs import fourier_free, fourier_h01
+from msrecover.grid import DomainSpec, build_partition, build_subsample
+from msrecover.measurements import build_functionals, measure_all
+from msrecover.testfuncs import flattened_profile, fourier_free, fourier_h01
 
 SPECS = [(1, 64), (2, 32), (3, 12)]
 SEEDS = [0, 1, 2024]
@@ -96,3 +97,19 @@ def test_package_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# every center is a node; for m = 3 the centers are inexact in floating point
+@pytest.mark.parametrize("dim,n,m", [(1, 48, 2), (2, 24, 2), (3, 12, 2),
+                                     (1, 36, 3), (2, 18, 3), (3, 18, 3)])
+def test_flattened_profile_plateau_is_the_center_point_value(dim, n, m):
+    part = build_partition(DomainSpec(dim, n), m)
+    vals = flattened_profile(part, seed=4).values.reshape(-1)
+    point = build_functionals(build_subsample(part, "point"))
+    centers = measure_all(fourier_h01(part.spec, 4), point).values
+    grids = np.meshgrid(*part.spec.node_coordinates(), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+    for i in range(part.num_patches):
+        plateau = np.linalg.norm(pts - part.center(i), axis=1) <= 0.05 * part.H
+        assert np.any(plateau)
+        assert np.all(vals[plateau] == centers[i])

@@ -8,8 +8,7 @@ from msrecover.measurements import build_functionals, measure, measure_all
 from msrecover.recovery import build_theta, ms_recover, multiscale_basis
 from msrecover.elliptic import assemble, constant_coefficient
 from msrecover.weights import (build_weight, distance_field, weight_condition_check,
-                               weighted_basis, weighted_basis_and_recover,
-                               load_weight_field, save_weight_field)
+                               weighted_basis, load_weight_field, save_weight_field)
 
 
 def test_distance_zero_inside_support():
@@ -197,7 +196,7 @@ def test_weighted_recovery_reduces_to_unweighted():
     w_unit = WeightField(spec, np.ones(spec.cell_shape), "polynomial",
                          {"profile": "polynomial", "beta": 1.0, "p": 2.0,
                           "dim": 2, "h": sub.h, "H": part.H}, False)
-    rec_w = weighted_basis_and_recover(data, part, sub, w_unit)
+    rec_w = ms_recover(data, weighted_basis(part, sub, w_unit)[0])
     op = assemble(spec, constant_coefficient(spec))
     theta = build_theta(functionals, op)
     rec = ms_recover(data, multiscale_basis(theta))
@@ -212,7 +211,7 @@ def test_weighted_recovery_constants_exact():
     w = build_weight(dist, "polynomial", 2.0, part.H, sub.h, beta=1.0)
     u = GridFunction.constant(spec, 2.0)
     data = measure_all(u, build_functionals(sub))
-    rec = weighted_basis_and_recover(data, part, sub, w)
+    rec = ms_recover(data, weighted_basis(part, sub, w)[0])
     # constants are reproduced on the measurements, hence recovered exactly
     # in the measured averages (not pointwise: the basis is not a partition of unity)
     for phi, d in zip(build_functionals(sub), data.values):
@@ -243,3 +242,20 @@ def test_weight_field_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.values, w.values)
     assert back.profile == "logarithmic"
     assert back.params["gamma"] == 2.0
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda vals: vals[:-1], "cell values"),
+    (lambda vals: vals[:3] + ["nan"] + vals[4:], "finite and positive"),
+    (lambda vals: vals[:3] + ["-1.0"] + vals[4:], "finite and positive"),
+], ids=["short", "nan", "negative"])
+def test_weight_field_load_rejects_bad_values(tmp_path, edit, match):
+    part = build_partition(DomainSpec(2, 4), 1)
+    sub = build_subsample(part, "cube", 0.5)
+    w = build_weight(distance_field(part, sub), "polynomial", 2.0, part.H, sub.h)
+    path = tmp_path / "w.csv"
+    save_weight_field(w, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + edit(lines[3:])) + "\n")
+    with pytest.raises(ValueError, match=match):
+        load_weight_field(part.spec, path)
