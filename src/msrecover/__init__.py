@@ -23,9 +23,8 @@ from .recovery import (BasisSet, RecoveryReport, ThetaMatrix, build_theta, ms_re
                        sharp_constant_estimate)
 from .weights import (DistanceField, WeightField, build_weight, distance_field,
                       weight_condition_check, weighted_basis)
-from .analytic import (RadialFunction, RateFunction, ball_average_sequence,
-                       critical_ratio, eval_radial, eval_radial_deriv, power_profile,
-                       radial_function, rho)
+from .analytic import (RadialFunction, ball_average_sequence, critical_ratio, eval_radial,
+                       eval_radial_deriv, power_profile, radial_function, rho)
 from .harness import (ExperimentConfig, FitResult, fit_loglog, run_convergence_study,
                       run_degeneracy_study, run_pointwise_limit_study, run_rate_study,
                       run_weighted_study)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RateFunction",
     "rho",
     "RadialFunction",
     "radial_function",
@@ -50,16 +49,6 @@ def rho(variant: str, p: float, dim: int, x: float) -> float:
 
 
 @dataclass(frozen=True)
-class RateFunction:
-    p: float
-    dim: int
-    variant: str = "sharp"
-
-    def __call__(self, x: float) -> float:
-        return rho(self.variant, self.p, self.dim, x)
-
-
-@dataclass(frozen=True)
 class RadialFunction:
     """Radial profile u(r) on [0,1] with its derivative rule and known kinks.
 
@@ -76,9 +65,6 @@ class RadialFunction:
     f: object = None
     df: object = None
     kinks: tuple = ()
-
-    def __call__(self, r):
-        return self.f(r)
 
 
 def radial_function(kind: str, h: float | None = None) -> RadialFunction:

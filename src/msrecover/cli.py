@@ -10,9 +10,15 @@ import argparse
 import json
 import sys
 
+from .elliptic import assemble
 from .errors import AlignmentError, ConfigError
-from .harness import (ExperimentConfig, run_convergence_study, run_degeneracy_study,
-                      run_pointwise_limit_study, run_rate_study, run_weighted_study)
+from .grid import build_partition, build_subsample, load_grid_function, save_grid_function
+from .harness import (ExperimentConfig, _coefficient, run_convergence_study,
+                      run_degeneracy_study, run_pointwise_limit_study, run_rate_study,
+                      run_weighted_study)
+from .measurements import build_functionals, measure_all
+from .recovery import (build_theta, ms_recover, multiscale_basis, pc_recover,
+                       recovery_error_report)
 
 _EPILOG = """\
 CSV column names by subcommand:
@@ -30,7 +36,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON config file (defaults per subcommand)")
     sub.add_argument("--out", help="output directory for CSV/JSON records")
     sub.add_argument("--seed", type=int, help="override the config seed")
-    sub.add_argument("--format", choices=["csv", "json"], help="row output format")
 
 
 def _load_config(args, defaults: dict) -> ExperimentConfig:
@@ -40,8 +45,6 @@ def _load_config(args, defaults: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(**defaults)
     if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "format", None):
-        cfg.out_format = args.format
     return cfg
 
 
@@ -72,29 +75,20 @@ _RUNNERS = {
 
 
 def _run_recover(args) -> int:
-    from .elliptic import assemble, constant_coefficient
-    from .grid import DomainSpec, build_partition, build_subsample, load_grid_function, save_grid_function
-    from .measurements import build_functionals, measure_all
-    from .recovery import (build_theta, ms_recover, multiscale_basis, pc_recover,
-                           recovery_error_report)
-
     u = load_grid_function(args.input)
-    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig(
-        name="recover", dim=u.spec.dim, n=u.spec.n)
+    # the grid comes from the input file, so the config's dim and n are unused
+    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     part = build_partition(u.spec, cfg.m)
-    sub = build_subsample(part, cfg.kind, cfg.r if cfg.kind != "point" else 1.0)
+    sub = build_subsample(part, cfg.kind, cfg.r)
     functionals = build_functionals(sub)
     data = measure_all(u, functionals)
-    from .harness import _coefficient
-
-    a = _coefficient(u.spec, cfg)
-    op = assemble(u.spec, a)
+    op = assemble(u.spec, _coefficient(u.spec, cfg))
     if cfg.basis == "pc":
         rec = pc_recover(data, part)
     else:
         theta = build_theta(functionals, op)
         rec = ms_recover(data, multiscale_basis(theta))
-    report = recovery_error_report(u, rec, {"basis": cfg.basis, "dim": cfg.dim,
+    report = recovery_error_report(u, rec, {"basis": cfg.basis, "dim": u.spec.dim,
                                             "h": sub.h, "H": part.H}, a=op,
                                    partition=part)
     save_grid_function(rec, args.output, fmt="csv")

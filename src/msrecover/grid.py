@@ -105,9 +105,6 @@ class GridFunction:
     def constant(cls, spec: DomainSpec, c: float) -> "GridFunction":
         return cls(spec, np.full(spec.node_shape, float(c)))
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.spec, self.values.copy())
-
     def __add__(self, other):
         return GridFunction(self.spec, self.values + other.values)
 
@@ -341,8 +338,7 @@ def lp_norm(u: GridFunction, p: float, region: tuple | None = None) -> float:
     return float(np.sum(np.abs(v) ** p) * u.spec.cell_volume) ** (1.0 / p)
 
 
-def gradient_lp_norm(u: GridFunction, p: float, weight=None,
-                     region: tuple | None = None) -> float:
+def gradient_lp_norm(u: GridFunction, p: float, weight=None) -> float:
     """Midpoint-rule (weighted) L^p norm of the gradient magnitude.
 
     weight is an optional strictly positive field on cells (array, or any
@@ -358,8 +354,6 @@ def gradient_lp_norm(u: GridFunction, p: float, weight=None,
     integrand = mag2 ** (p / 2.0)
     if w is not None:
         integrand = integrand * w
-    if region is not None:
-        integrand = integrand[region]
     return float(np.sum(integrand) * u.spec.cell_volume) ** (1.0 / p)
 
 

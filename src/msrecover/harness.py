@@ -20,7 +20,7 @@ from .analytic import (RadialFunction, ball_average_sequence, critical_ratio, po
 from .elliptic import (assemble, checkerboard_coefficient, constant_coefficient,
                        layered_coefficient, lognormal_coefficient)
 from .errors import ConfigError
-from .grid import GridFunction, DomainSpec, build_partition, build_subsample, lp_norm, gradient_lp_norm
+from .grid import DomainSpec, build_partition, build_subsample, lp_norm, gradient_lp_norm
 from .measurements import build_functionals, measure, measure_all
 from .recovery import (build_theta, ms_recover, multiscale_basis, pc_recover,
                        recovery_error_report, sharp_constant_estimate)
@@ -36,6 +36,22 @@ __all__ = [
     "run_weighted_study",
     "run_pointwise_limit_study",
 ]
+
+# gate widths and levels of the studies; they are fixed, not configurable
+GRID_BAND = 0.30  # rates: relative band of the normalized grid estimates
+FREE_BAND = 0.25  # rates: relative band of the normalized grid-free ratios (dim <= p)
+EXPONENT_WIDTH = 0.1  # rates: grid-free exponent fit against (dim - p)/p (dim > p)
+WEIGHTED_MAX_MIN = 3.0  # degeneracy: cap on the weighted error's max/min
+CONSTANT_SLACK = 0.25  # weighted: growth allowed to the constant fitted at h = H
+RATE_SLACK = 0.2  # pointwise: slack on the per-halving difference ratio
+DIVERGENCE_LEVEL = 3.0  # pointwise: growing averages above this level diverge
+
+# the only keys a config's ``tolerances`` may set
+_TOLERANCE_KEYS = ("slopes", "expect_condition")
+_WEIGHT_KEYS = ("profile", "beta", "gamma", "validate")
+# coefficient generator -> (required keys, optional keys) besides "name"
+_COEFF_KEYS = {"constant": ((), ("value",)), "checkerboard": (("contrast",), ()),
+               "layered": (("contrast",), ("axis",)), "lognormal": ((), ("sigma", "seed"))}
 
 
 @dataclass
@@ -83,17 +99,24 @@ class ExperimentConfig:
     r_sweep: list = field(default_factory=list)
     h_sweep: list = field(default_factory=list)
     radii: list = field(default_factory=list)
-    include_point: bool = True
     coeff: dict = field(default_factory=lambda: {"name": "constant", "value": 1.0})
     weight: dict = field(default_factory=lambda: {"profile": "polynomial", "beta": 1.0})
     profile_kind: str = "power"
     profile_q: float = 0.55
-    divergence_threshold: float = 3.0
     seed: int = 0
     num_functions: int = 50
-    test_function: str = "sine"
-    out_format: str = "csv"
     tolerances: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key in ("tolerances", "weight", "coeff"):
+            if not isinstance(getattr(self, key), dict):
+                raise ConfigError(f"{key} must be a JSON object")
+        _check_keys("tolerances", self.tolerances, (), _TOLERANCE_KEYS)
+        _check_keys("weight", self.weight, (), _WEIGHT_KEYS)
+        name = self.coeff.get("name", "constant")
+        if name not in _COEFF_KEYS:
+            raise ConfigError(f"unknown coefficient generator {name!r}")
+        _check_keys(f"{name} coeff", set(self.coeff) - {"name"}, *_COEFF_KEYS[name])
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -114,26 +137,32 @@ class ExperimentConfig:
         return out
 
 
+def _check_keys(what: str, given, required, optional) -> None:
+    unknown = sorted(set(given) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    missing = sorted(set(required) - set(given))
+    if missing:
+        raise ConfigError(f"{what} needs keys: {missing}")
+
+
 def _coefficient(spec: DomainSpec, cfg: ExperimentConfig):
-    c = dict(cfg.coeff)
-    name = c.pop("name", "constant")
-    if name == "constant":
-        return constant_coefficient(spec, c.get("value", 1.0))
+    c = cfg.coeff
+    name = c.get("name", "constant")
     if name == "checkerboard":
         return checkerboard_coefficient(spec, c["contrast"])
     if name == "layered":
         return layered_coefficient(spec, c["contrast"], c.get("axis", 0))
     if name == "lognormal":
         return lognormal_coefficient(spec, c.get("sigma", 1.0), c.get("seed", cfg.seed))
-    raise ConfigError(f"unknown coefficient generator {name!r}")
+    return constant_coefficient(spec, c.get("value", 1.0))
 
 
-def _test_function(spec: DomainSpec, cfg: ExperimentConfig) -> GridFunction:
-    if cfg.test_function == "sine":
-        return testfuncs.sine_product(spec)
-    if cfg.test_function == "fourier":
-        return testfuncs.fourier_h01(spec, cfg.seed)
-    raise ConfigError(f"unknown test function {cfg.test_function!r}")
+def _weight(cfg: ExperimentConfig, part, sub, dist):
+    w = cfg.weight
+    return build_weight(dist, w.get("profile", "polynomial"), cfg.p, part.H, sub.h,
+                        beta=w.get("beta", 1.0), gamma=w.get("gamma"), partition=part,
+                        validate=w.get("validate", True))
 
 
 def _nondecreasing(estimates) -> bool:
@@ -174,8 +203,7 @@ def _emit(report: dict, out_dir, columns, rows) -> None:
         return
     os.makedirs(out_dir, exist_ok=True)
     name = report["config"]["name"]
-    if report["config"]["out_format"] == "csv":
-        _write_rows(os.path.join(out_dir, f"{name}_rows.csv"), columns, rows)
+    _write_rows(os.path.join(out_dir, f"{name}_rows.csv"), columns, rows)
     _write_report(os.path.join(out_dir, f"{name}_report.json"), report)
 
 
@@ -193,7 +221,7 @@ def run_convergence_study(cfg: ExperimentConfig, out_dir=None) -> dict:
     spec = DomainSpec(cfg.dim, cfg.n)
     a = _coefficient(spec, cfg)
     op = assemble(spec, a)
-    u = _test_function(spec, cfg)
+    u = testfuncs.sine_product(spec)
 
     def one_point(H):
         m = round(1.0 / H)
@@ -258,21 +286,19 @@ def run_rate_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         op = assemble(spec, constant_coefficient(spec))
         grid_rows = []
         for r in cfg.r_sweep:
-            sub = build_subsample(part, cfg.kind, r,
-                                  normal_axis=None)
+            sub = build_subsample(part, cfg.kind, r)
             est = sharp_constant_estimate(part, sub, op)
             x = 1.0 / r
             rv = rho("sharp", cfg.p, cfg.dim, x)
             grid_rows.append((r, est, rv, est / rv, "grid"))
         rows.extend(grid_rows)
         normalized = [g[3] for g in grid_rows]
-        band = cfg.tolerances.get("grid_band", 0.30)
         center = float(np.mean(normalized))
-        grid_pass = all(abs(v - center) <= band * center for v in normalized)
+        grid_pass = all(abs(v - center) <= GRID_BAND * center for v in normalized)
         report["grid"] = {
             "estimates": [g[1] for g in grid_rows],
             "normalized": normalized,
-            "band": band,
+            "band": GRID_BAND,
             "band_center": center,
             "passed": bool(grid_pass),
             "monotone_growth": _nondecreasing([g[1] for g in grid_rows]),
@@ -290,16 +316,14 @@ def run_rate_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         if cfg.dim > cfg.p:
             fit = fit_loglog([(1.0 / h, ratio) for h, ratio, _, _, _ in free_rows])
             target = (cfg.dim - cfg.p) / cfg.p
-            width = cfg.tolerances.get("exponent_width", 0.1)
-            free_pass = abs(fit.slope - target) <= width
+            free_pass = abs(fit.slope - target) <= EXPONENT_WIDTH
             report["grid_free"] = {"fit": fit.to_dict(), "target_exponent": target,
-                                   "width": width, "passed": bool(free_pass)}
+                                   "width": EXPONENT_WIDTH, "passed": bool(free_pass)}
         else:
             normalized = [fr[3] for fr in free_rows]
-            band = cfg.tolerances.get("free_band", 0.25)
             center = float(np.mean(normalized))
-            free_pass = all(abs(v - center) <= band * center for v in normalized)
-            report["grid_free"] = {"normalized": normalized, "band": band,
+            free_pass = all(abs(v - center) <= FREE_BAND * center for v in normalized)
+            report["grid_free"] = {"normalized": normalized, "band": FREE_BAND,
                                    "band_center": center, "passed": bool(free_pass)}
         report["passed"] = report["passed"] and free_pass
 
@@ -323,24 +347,18 @@ def run_degeneracy_study(cfg: ExperimentConfig, out_dir=None) -> dict:
     part = build_partition(spec, cfg.m)
     u = testfuncs.flattened_profile(part, cfg.seed)
     op = assemble(spec, constant_coefficient(spec))
-    wcfg = dict(cfg.weight)
-    beta = wcfg.get("beta", 1.0)
-
-    sweep = [("cube", r) for r in cfg.r_sweep]
-    if cfg.include_point:
-        sweep.append(("point", 0.0))
+    # build_subsample ignores the ratio of the point kind
+    sweep = [("cube", r) for r in cfg.r_sweep] + [("point", 0.0)]
 
     def one_point(job):
         kind, r = job
-        sub = build_subsample(part, kind, r if kind == "cube" else 1.0)
+        sub = build_subsample(part, kind, r)
         functionals = build_functionals(sub)
         data = measure_all(u, functionals)
         theta = build_theta(functionals, op)
         ms = ms_recover(data, multiscale_basis(theta))
         unweighted_l2 = lp_norm(u - ms, 2.0)
-        dist = distance_field(part, sub)
-        w = build_weight(dist, wcfg.get("profile", "polynomial"), cfg.p, part.H, sub.h,
-                         beta=beta, gamma=wcfg.get("gamma"), partition=part)
+        w = _weight(cfg, part, sub, distance_field(part, sub))
         basis, _ = weighted_basis(part, sub, w)
         msw = ms_recover(data, basis)
         weighted_l2 = lp_norm(u - msw, 2.0)
@@ -354,15 +372,14 @@ def run_degeneracy_study(cfg: ExperimentConfig, out_dir=None) -> dict:
     op1 = assemble(spec1, constant_coefficient(spec1))
     constants = []
     for kind, r in sweep:
-        sub1 = build_subsample(part1, kind, r if kind == "cube" else 1.0)
+        sub1 = build_subsample(part1, kind, r)
         constants.append(sharp_constant_estimate(part1, sub1, op1))
 
     weighted_vals = [r[2] for r in rows]
-    ratio_cap = cfg.tolerances.get("weighted_max_min", 3.0)
     max_min = max(weighted_vals) / min(weighted_vals)
     monotone = _nondecreasing(constants)
     unweighted_vals = [r[1] for r in rows]
-    passed = (max_min <= ratio_cap) and monotone
+    passed = (max_min <= WEIGHTED_MAX_MIN) and monotone
     full_rows = [(h, uw, wv, c) for (h, uw, wv), c in zip(rows, constants)]
     report = {
         "config": cfg.resolved(),
@@ -391,9 +408,7 @@ def run_weighted_study(cfg: ExperimentConfig, out_dir=None) -> dict:
     spec = DomainSpec(cfg.dim, cfg.n)
     part = build_partition(spec, 1)
     H = part.H
-    wcfg = dict(cfg.weight)
-    profile = wcfg.get("profile", "polynomial")
-    if profile != "w11" and cfg.p <= 1.0:
+    if cfg.weight.get("profile", "polynomial") != "w11" and cfg.p <= 1.0:
         raise ConfigError("p must exceed 1 unless using the w11 profile")
     funcs = [testfuncs.fourier_free(spec, cfg.seed + k) for k in range(cfg.num_functions)]
 
@@ -404,9 +419,7 @@ def run_weighted_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         sub = build_subsample(part, cfg.kind, r)
         phi = build_functionals(sub)[0]
         dist = distance_field(part, sub)
-        w = build_weight(dist, profile, cfg.p, H, sub.h,
-                         beta=wcfg.get("beta", 1.0), gamma=wcfg.get("gamma"),
-                         partition=part, validate=wcfg.get("validate", True))
+        w = _weight(cfg, part, sub, dist)
         ratios = []
         for u in funcs:
             avg = measure(u, phi)
@@ -422,10 +435,9 @@ def run_weighted_study(cfg: ExperimentConfig, out_dir=None) -> dict:
 
     # one constant, fitted at h = H, must keep covering the whole sweep: the
     # fitted ratio may not grow as the subsample shrinks
-    slack = cfg.tolerances.get("constant_slack", 0.25)
-    fitted = per_h_max[0] * (1.0 + slack)
+    fitted = per_h_max[0] * (1.0 + CONSTANT_SLACK)
     growth = max(per_h_max) / per_h_max[0]
-    passed = growth <= 1.0 + slack
+    passed = growth <= 1.0 + CONSTANT_SLACK
 
     condition_class = None
     if cfg.p > 1.0 and len(condition) >= 5:
@@ -441,7 +453,7 @@ def run_weighted_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         "fitted_constant": fitted,
         "per_h_max_ratio": per_h_max,
         "constant_growth": growth,
-        "constant_slack": slack,
+        "constant_slack": CONSTANT_SLACK,
         "condition_normalized": condition,
         "condition_class": condition_class,
         "passed": bool(passed),
@@ -456,7 +468,7 @@ def run_pointwise_limit_study(cfg: ExperimentConfig, out_dir=None) -> dict:
 
     A profile with finite singular-weighted gradient norm must be Cauchy with
     per-halving difference ratio no worse than 2^(-beta/p) (20 percent slack);
-    the divergent counterexamples must exceed the configured threshold.
+    the divergent counterexamples must grow past DIVERGENCE_LEVEL.
     """
     if not cfg.radii or len(cfg.radii) < 4:
         raise ConfigError("pointwise study needs at least 4 radii")
@@ -477,10 +489,9 @@ def run_pointwise_limit_study(cfg: ExperimentConfig, out_dir=None) -> dict:
     seq = ball_average_sequence(fn, cfg.radii, cfg.dim)
     diffs = seq["differences"]
     target = 2.0 ** (-beta / cfg.p)
-    slack = cfg.tolerances.get("rate_slack", 0.2)
     averages = seq["averages"]
     strictly_growing = all(b > a + 1e-12 for a, b in zip(averages, averages[1:]))
-    if strictly_growing and averages[-1] > cfg.divergence_threshold:
+    if strictly_growing and averages[-1] > DIVERGENCE_LEVEL:
         # level check first: slowly divergent profiles have shrinking
         # increments and would otherwise masquerade as Cauchy
         classification = "divergent"
@@ -493,7 +504,7 @@ def run_pointwise_limit_study(cfg: ExperimentConfig, out_dir=None) -> dict:
     else:
         ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0]
         measured = float(np.exp(np.mean(np.log(ratios)))) if ratios else 1.0
-        rate_ok = measured <= target * (1.0 + slack)
+        rate_ok = measured <= target * (1.0 + RATE_SLACK)
         shrinking = diffs[-1] <= diffs[0]
         classification = "convergent" if (rate_ok and shrinking) else "inconclusive"
     passed = classification == expect

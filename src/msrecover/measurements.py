@@ -136,9 +136,6 @@ class MeasurementVector:
     H: float
     dim: int
 
-    def __len__(self):
-        return len(self.values)
-
 
 def measure_all(u: GridFunction, functionals: list) -> MeasurementVector:
     """Measured averages of u under each functional, with the first one's provenance."""

@@ -150,7 +150,7 @@ def ms_recover(data: MeasurementVector, basis: BasisSet) -> GridFunction:
 @dataclass
 class RecoveryReport:
     l2_error: float
-    energy_error: float | None
+    energy_error: float
     params: dict
     per_patch_l2: list = field(default_factory=list)
     energy_stable: bool | None = None
@@ -167,26 +167,24 @@ class RecoveryReport:
 
 
 def recovery_error_report(u: GridFunction, recovered: GridFunction, params: dict,
-                          a=None, partition: CoarsePartition | None = None) -> RecoveryReport:
+                          a: StiffnessOperator,
+                          partition: CoarsePartition | None = None) -> RecoveryReport:
     """Error summary of a recovery against the ground truth on the same grid.
 
-    ``a`` (CoefficientField or StiffnessOperator) enables the energy-norm
-    error; for multiscale recoveries the report flags whether the energy error
-    stays below the energy norm of u itself.  Piecewise-constant recoveries
-    carry no stability flag: no such bound holds for them.
+    The operator ``a`` gives the energy-norm error; for multiscale recoveries
+    the report flags whether the energy error stays below the energy norm of u
+    itself.  Piecewise-constant recoveries carry no stability flag: no such
+    bound holds for them.
     """
     if u.spec != recovered.spec:
         raise ValueError("fields live on different grids")
     diff = u - recovered
     l2 = lp_norm(diff, 2.0)
-    energy = None
+    energy = float(np.sqrt(max(energy_inner(diff, diff, a), 0.0)))
     stable = None
-    basis_kind = params.get("basis", "ms")
-    if a is not None:
-        energy = float(np.sqrt(max(energy_inner(diff, diff, a), 0.0)))
-        if basis_kind != "pc":
-            u_energy = float(np.sqrt(max(energy_inner(u, u, a), 0.0)))
-            stable = energy <= u_energy * (1.0 + 1e-10)
+    if params.get("basis", "ms") != "pc":
+        u_energy = float(np.sqrt(max(energy_inner(u, u, a), 0.0)))
+        stable = energy <= u_energy * (1.0 + 1e-10)
     per_patch = []
     if partition is not None:
         per_patch = [lp_norm(diff, 2.0, region=partition.patch_cells(i))

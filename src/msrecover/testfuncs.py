@@ -75,19 +75,17 @@ def fourier_free(spec: DomainSpec, seed: int, kmax: int = 3) -> GridFunction:
     return GridFunction(spec, vals)
 
 
-def flattened_profile(part: CoarsePartition, seed: int, kmax: int = 3,
-                      plateau: float = 0.05, ramp: float = 0.2) -> GridFunction:
+def flattened_profile(part: CoarsePartition, seed: int) -> GridFunction:
     """Random boundary-zero field made exactly flat near every patch center.
 
-    Within distance plateau*H of a center the field is constant (gradient
-    zero); it blends back to the underlying random field over a further
-    ramp*H.  Plateau and ramp stay inside the patch, so singular weights
+    Within distance 0.05*H of a center the field is constant (gradient zero);
+    it blends back to the underlying ``fourier_h01`` field over a further
+    0.2*H.  Plateau and ramp stay inside the patch, so singular weights
     concentrated at the centers see no gradient where they are large.
     """
     spec = part.spec
-    if plateau + ramp >= 0.5:
-        raise ValueError("plateau + ramp must stay below half a patch")
-    base = fourier_h01(spec, seed, kmax)
+    plateau, ramp = 0.05 * part.H, 0.2 * part.H
+    base = fourier_h01(spec, seed)
     grids = np.meshgrid(*spec.node_coordinates(), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
 
@@ -100,7 +98,7 @@ def flattened_profile(part: CoarsePartition, seed: int, kmax: int = 3,
     center_vals = measure_all(base, build_functionals(build_subsample(part, "point"))).values
     anchor = center_vals[own_flat]
 
-    s = np.clip((dist - plateau * part.H) / (ramp * part.H), 0.0, 1.0)
+    s = np.clip((dist - plateau) / ramp, 0.0, 1.0)
     eta = s * s * (3.0 - 2.0 * s)
     vals = eta * base.values.reshape(-1) + (1.0 - eta) * anchor
     return GridFunction(spec, vals.reshape(spec.node_shape))

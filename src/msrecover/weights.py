@@ -106,8 +106,8 @@ def _check_limit_geometry(dist: DistanceField, part: CoarsePartition) -> None:
         )
 
 
-def build_weight(dist: DistanceField, profile: str, p: float, H: float, h: float,
-                 dim: int | None = None, beta: float = 1.0, gamma: float | None = None,
+def build_weight(dist: DistanceField, profile: str, p: float, H: float, h: float, *,
+                 beta: float = 1.0, gamma: float | None = None,
                  partition: CoarsePartition | None = None,
                  validate: bool = True) -> WeightField:
     """Evaluate a weight profile on cell centers from a distance field.
@@ -116,8 +116,7 @@ def build_weight(dist: DistanceField, profile: str, p: float, H: float, h: float
     so experiments can probe the failure regimes (e.g. beta = 0).
     """
     spec = dist.spec
-    if dim is None:
-        dim = spec.dim
+    dim = spec.dim
     if h < 0.0:
         raise ValueError("h must be >= 0")
     if h == 0.0 and partition is not None:

@@ -211,7 +211,7 @@ def test_criterion_08_weighted_inequalities():
 
 def test_criterion_09_nondegenerate_recovery():
     cfg = ExperimentConfig(name="deg", dim=2, p=2.0, n=128, m=2, seed=7,
-                           r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8], include_point=True)
+                           r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8])
     rep = run_degeneracy_study(cfg)
     ok = rep["weighted_max_min"] <= 3.0 and rep["sharp_monotone"]
     _verdict(9, f"non-degenerate weighted recovery (max/min {rep['weighted_max_min']:.2f}, "

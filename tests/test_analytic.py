@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from msrecover.analytic import (RateFunction, ball_average_sequence, critical_ratio,
-                                eval_radial, eval_radial_deriv, power_profile,
-                                radial_function, rho)
+from msrecover.analytic import (ball_average_sequence, critical_ratio, eval_radial,
+                                eval_radial_deriv, power_profile, radial_function, rho)
 
 
 def test_rho_branch_values():
@@ -20,8 +19,6 @@ def test_rho_validation_and_class():
         rho("bogus", 2, 2, 1.0)
     with pytest.raises(ValueError):
         rho("sharp", 2, 2, -1.0)
-    f = RateFunction(p=2, dim=2, variant="tilde")
-    assert f(3.0) == rho("tilde", 2, 2, 3.0)
 
 
 def test_rho_sharp_below_tilde_critical_branch():

@@ -109,10 +109,10 @@ def test_energy_inner_symmetry_and_positivity():
 
 def test_energy_inner_parabola_value():
     spec = DomainSpec(1, 128)
-    a = constant_coefficient(spec)
+    op = assemble(spec, constant_coefficient(spec))
     u = GridFunction.from_callable(spec, lambda x: x * (1 - x) / 2)
     # int (1/2 - x)^2 dx = 1/12
-    assert energy_inner(u, u, a) == pytest.approx(1.0 / 12.0, abs=2e-4)
+    assert energy_inner(u, u, op) == pytest.approx(1.0 / 12.0, abs=2e-4)
 
 
 def test_galerkin_consistency():
@@ -189,6 +189,24 @@ def test_high_contrast_solve():
     res = np.linalg.norm(op.matrix @ x - b)
     backward = res / (np.linalg.norm(b) + op.matrix_norm * np.linalg.norm(x))
     assert backward <= 1e-10
+
+
+@pytest.mark.parametrize("dim,n", [(1, 512), (2, 48), (3, 12)])
+@pytest.mark.parametrize("coefficient", [
+    lambda spec: checkerboard_coefficient(spec, 1e12),
+    lambda spec: lognormal_coefficient(spec, sigma=10.0, seed=1),
+], ids=["checkerboard-1e12", "lognormal-10"])
+def test_extreme_contrast_direct_solve_needs_no_refinement(dim, n, coefficient):
+    # one splu solve meets the normwise backward-error bound 1000x over, so
+    # solve_interior carries no iterative-refinement loop
+    spec = DomainSpec(dim, n)
+    op = assemble(spec, coefficient(spec))
+    rng = np.random.default_rng(dim)
+    scales = np.exp(10.0 * rng.standard_normal(op.num_interior))  # badly scaled too
+    for b in (rng.standard_normal(op.num_interior), scales * rng.standard_normal(op.num_interior)):
+        x = op.solve_interior(b)
+        res = np.linalg.norm(op.matrix @ x - b)
+        assert res / (np.linalg.norm(b) + op.matrix_norm * np.linalg.norm(x)) <= 1e-13
 
 
 @pytest.mark.parametrize("coefficient", [

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from msrecover.cli import main as cli_main
+from msrecover.cli import _DEFAULTS, main as cli_main
 from msrecover.errors import ConfigError
 from msrecover.harness import (ExperimentConfig, fit_loglog, run_convergence_study,
                                run_pointwise_limit_study, run_rate_study,
@@ -154,6 +154,84 @@ def test_cli_failing_gate_returns_one(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli_main(["converge", "--config", str(path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("study,override", [
+    ("rates", {"tolerances": {"grid_bnad": 0.0}}),  # misspelled gate key
+    ("rates", {"tolerances": {"grid_band": 0.5}}),  # gate widths are constants
+    ("converge", {"coeff": {"name": "checkerboard", "contrst": 10}}),
+    ("converge", {"coeff": {"name": "checkerboard"}}),  # contrast is required
+    ("converge", {"coeff": {"name": "stripes"}}),
+    ("converge", {"coeff": "checkerboard"}),
+    ("degeneracy", {"weight": {"betta": 5.0}}),
+])
+def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
+    # the study's default config, which runs, with one bad entry
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_DEFAULTS[study], **override}))
+    assert cli_main([study, "--config", str(path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_format_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["pointwise", "--format", "json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("coeff", [
+    {"name": "checkerboard", "contrast": 10.0},
+    {"name": "layered", "contrast": 10.0, "axis": 1},
+    {"name": "lognormal", "sigma": 0.5, "seed": 2},
+])
+def test_convergence_study_variable_coefficient(coeff):
+    sweep = dict(name="vc", dim=2, n=32, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8])
+    rep = run_convergence_study(ExperimentConfig(coeff=coeff, **sweep))
+    plain = run_convergence_study(ExperimentConfig(**sweep))
+    # energy stability holds in the energy norm of every admissible coefficient
+    assert rep["energy_stable_everywhere"]
+    assert rep["config"]["coeff"] == coeff
+    # the coefficient reaches the operator: the multiscale errors move
+    assert all(a[3] != b[3] for a, b in zip(rep["rows"], plain["rows"]))
+
+
+def _recover(tmp_path, capsys, u, config=None):
+    from msrecover.grid import save_grid_function
+
+    upath = tmp_path / "u.csv"
+    save_grid_function(u, upath)
+    argv = ["recover", "--input", str(upath), "--output", str(tmp_path / "rec.csv")]
+    if config is not None:
+        cfgpath = tmp_path / "rc.json"
+        cfgpath.write_text(json.dumps(config))
+        argv += ["--config", str(cfgpath)]
+    assert cli_main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _field_2d():
+    from msrecover.grid import DomainSpec, GridFunction
+
+    return GridFunction.from_callable(
+        DomainSpec(2, 16), lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+
+
+@pytest.mark.parametrize("basis", ["ms", "pc"])
+def test_cli_recover_reports_the_grid_dim(tmp_path, capsys, basis):
+    # rc.json carries neither dim nor n: both come from the input file
+    report = _recover(tmp_path, capsys, _field_2d(),
+                      {"m": 4, "kind": "cube", "r": 0.5, "basis": basis})
+    assert report["params"] == {"basis": basis, "dim": 2, "h": 0.125, "H": 0.25}
+    assert len(report["per_patch_l2"]) == 16
+    assert report["energy_stable"] is (True if basis == "ms" else None)
+
+
+def test_cli_recover_without_config(tmp_path, capsys):
+    report = _recover(tmp_path, capsys, _field_2d())
+    # ExperimentConfig defaults: m = 2, full-patch cubes, multiscale basis
+    assert report["params"] == {"basis": "ms", "dim": 2, "h": 0.5, "H": 0.5}
+    assert report["energy_stable"] is True
 
 
 def test_cli_recover_roundtrip(tmp_path, capsys):

@@ -43,6 +43,24 @@ def test_provenance_is_the_subsample_scales(dim, n, m, kind, r):
     assert (vec.kind, vec.h, vec.H, vec.dim) == (sub.kind, sub.h, sub.H, dim)
 
 
+@pytest.mark.parametrize("dim,n,m", [(1, 12, 4), (2, 12, 4), (3, 6, 2)])
+def test_point_functional_between_nodes_is_multilinear_interpolation(dim, n, m):
+    # three cells per patch put every patch center midway between two nodes
+    spec = DomainSpec(dim, n)
+    part, _, phis = _functionals(dim, n, m, "point", 1.0)
+    assert all(len(phi.node_indices) == 2**dim for phi in phis)
+    coef = np.random.default_rng(dim).standard_normal(2**dim)
+
+    def multilinear(*xs):
+        # sum over subsets S of the axes of c_S * prod_{i in S} x_i
+        return sum(c * np.prod([xs[i] for i in range(dim) if (s >> i) & 1], axis=0)
+                   for s, c in enumerate(coef))
+
+    vals = measure_all(GridFunction.from_callable(spec, multilinear), phis).values
+    exact = np.array([multilinear(*c) for c in part.centers()])
+    np.testing.assert_allclose(vals, exact, rtol=0.0, atol=1e-14)
+
+
 def test_measure_symmetry_midpoint():
     # average of x over [0.25, 0.75] is 0.5
     part = build_partition(DomainSpec(1, 16), 1)
