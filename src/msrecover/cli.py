@@ -1,7 +1,7 @@
 """Command-line entry points for the experiment harness.
 
 Exit codes: 0 the study ran and passed its gates, 1 it ran and failed them,
-2 the configuration was unusable.
+2 the configuration or the input file was unusable.
 """
 
 from __future__ import annotations
@@ -75,7 +75,11 @@ _RUNNERS = {
 
 
 def _run_recover(args) -> int:
-    u = load_grid_function(args.input)
+    try:
+        u = load_grid_function(args.input)
+    except ValueError as exc:
+        print(f"input error: {args.input}: {exc}", file=sys.stderr)
+        return 2
     # the grid comes from the input file, so the config's dim and n are unused
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     part = build_partition(u.spec, cfg.m)

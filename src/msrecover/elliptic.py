@@ -14,7 +14,6 @@ import itertools
 
 import numpy as np
 from scipy.sparse import coo_matrix, diags
-from scipy.sparse.linalg import cg, splu
 
 from .errors import SolverError
 from .grid import DomainSpec, GridFunction, cell_center_values, scatter_cells_to_nodes
@@ -188,6 +187,8 @@ class StiffnessOperator:
         bnorm = float(np.linalg.norm(b_int))
         if bnorm == 0.0:
             return np.zeros_like(b_int)
+        from scipy.sparse.linalg import cg, splu  # loaded by the first solve, never by pc runs
+
         if self.num_interior <= DIRECT_SOLVE_MAX_NODES:
             if self._lu is None:
                 self._lu = splu(self.matrix.tocsc())
@@ -218,6 +219,8 @@ class StiffnessOperator:
         full matrix, so an incompatible b raises ``SolverError``.
         """
         if self._lu_pinned is None:
+            from scipy.sparse.linalg import splu  # loaded by the first solve, never by pc runs
+
             pinned = self.full_matrix.tocsc(copy=True)
             pinned[0, 0] += 1.0  # an entry of the pattern, so no structural change
             # set before the factor: a caller that sees the factor also needs the norm

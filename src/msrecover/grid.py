@@ -381,21 +381,28 @@ def save_grid_function(u: GridFunction, path, fmt: str = "csv") -> None:
 
 
 def load_grid_function(path, fmt: str | None = None) -> GridFunction:
-    """Read a grid function written by save_grid_function (format sniffed if None)."""
+    """Read a grid function written by save_grid_function (format sniffed if None).
+
+    Raises ValueError on a malformed or truncated file.
+    """
     if fmt is None:
         with open(path, "rb") as fh:
             fmt = "binary" if fh.read(4) == _BINARY_MAGIC else "csv"
     if fmt == "csv":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            dim, n = (int(tok) for tok in next(reader))
-            vals = np.array([float(row[0]) for row in reader])
+            # an empty file, or a header other than "dim,n", raises ValueError here
+            dim, n = (int(tok) for tok in next(reader, []))
+            vals = np.array([float(tok) for tok, *_ in reader])  # a blank row raises ValueError
         return GridFunction(DomainSpec(dim, n), vals)
     if fmt == "binary":
         with open(path, "rb") as fh:
             if fh.read(4) != _BINARY_MAGIC:
                 raise ValueError("not a binary grid-function file")
-            dim, n = struct.unpack("<qq", fh.read(16))
+            header = fh.read(16)
+            if len(header) != 16:
+                raise ValueError("truncated binary grid-function header")
+            dim, n = struct.unpack("<qq", header)
             spec = DomainSpec(int(dim), int(n))
             vals = np.frombuffer(fh.read(), dtype="<f8").astype(float)
         return GridFunction(spec, vals)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -49,6 +49,10 @@ DIVERGENCE_LEVEL = 3.0  # pointwise: growing averages above this level diverge
 # the only keys a config's ``tolerances`` may set
 _TOLERANCE_KEYS = ("slopes", "expect_condition")
 _WEIGHT_KEYS = ("profile", "beta", "gamma", "validate")
+# ExperimentConfig field annotation -> (accepted Python types, JSON type name);
+# bool is an int subclass but is accepted nowhere
+_FIELD_TYPES = {"str": (str, "string"), "int": (int, "integer"), "float": ((int, float), "number"),
+                "list": (list, "array"), "dict": (dict, "object")}
 # coefficient generator -> (required keys, optional keys) besides "name"
 _COEFF_KEYS = {"constant": ((), ("value",)), "checkerboard": (("contrast",), ()),
                "layered": (("contrast",), ("axis",)), "lognormal": ((), ("sigma", "seed"))}
@@ -108,9 +112,12 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key in ("tolerances", "weight", "coeff"):
-            if not isinstance(getattr(self, key), dict):
-                raise ConfigError(f"{key} must be a JSON object")
+        # validated, never coerced: the report records the values as given
+        for f in fields(self):
+            types, what = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{f.name} must be a JSON {what}, got {value!r}")
         _check_keys("tolerances", self.tolerances, (), _TOLERANCE_KEYS)
         _check_keys("weight", self.weight, (), _WEIGHT_KEYS)
         name = self.coeff.get("name", "constant")
@@ -122,6 +129,8 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be a JSON object, got {raw!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(raw) - known
         if extra:

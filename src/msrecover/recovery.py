@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .elliptic import StiffnessOperator, energy_inner
 from .errors import SolverError
@@ -95,6 +94,8 @@ def build_theta(functionals: list, op: StiffnessOperator, tol: float = 1e-10) ->
     for j, phi in enumerate(functionals):
         theta[:, j] = solves[:, phi.node_indices] @ phi.node_weights
     theta = 0.5 * (theta + theta.T)
+    from scipy.linalg import cho_factor  # loaded by the first Cholesky, never by pc runs
+
     try:
         cho = cho_factor(theta, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -134,6 +135,8 @@ def multiscale_basis(theta: ThetaMatrix) -> BasisSet:
     The result is biorthogonal to the measurement functionals and each field
     vanishes on the boundary.
     """
+    from scipy.linalg import cho_solve  # loaded with the Cholesky, never by pc runs
+
     inv = cho_solve(theta.cho, np.eye(theta.size))
     stack = inv @ theta.solves
     return BasisSet(theta.spec, stack, dict(theta.provenance))

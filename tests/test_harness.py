@@ -164,6 +164,13 @@ def test_cli_failing_gate_returns_one(tmp_path, capsys):
     ("converge", {"coeff": {"name": "stripes"}}),
     ("converge", {"coeff": "checkerboard"}),
     ("degeneracy", {"weight": {"betta": 5.0}}),
+    # values of the wrong JSON type
+    ("converge", {"H_sweep": 0.5}),  # list field
+    ("converge", {"n": 256.0}),  # int field
+    ("converge", {"dim": True}),  # bool is not an int
+    ("converge", {"r": "0.5"}),  # float field
+    ("rates", {"name": 3}),  # str field
+    ("converge", {"seed": None}),  # null is no integer
 ])
 def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
     # the study's default config, which runs, with one bad entry
@@ -171,6 +178,20 @@ def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
     path.write_text(json.dumps({**_DEFAULTS[study], **override}))
     assert cli_main([study, "--config", str(path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["3", "[1, 2]", '"converge"', "null"])
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(raw)
+    assert cli_main(["converge", "--config", str(path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_config_accepts_an_int_for_a_float_field_unchanged():
+    cfg = ExperimentConfig(p=2, r=1, profile_q=1)
+    # validated, not coerced: the resolved config keeps the ints
+    assert [type(v) for v in (cfg.p, cfg.r, cfg.profile_q)] == [int, int, int]
 
 
 def test_cli_format_option_is_gone(capsys):
@@ -232,6 +253,30 @@ def test_cli_recover_without_config(tmp_path, capsys):
     # ExperimentConfig defaults: m = 2, full-patch cubes, multiscale basis
     assert report["params"] == {"basis": "ms", "dim": 2, "h": 0.5, "H": 0.5}
     assert report["energy_stable"] is True
+
+
+def _recover_input_error(tmp_path, capsys, content: bytes) -> str:
+    upath = tmp_path / "u.in"
+    upath.write_bytes(content)
+    rc = cli_main(["recover", "--input", str(upath), "--output", str(tmp_path / "rec.csv")])
+    assert rc == 2
+    assert not (tmp_path / "rec.csv").exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"", b"dim,n\n0.0\n", b"2\n0.0\n", b"1,4\n0.0\n\n0.0\n"])
+def test_cli_recover_rejects_a_malformed_csv_input(tmp_path, capsys, content):
+    assert "input error" in _recover_input_error(tmp_path, capsys, content)
+
+
+@pytest.mark.parametrize("end", [-3, -8, 10], ids=["partial-value", "value-short", "header-cut"])
+def test_cli_recover_rejects_a_truncated_binary_input(tmp_path, capsys, end):
+    from msrecover.grid import DomainSpec, GridFunction, save_grid_function
+
+    path = tmp_path / "full.bin"
+    save_grid_function(GridFunction.constant(DomainSpec(2, 4), 1.0), path, fmt="binary")
+    content = path.read_bytes()[:end]
+    assert "input error" in _recover_input_error(tmp_path, capsys, content)
 
 
 def test_cli_recover_roundtrip(tmp_path, capsys):

@@ -88,15 +88,49 @@ def test_fourier_free_is_not_boundary_zero():
     assert np.abs(vals[0]).max() > 1e-3
 
 
-def test_package_import_leaves_out_scipy_integrate():
+def _loaded_after(code, modules):
+    """Which of ``modules`` a fresh interpreter has loaded after running ``code``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(msrecover.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, msrecover; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    script = f"import sys\n{code}\nprint(sorted(m for m in {modules!r} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_package_import_leaves_out_scipy_integrate():
+    code = "import msrecover"
+    assert _loaded_after(code, ("scipy.integrate", "scipy.special", "scipy.optimize")) == "[]"
+
+
+SOLVER_STACK = ("scipy.linalg", "scipy.sparse.linalg")
+# 3D n=16 m=4: 64 patches, measured, assembled and recovered
+CHAIN_SETUP = """
+import msrecover as M
+spec = M.DomainSpec(3, 16)
+part = M.build_partition(spec, 4)
+funs = M.build_functionals(M.build_subsample(part, "cube", 0.5))
+u = M.GridFunction.from_callable(spec, lambda x, y, z: x * (1 - x) * y * (1 - y) * z * (1 - z))
+data = M.measure_all(u, funs)
+op = M.assemble(spec, M.constant_coefficient(spec))
+"""
+
+
+def test_pc_chain_leaves_out_solver_stack():
+    # piecewise-constant recovery solves nothing, so it never loads the factorizations
+    code = CHAIN_SETUP + """
+rec = M.pc_recover(data, part)
+M.recovery_error_report(u, rec, {"basis": "pc"}, a=op, partition=part)
+"""
+    assert _loaded_after(code, SOLVER_STACK) == "[]"
+
+
+def test_ms_chain_loads_solver_stack():
+    code = CHAIN_SETUP + """
+rec = M.ms_recover(data, M.multiscale_basis(M.build_theta(funs, op)))
+assert M.recovery_error_report(u, rec, {"basis": "ms"}, a=op).energy_stable
+"""
+    assert _loaded_after(code, SOLVER_STACK) == str(sorted(SOLVER_STACK))
 
 
 # every center is a node; for m = 3 the centers are inexact in floating point
