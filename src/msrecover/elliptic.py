@@ -13,7 +13,6 @@ import csv
 import itertools
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags
 
 from .errors import SolverError
 from .grid import DomainSpec, GridFunction, cell_center_values, scatter_cells_to_nodes
@@ -110,10 +109,15 @@ def coefficient_from_csv(spec: DomainSpec, path) -> CoefficientField:
     return CoefficientField(spec, vals)
 
 
+def _corners(dim: int) -> list:
+    """Local corner offsets of a cell, in the row order of ``_reference_stiffness``."""
+    return list(itertools.product((0, 1), repeat=dim))
+
+
 def _reference_stiffness(dim: int) -> np.ndarray:
     """Exact unit-cell stiffness of multilinear elements (2-pt Gauss per axis)."""
     g = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-    corners = list(itertools.product((0, 1), repeat=dim))
+    corners = _corners(dim)
     nloc = len(corners)
     K = np.zeros((nloc, nloc))
     for qpt in itertools.product(range(2), repeat=dim):
@@ -138,24 +142,39 @@ class StiffnessOperator:
     """Sparse SPD stiffness with Dirichlet elimination, plus the natural form.
 
     ``matrix`` couples interior nodes only (the solve target).  ``full_matrix``
-    is the same bilinear form over all nodes (no boundary condition); it
-    evaluates the energy of arbitrary nodal fields and its null space is the
-    constants.
+    is the same bilinear form over all nodes (no boundary condition); its null
+    space is the constants.  Both are assembled at first access, so an
+    operator that only evaluates energies (``energy_inner``) builds neither.
     """
 
-    __slots__ = ("spec", "coefficient", "matrix", "full_matrix",
-                 "interior_indices", "_lu", "_lu_pinned", "_norm", "_full_norm")
+    __slots__ = ("spec", "coefficient", "interior_indices", "_matrix", "_full_matrix",
+                 "_lu", "_lu_pinned", "_norm", "_full_norm")
 
-    def __init__(self, spec, coefficient, matrix, full_matrix, interior_indices):
+    def __init__(self, spec, coefficient, interior_indices):
         self.spec = spec
         self.coefficient = coefficient
-        self.matrix = matrix
-        self.full_matrix = full_matrix
         self.interior_indices = interior_indices
+        self._matrix = None
+        self._full_matrix = None
         self._lu = None
         self._lu_pinned = None
         self._norm = None
         self._full_norm = None
+
+    @property
+    def full_matrix(self):
+        """CSR natural form over all nodes."""
+        if self._full_matrix is None:
+            self._full_matrix = _assemble_full(self.spec, self.coefficient)
+        return self._full_matrix
+
+    @property
+    def matrix(self):
+        """CSR Dirichlet form: the interior rows and columns of ``full_matrix``."""
+        if self._matrix is None:
+            interior = self.interior_indices
+            self._matrix = self.full_matrix[interior][:, interior].tocsr()
+        return self._matrix
 
     @property
     def matrix_norm(self) -> float:
@@ -194,6 +213,8 @@ class StiffnessOperator:
                 self._lu = splu(self.matrix.tocsc())
             x = self._lu.solve(b_int)
         else:
+            from scipy.sparse import diags  # loaded by the first CG solve, never by pc runs
+
             contrast = self.coefficient.a_max / self.coefficient.a_min
             maxiter = int(4000 * max(1.0, np.sqrt(contrast)))
             x, info = cg(self.matrix, b_int, rtol=tol * 0.1, atol=0.0,
@@ -257,13 +278,28 @@ def _interior_mask(spec: DomainSpec) -> np.ndarray:
     return mask.reshape(-1)
 
 
+def _cell_scale(a: CoefficientField) -> np.ndarray:
+    """Per-cell factor a_c h^(d-2) of the reference stiffness, in C cell order."""
+    return a.values.reshape(-1) * a.spec.spacing ** (a.spec.dim - 2)
+
+
 def assemble(spec: DomainSpec, a: CoefficientField) -> StiffnessOperator:
-    """Assemble the multilinear stiffness matrix with cellwise-constant a."""
+    """Multilinear stiffness operator with cellwise-constant a.
+
+    The sparse matrices are built at their first use (see ``StiffnessOperator``).
+    """
     if a.spec != spec:
         raise ValueError("coefficient and domain specs do not match")
-    dim, n = spec.dim, spec.n
+    return StiffnessOperator(spec, a, np.flatnonzero(_interior_mask(spec)))
+
+
+def _assemble_full(spec: DomainSpec, a: CoefficientField):
+    """COO assembly of the natural form over all nodes, summed into CSR."""
+    from scipy.sparse import coo_matrix  # loaded by the first matrix use, never by pc runs
+
+    dim = spec.dim
     kref = _reference_stiffness(dim)
-    corners = list(itertools.product((0, 1), repeat=dim))
+    corners = _corners(dim)
     nloc = len(corners)
 
     base = np.indices(spec.cell_shape).reshape(dim, -1)
@@ -272,8 +308,7 @@ def assemble(spec: DomainSpec, a: CoefficientField) -> StiffnessOperator:
         shifted = base + np.asarray(c)[:, None]
         corner_ids[:, k] = np.ravel_multi_index(shifted, spec.node_shape)
 
-    scale = a.values.reshape(-1) * spec.spacing ** (dim - 2)
-    ncell = corner_ids.shape[0]
+    scale = _cell_scale(a)
     rows = np.repeat(corner_ids, nloc, axis=1).reshape(-1)
     cols = np.tile(corner_ids, (1, nloc)).reshape(-1)
     vals = (scale[:, None] * kref.reshape(-1)[None, :]).reshape(-1)
@@ -281,10 +316,7 @@ def assemble(spec: DomainSpec, a: CoefficientField) -> StiffnessOperator:
     nn = spec.num_nodes
     full = coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()
     full.sum_duplicates()
-
-    interior = np.flatnonzero(_interior_mask(spec))
-    matrix = full[interior][:, interior].tocsr()
-    return StiffnessOperator(spec, a, matrix, full, interior)
+    return full
 
 
 def load_vector(spec: DomainSpec, f: GridFunction) -> np.ndarray:
@@ -303,11 +335,21 @@ def solve(op: StiffnessOperator, f: GridFunction, tol: float = 1e-10) -> GridFun
 def energy_inner(u: GridFunction, v: GridFunction, op: StiffnessOperator) -> float:
     """Discrete energy product int a grad(u).grad(v); exact for the element space.
 
-    Uses the natural (no boundary condition) form of the assembled operator,
-    so arbitrary nodal fields are admissible; for boundary-vanishing fields it
-    coincides with the Dirichlet form.
+    Sums a_c h^(d-2) u_c^T K_ref v_c over cells without a matrix: the natural
+    (no boundary condition) form, so arbitrary nodal fields are admissible;
+    for boundary-vanishing fields it coincides with the Dirichlet form.
     """
-    return float(u.values.reshape(-1) @ (op.full_matrix @ v.values.reshape(-1)))
+    kref = _reference_stiffness(op.spec.dim)
+    uc = _corner_values(u)
+    vc = _corner_values(v)
+    return float(_cell_scale(op.coefficient) @ np.sum(uc * (kref @ vc), axis=0))
+
+
+def _corner_values(u: GridFunction) -> np.ndarray:
+    """Nodal values at each local corner of every cell, shape (2^d, cells)."""
+    n = u.spec.n
+    return np.stack([u.values[tuple(slice(c, c + n) for c in corner)].reshape(-1)
+                     for corner in _corners(u.spec.dim)])
 
 
 def l2_inner(u: GridFunction, v: GridFunction) -> float:

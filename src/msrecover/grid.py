@@ -335,7 +335,12 @@ def lp_norm(u: GridFunction, p: float, region: tuple | None = None) -> float:
     v = cell_center_values(u)
     if region is not None:
         v = v[region]
-    return float(np.sum(np.abs(v) ** p) * u.spec.cell_volume) ** (1.0 / p)
+    return _midpoint_lp(v, p, u.spec.cell_volume)
+
+
+def _midpoint_lp(cells: np.ndarray, p: float, cell_volume: float) -> float:
+    """Midpoint-rule L^p norm of cell-center values (the formula behind ``lp_norm``)."""
+    return float(np.sum(np.abs(cells) ** p) * cell_volume) ** (1.0 / p)
 
 
 def gradient_lp_norm(u: GridFunction, p: float, weight=None) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -124,6 +125,18 @@ class ExperimentConfig:
         if name not in _COEFF_KEYS:
             raise ConfigError(f"unknown coefficient generator {name!r}")
         _check_keys(f"{name} coeff", set(self.coeff) - {"name"}, *_COEFF_KEYS[name])
+        for key in ("value", "contrast", "sigma"):
+            if key in self.coeff:
+                _check_number(f"coeff {key}", self.coeff[key], positive=key != "sigma")
+        axis = self.coeff.get("axis", 0)
+        if not (_is_int(axis) and 0 <= axis < self.dim):
+            raise ConfigError(f"coeff axis must be an integer in 0..{self.dim - 1}, got {axis!r}")
+        seed = self.coeff.get("seed", 0)
+        if not (_is_int(seed) and seed >= 0):  # numpy seeds are non-negative
+            raise ConfigError(f"coeff seed must be a non-negative integer, got {seed!r}")
+        for key in ("H_sweep", "r_sweep", "h_sweep", "radii"):
+            for value in getattr(self, key):
+                _check_number(f"{key} entries", value, positive=True)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -144,6 +157,22 @@ class ExperimentConfig:
         out = asdict(self)
         out["library_version"] = testfuncs.LIBRARY_VERSION
         return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_number(what: str, value, positive: bool) -> None:
+    """A JSON number (bool excluded) that is finite, and positive if asked."""
+    ok = not isinstance(value, bool) and isinstance(value, (int, float))
+    try:
+        ok = ok and math.isfinite(value) and (value > 0 or not positive)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        sign = "positive " if positive else ""
+        raise ConfigError(f"{what} must be a {sign}finite number, got {value!r}")
 
 
 def _check_keys(what: str, given, required, optional) -> None:

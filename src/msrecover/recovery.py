@@ -18,7 +18,7 @@ import numpy as np
 from .elliptic import StiffnessOperator, energy_inner
 from .errors import SolverError
 from .grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec, _BINARY_MAGIC,
-                   cell_center_values, lp_norm, scatter_cells_to_nodes)
+                   _midpoint_lp, cell_center_values, lp_norm, scatter_cells_to_nodes)
 from .measurements import MeasurementVector, build_functionals
 
 __all__ = [
@@ -190,7 +190,9 @@ def recovery_error_report(u: GridFunction, recovered: GridFunction, params: dict
         stable = energy <= u_energy * (1.0 + 1e-10)
     per_patch = []
     if partition is not None:
-        per_patch = [lp_norm(diff, 2.0, region=partition.patch_cells(i))
+        # the cell values once, not once per patch as lp_norm(region=) would
+        cells = cell_center_values(diff)
+        per_patch = [_midpoint_lp(cells[partition.patch_cells(i)], 2.0, u.spec.cell_volume)
                      for i in range(partition.num_patches)]
     return RecoveryReport(l2, energy, dict(params), per_patch, stable)
 

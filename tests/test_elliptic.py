@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -276,3 +278,82 @@ def test_coefficient_csv_rejects_bad_cell_index(tmp_path, row, match):
     path.write_text("cell_index,value\n" + "".join(f"{i},1.0\n" for i in range(16)) + row + "\n")
     with pytest.raises(ValueError, match=match):
         coefficient_from_csv(spec, path)
+
+
+def _count_assembly(monkeypatch):
+    """Count the builds of the sparse natural form from here on."""
+    calls = []
+    build = elliptic._assemble_full
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(elliptic, "_assemble_full", counted)
+    return calls
+
+
+def _eager_assembly(spec, a):
+    """Reference COO -> CSR assembly of (natural form, Dirichlet form), built at once."""
+    from scipy.sparse import coo_matrix
+
+    dim = spec.dim
+    kref = elliptic._reference_stiffness(dim)
+    corners = list(itertools.product((0, 1), repeat=dim))
+    base = np.indices(spec.cell_shape).reshape(dim, -1)
+    ids = np.stack([np.ravel_multi_index(base + np.asarray(c)[:, None], spec.node_shape)
+                    for c in corners], axis=1)
+    scale = a.values.reshape(-1) * spec.spacing ** (dim - 2)
+    rows = np.repeat(ids, len(corners), axis=1).reshape(-1)
+    cols = np.tile(ids, (1, len(corners))).reshape(-1)
+    vals = (scale[:, None] * kref.reshape(-1)[None, :]).reshape(-1)
+    nn = spec.num_nodes
+    full = coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()
+    full.sum_duplicates()
+    interior = np.flatnonzero(elliptic._interior_mask(spec))
+    return full, full[interior][:, interior].tocsr()
+
+
+COEFFICIENTS = {
+    "constant": lambda spec: constant_coefficient(spec),
+    "checkerboard-100": lambda spec: checkerboard_coefficient(spec, 100.0),
+    "lognormal-1": lambda spec: lognormal_coefficient(spec, sigma=1.0, seed=7),
+}
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 12), (3, 6)])
+@pytest.mark.parametrize("coefficient", COEFFICIENTS)
+def test_energy_inner_matches_the_assembled_form_without_a_matrix(monkeypatch, dim, n,
+                                                                  coefficient):
+    spec = DomainSpec(dim, n)
+    op = assemble(spec, COEFFICIENTS[coefficient](spec))
+    builds = _count_assembly(monkeypatch)
+    rng = np.random.default_rng(dim)
+    u, v = (GridFunction(spec, rng.standard_normal(spec.num_nodes)) for _ in range(2))
+    uv = energy_inner(u, v, op)
+    assert energy_inner(v, u, op) == pytest.approx(uv, rel=1e-14)
+    assert energy_inner(GridFunction.constant(spec, 2.5), v, op) == pytest.approx(
+        0.0, abs=1e-12 * op.coefficient.a_max)
+    assert builds == []  # the cellwise form needs no matrix
+    K = op.full_matrix
+    for x, y in ((u, v), (u, u), (v, v)):
+        ref = x.values.reshape(-1) @ (K @ y.values.reshape(-1))
+        assert abs(energy_inner(x, y, op) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 5)])
+@pytest.mark.parametrize("coefficient", COEFFICIENTS)
+def test_lazy_matrices_equal_an_eager_assembly(monkeypatch, dim, n, coefficient):
+    spec = DomainSpec(dim, n)
+    a = COEFFICIENTS[coefficient](spec)
+    eager = _eager_assembly(spec, a)
+    builds = _count_assembly(monkeypatch)
+    op = assemble(spec, a)
+    assert builds == []  # assemble builds nothing; the first matrix use does
+    for lazy, ref in zip((op.full_matrix, op.matrix), eager):
+        assert lazy.format == "csr" and lazy.shape == ref.shape
+        np.testing.assert_array_equal(lazy.indptr, ref.indptr)
+        np.testing.assert_array_equal(lazy.indices, ref.indices)
+        assert np.all(lazy.data == ref.data)
+    assert op.matrix is op.matrix and op.full_matrix is op.full_matrix
+    assert builds == [1]  # built once, then cached

@@ -171,6 +171,17 @@ def test_cli_failing_gate_returns_one(tmp_path, capsys):
     ("converge", {"r": "0.5"}),  # float field
     ("rates", {"name": 3}),  # str field
     ("converge", {"seed": None}),  # null is no integer
+    # values inside coeff and the sweep lists
+    ("converge", {"coeff": {"name": "checkerboard", "contrast": "ten"}}),
+    ("converge", {"coeff": {"name": "constant", "value": -1}}),
+    ("converge", {"coeff": {"name": "constant", "value": True}}),
+    ("converge", {"coeff": {"name": "layered", "contrast": 10, "axis": 1}}),  # dim 1
+    ("converge", {"coeff": {"name": "lognormal", "sigma": "1"}}),
+    ("converge", {"coeff": {"name": "lognormal", "seed": 2.0}}),
+    ("converge", {"H_sweep": [1 / 2, "1/4", 1 / 8]}),
+    ("rates", {"r_sweep": [1.0, 1 / 2, 0.0]}),
+    ("critical", {"h_sweep": [1 / 4, 1 / 8, -1 / 16]}),
+    ("pointwise", {"radii": [0.5, 0.25, 0.125, None]}),
 ])
 def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
     # the study's default config, which runs, with one bad entry

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from msrecover import recovery
 from msrecover.elliptic import assemble, constant_coefficient, lognormal_coefficient
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
                             lp_norm)
@@ -12,6 +13,7 @@ from msrecover.recovery import (build_theta, load_basis, ms_recover, multiscale_
                                 pc_recover, recovery_error_report, save_basis,
                                 sharp_constant_estimate)
 from msrecover.elliptic import energy_inner
+from msrecover.testfuncs import fourier_h01
 
 
 def _pipeline(dim, n, m, kind, r, a=None, tol=1e-10):
@@ -216,6 +218,22 @@ def test_report_flags_and_errors():
     same = recovery_error_report(u, u, {"basis": "ms"}, a=op)
     assert same.l2_error == pytest.approx(0.0, abs=1e-14)
     assert "l2_error" in same.to_json()
+
+
+@pytest.mark.parametrize("dim,n,m", [(1, 64, 8), (2, 32, 4), (3, 16, 4)])
+def test_per_patch_l2_equals_the_region_norms(monkeypatch, dim, n, m):
+    spec = DomainSpec(dim, n)
+    part = build_partition(spec, m)
+    u = fourier_h01(spec, 3)
+    rec = pc_recover(measure_all(u, build_functionals(build_subsample(part, "cube", 0.5))), part)
+    expected = [lp_norm(u - rec, 2.0, region=part.patch_cells(i))
+                for i in range(part.num_patches)]
+    calls = []
+    monkeypatch.setattr(recovery, "lp_norm", lambda *a, **k: calls.append(1) or lp_norm(*a, **k))
+    op = assemble(spec, constant_coefficient(spec))
+    rep = recovery_error_report(u, rec, {"basis": "pc"}, a=op, partition=part)
+    assert rep.per_patch_l2 == expected  # bit for bit
+    assert len(calls) == 1  # the global L2 error; the patches share one cell pass
 
 
 def test_sharp_constant_classical():
