@@ -87,8 +87,8 @@ def lognormal_coefficient(spec: DomainSpec, sigma: float = 1.0, seed: int = 0) -
 def coefficient_from_csv(spec: DomainSpec, path) -> CoefficientField:
     """CSV rows (cell_index, value) in C cell order.
 
-    Raises ValueError on a cell index outside 0..n^dim-1, on a repeated index
-    and unless every cell is covered.
+    Raises ValueError on a row that is not two columns, a cell index outside
+    0..n^dim-1 or a repeated index, and unless every cell is covered.
     """
     ncell = spec.n**spec.dim
     vals = np.empty(ncell)
@@ -97,6 +97,8 @@ def coefficient_from_csv(spec: DomainSpec, path) -> CoefficientField:
         for row in csv.reader(fh):
             if not row or row[0].startswith("#") or row[0] == "cell_index":
                 continue
+            if len(row) != 2:
+                raise ValueError(f"{path}: row {row} is not (cell_index, value)")
             i = int(row[0])
             if not 0 <= i < ncell:
                 raise ValueError(f"{path}: cell index {i} outside 0..{ncell - 1}")
@@ -105,7 +107,7 @@ def coefficient_from_csv(spec: DomainSpec, path) -> CoefficientField:
             seen[i] = True
             vals[i] = float(row[1])
     if not seen.all():
-        raise ValueError("coefficient CSV does not cover every cell")
+        raise ValueError(f"{path}: coefficient CSV does not cover every cell")
     return CoefficientField(spec, vals)
 
 

@@ -9,6 +9,7 @@ operator solves against the measurement densities.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 from .elliptic import StiffnessOperator, energy_inner
 from .errors import SolverError
 from .grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec, _BINARY_MAGIC,
-                   _midpoint_lp, cell_center_values, lp_norm, scatter_cells_to_nodes)
+                   _midpoint_lp, cell_center_values, lp_norm)
 from .measurements import MeasurementVector, build_functionals
 
 __all__ = [
@@ -197,64 +198,62 @@ def recovery_error_report(u: GridFunction, recovered: GridFunction, params: dict
     return RecoveryReport(l2, energy, dict(params), per_patch, stable)
 
 
-def sharp_constant_estimate(part: CoarsePartition, sub: SubsampleSpec,
-                            op: StiffnessOperator, tol: float = 1e-8,
-                            maxiter: int = 500) -> float:
+def sharp_constant_estimate(sub: SubsampleSpec) -> float:
     """Optimal constant of the measured-average inequality on a single patch.
 
     Maximizes  ||u - measured(u)||_L2 / ||grad u||_L2  over discrete fields
-    with free boundary values, via power iteration on the generalized pair
-    (centered mass form, natural stiffness).  The stiffness null space (the
-    constants) never enters: centering annihilates them in the numerator and
-    the natural-form solve is pinned.  Requires unit coefficient.
+    with free boundary values and unit coefficient.  The tensor DCT-I basis
+    diagonalizes the natural stiffness and the midpoint mass (fast
+    diagonalization) and the centering adds a rank-one term, so the constant
+    squared is the largest root of a secular equation.
     """
+    part = sub.partition
     if part.m != 1:
         raise ValueError("the constant estimate runs on a single-patch configuration")
-    if abs(op.coefficient.a_min - 1.0) > 1e-14 or abs(op.coefficient.a_max - 1.0) > 1e-14:
-        raise ValueError("the constant estimate needs unit coefficient")
+    from scipy.fft import dctn  # loaded by the first constant, never by recovery runs
 
-    spec = part.spec
-    phi = build_functionals(sub)[0]
-    w = phi.dense_weights()
-    vol = spec.cell_volume
-    ones = np.ones(spec.num_nodes)
+    n, dim = part.spec.n, part.spec.dim
+    outer = functools.partial(functools.reduce, np.multiply.outer)  # of one array per axis
+    # 1D: cos(pi k j / n) are the eigenvectors of the Q1 stiffness K against the
+    # lumped mass L, eigenvalues theta_k; the consistent and midpoint masses
+    # are L - (h^2/6) K and L - (h^2/4) K
+    angle = 0.5 * np.pi * np.arange(n + 1) / n
+    theta = 4.0 * n * n * np.sin(angle) ** 2
+    consistent = 1.0 - theta / (6.0 * n * n)
+    kappa = sum(outer([theta if b == a else consistent for b in range(dim)])
+                for a in range(dim))
+    mu = outer([np.cos(angle) ** 2] * dim)
+    # g = Q^T w, Q the L-orthonormal DCT-I basis: per axis Q^T = sqrt(n) C diag(ends),
+    # C the orthonormal DCT-I
+    ends = np.r_[np.sqrt(2.0), np.ones(n - 1), np.sqrt(2.0)]
+    w = build_functionals(sub)[0].dense_weights().reshape(part.spec.node_shape)
+    g = n ** (dim / 2) * dctn(w * outer([ends] * dim), type=1, norm="ortho")
+    # k = 0 is the constants, which the quotient leaves out
+    kappa, mu, g = (v.reshape(-1)[1:] for v in (kappa, mu, g))
+    return float(np.sqrt(_rank_one_top(mu / kappa, g / np.sqrt(kappa))))
 
-    def numerator_apply(v):
-        centered = v - np.dot(w, v)
-        cc = cell_center_values(GridFunction(spec, centered.reshape(spec.node_shape)))
-        mz = scatter_cells_to_nodes(spec, cc * vol).reshape(-1)
-        return mz - w * mz.sum()
 
-    def rayleigh(v):
-        num = float(np.dot(v, numerator_apply(v)))
-        den = float(np.dot(v, op.full_matrix @ v))
-        return num / den
+def _rank_one_top(delta, z) -> float:
+    """Largest eigenvalue of diag(delta) + z z^T, for delta >= 0.
 
-    # a generic start: the maximizer may live in any symmetry sector of the
-    # patch, so a deterministic seeded random vector is used rather than a
-    # structured field that could be orthogonal to it
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(spec.num_nodes)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-
-    mu = rayleigh(v)
-    settled = 0
-    for _ in range(maxiter):
-        b = numerator_apply(v)
-        b -= b.mean()  # remove floating-point drift along the null space
-        y = op.solve_neumann(b)
-        y -= y.mean()
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            raise SolverError("power iteration collapsed to the null space")
-        v = y / nrm
-        mu_new = rayleigh(v)
-        settled = settled + 1 if abs(mu_new - mu) <= tol * abs(mu_new) else 0
-        mu = mu_new
-        if settled >= 3:
-            return float(np.sqrt(mu))
-    raise SolverError(f"power iteration did not converge in {maxiter} steps")
+    Modes with z_k = 0 keep their delta_k.  The others peak at top + t, t > 0,
+    where sum z_k^2 / (top - delta_k + t) = phi(t) = 1: Newton on the increasing,
+    concave 1/phi climbs to it from a lower bound and never divides by zero.
+    """
+    zz = z * z
+    on = zz > np.finfo(float).tiny  # a square below the normal range counts as 0
+    off = float(delta[~on].max(initial=0.0))
+    if not on.any():
+        return off
+    zz, gap = zz[on], delta[on].max() - delta[on]
+    # lower bounds: the poles at the top, and the Rayleigh quotient of z
+    t = max(zz[gap == 0.0].sum(), zz.sum() - (gap @ zz) / zz.sum())
+    while True:
+        r = zz / (gap + t)
+        step = r.sum() * (r.sum() - 1.0) / np.sum(r / (gap + t))
+        if not step > np.finfo(float).eps * t:
+            return max(float(delta[on].max() + t), off)
+        t += step
 
 
 def save_basis(basis: BasisSet, container_path, manifest_path) -> None:

@@ -204,10 +204,11 @@ def load_weight_field(spec, path) -> WeightField:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        keys = next(reader)
-        raw = next(reader)
-        next(reader)
-        vals = np.array([float(r[0]) for r in reader])
+        keys, raw, column = (next(reader, None) for _ in range(3))
+        rows = list(reader)
+    if column is None or any(len(row) != 1 for row in rows):
+        raise ValueError(f"{path}: not a params header and one value per cell row")
+    vals = np.array([float(row[0]) for row in rows])
     ncell = spec.n**spec.dim
     if len(vals) != ncell:
         raise ValueError(f"{path}: {len(vals)} cell values for a grid of {ncell} cells")

@@ -29,14 +29,13 @@ def grid2d_sweeps():
     """Single-patch optimal-constant sweeps on the 2D grid, cube and slice kinds."""
     spec = DomainSpec(2, 256)
     part = build_partition(spec, 1)
-    op = assemble(spec, constant_coefficient(spec))
     rs = [1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16]
     out = {}
     for kind in ("cube", "slice"):
         ests = []
         for r in rs:
             sub = build_subsample(part, kind, r)
-            ests.append(sharp_constant_estimate(part, sub, op, tol=1e-9))
+            ests.append(sharp_constant_estimate(sub))
         out[kind] = (rs, ests)
     return out
 

@@ -270,8 +270,8 @@ def test_coefficient_csv_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("row,match", [("-1,9.0", "outside"), ("16,9.0", "outside"),
-                                       ("0,7.0", "duplicate")],
-                         ids=["negative", "past-the-end", "duplicate"])
+                                       ("0,7.0", "duplicate"), ("15", "a.csv: row")],
+                         ids=["negative", "past-the-end", "duplicate", "no-value"])
 def test_coefficient_csv_rejects_bad_cell_index(tmp_path, row, match):
     spec = DomainSpec(2, 4)
     path = tmp_path / "a.csv"

@@ -1,7 +1,9 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from msrecover import recovery
 from msrecover.elliptic import assemble, constant_coefficient, lognormal_coefficient
@@ -240,29 +242,55 @@ def test_sharp_constant_classical():
     spec = DomainSpec(1, 512)
     part = build_partition(spec, 1)
     sub = build_subsample(part, "cube", 1.0)
-    op = assemble(spec, constant_coefficient(spec))
-    est = sharp_constant_estimate(part, sub, op)
+    est = sharp_constant_estimate(sub)
     assert est == pytest.approx(1.0 / np.pi, rel=0.02)
 
 
 def test_sharp_constant_monotone_in_subsample():
     spec = DomainSpec(2, 64)
     part = build_partition(spec, 1)
-    op = assemble(spec, constant_coefficient(spec))
     ests = []
     for r in (1.0, 0.5, 0.25):
         sub = build_subsample(part, "cube", r)
-        ests.append(sharp_constant_estimate(part, sub, op))
+        ests.append(sharp_constant_estimate(sub))
     assert ests[0] <= ests[1] + 1e-8 <= ests[2] + 2e-8
+
+
+def _dense_sharp_constant(sub):
+    """Square root of the top eigenvalue of the centered midpoint mass against
+    the natural stiffness, by dense eigh."""
+    spec = sub.partition.spec
+    n = spec.n
+    avg = np.zeros((n, n + 1))  # 1D nodes to cell centers
+    avg[np.arange(n), np.arange(n)] = avg[np.arange(n), np.arange(n) + 1] = 0.5
+    mass = functools.reduce(np.kron, [avg.T @ avg / n] * spec.dim)
+    w = build_functionals(sub)[0].dense_weights()
+    center = np.eye(spec.num_nodes) - np.outer(np.ones(spec.num_nodes), w)
+    num = center.T @ mass @ center
+    den = assemble(spec, constant_coefficient(spec)).full_matrix.toarray()
+    # both forms vanish on the constants; the fields with v[0] = 0 complement them
+    return float(np.sqrt(eigh(num[1:, 1:], den[1:, 1:], eigvals_only=True)[-1]))
+
+
+@pytest.mark.parametrize("dim,n,kind,r", [
+    (1, 16, "cube", 1.0), (1, 16, "cube", 0.25), (1, 16, "point", None), (1, 15, "point", None),
+    (2, 8, "cube", 1.0), (2, 8, "cube", 0.5), (2, 8, "cube", 0.25), (2, 8, "slice", 1.0),
+    (2, 8, "slice", 0.5), (2, 8, "point", None), (2, 9, "point", None),
+    (3, 4, "cube", 1.0), (3, 4, "cube", 0.5), (3, 4, "slice", 0.5), (3, 4, "point", None),
+    (3, 6, "cube", 1 / 3),
+])
+def test_sharp_constant_matches_dense_eigh(dim, n, kind, r):
+    part = build_partition(DomainSpec(dim, n), 1)
+    sub = build_subsample(part, kind) if r is None else build_subsample(part, kind, r)
+    assert sharp_constant_estimate(sub) == pytest.approx(_dense_sharp_constant(sub), rel=1e-12)
 
 
 def test_sharp_constant_rejects_multi_patch():
     spec = DomainSpec(1, 16)
     part = build_partition(spec, 2)
     sub = build_subsample(part, "cube", 1.0)
-    op = assemble(spec, constant_coefficient(spec))
     with pytest.raises(ValueError):
-        sharp_constant_estimate(part, sub, op)
+        sharp_constant_estimate(sub)
 
 
 def test_basis_container_roundtrip(tmp_path):

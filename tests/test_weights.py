@@ -248,7 +248,8 @@ def test_weight_field_roundtrip(tmp_path):
     (lambda vals: vals[:-1], "cell values"),
     (lambda vals: vals[:3] + ["nan"] + vals[4:], "finite and positive"),
     (lambda vals: vals[:3] + ["-1.0"] + vals[4:], "finite and positive"),
-], ids=["short", "nan", "negative"])
+    (lambda vals: vals[:3] + [""] + vals[4:], "one value per cell row"),
+], ids=["short", "nan", "negative", "blank"])
 def test_weight_field_load_rejects_bad_values(tmp_path, edit, match):
     part = build_partition(DomainSpec(2, 4), 1)
     sub = build_subsample(part, "cube", 0.5)
@@ -259,3 +260,10 @@ def test_weight_field_load_rejects_bad_values(tmp_path, edit, match):
     path.write_text("\n".join(lines[:3] + edit(lines[3:])) + "\n")
     with pytest.raises(ValueError, match=match):
         load_weight_field(part.spec, path)
+
+
+def test_weight_field_load_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="w.csv: not a params header"):
+        load_weight_field(DomainSpec(2, 4), path)
