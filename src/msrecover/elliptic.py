@@ -34,8 +34,8 @@ __all__ = [
 
 # direct factorization cap; larger systems fall back to Jacobi-preconditioned CG
 DIRECT_SOLVE_MAX_NODES = 80_000
-# normwise backward-error bound a Neumann solve must meet
-NEUMANN_TOL = 1e-10
+# normwise backward-error bound every Dirichlet and Neumann solve must meet
+BACKWARD_TOL = 1e-10
 
 
 class CoefficientField:
@@ -194,17 +194,15 @@ class StiffnessOperator:
         full[self.interior_indices] = x_int
         return full
 
-    def solve_interior(self, b_int: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def solve_interior(self, b_int: np.ndarray) -> np.ndarray:
         """Solve K x = b on interior nodes.
 
-        Acceptance is the normwise backward error ||Kx-b|| <= tol*(||b|| +
-        ||K|| ||x||): a plain relative residual of 1e-10 is not representable
+        Acceptance is the normwise backward error ||Kx-b|| <= BACKWARD_TOL*(||b||
+        + ||K|| ||x||): a plain relative residual of 1e-10 is not representable
         in double precision once the coefficient contrast drives the condition
         number past ~1e8.  The direct solve meets it without refinement even at
         contrast 1e12 (tests/test_elliptic.py pins this).
         """
-        if tol <= 0.0:
-            raise ValueError("tol must be positive")
         bnorm = float(np.linalg.norm(b_int))
         if bnorm == 0.0:
             return np.zeros_like(b_int)
@@ -219,17 +217,19 @@ class StiffnessOperator:
 
             contrast = self.coefficient.a_max / self.coefficient.a_min
             maxiter = int(4000 * max(1.0, np.sqrt(contrast)))
-            x, info = cg(self.matrix, b_int, rtol=tol * 0.1, atol=0.0,
+            x, info = cg(self.matrix, b_int, rtol=BACKWARD_TOL * 0.1, atol=0.0,
                          maxiter=maxiter, M=diags(1.0 / self.matrix.diagonal()))
             if info != 0:
                 res = np.linalg.norm(self.matrix @ x - b_int) / bnorm
                 raise SolverError(
                     f"conjugate gradients did not converge in {maxiter} iterations "
-                    f"(relative residual {res:.3e}, target {tol:.1e})"
+                    f"(relative residual {res:.3e}, target {BACKWARD_TOL:.1e})"
                 )
-        ok, res = _backward_error_ok(self.matrix, self.matrix_norm, x, b_int, tol)
+        ok, res = _backward_error_ok(self.matrix, self.matrix_norm, x, b_int)
         if not ok:
-            raise SolverError(f"solve backward error {res:.3e} exceeds tolerance {tol:.1e}")
+            raise SolverError(
+                f"solve backward error {res:.3e} exceeds tolerance {BACKWARD_TOL:.1e}"
+            )
         return x
 
     def solve_neumann(self, b_full: np.ndarray) -> np.ndarray:
@@ -250,10 +250,10 @@ class StiffnessOperator:
             self._full_norm = _inf_norm(self.full_matrix)
             self._lu_pinned = splu(pinned)
         x = self._lu_pinned.solve(b_full)
-        ok, res = _backward_error_ok(self.full_matrix, self._full_norm, x, b_full, NEUMANN_TOL)
+        ok, res = _backward_error_ok(self.full_matrix, self._full_norm, x, b_full)
         if not ok:
             raise SolverError(
-                f"Neumann solve backward error {res:.3e} exceeds tolerance {NEUMANN_TOL:.1e}"
+                f"Neumann solve backward error {res:.3e} exceeds tolerance {BACKWARD_TOL:.1e}"
             )
         return x
 
@@ -262,10 +262,11 @@ def _inf_norm(matrix) -> float:
     return float(np.abs(matrix).sum(axis=1).max())
 
 
-def _backward_error_ok(matrix, matrix_norm: float, x, b, tol: float):
-    """(||Ax-b|| <= tol*(||b|| + ||A|| ||x||), ||Ax-b||): the normwise backward-error test."""
+def _backward_error_ok(matrix, matrix_norm: float, x, b):
+    """(||Ax-b|| <= BACKWARD_TOL*(||b|| + ||A|| ||x||), ||Ax-b||): the normwise
+    backward-error test."""
     res = float(np.linalg.norm(matrix @ x - b))
-    bound = tol * (float(np.linalg.norm(b)) + matrix_norm * float(np.linalg.norm(x)))
+    bound = BACKWARD_TOL * (float(np.linalg.norm(b)) + matrix_norm * float(np.linalg.norm(x)))
     return res <= bound, res
 
 
@@ -327,10 +328,10 @@ def load_vector(spec: DomainSpec, f: GridFunction) -> np.ndarray:
     return scatter_cells_to_nodes(spec, fc).reshape(-1)
 
 
-def solve(op: StiffnessOperator, f: GridFunction, tol: float = 1e-10) -> GridFunction:
+def solve(op: StiffnessOperator, f: GridFunction) -> GridFunction:
     """Solve the operator against source f; the result vanishes on the boundary."""
     b = load_vector(op.spec, f)
-    x = op.solve_interior(b[op.interior_indices], tol)
+    x = op.solve_interior(b[op.interior_indices])
     return GridFunction(op.spec, op.embed_interior(x))
 
 

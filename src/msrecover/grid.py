@@ -10,6 +10,7 @@ cell-center values obtained from the interpolant.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 
@@ -385,30 +386,23 @@ def save_grid_function(u: GridFunction, path, fmt: str = "csv") -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def load_grid_function(path, fmt: str | None = None) -> GridFunction:
-    """Read a grid function written by save_grid_function (format sniffed if None).
+def load_grid_function(path) -> GridFunction:
+    """Read a grid function written by save_grid_function; the magic bytes tell
+    binary from CSV.
 
     Raises ValueError on a malformed or truncated file.
     """
-    if fmt is None:
-        with open(path, "rb") as fh:
-            fmt = "binary" if fh.read(4) == _BINARY_MAGIC else "csv"
-    if fmt == "csv":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            # an empty file, or a header other than "dim,n", raises ValueError here
-            dim, n = (int(tok) for tok in next(reader, []))
-            vals = np.array([float(tok) for tok, *_ in reader])  # a blank row raises ValueError
-        return GridFunction(DomainSpec(dim, n), vals)
-    if fmt == "binary":
-        with open(path, "rb") as fh:
-            if fh.read(4) != _BINARY_MAGIC:
-                raise ValueError("not a binary grid-function file")
+    with open(path, "rb") as fh:
+        if fh.read(4) == _BINARY_MAGIC:
             header = fh.read(16)
             if len(header) != 16:
                 raise ValueError("truncated binary grid-function header")
             dim, n = struct.unpack("<qq", header)
-            spec = DomainSpec(int(dim), int(n))
-            vals = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-        return GridFunction(spec, vals)
-    raise ValueError(f"unknown format {fmt!r}")
+            return GridFunction(DomainSpec(int(dim), int(n)),
+                                np.frombuffer(fh.read(), dtype="<f8").astype(float))
+        fh.seek(0)
+        reader = csv.reader(io.TextIOWrapper(fh, newline=""))
+        # an empty file, or a header other than "dim,n", raises ValueError here
+        dim, n = (int(tok) for tok in next(reader, []))
+        vals = np.array([float(tok) for tok, *_ in reader])  # a blank row raises ValueError
+    return GridFunction(DomainSpec(dim, n), vals)

@@ -33,13 +33,10 @@ __all__ = [
 class MeasurementFunctional:
     """One unit-mass measurement over a single patch's subsample set."""
 
-    __slots__ = ("kind", "patch_index", "mass", "h", "H", "spec",
-                 "node_indices", "node_weights")
+    __slots__ = ("kind", "h", "H", "spec", "node_indices", "node_weights")
 
-    def __init__(self, kind, patch_index, mass, h, H, spec, node_indices, node_weights):
+    def __init__(self, kind, h, H, spec, node_indices, node_weights):
         self.kind = kind
-        self.patch_index = patch_index
-        self.mass = mass  # Lebesgue/Hausdorff measure of the support (1 for point)
         self.h = h
         self.H = H
         self.spec = spec
@@ -105,15 +102,7 @@ def _build_one(sub: SubsampleSpec, i: int) -> MeasurementFunctional:
     idx_axes = [np.arange(s, s + len(w)) for s, w in zip(starts, axis_weights)]
     grids = np.meshgrid(*idx_axes, indexing="ij")
     flat_idx = np.ravel_multi_index([g.reshape(-1) for g in grids], spec.node_shape)
-
-    if sub.kind == "cube":
-        mass = sub.h**dim
-    elif sub.kind == "slice":
-        mass = sub.h ** (dim - 1)
-    else:
-        mass = 1.0
-    return MeasurementFunctional(sub.kind, i, mass, sub.h, sub.H, spec, flat_idx,
-                                 weights.reshape(-1))
+    return MeasurementFunctional(sub.kind, sub.h, sub.H, spec, flat_idx, weights.reshape(-1))
 
 
 def build_functionals(sub: SubsampleSpec) -> list:

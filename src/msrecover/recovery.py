@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .elliptic import StiffnessOperator, energy_inner
+from .elliptic import BACKWARD_TOL, StiffnessOperator, energy_inner
 from .errors import SolverError
 from .grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec, _BINARY_MAGIC,
                    _midpoint_lp, cell_center_values, lp_norm)
@@ -75,20 +75,21 @@ class ThetaMatrix:
         return self.matrix.shape[0]
 
 
-def build_theta(functionals: list, op: StiffnessOperator, tol: float = 1e-10) -> ThetaMatrix:
+def build_theta(functionals: list, op: StiffnessOperator) -> ThetaMatrix:
     """Solve the operator against every measurement density and pair the results.
 
     One solve per functional; the load of a functional is its node-weight
     vector restricted to interior nodes (test functions vanish on the
-    boundary).  Cholesky failure signals that the solver tolerance was too
-    loose for the measurement geometry.
+    boundary).  Raises ``SolverError`` if the coupling matrix is not
+    numerically positive definite, e.g. for a repeated or nearly linearly
+    dependent functional.
     """
     spec = op.spec
     nfun = len(functionals)
     solves = np.empty((nfun, spec.num_nodes))
     for j, phi in enumerate(functionals):
         b = phi.dense_weights()
-        x = op.solve_interior(b[op.interior_indices], tol)
+        x = op.solve_interior(b[op.interior_indices])
         solves[j] = op.embed_interior(x)
 
     theta = np.empty((nfun, nfun))
@@ -101,14 +102,15 @@ def build_theta(functionals: list, op: StiffnessOperator, tol: float = 1e-10) ->
         cho = cho_factor(theta, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
-            "coupling matrix is not positive definite; solver tolerance too loose"
+            "coupling matrix is not numerically positive definite "
+            "(repeated or nearly linearly dependent functionals)"
         ) from exc
     prov = {
         "kind": functionals[0].kind,
         "num_functionals": nfun,
         "a_min": op.coefficient.a_min,
         "a_max": op.coefficient.a_max,
-        "solver_tol": tol,
+        "solver_tol": BACKWARD_TOL,
     }
     return ThetaMatrix(theta, cho, solves, spec, prov)
 
@@ -160,14 +162,7 @@ class RecoveryReport:
     energy_stable: bool | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "l2_error": self.l2_error,
-            "energy_error": self.energy_error,
-            "params": self.params,
-            "per_patch_l2": self.per_patch_l2,
-            "energy_stable": self.energy_stable,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def recovery_error_report(u: GridFunction, recovered: GridFunction, params: dict,

@@ -40,12 +40,11 @@ __all__ = [
 class DistanceField:
     """Euclidean distance from each cell center to the union of subsample sets."""
 
-    __slots__ = ("spec", "values", "kind")
+    __slots__ = ("spec", "values")
 
-    def __init__(self, spec, values, kind):
+    def __init__(self, spec, values):
         self.spec = spec
         self.values = values
-        self.kind = kind
 
 
 def _box_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -82,7 +81,7 @@ def distance_field(part: CoarsePartition, sub: SubsampleSpec) -> DistanceField:
             mask = sel[ids == patch]
             d = _box_distance(pts[mask], lo, hi)
             best[mask] = np.minimum(best[mask], d)
-    return DistanceField(spec, best.reshape(spec.cell_shape), sub.kind)
+    return DistanceField(spec, best.reshape(spec.cell_shape))
 
 
 class WeightField:
@@ -170,8 +169,7 @@ def weight_condition_check(w: WeightField, dist: DistanceField, p: float,
     return {"integral_value": value, "normalized": value / H**dim}
 
 
-def weighted_basis(part: CoarsePartition, sub: SubsampleSpec, w: WeightField,
-                   tol: float = 1e-10):
+def weighted_basis(part: CoarsePartition, sub: SubsampleSpec, w: WeightField):
     """Multiscale basis with the weight as the operator coefficient.
 
     Returns (basis, operator); ``energy_inner`` with the operator gives
@@ -180,7 +178,7 @@ def weighted_basis(part: CoarsePartition, sub: SubsampleSpec, w: WeightField,
     coeff = CoefficientField(part.spec, w.values)
     op = assemble(part.spec, coeff)
     functionals = build_functionals(sub)
-    theta = build_theta(functionals, op, tol)
+    theta = build_theta(functionals, op)
     return multiscale_basis(theta), op
 
 

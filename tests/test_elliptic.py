@@ -122,7 +122,7 @@ def test_galerkin_consistency():
     a = lognormal_coefficient(spec, sigma=0.4, seed=3)
     op = assemble(spec, a)
     f = GridFunction.from_callable(spec, lambda x, y: np.cos(np.pi * x) + y)
-    u = solve(op, f, tol=1e-12)
+    u = solve(op, f)
     rng = np.random.default_rng(5)
     for _ in range(5):
         vv = np.zeros(spec.node_shape)
@@ -185,7 +185,7 @@ def test_high_contrast_solve():
     spec = DomainSpec(1, 64)
     op = assemble(spec, layered_coefficient(spec, 1e6))
     f = GridFunction.constant(spec, 1.0)
-    u = solve(op, f, tol=1e-10)
+    u = solve(op, f)
     b = load_vector(spec, f)[op.interior_indices]
     x = u.values[1:-1]
     res = np.linalg.norm(op.matrix @ x - b)
@@ -230,6 +230,34 @@ def test_cg_fallback_agrees_with_direct_solve(monkeypatch, coefficient):
     res = np.linalg.norm(op.matrix @ x - b)
     assert res / (np.linalg.norm(b) + op.matrix_norm * np.linalg.norm(x)) <= 1e-10
     assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
+
+
+def test_cg_nonconvergence_raises(monkeypatch):
+    import scipy.sparse.linalg
+
+    calls = []
+
+    def stalled_cg(matrix, b, **kwargs):
+        calls.append(kwargs)
+        return np.zeros_like(b), 7  # info > 0: the iteration limit was reached
+
+    spec = DomainSpec(2, 8)
+    op = assemble(spec, constant_coefficient(spec))
+    b = load_vector(spec, GridFunction.constant(spec, 1.0))[op.interior_indices]
+    monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0)
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", stalled_cg)
+    with pytest.raises(SolverError, match="did not converge"):
+        op.solve_interior(b)
+    assert calls[0]["rtol"] == 0.1 * elliptic.BACKWARD_TOL
+
+
+def test_direct_solve_backward_error_exit(monkeypatch):
+    spec = DomainSpec(2, 8)
+    op = assemble(spec, lognormal_coefficient(spec, sigma=1.0, seed=3))
+    b = load_vector(spec, GridFunction.constant(spec, 1.0))[op.interior_indices]
+    monkeypatch.setattr(elliptic, "BACKWARD_TOL", 1e-30)  # below double-precision rounding
+    with pytest.raises(SolverError, match="solve backward error"):
+        op.solve_interior(b)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])

@@ -9,8 +9,9 @@ from msrecover import recovery
 from msrecover.elliptic import assemble, constant_coefficient, lognormal_coefficient
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
                             lp_norm)
-from msrecover.measurements import (MeasurementVector, build_functionals, measure,
-                                    measure_all)
+from msrecover.errors import SolverError
+from msrecover.measurements import (MeasurementFunctional, MeasurementVector,
+                                    build_functionals, measure, measure_all)
 from msrecover.recovery import (build_theta, load_basis, ms_recover, multiscale_basis,
                                 pc_recover, recovery_error_report, save_basis,
                                 sharp_constant_estimate)
@@ -18,14 +19,14 @@ from msrecover.elliptic import energy_inner
 from msrecover.testfuncs import fourier_h01
 
 
-def _pipeline(dim, n, m, kind, r, a=None, tol=1e-10):
+def _pipeline(dim, n, m, kind, r, a=None):
     spec = DomainSpec(dim, n)
     part = build_partition(spec, m)
     sub = build_subsample(part, kind, r) if kind != "point" else build_subsample(part, kind)
     functionals = build_functionals(sub)
     coeff = a if a is not None else constant_coefficient(spec)
     op = assemble(spec, coeff)
-    theta = build_theta(functionals, op, tol)
+    theta = build_theta(functionals, op)
     basis = multiscale_basis(theta)
     return spec, part, sub, functionals, op, theta, basis
 
@@ -98,6 +99,16 @@ def test_theta_matches_dense_oracle():
                                rtol=1e-8)
     psi_dense = np.linalg.solve(theta_dense, G)
     np.testing.assert_allclose(basis.stack, psi_dense, rtol=0, atol=1e-8)
+
+
+def test_build_theta_rejects_dependent_functionals():
+    spec = DomainSpec(1, 16)
+    phi = build_functionals(build_subsample(build_partition(spec, 2), "cube", 0.5))[0]
+    # a zero copy of phi: its row and column of the coupling matrix are exactly 0
+    zero = MeasurementFunctional(phi.kind, phi.h, phi.H, phi.spec, phi.node_indices,
+                                 0.0 * phi.node_weights)
+    with pytest.raises(SolverError, match="not numerically positive definite"):
+        build_theta([phi, zero], assemble(spec, constant_coefficient(spec)))
 
 
 def test_single_patch_basis_is_parabola():

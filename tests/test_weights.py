@@ -59,7 +59,6 @@ def test_weight_formula_values():
         def __init__(self, values):
             self.spec = spec
             self.values = values
-            self.kind = "cube"
 
     vals = np.full(spec.cell_shape, 0.5)
     w = build_weight(FakeDist(vals), "polynomial", 2.0, 1.0, 0.1, beta=1.0)
