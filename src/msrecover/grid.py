@@ -212,15 +212,25 @@ class SubsampleSpec:
             return 0
         return int(round(self.ratio * self.partition.cells_per_patch))
 
+    def axis_intervals(self, axis: int) -> tuple:
+        """(lo, hi) arrays over the patch coordinates k = 0..m-1 along ``axis``.
+
+        The set spans (k + 1/2)H -+ h/2 there; the interval is flat on every
+        axis of the point kind and on the slice kind's normal axis.  Every set
+        is the product of its axes' intervals, so the union of the sets is the
+        product of the per-axis unions.
+        """
+        c = (np.arange(self.partition.m) + 0.5) * self.H
+        normal = self.kind == "slice" and axis == self.normal_axis % self.partition.spec.dim
+        flat = self.kind == "point" or normal
+        half = 0.0 if flat else 0.5 * self.h
+        return c - half, c + half
+
     def support_box(self, i: int) -> tuple:
         """(lo, hi) corners of the subsample set of patch i (degenerate axes allowed)."""
-        c = self.partition.center(i)
-        half = np.full(self.partition.spec.dim, 0.5 * self.h)
-        if self.kind == "point":
-            half[:] = 0.0
-        elif self.kind == "slice":
-            half[self.normal_axis] = 0.0
-        return c - half, c + half
+        mi = self.partition.patch_multi_index(i)
+        return tuple(np.array([[e[k] for e in self.axis_intervals(axis)]
+                               for axis, k in enumerate(mi)]).T)
 
 
 def build_subsample(part: CoarsePartition, kind: str, ratio: float = 1.0,

@@ -49,7 +49,12 @@ DIVERGENCE_LEVEL = 3.0  # pointwise: growing averages above this level diverge
 
 # the only keys a config's ``tolerances`` may set
 _TOLERANCE_KEYS = ("slopes", "expect_condition")
+_SLOPE_KEYS = ("pc_l2", "ms_l2", "ms_energy")  # converge fits, each a [target, width] pair
+_CONDITION_CLASSES = ("bounded", "divergent", "inconclusive")
 _WEIGHT_KEYS = ("profile", "beta", "gamma", "validate")
+_WEIGHT_PROFILES = ("polynomial", "logarithmic", "w11")
+_KINDS = ("cube", "slice", "point")
+_BASES = ("ms", "pc")
 # ExperimentConfig field annotation -> (accepted Python types, JSON type name);
 # bool is an int subclass but is accepted nowhere
 _FIELD_TYPES = {"str": (str, "string"), "int": (int, "integer"), "float": ((int, float), "number"),
@@ -119,8 +124,30 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"{f.name} must be a JSON {what}, got {value!r}")
+        _check_choice("kind", self.kind, _KINDS)
+        _check_choice("basis", self.basis, _BASES)
         _check_keys("tolerances", self.tolerances, (), _TOLERANCE_KEYS)
+        slopes = self.tolerances.get("slopes", {})
+        if not isinstance(slopes, dict):
+            raise ConfigError(f"tolerances slopes must be a JSON object, got {slopes!r}")
+        _check_keys("tolerances slopes", slopes, (), _SLOPE_KEYS)
+        for key, pair in slopes.items():
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ConfigError(f"slope {key} must be a [target, width] pair, got {pair!r}")
+            for value in pair:
+                _check_number(f"slope {key} entries", value, positive=False)
+        if "expect_condition" in self.tolerances:
+            _check_choice("expect_condition", self.tolerances["expect_condition"],
+                          _CONDITION_CLASSES)
         _check_keys("weight", self.weight, (), _WEIGHT_KEYS)
+        _check_choice("weight profile", self.weight.get("profile", "polynomial"),
+                      _WEIGHT_PROFILES)
+        for key in ("beta", "gamma"):
+            if key in self.weight:
+                _check_number(f"weight {key}", self.weight[key], positive=False)
+        if not isinstance(self.weight.get("validate", True), bool):
+            raise ConfigError(f"weight validate must be true or false, "
+                              f"got {self.weight['validate']!r}")
         name = self.coeff.get("name", "constant")
         if name not in _COEFF_KEYS:
             raise ConfigError(f"unknown coefficient generator {name!r}")
@@ -175,6 +202,11 @@ def _check_number(what: str, value, positive: bool) -> None:
         raise ConfigError(f"{what} must be a {sign}finite number, got {value!r}")
 
 
+def _check_choice(what: str, value, choices) -> None:
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{what} must be one of {list(choices)}, got {value!r}")
+
+
 def _check_keys(what: str, given, required, optional) -> None:
     unknown = sorted(set(given) - set(required) - set(optional))
     if unknown:
@@ -198,9 +230,12 @@ def _coefficient(spec: DomainSpec, cfg: ExperimentConfig):
 
 def _weight(cfg: ExperimentConfig, part, sub, dist):
     w = cfg.weight
-    return build_weight(dist, w.get("profile", "polynomial"), cfg.p, part.H, sub.h,
-                        beta=w.get("beta", 1.0), gamma=w.get("gamma"), partition=part,
-                        validate=w.get("validate", True))
+    try:  # build_weight holds the admissibility rules (e.g. beta > 0)
+        return build_weight(dist, w.get("profile", "polynomial"), cfg.p, part.H, sub.h,
+                            beta=w.get("beta", 1.0), gamma=w.get("gamma"), partition=part,
+                            validate=w.get("validate", True))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _nondecreasing(estimates) -> bool:

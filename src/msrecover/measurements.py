@@ -11,6 +11,8 @@ so that measuring u equals integrating u against the functional's grid density.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .grid import DomainSpec, GridFunction, SubsampleSpec
 __all__ = [
     "MeasurementFunctional",
     "MeasurementVector",
+    "axis_factors",
     "build_functionals",
     "measure",
     "measure_all",
@@ -67,47 +70,40 @@ def _axis_interp(spec: DomainSpec, x: float):
     return j, np.array([1.0 - frac, frac])
 
 
-def _axis_cell_average(start_cell: int, k: int):
-    """Node weights of the averaging functional over k consecutive cells."""
+def axis_factors(sub: SubsampleSpec, axis: int) -> list:
+    """(start node, node weights) of every patch coordinate along ``axis``.
+
+    A flat interval is a point value, interpolated between its two nearest
+    nodes; any other interval lies on grid lines, and its factor averages the
+    interval's cells by the trapezoid rule.  A functional's node weights are
+    the outer product of its axes' factors.
+    """
+    spec = sub.partition.spec
+    lo, hi = sub.axis_intervals(axis)
+    if np.array_equal(lo, hi):
+        return [_axis_interp(spec, x) for x in lo]
+    k = sub.cells_across
     w = np.ones(k + 1)
     w[0] = 0.5
     w[-1] = 0.5
     w /= w.sum()
-    return start_cell, w
-
-
-def _build_one(sub: SubsampleSpec, i: int) -> MeasurementFunctional:
-    part = sub.partition
-    spec = part.spec
-    dim = spec.dim
-    q = part.cells_per_patch
-    k = sub.cells_across
-    mi = part.patch_multi_index(i)
-    center = part.center(i)
-
-    starts = []
-    axis_weights = []
-    for axis in range(dim):
-        if sub.kind == "cube" or (sub.kind == "slice" and axis != sub.normal_axis):
-            s = mi[axis] * q + (q - k) // 2
-            s, w = _axis_cell_average(s, k)
-        else:
-            s, w = _axis_interp(spec, center[axis])
-        starts.append(s)
-        axis_weights.append(w)
-
-    weights = axis_weights[0]
-    for w in axis_weights[1:]:
-        weights = np.multiply.outer(weights, w)
-    idx_axes = [np.arange(s, s + len(w)) for s, w in zip(starts, axis_weights)]
-    grids = np.meshgrid(*idx_axes, indexing="ij")
-    flat_idx = np.ravel_multi_index([g.reshape(-1) for g in grids], spec.node_shape)
-    return MeasurementFunctional(sub.kind, sub.h, sub.H, spec, flat_idx, weights.reshape(-1))
+    return [(int(round(x * spec.n)), w) for x in lo]
 
 
 def build_functionals(sub: SubsampleSpec) -> list:
     """One measurement functional per patch, in patch index order."""
-    return [_build_one(sub, i) for i in range(sub.partition.num_patches)]
+    spec = sub.partition.spec
+    out = []
+    strides = [(spec.n + 1) ** (spec.dim - 1 - axis) for axis in range(spec.dim)]
+    # per axis and patch coordinate: (flat-index contribution, weights)
+    factors = [[(stride * np.arange(s, s + len(w)), w) for s, w in axis_factors(sub, axis)]
+               for axis, stride in enumerate(strides)]
+    for mi in itertools.product(range(sub.partition.m), repeat=spec.dim):
+        idx, weights = zip(*(factors[axis][k] for axis, k in enumerate(mi)))
+        out.append(MeasurementFunctional(
+            sub.kind, sub.h, sub.H, spec, functools.reduce(np.add.outer, idx).reshape(-1),
+            functools.reduce(np.multiply.outer, weights).reshape(-1)))
+    return out
 
 
 def measure(u: GridFunction, phi: MeasurementFunctional) -> float:
@@ -201,15 +197,23 @@ def save_measurements(vec: MeasurementVector, path) -> None:
 def load_measurements(path) -> MeasurementVector:
     """Read a ``save_measurements`` file; rows may come in any order.
 
-    Raises ValueError unless the patch indices are exactly 0..N-1, each once.
+    Raises ValueError naming the file unless it holds a four-field provenance
+    row and numeric (patch_index, value) rows whose indices are exactly
+    0..N-1, each once.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        kind, h, H, dim = next(reader)
-        next(reader)
-        rows = [(int(r[0]), float(r[1])) for r in reader]
-    rows.sort()
+        _header, prov, columns = (next(reader, None) for _ in range(3))
+        raw = list(reader)
+    if columns is None or len(prov) != 4 or any(len(row) != 2 for row in raw):
+        raise ValueError(f"{path}: not a provenance header, column names and "
+                         "(patch_index, value) rows")
+    kind, h, H, dim = prov
+    try:
+        rows = sorted((int(i), float(v)) for i, v in raw)
+        h, H, dim = float(h), float(H), int(dim)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     indices = [i for i, _ in rows]
     for a, b in zip(indices, indices[1:]):
         if a == b:
@@ -217,4 +221,4 @@ def load_measurements(path) -> MeasurementVector:
     if indices != list(range(len(indices))):
         raise ValueError(f"{path}: patch indices are not exactly 0..{len(indices) - 1}")
     vals = np.array([v for _, v in rows])
-    return MeasurementVector(vals, kind, float(h), float(H), int(dim))
+    return MeasurementVector(vals, kind, h, H, dim)

@@ -20,7 +20,7 @@ from .elliptic import BACKWARD_TOL, StiffnessOperator, energy_inner
 from .errors import SolverError
 from .grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec, _BINARY_MAGIC,
                    _midpoint_lp, cell_center_values, lp_norm)
-from .measurements import MeasurementVector, build_functionals
+from .measurements import MeasurementVector, axis_factors
 
 __all__ = [
     "ThetaMatrix",
@@ -100,6 +100,10 @@ def build_theta(functionals: list, op: StiffnessOperator) -> ThetaMatrix:
 
     try:
         cho = cho_factor(theta, lower=True)
+        # a pivot that rounding left positive: its square is at the rounding
+        # level of the largest diagonal entry
+        if np.diag(cho[0]).min() ** 2 <= nfun * np.finfo(float).eps * np.diag(theta).max():
+            raise np.linalg.LinAlgError("pivot at the rounding level")
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             "coupling matrix is not numerically positive definite "
@@ -205,8 +209,6 @@ def sharp_constant_estimate(sub: SubsampleSpec) -> float:
     part = sub.partition
     if part.m != 1:
         raise ValueError("the constant estimate runs on a single-patch configuration")
-    from scipy.fft import dctn  # loaded by the first constant, never by recovery runs
-
     n, dim = part.spec.n, part.spec.dim
     outer = functools.partial(functools.reduce, np.multiply.outer)  # of one array per axis
     # 1D: cos(pi k j / n) are the eigenvectors of the Q1 stiffness K against the
@@ -218,11 +220,15 @@ def sharp_constant_estimate(sub: SubsampleSpec) -> float:
     kappa = sum(outer([theta if b == a else consistent for b in range(dim)])
                 for a in range(dim))
     mu = outer([np.cos(angle) ** 2] * dim)
-    # g = Q^T w, Q the L-orthonormal DCT-I basis: per axis Q^T = sqrt(n) C diag(ends),
-    # C the orthonormal DCT-I
-    ends = np.r_[np.sqrt(2.0), np.ones(n - 1), np.sqrt(2.0)]
-    w = build_functionals(sub)[0].dense_weights().reshape(part.spec.node_shape)
-    g = n ** (dim / 2) * dctn(w * outer([ends] * dim), type=1, norm="ortho")
+    # g = Q^T w for the L-orthonormal DCT-I basis Q, c_k cos(pi k j / n) per axis
+    # with c_k = sqrt(2) inside and 1 at both ends; the functional's node weights
+    # are a product of axis factors, so g is the product of their cosine sums
+    # (a table over k j mod 2n keeps the cosine argument exact at large n)
+    k = np.arange(n + 1)[:, None]
+    c = np.r_[1.0, np.full(n - 1, np.sqrt(2.0)), 1.0]
+    cos = np.cos(np.pi * np.arange(2 * n) / n)
+    factors = [axis_factors(sub, axis)[0] for axis in range(dim)]  # of the one patch
+    g = outer([c * (cos[k * np.arange(s, s + len(w)) % (2 * n)] @ w) for s, w in factors])
     # k = 0 is the constants, which the quotient leaves out
     kappa, mu, g = (v.reshape(-1)[1:] for v in (kappa, mu, g))
     return float(np.sqrt(_rank_one_top(mu / kappa, g / np.sqrt(kappa))))

@@ -86,20 +86,20 @@ def flattened_profile(part: CoarsePartition, seed: int) -> GridFunction:
     spec = part.spec
     plateau, ramp = 0.05 * part.H, 0.2 * part.H
     base = fourier_h01(spec, seed)
-    grids = np.meshgrid(*spec.node_coordinates(), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+    centers = build_subsample(part, "point")
+    # per axis: each node's own patch coordinate and its offset from that patch's center
+    sq, own = 0.0, 0
+    for axis, x in enumerate(spec.node_coordinates()):
+        k = np.minimum((x * part.m).astype(int), part.m - 1)
+        shape = [1] * spec.dim
+        shape[axis] = -1
+        sq = sq + ((x - centers.axis_intervals(axis)[0][k]) ** 2).reshape(shape)
+        own = own * part.m + k.reshape(shape)  # the row-major patch index
+    dist = np.sqrt(sq)
 
-    own = np.minimum((pts * part.m).astype(int), part.m - 1)
-    centers = (own + 0.5) * part.H
-    dist = np.sqrt(np.sum((pts - centers) ** 2, axis=1))
-
-    own_flat = np.ravel_multi_index(own.T, (part.m,) * spec.dim)
     # the anchor of each patch is the base field's point measurement at its center
-    center_vals = measure_all(base, build_functionals(build_subsample(part, "point"))).values
-    anchor = center_vals[own_flat]
+    anchor = measure_all(base, build_functionals(centers)).values[own]
 
     s = np.clip((dist - plateau) / ramp, 0.0, 1.0)
     eta = s * s * (3.0 - 2.0 * s)
-    vals = eta * base.values.reshape(-1) + (1.0 - eta) * anchor
-    return GridFunction(spec, vals.reshape(spec.node_shape))
-
+    return GridFunction(spec, eta * base.values + (1.0 - eta) * anchor)

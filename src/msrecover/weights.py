@@ -47,41 +47,21 @@ class DistanceField:
         self.values = values
 
 
-def _box_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Distance from points (N, dim) to an axis-aligned box (degenerate ok)."""
-    excess = np.maximum(np.maximum(lo - points, points - hi), 0.0)
-    return np.sqrt(np.sum(excess * excess, axis=1))
-
-
 def distance_field(part: CoarsePartition, sub: SubsampleSpec) -> DistanceField:
-    """Exact point-to-box distances, minimized over subsample sets.
+    """Exact Euclidean distances from the cell centers to the union of subsample sets.
 
-    The sets are concentric with their patches, so the nearest one to any cell
-    center lies in the center's own patch or an adjacent patch; only those are
-    scanned.
+    The union is a product of per-axis unions of intervals, so the distance is
+    the root of the summed squared per-axis gaps to those unions.
     """
     spec = part.spec
-    dim = spec.dim
-    axes = spec.cell_center_coordinates()
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-
-    own = np.minimum((pts * part.m).astype(int), part.m - 1)
-    best = np.full(len(pts), np.inf)
-    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * dim), indexing="ij")).reshape(dim, -1).T
-    for off in offsets:
-        nb = own + off
-        ok = np.all((nb >= 0) & (nb < part.m), axis=1)
-        if not np.any(ok):
-            continue
-        ids = np.ravel_multi_index(nb[ok].T, (part.m,) * dim)
-        sel = np.flatnonzero(ok)
-        for patch in np.unique(ids):
-            lo, hi = sub.support_box(int(patch))
-            mask = sel[ids == patch]
-            d = _box_distance(pts[mask], lo, hi)
-            best[mask] = np.minimum(best[mask], d)
-    return DistanceField(spec, best.reshape(spec.cell_shape))
+    sq = 0.0
+    for axis, x in enumerate(spec.cell_center_coordinates()):
+        lo, hi = (e[:, None] for e in sub.axis_intervals(axis))
+        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=0)
+        shape = [1] * spec.dim
+        shape[axis] = -1
+        sq = sq + (gap * gap).reshape(shape)
+    return DistanceField(spec, np.sqrt(sq))
 
 
 class WeightField:

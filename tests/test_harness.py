@@ -182,6 +182,19 @@ def test_cli_failing_gate_returns_one(tmp_path, capsys):
     ("rates", {"r_sweep": [1.0, 1 / 2, 0.0]}),
     ("critical", {"h_sweep": [1 / 4, 1 / 8, -1 / 16]}),
     ("pointwise", {"radii": [0.5, 0.25, 0.125, None]}),
+    # names and types inside tolerances and weight, and the named choices
+    ("converge", {"tolerances": {"slopes": {"ms_l3": [2.0, 0.2]}}}),
+    ("converge", {"tolerances": {"slopes": {"ms_l2": 2.0}}}),
+    ("converge", {"tolerances": {"slopes": {"ms_l2": [2.0, 0.2, 0.1]}}}),
+    ("converge", {"tolerances": {"slopes": {"ms_l2": [2.0, "wide"]}}}),
+    ("converge", {"tolerances": {"slopes": [["ms_l2", 2.0, 0.2]]}}),
+    ("weighted", {"tolerances": {"expect_condition": "bouned"}}),
+    ("degeneracy", {"weight": {"profile": "polinomial"}}),
+    ("degeneracy", {"weight": {"beta": "one"}}),
+    ("degeneracy", {"weight": {"validate": "yes"}}),
+    ("degeneracy", {"weight": {"beta": 0.0, "validate": True}}),  # build_weight's rule
+    ("rates", {"kind": "cubee"}),
+    ("converge", {"basis": "pcc"}),
 ])
 def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
     # the study's default config, which runs, with one bad entry
@@ -264,6 +277,20 @@ def test_cli_recover_without_config(tmp_path, capsys):
     # ExperimentConfig defaults: m = 2, full-patch cubes, multiscale basis
     assert report["params"] == {"basis": "ms", "dim": 2, "h": 0.5, "H": 0.5}
     assert report["energy_stable"] is True
+
+
+@pytest.mark.parametrize("override", [{"basis": "pcc"}, {"kind": "cubee"}])
+def test_cli_recover_rejects_a_bad_choice(tmp_path, capsys, override):
+    from msrecover.grid import save_grid_function
+
+    upath, cfgpath = tmp_path / "u.csv", tmp_path / "rc.json"
+    save_grid_function(_field_2d(), upath)
+    cfgpath.write_text(json.dumps(override))
+    rc = cli_main(["recover", "--input", str(upath), "--output", str(tmp_path / "rec.csv"),
+                   "--config", str(cfgpath)])
+    assert rc == 2
+    assert not (tmp_path / "rec.csv").exists()
+    assert "configuration error" in capsys.readouterr().err
 
 
 def _recover_input_error(tmp_path, capsys, content: bytes) -> str:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,22 @@ def test_measurement_vector_csv_roundtrip(tmp_path):
     assert back.h == vec.h
     assert back.H == vec.H
     np.testing.assert_array_equal(back.values, vec.values)
+
+
+@pytest.mark.parametrize("content", [
+    "",  # empty file
+    "kind,h,H,dim\ncube,0.25,0.5\npatch_index,value\n0,1.0\n",  # short provenance row
+    "kind,h,H,dim\ncube,0.25,0.5,2\n",  # no column names row
+    "kind,h,H,dim\ncube,0.25,0.5,2\npatch_index,value\n0\n",  # one-column row
+    "kind,h,H,dim\ncube,0.25,0.5,2\npatch_index,value\n0,1.0\n\n1,2.0\n",  # blank row
+    "kind,h,H,dim\ncube,0.25,0.5,2\npatch_index,value\n0,one\n",  # value not a number
+    "kind,h,H,dim\ncube,quarter,0.5,2\npatch_index,value\n0,1.0\n",  # h not a number
+])
+def test_load_measurements_rejects_a_malformed_file(tmp_path, content):
+    path = tmp_path / "m.csv"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_measurements(path)
 
 
 def _write_measurement_rows(path, indices):

@@ -109,6 +109,10 @@ def test_build_theta_rejects_dependent_functionals():
                                  0.0 * phi.node_weights)
     with pytest.raises(SolverError, match="not numerically positive definite"):
         build_theta([phi, zero], assemble(spec, constant_coefficient(spec)))
+    # a repeated functional: Cholesky ends on a pivot that rounding left positive
+    one = build_functionals(build_subsample(build_partition(spec, 1), "cube", 0.5))[0]
+    with pytest.raises(SolverError, match="not numerically positive definite"):
+        build_theta([one, one], assemble(spec, constant_coefficient(spec)))
 
 
 def test_single_patch_basis_is_parabola():

@@ -129,13 +129,14 @@ M.recovery_error_report(u, rec, {"basis": "pc"}, a=op, partition=part)
 
 
 def test_sharp_constant_leaves_out_sparse_stack():
-    # the closed form diagonalizes with a DCT: it builds no matrix and factors nothing
+    # the closed form sums per-axis cosines: it builds no matrix, factors
+    # nothing and needs no FFT, so it loads no scipy module at all
     code = """
 import msrecover as M
 part = M.build_partition(M.DomainSpec(2, 32), 1)
 assert M.sharp_constant_estimate(M.build_subsample(part, "cube", 0.25)) > 0.0
 """
-    assert _loaded_after(code, ("scipy.sparse",) + SOLVER_STACK) == "[]"
+    assert _loaded_after(code, ("scipy", "scipy.fft", "scipy.sparse") + SOLVER_STACK) == "[]"
 
 
 def test_ms_chain_loads_solver_stack():

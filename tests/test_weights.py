@@ -32,12 +32,33 @@ def test_distance_to_point_1d():
     np.testing.assert_allclose(dist.values, np.abs(centers - 0.5), atol=1e-14)
 
 
-def test_distance_corner_formula():
-    # query point diagonal from a box corner
-    from msrecover.weights import _box_distance
+def _subsample_cases():
+    # (dim, n, m, kind, ratio, normal_axis): cube, slice and point, m = 1..4
+    for dim in (1, 2, 3):
+        for m in (1, 2, 3, 4):
+            q = 6 if m == 3 else 4
+            for r in ((1.0, 1 / 3, 2 / 3) if q == 6 else (1.0, 0.5)):
+                yield dim, q * m, m, "cube", r, None
+                for axis in sorted({0, dim - 1}) if dim >= 2 else ():
+                    yield dim, q * m, m, "slice", r, axis
+            yield dim, q * m, m, "point", 0.0, None
 
-    d = _box_distance(np.array([[0.7, 0.7]]), np.array([0.4, 0.4]), np.array([0.6, 0.6]))
-    assert d[0] == pytest.approx(np.sqrt(2) * 0.1, rel=1e-12)
+
+@pytest.mark.parametrize("dim,n,m,kind,r,axis", list(_subsample_cases()))
+def test_distance_equals_brute_force_box_minimum(dim, n, m, kind, r, axis):
+    part = build_partition(DomainSpec(dim, n), m)
+    sub = (build_subsample(part, "point") if kind == "point"
+           else build_subsample(part, kind, r, axis))
+    grids = np.meshgrid(*part.spec.cell_center_coordinates(), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+    best = np.full(len(pts), np.inf)
+    for i in range(part.num_patches):
+        lo, hi = sub.support_box(i)
+        excess = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
+        best = np.minimum(best, np.sqrt(np.sum(excess * excess, axis=1)))
+    got = distance_field(part, sub).values
+    assert got.shape == part.spec.cell_shape
+    assert np.array_equal(got.reshape(-1), best)
 
 
 def test_distance_lipschitz():
