@@ -21,8 +21,8 @@ from .elliptic import (CoefficientField, StiffnessOperator, assemble,
 from .recovery import (BasisSet, RecoveryReport, ThetaMatrix, build_theta, ms_recover,
                        multiscale_basis, pc_recover, recovery_error_report,
                        sharp_constant_estimate)
-from .weights import (DistanceField, WeightField, build_weight, distance_field,
-                      weight_condition_check, weighted_basis)
+from .weights import (DistanceField, build_weight, distance_field, weight_condition_check,
+                      weighted_basis)
 from .analytic import (RadialFunction, ball_average_sequence, critical_ratio, eval_radial,
                        eval_radial_deriv, power_profile, radial_function, rho)
 from .harness import (ExperimentConfig, FitResult, fit_loglog, run_convergence_study,

@@ -9,7 +9,6 @@ to solver tolerance.
 
 from __future__ import annotations
 
-import csv
 import itertools
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "checkerboard_coefficient",
     "layered_coefficient",
     "lognormal_coefficient",
-    "coefficient_from_csv",
 ]
 
 # direct factorization cap; larger systems fall back to Jacobi-preconditioned CG
@@ -81,33 +79,6 @@ def lognormal_coefficient(spec: DomainSpec, sigma: float = 1.0, seed: int = 0) -
     """Seeded multiplicative noise: exp(sigma * g), g iid standard normal per cell."""
     rng = np.random.default_rng(seed)
     vals = np.exp(sigma * rng.standard_normal(spec.cell_shape))
-    return CoefficientField(spec, vals)
-
-
-def coefficient_from_csv(spec: DomainSpec, path) -> CoefficientField:
-    """CSV rows (cell_index, value) in C cell order.
-
-    Raises ValueError on a row that is not two columns, a cell index outside
-    0..n^dim-1 or a repeated index, and unless every cell is covered.
-    """
-    ncell = spec.n**spec.dim
-    vals = np.empty(ncell)
-    seen = np.zeros(ncell, dtype=bool)
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "cell_index":
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: row {row} is not (cell_index, value)")
-            i = int(row[0])
-            if not 0 <= i < ncell:
-                raise ValueError(f"{path}: cell index {i} outside 0..{ncell - 1}")
-            if seen[i]:
-                raise ValueError(f"{path}: duplicate cell index {i}")
-            seen[i] = True
-            vals[i] = float(row[1])
-    if not seen.all():
-        raise ValueError(f"{path}: coefficient CSV does not cover every cell")
     return CoefficientField(spec, vals)
 
 

@@ -10,7 +10,6 @@ so that measuring u equals integrating u against the functional's grid density.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 from dataclasses import dataclass
@@ -28,20 +27,15 @@ __all__ = [
     "measure_all",
     "alpha_envelope",
     "bound_integral",
-    "save_measurements",
-    "load_measurements",
 ]
 
 
 class MeasurementFunctional:
     """One unit-mass measurement over a single patch's subsample set."""
 
-    __slots__ = ("kind", "h", "H", "spec", "node_indices", "node_weights")
+    __slots__ = ("spec", "node_indices", "node_weights")
 
-    def __init__(self, kind, h, H, spec, node_indices, node_weights):
-        self.kind = kind
-        self.h = h
-        self.H = H
+    def __init__(self, spec, node_indices, node_weights):
         self.spec = spec
         self.node_indices = node_indices
         self.node_weights = node_weights
@@ -101,7 +95,7 @@ def build_functionals(sub: SubsampleSpec) -> list:
     for mi in itertools.product(range(sub.partition.m), repeat=spec.dim):
         idx, weights = zip(*(factors[axis][k] for axis, k in enumerate(mi)))
         out.append(MeasurementFunctional(
-            sub.kind, sub.h, sub.H, spec, functools.reduce(np.add.outer, idx).reshape(-1),
+            spec, functools.reduce(np.add.outer, idx).reshape(-1),
             functools.reduce(np.multiply.outer, weights).reshape(-1)))
     return out
 
@@ -113,20 +107,14 @@ def measure(u: GridFunction, phi: MeasurementFunctional) -> float:
 
 @dataclass(frozen=True)
 class MeasurementVector:
-    """Measured averages in patch index order, with provenance."""
+    """Measured averages in patch index order."""
 
     values: np.ndarray
-    kind: str
-    h: float
-    H: float
-    dim: int
 
 
 def measure_all(u: GridFunction, functionals: list) -> MeasurementVector:
-    """Measured averages of u under each functional, with the first one's provenance."""
-    phi0 = functionals[0]
-    vals = np.array([phi.apply(u) for phi in functionals])
-    return MeasurementVector(vals, phi0.kind, phi0.h, phi0.H, phi0.spec.dim)
+    """Measured averages of u under each functional."""
+    return MeasurementVector(np.array([phi.apply(u) for phi in functionals]))
 
 
 def alpha_envelope(kind: str, dim: int, H: float, h: float, t: float) -> float:
@@ -182,43 +170,3 @@ def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
     val, _ = quad(integrand, 0.0, 1.0, points=[tstar], limit=200, epsabs=0.0, epsrel=1e-10)
     return float(val)
 
-
-def save_measurements(vec: MeasurementVector, path) -> None:
-    """CSV layout: provenance header row, column names, then (patch_index, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "h", "H", "dim"])
-        writer.writerow([vec.kind, repr(float(vec.h)), repr(float(vec.H)), vec.dim])
-        writer.writerow(["patch_index", "value"])
-        for i, v in enumerate(vec.values):
-            writer.writerow([i, repr(float(v))])
-
-
-def load_measurements(path) -> MeasurementVector:
-    """Read a ``save_measurements`` file; rows may come in any order.
-
-    Raises ValueError naming the file unless it holds a four-field provenance
-    row and numeric (patch_index, value) rows whose indices are exactly
-    0..N-1, each once.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _header, prov, columns = (next(reader, None) for _ in range(3))
-        raw = list(reader)
-    if columns is None or len(prov) != 4 or any(len(row) != 2 for row in raw):
-        raise ValueError(f"{path}: not a provenance header, column names and "
-                         "(patch_index, value) rows")
-    kind, h, H, dim = prov
-    try:
-        rows = sorted((int(i), float(v)) for i, v in raw)
-        h, H, dim = float(h), float(H), int(dim)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    indices = [i for i, _ in rows]
-    for a, b in zip(indices, indices[1:]):
-        if a == b:
-            raise ValueError(f"{path}: duplicate patch index {a}")
-    if indices != list(range(len(indices))):
-        raise ValueError(f"{path}: patch indices are not exactly 0..{len(indices) - 1}")
-    vals = np.array([v for _, v in rows])
-    return MeasurementVector(vals, kind, h, H, dim)

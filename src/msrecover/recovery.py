@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import functools
 import json
-import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .elliptic import BACKWARD_TOL, StiffnessOperator, energy_inner
+from .elliptic import StiffnessOperator, energy_inner
 from .errors import SolverError
-from .grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec, _BINARY_MAGIC,
-                   _midpoint_lp, cell_center_values, lp_norm)
+from .grid import (CoarsePartition, GridFunction, SubsampleSpec, _midpoint_lp,
+                   cell_center_values, lp_norm)
 from .measurements import MeasurementVector, axis_factors
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "ms_recover",
     "recovery_error_report",
     "sharp_constant_estimate",
-    "save_basis",
-    "load_basis",
 ]
 
 
@@ -61,14 +58,13 @@ class ThetaMatrix:
     recovery space.
     """
 
-    __slots__ = ("matrix", "cho", "solves", "spec", "provenance")
+    __slots__ = ("matrix", "cho", "solves", "spec")
 
-    def __init__(self, matrix, cho, solves, spec, provenance):
+    def __init__(self, matrix, cho, solves, spec):
         self.matrix = matrix
         self.cho = cho
         self.solves = solves
         self.spec = spec
-        self.provenance = provenance
 
     @property
     def size(self) -> int:
@@ -109,25 +105,17 @@ def build_theta(functionals: list, op: StiffnessOperator) -> ThetaMatrix:
             "coupling matrix is not numerically positive definite "
             "(repeated or nearly linearly dependent functionals)"
         ) from exc
-    prov = {
-        "kind": functionals[0].kind,
-        "num_functionals": nfun,
-        "a_min": op.coefficient.a_min,
-        "a_max": op.coefficient.a_max,
-        "solver_tol": BACKWARD_TOL,
-    }
-    return ThetaMatrix(theta, cho, solves, spec, prov)
+    return ThetaMatrix(theta, cho, solves, spec)
 
 
 class BasisSet:
     """Recovery basis fields, one per patch, stacked row-wise."""
 
-    __slots__ = ("spec", "stack", "provenance")
+    __slots__ = ("spec", "stack")
 
-    def __init__(self, spec, stack, provenance):
+    def __init__(self, spec, stack):
         self.spec = spec
         self.stack = stack
-        self.provenance = provenance
 
     def __len__(self):
         return self.stack.shape[0]
@@ -146,7 +134,7 @@ def multiscale_basis(theta: ThetaMatrix) -> BasisSet:
 
     inv = cho_solve(theta.cho, np.eye(theta.size))
     stack = inv @ theta.solves
-    return BasisSet(theta.spec, stack, dict(theta.provenance))
+    return BasisSet(theta.spec, stack)
 
 
 def ms_recover(data: MeasurementVector, basis: BasisSet) -> GridFunction:
@@ -256,42 +244,3 @@ def _rank_one_top(delta, z) -> float:
             return max(float(delta[on].max() + t), off)
         t += step
 
-
-def save_basis(basis: BasisSet, container_path, manifest_path) -> None:
-    """One binary container of grid-function blobs plus a JSON offset manifest."""
-    spec = basis.spec
-    offsets = {}
-    with open(container_path, "wb") as fh:
-        for i in range(len(basis)):
-            offsets[str(i)] = fh.tell()
-            fh.write(_BINARY_MAGIC)
-            fh.write(struct.pack("<qq", spec.dim, spec.n))
-            fh.write(np.ascontiguousarray(basis.stack[i]).astype("<f8").tobytes())
-    manifest = {
-        "dim": spec.dim,
-        "n": spec.n,
-        "count": len(basis),
-        "provenance": basis.provenance,
-        "offsets": offsets,
-    }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-
-
-def load_basis(container_path, manifest_path) -> BasisSet:
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    spec = DomainSpec(manifest["dim"], manifest["n"])
-    count = manifest["count"]
-    stack = np.empty((count, spec.num_nodes))
-    blob = 4 + 16 + 8 * spec.num_nodes
-    with open(container_path, "rb") as fh:
-        for i in range(count):
-            fh.seek(manifest["offsets"][str(i)])
-            raw = fh.read(blob)
-            # a short read or a header for another grid would misplace every value
-            if (len(raw) != blob or raw[:4] != _BINARY_MAGIC
-                    or struct.unpack("<qq", raw[4:20]) != (spec.dim, spec.n)):
-                raise ValueError(f"corrupt basis container: blob {i}")
-            stack[i] = np.frombuffer(raw[20:], dtype="<f8")
-    return BasisSet(spec, stack, manifest.get("provenance", {}))

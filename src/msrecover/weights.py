@@ -15,8 +15,6 @@ centers, never nodes.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .elliptic import CoefficientField, assemble
@@ -27,13 +25,10 @@ from .recovery import build_theta, multiscale_basis
 
 __all__ = [
     "DistanceField",
-    "WeightField",
     "distance_field",
     "build_weight",
     "weight_condition_check",
     "weighted_basis",
-    "save_weight_field",
-    "load_weight_field",
 ]
 
 
@@ -64,19 +59,6 @@ def distance_field(part: CoarsePartition, sub: SubsampleSpec) -> DistanceField:
     return DistanceField(spec, np.sqrt(sq))
 
 
-class WeightField:
-    """Positive cellwise weight with its construction parameters."""
-
-    __slots__ = ("spec", "values", "profile", "params", "is_limit")
-
-    def __init__(self, spec, values, profile, params, is_limit):
-        self.spec = spec
-        self.values = values
-        self.profile = profile
-        self.params = params
-        self.is_limit = is_limit
-
-
 def _check_limit_geometry(dist: DistanceField, part: CoarsePartition) -> None:
     if part.cells_per_patch % 2 != 0:
         raise AlignmentError(
@@ -88,11 +70,13 @@ def _check_limit_geometry(dist: DistanceField, part: CoarsePartition) -> None:
 def build_weight(dist: DistanceField, profile: str, p: float, H: float, h: float, *,
                  beta: float = 1.0, gamma: float | None = None,
                  partition: CoarsePartition | None = None,
-                 validate: bool = True) -> WeightField:
+                 validate: bool = True) -> CoefficientField:
     """Evaluate a weight profile on cell centers from a distance field.
 
-    ``validate=False`` bypasses the parameter admissibility checks; it exists
-    so experiments can probe the failure regimes (e.g. beta = 0).
+    Returns the cellwise coefficient of the weighted operator, whose
+    constructor rejects nonpositive and non-finite cells.  ``validate=False``
+    bypasses the parameter admissibility checks; it exists so experiments can
+    probe the failure regimes (e.g. beta = 0).
     """
     spec = dist.spec
     dim = spec.dim
@@ -108,7 +92,6 @@ def build_weight(dist: DistanceField, profile: str, p: float, H: float, h: float
         if validate and beta <= 0.0:
             raise ValueError("polynomial profile needs beta > 0")
         vals = (H / s) ** (dim - p + beta)
-        params = {"profile": profile, "beta": beta, "p": p, "dim": dim, "h": h, "H": H}
     elif profile == "logarithmic":
         if gamma is None:
             gamma = p
@@ -120,18 +103,14 @@ def build_weight(dist: DistanceField, profile: str, p: float, H: float, h: float
         denom = np.log(1.0 / max(H, np.finfo(float).tiny)) + 1.0
         denom = max(denom, np.finfo(float).eps)  # H = 1 gives exactly 1; guard H > 1
         vals = (H / s) ** (dim - p) * log_s**gamma / denom ** (gamma - p + 1.0)
-        params = {"profile": profile, "gamma": gamma, "p": p, "dim": dim, "h": h, "H": H}
     elif profile == "w11":
         vals = (H / s) ** (dim - 1)
-        params = {"profile": profile, "p": p, "dim": dim, "h": h, "H": H}
     else:
         raise ValueError(f"unknown weight profile {profile!r}")
-    if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
-        raise ValueError("weight evaluation produced nonpositive or infinite cells")
-    return WeightField(spec, vals, profile, params, h == 0.0)
+    return CoefficientField(spec, vals)
 
 
-def weight_condition_check(w: WeightField, dist: DistanceField, p: float,
+def weight_condition_check(w: CoefficientField, dist: DistanceField, p: float,
                            H: float, h: float) -> dict:
     """Admissibility integral of a weight and its size relative to the patch volume.
 
@@ -149,55 +128,14 @@ def weight_condition_check(w: WeightField, dist: DistanceField, p: float,
     return {"integral_value": value, "normalized": value / H**dim}
 
 
-def weighted_basis(part: CoarsePartition, sub: SubsampleSpec, w: WeightField):
+def weighted_basis(part: CoarsePartition, sub: SubsampleSpec, w: CoefficientField):
     """Multiscale basis with the weight as the operator coefficient.
 
     Returns (basis, operator); ``energy_inner`` with the operator gives
     weighted energies.
     """
-    coeff = CoefficientField(part.spec, w.values)
-    op = assemble(part.spec, coeff)
+    op = assemble(part.spec, w)
     functionals = build_functionals(sub)
     theta = build_theta(functionals, op)
     return multiscale_basis(theta), op
 
-
-def save_weight_field(w: WeightField, path) -> None:
-    """CSV: params header, then cell values one per line in C cell order."""
-    keys = sorted(w.params)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keys)
-        writer.writerow([repr(w.params[k]) if isinstance(w.params[k], float)
-                         else w.params[k] for k in keys])
-        writer.writerow(["cell_value"])
-        for val in w.values.reshape(-1):
-            writer.writerow([repr(float(val))])
-
-
-def load_weight_field(spec, path) -> WeightField:
-    """Read a ``save_weight_field`` file for the grid ``spec``.
-
-    Raises ValueError unless it holds one finite, positive value per cell.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        keys, raw, column = (next(reader, None) for _ in range(3))
-        rows = list(reader)
-    if column is None or any(len(row) != 1 for row in rows):
-        raise ValueError(f"{path}: not a params header and one value per cell row")
-    vals = np.array([float(row[0]) for row in rows])
-    ncell = spec.n**spec.dim
-    if len(vals) != ncell:
-        raise ValueError(f"{path}: {len(vals)} cell values for a grid of {ncell} cells")
-    if not np.all(np.isfinite(vals) & (vals > 0.0)):
-        raise ValueError(f"{path}: weight values must be finite and positive")
-    params = {}
-    for k, v in zip(keys, raw):
-        try:
-            params[k] = float(v)
-        except ValueError:
-            params[k] = v
-    profile = params.get("profile", "polynomial")
-    h = float(params.get("h", 0.0))
-    return WeightField(spec, vals.reshape(spec.cell_shape), profile, params, h == 0.0)

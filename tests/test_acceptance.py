@@ -200,8 +200,7 @@ def test_criterion_08_weighted_inequalities():
                            ({"profile": "polynomial", "beta": 0.0,
                              "validate": False}, "divergent")):
         cfg = ExperimentConfig(name="wc", dim=2, p=2.0, n=128, seed=3,
-                               num_functions=3, r_sweep=deep, weight=weight,
-                               tolerances={"expect_condition": expect})
+                               num_functions=3, r_sweep=deep, weight=weight)
         rep = run_weighted_study(cfg)
         ok &= rep["condition_class"] == expect
         details.append(f"{weight.get('beta', weight.get('gamma'))}:{rep['condition_class']}")

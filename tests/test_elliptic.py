@@ -5,9 +5,8 @@ import pytest
 
 from msrecover import elliptic
 from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coefficient,
-                                coefficient_from_csv, constant_coefficient, energy_inner,
-                                l2_inner, layered_coefficient, load_vector,
-                                lognormal_coefficient, solve)
+                                constant_coefficient, energy_inner, l2_inner,
+                                layered_coefficient, load_vector, lognormal_coefficient, solve)
 from msrecover.errors import SolverError
 from msrecover.grid import DomainSpec, GridFunction, build_partition, build_subsample
 from msrecover.measurements import build_functionals, measure
@@ -283,29 +282,6 @@ def test_neumann_solve_rejects_incompatible_rhs():
     b[5] = 1.0  # nonzero sum: no solution exists
     with pytest.raises(SolverError, match="Neumann"):
         op.solve_neumann(b)
-
-
-def test_coefficient_csv_roundtrip(tmp_path):
-    spec = DomainSpec(2, 4)
-    a = lognormal_coefficient(spec, sigma=0.3, seed=11)
-    path = tmp_path / "a.csv"
-    with open(path, "w") as fh:
-        fh.write("cell_index,value\n")
-        for i, v in enumerate(a.values.reshape(-1)):
-            fh.write(f"{i},{float(v)!r}\n")
-    back = coefficient_from_csv(spec, path)
-    np.testing.assert_array_equal(back.values, a.values)
-
-
-@pytest.mark.parametrize("row,match", [("-1,9.0", "outside"), ("16,9.0", "outside"),
-                                       ("0,7.0", "duplicate"), ("15", "a.csv: row")],
-                         ids=["negative", "past-the-end", "duplicate", "no-value"])
-def test_coefficient_csv_rejects_bad_cell_index(tmp_path, row, match):
-    spec = DomainSpec(2, 4)
-    path = tmp_path / "a.csv"
-    path.write_text("cell_index,value\n" + "".join(f"{i},1.0\n" for i in range(16)) + row + "\n")
-    with pytest.raises(ValueError, match=match):
-        coefficient_from_csv(spec, path)
 
 
 def _count_assembly(monkeypatch):

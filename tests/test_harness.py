@@ -5,7 +5,8 @@ import pytest
 
 from msrecover.cli import _DEFAULTS, main as cli_main
 from msrecover.errors import ConfigError
-from msrecover.harness import (ExperimentConfig, fit_loglog, run_convergence_study,
+from msrecover.harness import (WEIGHTED_MAX_MIN, ExperimentConfig, fit_loglog,
+                               run_convergence_study, run_degeneracy_study,
                                run_pointwise_limit_study, run_rate_study,
                                run_weighted_study)
 
@@ -121,10 +122,8 @@ def test_cli_pass_and_fail_and_config_error(tmp_path, capsys):
     out = capsys.readouterr().out
     assert json.loads(out.strip())["classification"] == "convergent"
 
-    # a config that fails its gate: loglog claimed convergent
     cfg["profile_kind"] = "loglog"
     cfg["radii"] = [10.0**-k for k in range(1, 13)]
-    cfg["tolerances"] = {}
     path2 = tmp_path / "cfg2.json"
     path2.write_text(json.dumps(cfg))
     rc = cli_main(["pointwise", "--config", str(path2)])
@@ -145,20 +144,38 @@ def test_default_rates_report_monotone_growth(tmp_path, capsys):
 
 
 def test_cli_failing_gate_returns_one(tmp_path, capsys):
-    # quadratic ms slope cannot appear over a 3-point sweep of identical H: force
-    # a failure by demanding an absurd tolerance band
-    cfg = {"name": "fail", "dim": 1, "n": 64, "r": 0.5,
-           "H_sweep": [1 / 2, 1 / 4, 1 / 8],
-           "tolerances": {"slopes": {"pc_l2": [5.0, 0.01]}}}
+    # a rough coefficient breaks the regularity the predicted rates assume: the
+    # multiscale energy error stops decaying with H and misses its slope band
+    cfg = {**_DEFAULTS["converge"], "coeff": {"name": "checkerboard", "contrast": 1e4}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli_main(["converge", "--config", str(path)]) == 1
-    capsys.readouterr()
+    fits = json.loads(capsys.readouterr().out)["fits"]
+    assert abs(fits["ms_energy"]["slope"] - 1.0) > 0.15
+
+
+@pytest.mark.parametrize("seed", [3881382969, 3518778431, 2116885485, 3528835259, 2620380365])
+def test_degeneracy_gate_reads_only_the_points_where_the_weight_acts(seed):
+    # at r = 1 and 1/2 the default weight is constant, so those points are the
+    # unweighted recovery; a small error there spiked the all-points max/min
+    rep = run_degeneracy_study(ExperimentConfig(**{**_DEFAULTS["degeneracy"], "seed": seed}))
+    assert rep["weighted_max_min"] > WEIGHTED_MAX_MIN
+    assert rep["weighted_active_max_min"] <= WEIGHTED_MAX_MIN
+    assert rep["sharp_monotone"] and rep["passed"]
+
+
+def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys):
+    # the weight is constant at both ratios, which leaves only the point endpoint
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_DEFAULTS["degeneracy"], "r_sweep": [1.0, 0.5]}))
+    assert cli_main(["degeneracy", "--config", str(path)]) == 2
+    assert "weight to act" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("study,override", [
-    ("rates", {"tolerances": {"grid_bnad": 0.0}}),  # misspelled gate key
-    ("rates", {"tolerances": {"grid_band": 0.5}}),  # gate widths are constants
+    # gate widths are constants, so no config key sets them
+    ("rates", {"tolerances": {"grid_bnad": 0.0}}),
+    ("rates", {"tolerances": {"grid_band": 0.5}}),
     ("converge", {"coeff": {"name": "checkerboard", "contrst": 10}}),
     ("converge", {"coeff": {"name": "checkerboard"}}),  # contrast is required
     ("converge", {"coeff": {"name": "stripes"}}),
@@ -182,13 +199,7 @@ def test_cli_failing_gate_returns_one(tmp_path, capsys):
     ("rates", {"r_sweep": [1.0, 1 / 2, 0.0]}),
     ("critical", {"h_sweep": [1 / 4, 1 / 8, -1 / 16]}),
     ("pointwise", {"radii": [0.5, 0.25, 0.125, None]}),
-    # names and types inside tolerances and weight, and the named choices
-    ("converge", {"tolerances": {"slopes": {"ms_l3": [2.0, 0.2]}}}),
-    ("converge", {"tolerances": {"slopes": {"ms_l2": 2.0}}}),
-    ("converge", {"tolerances": {"slopes": {"ms_l2": [2.0, 0.2, 0.1]}}}),
-    ("converge", {"tolerances": {"slopes": {"ms_l2": [2.0, "wide"]}}}),
-    ("converge", {"tolerances": {"slopes": [["ms_l2", 2.0, 0.2]]}}),
-    ("weighted", {"tolerances": {"expect_condition": "bouned"}}),
+    # names and types inside weight, and the named choices
     ("degeneracy", {"weight": {"profile": "polinomial"}}),
     ("degeneracy", {"weight": {"beta": "one"}}),
     ("degeneracy", {"weight": {"validate": "yes"}}),

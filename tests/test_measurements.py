@@ -1,12 +1,9 @@
-import re
-
 import numpy as np
 import pytest
 
 from msrecover.grid import DomainSpec, GridFunction, build_partition, build_subsample
 from msrecover.measurements import (alpha_envelope, bound_integral, build_functionals,
-                                    load_measurements, measure, measure_all,
-                                    save_measurements)
+                                    measure, measure_all)
 
 
 def _functionals(dim, n, m, kind, r):
@@ -29,20 +26,6 @@ def test_unit_mass_2d(kind, r):
     u = GridFunction.constant(DomainSpec(2, 16), 1.0)
     for phi in phis:
         assert measure(u, phi) == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("dim,n,m,kind,r", [
-    (1, 16, 2, "cube", 0.5), (1, 16, 2, "point", 1.0),
-    (2, 16, 2, "cube", 0.5), (2, 16, 2, "slice", 0.5), (2, 16, 2, "point", 1.0),
-    # mass**(1/3) is one ulp off sub.h for this cube, so h must come from the subsample
-    (3, 32, 4, "cube", 0.25), (3, 16, 2, "slice", 0.5), (3, 16, 2, "point", 1.0),
-])
-def test_provenance_is_the_subsample_scales(dim, n, m, kind, r):
-    part, sub, phis = _functionals(dim, n, m, kind, r)
-    for phi in phis:
-        assert (phi.kind, phi.h, phi.H) == (sub.kind, sub.h, sub.H)
-    vec = measure_all(GridFunction.constant(part.spec, 1.0), phis)
-    assert (vec.kind, vec.h, vec.H, vec.dim) == (sub.kind, sub.h, sub.H, dim)
 
 
 @pytest.mark.parametrize("dim,n,m", [(1, 12, 4), (2, 12, 4), (3, 6, 2)])
@@ -205,59 +188,3 @@ def test_bound_integral_vs_rate_function():
         assert min(ratios) > 0.0
         assert max(ratios) / min(ratios) < 4.0
 
-
-def test_measurement_vector_csv_roundtrip(tmp_path):
-    part, sub, phis = _functionals(2, 16, 2, "cube", 0.5)
-    u = GridFunction.from_callable(part.spec, lambda x, y: x * y)
-    vec = measure_all(u, phis)
-    path = tmp_path / "m.csv"
-    save_measurements(vec, path)
-    back = load_measurements(path)
-    assert back.kind == vec.kind
-    assert back.h == vec.h
-    assert back.H == vec.H
-    np.testing.assert_array_equal(back.values, vec.values)
-
-
-@pytest.mark.parametrize("content", [
-    "",  # empty file
-    "kind,h,H,dim\ncube,0.25,0.5\npatch_index,value\n0,1.0\n",  # short provenance row
-    "kind,h,H,dim\ncube,0.25,0.5,2\n",  # no column names row
-    "kind,h,H,dim\ncube,0.25,0.5,2\npatch_index,value\n0\n",  # one-column row
-    "kind,h,H,dim\ncube,0.25,0.5,2\npatch_index,value\n0,1.0\n\n1,2.0\n",  # blank row
-    "kind,h,H,dim\ncube,0.25,0.5,2\npatch_index,value\n0,one\n",  # value not a number
-    "kind,h,H,dim\ncube,quarter,0.5,2\npatch_index,value\n0,1.0\n",  # h not a number
-])
-def test_load_measurements_rejects_a_malformed_file(tmp_path, content):
-    path = tmp_path / "m.csv"
-    path.write_text(content)
-    with pytest.raises(ValueError, match=re.escape(str(path))):
-        load_measurements(path)
-
-
-def _write_measurement_rows(path, indices):
-    with open(path, "w") as fh:
-        fh.write("kind,h,H,dim\ncube,0.25,0.5,2\npatch_index,value\n")
-        for k, i in enumerate(indices):
-            fh.write(f"{i},{float(k)!r}\n")
-
-
-def test_load_measurements_accepts_any_row_order(tmp_path):
-    path = tmp_path / "m.csv"
-    _write_measurement_rows(path, [2, 0, 3, 1])
-    np.testing.assert_array_equal(load_measurements(path).values, [1.0, 3.0, 0.0, 2.0])
-
-
-def test_load_measurements_rejects_duplicate_index(tmp_path):
-    path = tmp_path / "m.csv"
-    _write_measurement_rows(path, [0, 1, 1, 2])
-    with pytest.raises(ValueError, match="duplicate patch index 1"):
-        load_measurements(path)
-
-
-@pytest.mark.parametrize("indices", [[0, 1, 3], [1, 2, 3], [-1, 0, 1]])
-def test_load_measurements_rejects_index_gaps(tmp_path, indices):
-    path = tmp_path / "m.csv"
-    _write_measurement_rows(path, indices)
-    with pytest.raises(ValueError, match="not exactly 0..2"):
-        load_measurements(path)

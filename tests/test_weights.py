@@ -8,7 +8,7 @@ from msrecover.measurements import build_functionals, measure, measure_all
 from msrecover.recovery import build_theta, ms_recover, multiscale_basis
 from msrecover.elliptic import assemble, constant_coefficient
 from msrecover.weights import (build_weight, distance_field, weight_condition_check,
-                               weighted_basis, load_weight_field, save_weight_field)
+                               weighted_basis)
 
 
 def test_distance_zero_inside_support():
@@ -89,7 +89,6 @@ def test_weight_formula_values():
     assert w2.values[0, 0] == pytest.approx(10.0, rel=1e-12)
     w3 = build_weight(FakeDist(np.full(spec.cell_shape, 0.25)), "polynomial",
                       2.0, 1.0, 0.0, beta=1.0)
-    assert w3.is_limit
     assert w3.values[0, 0] == pytest.approx(4.0, rel=1e-12)
 
 
@@ -211,12 +210,7 @@ def test_weighted_recovery_reduces_to_unweighted():
     u = GridFunction.from_callable(spec, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     data = measure_all(u, functionals)
 
-    from msrecover.weights import WeightField
-
-    w_unit = WeightField(spec, np.ones(spec.cell_shape), "polynomial",
-                         {"profile": "polynomial", "beta": 1.0, "p": 2.0,
-                          "dim": 2, "h": sub.h, "H": part.H}, False)
-    rec_w = ms_recover(data, weighted_basis(part, sub, w_unit)[0])
+    rec_w = ms_recover(data, weighted_basis(part, sub, constant_coefficient(spec))[0])
     op = assemble(spec, constant_coefficient(spec))
     theta = build_theta(functionals, op)
     rec = ms_recover(data, multiscale_basis(theta))
@@ -250,40 +244,3 @@ def test_weighted_biorthogonality():
                      for i in range(len(basis))])
     assert np.abs(gram - np.eye(len(basis))).max() <= 1e-8
 
-
-def test_weight_field_roundtrip(tmp_path):
-    part = build_partition(DomainSpec(2, 16), 2)
-    sub = build_subsample(part, "cube", 0.5)
-    dist = distance_field(part, sub)
-    w = build_weight(dist, "logarithmic", 2.0, part.H, sub.h, gamma=2.0)
-    path = tmp_path / "w.csv"
-    save_weight_field(w, path)
-    back = load_weight_field(part.spec, path)
-    np.testing.assert_array_equal(back.values, w.values)
-    assert back.profile == "logarithmic"
-    assert back.params["gamma"] == 2.0
-
-
-@pytest.mark.parametrize("edit,match", [
-    (lambda vals: vals[:-1], "cell values"),
-    (lambda vals: vals[:3] + ["nan"] + vals[4:], "finite and positive"),
-    (lambda vals: vals[:3] + ["-1.0"] + vals[4:], "finite and positive"),
-    (lambda vals: vals[:3] + [""] + vals[4:], "one value per cell row"),
-], ids=["short", "nan", "negative", "blank"])
-def test_weight_field_load_rejects_bad_values(tmp_path, edit, match):
-    part = build_partition(DomainSpec(2, 4), 1)
-    sub = build_subsample(part, "cube", 0.5)
-    w = build_weight(distance_field(part, sub), "polynomial", 2.0, part.H, sub.h)
-    path = tmp_path / "w.csv"
-    save_weight_field(w, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:3] + edit(lines[3:])) + "\n")
-    with pytest.raises(ValueError, match=match):
-        load_weight_field(part.spec, path)
-
-
-def test_weight_field_load_rejects_an_empty_file(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("")
-    with pytest.raises(ValueError, match="w.csv: not a params header"):
-        load_weight_field(DomainSpec(2, 4), path)
