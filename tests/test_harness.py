@@ -199,6 +199,14 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys)
     ("rates", {"r_sweep": [1.0, 1 / 2, 0.0]}),
     ("critical", {"h_sweep": [1 / 4, 1 / 8, -1 / 16]}),
     ("pointwise", {"radii": [0.5, 0.25, 0.125, None]}),
+    # the slope bands and the condition class are constants too: tolerances is
+    # an unknown key in every study, whatever it holds
+    ("converge", {"tolerances": {"slopes": {"ms_l3": [2.0, 0.2]}}}),
+    ("converge", {"tolerances": {"slopes": {"ms_l2": 2.0}}}),
+    ("converge", {"tolerances": {"slopes": {"ms_l2": [2.0, 0.2, 0.1]}}}),
+    ("converge", {"tolerances": {"slopes": {"ms_l2": [2.0, "wide"]}}}),
+    ("converge", {"tolerances": {"slopes": [["ms_l2", 2.0, 0.2]]}}),
+    ("weighted", {"tolerances": {"expect_condition": "bouned"}}),
     # names and types inside weight, and the named choices
     ("degeneracy", {"weight": {"profile": "polinomial"}}),
     ("degeneracy", {"weight": {"beta": "one"}}),
