@@ -1,7 +1,8 @@
 """Command-line entry points for the experiment harness.
 
 Exit codes: 0 the study ran and passed its gates, 1 it ran and failed them,
-2 the configuration or the input file was unusable.
+2 the configuration or the input file was unusable, or a solve was rejected
+(e.g. a singular coupling matrix).
 """
 
 from __future__ import annotations
@@ -11,14 +12,12 @@ import json
 import sys
 
 from .elliptic import assemble
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, SolverError
 from .grid import build_partition, build_subsample, load_grid_function, save_grid_function
 from .harness import (ExperimentConfig, _coefficient, run_convergence_study,
                       run_degeneracy_study, run_pointwise_limit_study, run_rate_study,
                       run_weighted_study)
-from .measurements import build_functionals, measure_all
-from .recovery import (build_theta, ms_recover, multiscale_basis, pc_recover,
-                       recovery_error_report)
+from .recovery import recover, recovery_error_report
 
 _EPILOG = """\
 CSV column names by subcommand:
@@ -84,14 +83,8 @@ def _run_recover(args) -> int:
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     part = build_partition(u.spec, cfg.m)
     sub = build_subsample(part, cfg.kind, cfg.r)
-    functionals = build_functionals(sub)
-    data = measure_all(u, functionals)
     op = assemble(u.spec, _coefficient(u.spec, cfg))
-    if cfg.basis == "pc":
-        rec = pc_recover(data, part)
-    else:
-        theta = build_theta(functionals, op)
-        rec = ms_recover(data, multiscale_basis(theta))
+    rec = recover(u, sub, op, cfg.basis)
     report = recovery_error_report(u, rec, {"basis": cfg.basis, "dim": u.spec.dim,
                                             "h": sub.h, "H": part.H}, a=op,
                                    partition=part)
@@ -123,6 +116,9 @@ def main(argv=None) -> int:
         report = _RUNNERS[args.command](cfg, out_dir=args.out)
     except (ConfigError, AlignmentError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
         return 2
     summary = {k: v for k, v in report.items() if k not in ("rows", "config")}
     print(json.dumps(summary, sort_keys=True))

@@ -22,10 +22,9 @@ from .elliptic import (assemble, checkerboard_coefficient, constant_coefficient,
                        layered_coefficient, lognormal_coefficient)
 from .errors import ConfigError
 from .grid import DomainSpec, build_partition, build_subsample, lp_norm, gradient_lp_norm
-from .measurements import build_functionals, measure, measure_all
-from .recovery import (build_theta, ms_recover, multiscale_basis, pc_recover,
-                       recovery_error_report, sharp_constant_estimate)
-from .weights import build_weight, distance_field, weight_condition_check, weighted_basis
+from .measurements import build_functionals, measure
+from .recovery import recover, recovery_error_report, sharp_constant_estimate
+from .weights import build_weight, distance_field, weight_condition_check
 
 __all__ = [
     "ExperimentConfig",
@@ -287,14 +286,8 @@ def run_convergence_study(cfg: ExperimentConfig, out_dir=None) -> dict:
             raise ConfigError(f"H={H} is not 1/m for integer m")
         part = build_partition(spec, m)
         sub = build_subsample(part, cfg.kind, cfg.r)
-        functionals = build_functionals(sub)
-        data = measure_all(u, functionals)
-        pc = pc_recover(data, part)
-        rep_pc = recovery_error_report(u, pc, {"basis": "pc"}, a=op)
-        theta = build_theta(functionals, op)
-        basis = multiscale_basis(theta)
-        ms = ms_recover(data, basis)
-        rep_ms = recovery_error_report(u, ms, {"basis": "ms"}, a=op)
+        rep_pc = recovery_error_report(u, recover(u, sub, op, "pc"), {"basis": "pc"}, a=op)
+        rep_ms = recovery_error_report(u, recover(u, sub, op, "ms"), {"basis": "ms"}, a=op)
         return (H, sub.h, rep_pc.l2_error, rep_ms.l2_error, rep_ms.energy_error,
                 rep_ms.energy_stable)
 
@@ -404,33 +397,23 @@ def run_degeneracy_study(cfg: ExperimentConfig, out_dir=None) -> dict:
     part = build_partition(spec, cfg.m)
     u = testfuncs.flattened_profile(part, cfg.seed)
     op = assemble(spec, constant_coefficient(spec))
-    # build_subsample ignores the ratio of the point kind
-    sweep = [("cube", r) for r in cfg.r_sweep] + [("point", 0.0)]
-
-    def one_point(job):
-        kind, r = job
-        sub = build_subsample(part, kind, r)
-        functionals = build_functionals(sub)
-        data = measure_all(u, functionals)
-        theta = build_theta(functionals, op)
-        ms = ms_recover(data, multiscale_basis(theta))
-        unweighted_l2 = lp_norm(u - ms, 2.0)
-        w = _weight(cfg, part, sub, distance_field(part, sub))
-        basis, _ = weighted_basis(part, sub, w)
-        msw = ms_recover(data, basis)
-        weighted_l2 = lp_norm(u - msw, 2.0)
-        return (sub.h, unweighted_l2, weighted_l2), w.a_min < w.a_max
-
-    points = [one_point(job) for job in sweep]
-    rows = [row for row, _ in points]
-    active = [row[2] for row, acts in points if acts]
-    if len(active) < 2:
+    sweep = [build_subsample(part, "cube", r) for r in cfg.r_sweep] + [
+        build_subsample(part, "point")]
+    # the weights first: the gate's precondition fails before any recovery runs
+    weights = [_weight(cfg, part, sub, distance_field(part, sub)) for sub in sweep]
+    acts = [w.a_min < w.a_max for w in weights]
+    if sum(acts) < 2:
         raise ConfigError("degeneracy study needs the weight to act (vary across cells) "
                           "at 2 or more sweep points")
+    rows = [(sub.h, lp_norm(u - recover(u, sub, op), 2.0),
+             lp_norm(u - recover(u, sub, assemble(spec, w)), 2.0))
+            for sub, w in zip(sweep, weights)]
+    active = [row[2] for row, a in zip(rows, acts) if a]
 
     # single-patch optimal constants on the same ratios (cross-check curve)
     part1 = build_partition(DomainSpec(cfg.dim, cfg.n // cfg.m), 1)
-    constants = [sharp_constant_estimate(build_subsample(part1, kind, r)) for kind, r in sweep]
+    constants = [sharp_constant_estimate(build_subsample(part1, sub.kind, sub.ratio))
+                 for sub in sweep]
 
     weighted_vals = [r[2] for r in rows]
     active_max_min = max(active) / min(active)

@@ -19,7 +19,7 @@ from .elliptic import StiffnessOperator, energy_inner
 from .errors import SolverError
 from .grid import (CoarsePartition, GridFunction, SubsampleSpec, _midpoint_lp,
                    cell_center_values, lp_norm)
-from .measurements import MeasurementVector, axis_factors
+from .measurements import MeasurementVector, axis_factors, build_functionals, measure_all
 
 __all__ = [
     "ThetaMatrix",
@@ -29,6 +29,7 @@ __all__ = [
     "build_theta",
     "multiscale_basis",
     "ms_recover",
+    "recover",
     "recovery_error_report",
     "sharp_constant_estimate",
 ]
@@ -143,6 +144,22 @@ def ms_recover(data: MeasurementVector, basis: BasisSet) -> GridFunction:
         raise ValueError("data and basis index sets do not match")
     vals = data.values @ basis.stack
     return GridFunction(basis.spec, vals.reshape(basis.spec.node_shape))
+
+
+def recover(u: GridFunction, sub: SubsampleSpec, op: StiffnessOperator,
+            basis: str = "ms") -> GridFunction:
+    """Measure ``u`` with the functionals of ``sub`` and recover it from the data.
+
+    ``basis`` is "pc" (piecewise constant, ``op`` unused) or "ms" (the
+    energy-minimizing multiscale basis of ``op``).
+    """
+    if basis not in ("ms", "pc"):
+        raise ValueError(f"unknown recovery basis {basis!r}")
+    functionals = build_functionals(sub)
+    data = measure_all(u, functionals)
+    if basis == "pc":
+        return pc_recover(data, sub.partition)
+    return ms_recover(data, multiscale_basis(build_theta(functionals, op)))
 
 
 @dataclass

@@ -164,7 +164,14 @@ def test_degeneracy_gate_reads_only_the_points_where_the_weight_acts(seed):
     assert rep["sharp_monotone"] and rep["passed"]
 
 
-def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys):
+def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys, monkeypatch):
+    from msrecover.elliptic import StiffnessOperator
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a recovery ran before the weights were checked")
+
+    # the check comes before every recovery, so no operator solve may run
+    monkeypatch.setattr(StiffnessOperator, "solve_interior", no_solve)
     # the weight is constant at both ratios, which leaves only the point endpoint
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**_DEFAULTS["degeneracy"], "r_sweep": [1.0, 0.5]}))
@@ -310,6 +317,21 @@ def test_cli_recover_rejects_a_bad_choice(tmp_path, capsys, override):
     assert rc == 2
     assert not (tmp_path / "rec.csv").exists()
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_recover_singular_coupling_matrix_exits_two(tmp_path, capsys):
+    from msrecover.grid import DomainSpec, GridFunction, save_grid_function
+
+    # 2D n = 2 has one interior node, so Theta of the four functionals has rank 1
+    upath, cfgpath = tmp_path / "u.csv", tmp_path / "rc.json"
+    save_grid_function(GridFunction.constant(DomainSpec(2, 2), 1.0), upath)
+    cfgpath.write_text(json.dumps({"m": 2}))
+    rc = cli_main(["recover", "--input", str(upath), "--output", str(tmp_path / "rec.csv"),
+                   "--config", str(cfgpath)])
+    assert rc == 2
+    assert not (tmp_path / "rec.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and "coupling matrix" in err
 
 
 def _recover_input_error(tmp_path, capsys, content: bytes) -> str:

@@ -12,7 +12,7 @@ from msrecover.errors import SolverError
 from msrecover.measurements import (MeasurementFunctional, MeasurementVector,
                                     build_functionals, measure, measure_all)
 from msrecover.recovery import (build_theta, ms_recover, multiscale_basis, pc_recover,
-                                recovery_error_report, sharp_constant_estimate)
+                                recover, recovery_error_report, sharp_constant_estimate)
 from msrecover.elliptic import energy_inner
 from msrecover.testfuncs import fourier_h01
 
@@ -120,13 +120,16 @@ def test_single_patch_basis_is_parabola():
     assert measure(psi, functionals[0]) == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("dim,n,m,kind,r", [
+_PIPELINE_CASES = [
     (1, 32, 2, "cube", 0.5),
     (1, 32, 4, "point", 1.0),
     (2, 32, 4, "cube", 0.5),
     (2, 32, 2, "slice", 0.5),
     (2, 32, 2, "point", 1.0),
-])
+]
+
+
+@pytest.mark.parametrize("dim,n,m,kind,r", _PIPELINE_CASES)
 def test_biorthogonality(dim, n, m, kind, r):
     spec, part, sub, functionals, op, theta, basis = _pipeline(dim, n, m, kind, r)
     nfun = len(functionals)
@@ -136,6 +139,27 @@ def test_biorthogonality(dim, n, m, kind, r):
         for j, phi in enumerate(functionals):
             gram[i, j] = measure(psi, phi)
     assert np.abs(gram - np.eye(nfun)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("basis", ["pc", "ms"])
+@pytest.mark.parametrize("dim,n,m,kind,r", _PIPELINE_CASES + [
+    (3, 8, 2, "cube", 0.5),
+    (3, 8, 2, "slice", 0.5),
+    (3, 8, 2, "point", 1.0),
+])
+def test_recover_is_the_step_by_step_chain(dim, n, m, kind, r, basis):
+    spec, part, sub, functionals, op, theta, ms_basis = _pipeline(dim, n, m, kind, r)
+    u = fourier_h01(spec, 7)
+    data = measure_all(u, functionals)
+    chain = pc_recover(data, part) if basis == "pc" else ms_recover(data, ms_basis)
+    rec = recover(u, sub, op, basis)
+    assert rec.spec == spec and np.array_equal(rec.values, chain.values)
+
+
+def test_recover_rejects_an_unknown_basis():
+    spec, part, sub, functionals, op, theta, basis = _pipeline(1, 16, 2, "cube", 0.5)
+    with pytest.raises(ValueError, match="mss"):
+        recover(fourier_h01(spec, 0), sub, op, "mss")
 
 
 def test_basis_vanishes_on_boundary():

@@ -5,8 +5,9 @@ from msrecover.errors import AlignmentError
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
                             gradient_lp_norm, lp_norm)
 from msrecover.measurements import build_functionals, measure, measure_all
-from msrecover.recovery import build_theta, ms_recover, multiscale_basis
+from msrecover.recovery import build_theta, ms_recover, multiscale_basis, recover
 from msrecover.elliptic import assemble, constant_coefficient
+from msrecover.testfuncs import fourier_h01
 from msrecover.weights import (build_weight, distance_field, weight_condition_check,
                                weighted_basis)
 
@@ -215,6 +216,18 @@ def test_weighted_recovery_reduces_to_unweighted():
     theta = build_theta(functionals, op)
     rec = ms_recover(data, multiscale_basis(theta))
     np.testing.assert_allclose(rec_w.values, rec.values, atol=1e-9)
+
+
+def test_recover_with_a_weight_is_the_weighted_basis_recovery():
+    spec = DomainSpec(2, 16)
+    part = build_partition(spec, 2)
+    sub = build_subsample(part, "cube", 0.25)
+    w = build_weight(distance_field(part, sub), "polynomial", 2.0, part.H, sub.h, beta=1.0)
+    assert w.a_min < w.a_max
+    u = fourier_h01(spec, 5)
+    data = measure_all(u, build_functionals(sub))
+    expected = ms_recover(data, weighted_basis(part, sub, w)[0])
+    assert np.array_equal(recover(u, sub, assemble(spec, w)).values, expected.values)
 
 
 def test_weighted_recovery_constants_exact():
