@@ -25,8 +25,8 @@ from .weights import (DistanceField, build_weight, distance_field, weight_condit
                       weighted_basis)
 from .analytic import (RadialFunction, ball_average_sequence, critical_ratio, eval_radial,
                        eval_radial_deriv, power_profile, radial_function, rho)
-from .harness import (ExperimentConfig, FitResult, fit_loglog, run_convergence_study,
-                      run_degeneracy_study, run_pointwise_limit_study, run_rate_study,
-                      run_weighted_study)
+from .harness import (STUDIES, ExperimentConfig, FitResult, fit_loglog,
+                      run_convergence_study, run_degeneracy_study, run_pointwise_limit_study,
+                      run_rate_study, run_study, run_weighted_study)
 
 __version__ = "0.1.0"

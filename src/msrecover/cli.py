@@ -12,23 +12,17 @@ import json
 import sys
 
 from .elliptic import assemble
-from .errors import AlignmentError, ConfigError, SolverError
+from .errors import SolverError
 from .grid import build_partition, build_subsample, load_grid_function, save_grid_function
-from .harness import (ExperimentConfig, _coefficient, run_convergence_study,
-                      run_degeneracy_study, run_pointwise_limit_study, run_rate_study,
-                      run_weighted_study)
+from .harness import STUDIES, ExperimentConfig, _coefficient, run_study
 from .recovery import recover, recovery_error_report
 
-_EPILOG = """\
-CSV column names by subcommand:
-  converge    H, h, pc_l2_error, ms_l2_error, ms_energy_error, energy_stable
-  rates       h, ratio, rho_value, normalized_ratio, source
-  critical    h, ratio, rho_value, normalized_ratio, source
-  degeneracy  h, unweighted_ms_l2, weighted_ms_l2, sharp_constant
-  weighted    h, max_ratio, condition_normalized
-  pointwise   h, average, difference
-Config files are JSON objects whose keys mirror ExperimentConfig fields.
-"""
+
+def _epilog() -> str:
+    lines = ["CSV column names by subcommand:"]
+    lines += [f"  {name:<12}{', '.join(study.columns)}" for name, study in STUDIES.items()]
+    lines.append("Config files are JSON objects whose keys mirror ExperimentConfig fields.\n")
+    return "\n".join(lines)
 
 
 def _add_common(sub):
@@ -45,32 +39,6 @@ def _load_config(args, defaults: dict) -> ExperimentConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
-
-
-_DEFAULTS = {
-    "converge": dict(name="converge", dim=1, n=256, r=0.5,
-                     H_sweep=[1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32]),
-    "rates": dict(name="rates", dim=2, p=2.0, n=256,
-                  r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16]),
-    "critical": dict(name="critical", dim=2, p=2.0, n=256,
-                     r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16],
-                     h_sweep=[1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]),
-    "degeneracy": dict(name="degeneracy", dim=2, p=2.0, n=128, m=2,
-                       r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8]),
-    "weighted": dict(name="weighted", dim=2, p=2.0, n=64,
-                     r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16]),
-    "pointwise": dict(name="pointwise", dim=2, p=2.0,
-                      radii=[2.0**-k for k in range(1, 11)]),
-}
-
-_RUNNERS = {
-    "converge": run_convergence_study,
-    "rates": run_rate_study,
-    "critical": run_rate_study,
-    "degeneracy": run_degeneracy_study,
-    "weighted": run_weighted_study,
-    "pointwise": run_pointwise_limit_study,
-}
 
 
 def _run_recover(args) -> int:
@@ -98,9 +66,9 @@ def main(argv=None) -> int:
         prog="msrecover",
         description="Recovery of functions from subsampled local averages: "
                     "rate studies and one-shot recovery.",
-        epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
+        epilog=_epilog(), formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name in STUDIES:
         sub = subs.add_parser(name, help=f"run the {name} study")
         _add_common(sub)
     rec = subs.add_parser("recover", help="one-shot recovery from a grid-function file")
@@ -112,9 +80,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "recover":
             return _run_recover(args)
-        cfg = _load_config(args, _DEFAULTS[args.command])
-        report = _RUNNERS[args.command](cfg, out_dir=args.out)
-    except (ConfigError, AlignmentError, FileNotFoundError, json.JSONDecodeError) as exc:
+        cfg = _load_config(args, STUDIES[args.command].defaults)
+        report = run_study(args.command, cfg, args.out)
+    # ValueError covers ConfigError, AlignmentError, malformed JSON and every
+    # value a library constructor rejects (a slice kind at dim 1, m = 0, ...)
+    except (ValueError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _BINARY_MAGIC = b"MSRG"
+# the subsample kinds, in the order errors list them
+SUBSAMPLE_KINDS = ("cube", "slice", "point")
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,7 @@ def build_subsample(part: CoarsePartition, kind: str, ratio: float = 1.0,
     i.e. cells_per_patch - h*n must be even.
     """
     dim = part.spec.dim
-    if kind not in ("cube", "slice", "point"):
+    if kind not in SUBSAMPLE_KINDS:
         raise ValueError(f"unknown subsample kind {kind!r}")
     if kind == "point":
         if normal_axis is not None:

@@ -1,8 +1,9 @@
 """Experiment orchestration: sweeps, slope fits, pass/fail gates, persistence.
 
-Every study returns a plain dict embedding its fully resolved configuration
-and writes deterministic CSV/JSON when given an output directory: same config
-and seed, byte-identical files.
+Every study returns a plain dict embedding its fully resolved configuration.
+``STUDIES`` declares each CLI subcommand once: its runner, default config and
+CSV columns.  ``run_study`` runs one and, given an output directory, writes
+deterministic CSV/JSON: same config and seed, byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from .analytic import (RadialFunction, ball_average_sequence, critical_ratio, po
 from .elliptic import (assemble, checkerboard_coefficient, constant_coefficient,
                        layered_coefficient, lognormal_coefficient)
 from .errors import ConfigError
-from .grid import DomainSpec, build_partition, build_subsample, lp_norm, gradient_lp_norm
+from .grid import (SUBSAMPLE_KINDS, DomainSpec, build_partition, build_subsample, lp_norm,
+                   gradient_lp_norm)
 from .measurements import build_functionals, measure
-from .recovery import recover, recovery_error_report, sharp_constant_estimate
-from .weights import build_weight, distance_field, weight_condition_check
+from .recovery import BASES, recover, recovery_error_report, sharp_constant_estimate
+from .weights import WEIGHT_PROFILES, build_weight, distance_field, weight_condition_check
 
 __all__ = [
     "ExperimentConfig",
@@ -35,6 +37,8 @@ __all__ = [
     "run_degeneracy_study",
     "run_weighted_study",
     "run_pointwise_limit_study",
+    "STUDIES",
+    "run_study",
 ]
 
 # gate widths and levels of the studies; they are fixed, not configurable
@@ -49,9 +53,6 @@ RATE_SLACK = 0.2  # pointwise: slack on the per-halving difference ratio
 DIVERGENCE_LEVEL = 3.0  # pointwise: growing averages above this level diverge
 
 _WEIGHT_KEYS = ("profile", "beta", "gamma", "validate")
-_WEIGHT_PROFILES = ("polynomial", "logarithmic", "w11")
-_KINDS = ("cube", "slice", "point")
-_BASES = ("ms", "pc")
 # ExperimentConfig field annotation -> (accepted Python types, JSON type name);
 # bool is an int subclass but is accepted nowhere
 _FIELD_TYPES = {"str": (str, "string"), "int": (int, "integer"), "float": ((int, float), "number"),
@@ -120,11 +121,11 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"{f.name} must be a JSON {what}, got {value!r}")
-        _check_choice("kind", self.kind, _KINDS)
-        _check_choice("basis", self.basis, _BASES)
+        _check_choice("kind", self.kind, SUBSAMPLE_KINDS)
+        _check_choice("basis", self.basis, BASES)
         _check_keys("weight", self.weight, (), _WEIGHT_KEYS)
         _check_choice("weight profile", self.weight.get("profile", "polynomial"),
-                      _WEIGHT_PROFILES)
+                      WEIGHT_PROFILES)
         for key in ("beta", "gamma"):
             if key in self.weight:
                 _check_number(f"weight {key}", self.weight[key], positive=False)
@@ -213,12 +214,9 @@ def _coefficient(spec: DomainSpec, cfg: ExperimentConfig):
 
 def _weight(cfg: ExperimentConfig, part, sub, dist):
     w = cfg.weight
-    try:  # build_weight holds the admissibility rules (e.g. beta > 0)
-        return build_weight(dist, w.get("profile", "polynomial"), cfg.p, part.H, sub.h,
-                            beta=w.get("beta", 1.0), gamma=w.get("gamma"), partition=part,
-                            validate=w.get("validate", True))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_weight(dist, w.get("profile", "polynomial"), cfg.p, part.H, sub.h,
+                        beta=w.get("beta", 1.0), gamma=w.get("gamma"), partition=part,
+                        validate=w.get("validate", True))
 
 
 def _nondecreasing(estimates) -> bool:
@@ -241,30 +239,7 @@ def _fmt(value):
     return str(value)
 
 
-def _write_rows(path, columns, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_report(path, report: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _emit(report: dict, out_dir, columns, rows) -> None:
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    name = report["config"]["name"]
-    _write_rows(os.path.join(out_dir, f"{name}_rows.csv"), columns, rows)
-    _write_report(os.path.join(out_dir, f"{name}_report.json"), report)
-
-
-def run_convergence_study(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_convergence_study(cfg: ExperimentConfig) -> dict:
     """Recovery error against patch size at a fixed subsample ratio.
 
     Fits (log-log) the piecewise-constant L2 error, the multiscale L2 error,
@@ -308,13 +283,10 @@ def run_convergence_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         "passed": bool(passed),
         "rows": [list(r) for r in rows],
     }
-    _emit(report, out_dir,
-          ["H", "h", "pc_l2_error", "ms_l2_error", "ms_energy_error", "energy_stable"],
-          rows)
     return report
 
 
-def run_rate_study(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_rate_study(cfg: ExperimentConfig) -> dict:
     """Growth of the optimal constant as the subsample shrinks at fixed H.
 
     Single-patch grid sweep: the eigen estimate per ratio, normalized by both
@@ -325,7 +297,6 @@ def run_rate_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         raise ConfigError("rate study needs an r_sweep (grid) or h_sweep (grid-free)")
     report = {"config": cfg.resolved(), "passed": True}
     rows = []
-    columns = ["h", "ratio", "rho_value", "normalized_ratio", "source"]
 
     if cfg.r_sweep:
         if cfg.p != 2.0:
@@ -375,11 +346,10 @@ def run_rate_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         report["passed"] = report["passed"] and free_pass
 
     report["rows"] = [list(r) for r in rows]
-    _emit(report, out_dir, columns, rows)
     return report
 
 
-def run_degeneracy_study(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
     """Paired recovery-error curves as the subsample shrinks to points.
 
     The weighted multiscale recovery must stay flat (bounded max/min) down to
@@ -431,12 +401,10 @@ def run_degeneracy_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         "passed": bool(passed),
         "rows": [list(r) for r in full_rows],
     }
-    _emit(report, out_dir,
-          ["h", "unweighted_ms_l2", "weighted_ms_l2", "sharp_constant"], full_rows)
     return report
 
 
-def run_weighted_study(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_weighted_study(cfg: ExperimentConfig) -> dict:
     """Single-constant check of the weighted average-removal inequality.
 
     Draws seeded smooth fields on a single patch and verifies that one fitted
@@ -497,11 +465,10 @@ def run_weighted_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         "passed": bool(passed),
         "rows": [list(r) for r in rows],
     }
-    _emit(report, out_dir, ["h", "max_ratio", "condition_normalized"], rows)
     return report
 
 
-def run_pointwise_limit_study(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
     """Ball-average sequences: convergent with the guaranteed rate, or divergent.
 
     A profile with finite singular-weighted gradient norm must be Cauchy with
@@ -557,5 +524,66 @@ def run_pointwise_limit_study(cfg: ExperimentConfig, out_dir=None) -> dict:
         "passed": bool(passed),
         "rows": [list(r) for r in rows],
     }
-    _emit(report, out_dir, ["h", "average", "difference"], rows)
+    return report
+
+
+@dataclass(frozen=True)
+class Study:
+    """A CLI subcommand: its runner, its default config and its CSV columns."""
+
+    runner: object  # ExperimentConfig -> report dict whose "rows" match columns
+    defaults: dict
+    columns: tuple
+
+
+_RATE_COLUMNS = ("h", "ratio", "rho_value", "normalized_ratio", "source")
+
+STUDIES = {
+    "converge": Study(run_convergence_study,
+                      dict(name="converge", dim=1, n=256, r=0.5,
+                           H_sweep=[1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32]),
+                      ("H", "h", "pc_l2_error", "ms_l2_error", "ms_energy_error",
+                       "energy_stable")),
+    "rates": Study(run_rate_study,
+                   dict(name="rates", dim=2, p=2.0, n=256,
+                        r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16]),
+                   _RATE_COLUMNS),
+    "critical": Study(run_rate_study,
+                      dict(name="critical", dim=2, p=2.0, n=256,
+                           r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16],
+                           h_sweep=[1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]),
+                      _RATE_COLUMNS),
+    "degeneracy": Study(run_degeneracy_study,
+                        dict(name="degeneracy", dim=2, p=2.0, n=128, m=2,
+                             r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8]),
+                        ("h", "unweighted_ms_l2", "weighted_ms_l2", "sharp_constant")),
+    "weighted": Study(run_weighted_study,
+                      dict(name="weighted", dim=2, p=2.0, n=64,
+                           r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16]),
+                      ("h", "max_ratio", "condition_normalized")),
+    "pointwise": Study(run_pointwise_limit_study,
+                       dict(name="pointwise", dim=2, p=2.0,
+                            radii=[2.0**-k for k in range(1, 11)]),
+                       ("h", "average", "difference")),
+}
+
+
+def run_study(name: str, cfg: ExperimentConfig, out_dir=None) -> dict:
+    """Run the study ``name`` of ``STUDIES`` on ``cfg`` and return its report.
+
+    Given ``out_dir``, writes ``<cfg.name>_rows.csv`` (the report's rows under
+    the study's columns) and ``<cfg.name>_report.json`` there.
+    """
+    study = STUDIES[name]
+    report = study.runner(cfg)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        stem = os.path.join(out_dir, cfg.name)
+        with open(f"{stem}_rows.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(study.columns)
+            writer.writerows([_fmt(v) for v in row] for row in report["rows"])
+        with open(f"{stem}_report.json", "w") as fh:
+            json.dump(report, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     return report

@@ -34,6 +34,9 @@ __all__ = [
     "sharp_constant_estimate",
 ]
 
+# the recovery bases, in the order errors list them
+BASES = ("ms", "pc")
+
 
 def pc_recover(data: MeasurementVector, part: CoarsePartition) -> GridFunction:
     """Piecewise-constant recovery: the measured value on each patch.
@@ -153,7 +156,7 @@ def recover(u: GridFunction, sub: SubsampleSpec, op: StiffnessOperator,
     ``basis`` is "pc" (piecewise constant, ``op`` unused) or "ms" (the
     energy-minimizing multiscale basis of ``op``).
     """
-    if basis not in ("ms", "pc"):
+    if basis not in BASES:
         raise ValueError(f"unknown recovery basis {basis!r}")
     functionals = build_functionals(sub)
     data = measure_all(u, functionals)

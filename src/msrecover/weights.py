@@ -31,6 +31,9 @@ __all__ = [
     "weighted_basis",
 ]
 
+# the weight profiles, in the order errors list them
+WEIGHT_PROFILES = ("polynomial", "logarithmic", "w11")
+
 
 class DistanceField:
     """Euclidean distance from each cell center to the union of subsample sets."""
@@ -78,6 +81,8 @@ def build_weight(dist: DistanceField, profile: str, p: float, H: float, h: float
     bypasses the parameter admissibility checks; it exists so experiments can
     probe the failure regimes (e.g. beta = 0).
     """
+    if profile not in WEIGHT_PROFILES:
+        raise ValueError(f"unknown weight profile {profile!r}")
     spec = dist.spec
     dim = spec.dim
     if h < 0.0:
@@ -103,10 +108,8 @@ def build_weight(dist: DistanceField, profile: str, p: float, H: float, h: float
         denom = np.log(1.0 / max(H, np.finfo(float).tiny)) + 1.0
         denom = max(denom, np.finfo(float).eps)  # H = 1 gives exactly 1; guard H > 1
         vals = (H / s) ** (dim - p) * log_s**gamma / denom ** (gamma - p + 1.0)
-    elif profile == "w11":
+    else:  # w11
         vals = (H / s) ** (dim - 1)
-    else:
-        raise ValueError(f"unknown weight profile {profile!r}")
     return CoefficientField(spec, vals)
 
 

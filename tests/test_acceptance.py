@@ -12,7 +12,7 @@ from msrecover.elliptic import assemble, constant_coefficient
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
                             lp_norm)
 from msrecover.harness import (ExperimentConfig, fit_loglog, run_convergence_study,
-                               run_degeneracy_study, run_pointwise_limit_study,
+                               run_degeneracy_study, run_pointwise_limit_study, run_study,
                                run_weighted_study)
 from msrecover.measurements import bound_integral, build_functionals, measure, measure_all
 from msrecover.recovery import (build_theta, ms_recover, multiscale_basis,
@@ -238,10 +238,10 @@ def test_criterion_11_determinism(tmp_path):
     runs = {}
     for tag in ("first", "second"):
         out = tmp_path / tag
-        run_convergence_study(ExperimentConfig(
+        run_study("converge", ExperimentConfig(
             name="det", dim=1, n=64, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8], seed=9),
             out_dir=out)
-        run_pointwise_limit_study(ExperimentConfig(
+        run_study("pointwise", ExperimentConfig(
             name="detpw", dim=2, profile_kind="loglog", seed=9,
             radii=[10.0**-k for k in range(1, 13)]), out_dir=out)
         runs[tag] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}

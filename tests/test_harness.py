@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from msrecover.cli import _DEFAULTS, main as cli_main
+from msrecover.cli import main as cli_main
 from msrecover.errors import ConfigError
-from msrecover.harness import (WEIGHTED_MAX_MIN, ExperimentConfig, fit_loglog,
+from msrecover.harness import (STUDIES, WEIGHTED_MAX_MIN, ExperimentConfig, fit_loglog,
                                run_convergence_study, run_degeneracy_study,
-                               run_pointwise_limit_study, run_rate_study,
+                               run_pointwise_limit_study, run_rate_study, run_study,
                                run_weighted_study)
 
 
@@ -78,7 +78,7 @@ def test_rate_study_grid_free_only():
 def test_determinism_byte_identical(tmp_path):
     cfg = dict(name="det", dim=1, n=64, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8], seed=5)
     for sub in ("x", "y"):
-        run_convergence_study(ExperimentConfig(**cfg), out_dir=tmp_path / sub)
+        run_study("converge", ExperimentConfig(**cfg), out_dir=tmp_path / sub)
     for fname in ("det_rows.csv", "det_report.json"):
         a = (tmp_path / "x" / fname).read_bytes()
         b = (tmp_path / "y" / fname).read_bytes()
@@ -89,7 +89,7 @@ def test_weighted_study_report_shape(tmp_path):
     cfg = ExperimentConfig(name="w", dim=2, p=2.0, n=32, num_functions=5,
                            r_sweep=[1.0, 1 / 2, 1 / 4],
                            weight={"profile": "polynomial", "beta": 1.0})
-    rep = run_weighted_study(cfg, out_dir=tmp_path)
+    rep = run_study("weighted", cfg, out_dir=tmp_path)
     assert rep["passed"]
     assert len(rep["per_h_max_ratio"]) == 3
     assert (tmp_path / "w_rows.csv").exists()
@@ -146,7 +146,7 @@ def test_default_rates_report_monotone_growth(tmp_path, capsys):
 def test_cli_failing_gate_returns_one(tmp_path, capsys):
     # a rough coefficient breaks the regularity the predicted rates assume: the
     # multiscale energy error stops decaying with H and misses its slope band
-    cfg = {**_DEFAULTS["converge"], "coeff": {"name": "checkerboard", "contrast": 1e4}}
+    cfg = {**STUDIES["converge"].defaults, "coeff": {"name": "checkerboard", "contrast": 1e4}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli_main(["converge", "--config", str(path)]) == 1
@@ -158,7 +158,7 @@ def test_cli_failing_gate_returns_one(tmp_path, capsys):
 def test_degeneracy_gate_reads_only_the_points_where_the_weight_acts(seed):
     # at r = 1 and 1/2 the default weight is constant, so those points are the
     # unweighted recovery; a small error there spiked the all-points max/min
-    rep = run_degeneracy_study(ExperimentConfig(**{**_DEFAULTS["degeneracy"], "seed": seed}))
+    rep = run_degeneracy_study(ExperimentConfig(**{**STUDIES["degeneracy"].defaults, "seed": seed}))
     assert rep["weighted_max_min"] > WEIGHTED_MAX_MIN
     assert rep["weighted_active_max_min"] <= WEIGHTED_MAX_MIN
     assert rep["sharp_monotone"] and rep["passed"]
@@ -174,7 +174,7 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
     monkeypatch.setattr(StiffnessOperator, "solve_interior", no_solve)
     # the weight is constant at both ratios, which leaves only the point endpoint
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**_DEFAULTS["degeneracy"], "r_sweep": [1.0, 0.5]}))
+    path.write_text(json.dumps({**STUDIES["degeneracy"].defaults, "r_sweep": [1.0, 0.5]}))
     assert cli_main(["degeneracy", "--config", str(path)]) == 2
     assert "weight to act" in capsys.readouterr().err
 
@@ -225,9 +225,70 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
 def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
     # the study's default config, which runs, with one bad entry
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**_DEFAULTS[study], **override}))
+    path.write_text(json.dumps({**STUDIES[study].defaults, **override}))
     assert cli_main([study, "--config", str(path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,grid_dim,override", [
+    # ExperimentConfig accepts each value; a library constructor rejects it
+    ("recover", 1, {"kind": "slice"}),
+    ("recover", 2, {"r": 1.5}),
+    ("recover", 2, {"m": 0}),
+    ("recover", 2, {"m": -2}),
+    ("rates", None, {"dim": 1, "kind": "slice"}),
+    ("rates", None, {"r_sweep": [1.0, 2.0]}),
+    ("degeneracy", None, {"m": 0}),
+    ("weighted", None, {"dim": 4}),
+    ("converge", None, {"n": 1}),
+    ("pointwise", None, {"profile_q": 0}),
+    ("critical", None, {"h_sweep": [0.5, 0.25, 0.125]}),
+])
+def test_cli_value_a_library_rejects_is_a_configuration_error(tmp_path, capsys, command,
+                                                               grid_dim, override):
+    from msrecover.grid import DomainSpec, GridFunction, save_grid_function
+
+    path = tmp_path / "cfg.json"
+    if command == "recover":
+        save_grid_function(GridFunction.constant(DomainSpec(grid_dim, 16), 1.0),
+                           tmp_path / "u.csv")
+        path.write_text(json.dumps(override))
+        argv = [command, "--input", str(tmp_path / "u.csv"), "--output",
+                str(tmp_path / "rec.csv")]
+    else:
+        path.write_text(json.dumps({**STUDIES[command].defaults, **override}))
+        argv = [command]
+    assert cli_main(argv + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    # one line, no traceback
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not (tmp_path / "rec.csv").exists()
+
+
+def test_cli_help_lists_every_study_with_its_columns(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--help"])
+    assert exc.value.code == 0
+    listed = [" ".join(line.split(maxsplit=1)) for line in capsys.readouterr().out.splitlines()]
+    for name, study in STUDIES.items():
+        assert f"{name} {', '.join(study.columns)}" in listed
+
+
+# small grids and sweeps; a study missing here runs at its defaults
+_SMALL = {"converge": dict(n=64, H_sweep=[1 / 2, 1 / 4, 1 / 8]), "rates": dict(n=32),
+          "critical": dict(n=32), "degeneracy": dict(n=32),
+          "weighted": dict(n=32, num_functions=3)}
+
+
+@pytest.mark.parametrize("name", list(STUDIES))
+def test_run_study_writes_the_declared_columns(tmp_path, name):
+    cfg = ExperimentConfig(**{**STUDIES[name].defaults, **_SMALL.get(name, {})})
+    report = run_study(name, cfg, out_dir=tmp_path)
+    header, *rows = (tmp_path / f"{name}_rows.csv").read_text().splitlines()
+    assert header.split(",") == list(STUDIES[name].columns)
+    assert len(rows) == len(report["rows"])
+    assert all(len(row) == len(header.split(",")) for row in report["rows"])
+    assert (tmp_path / f"{name}_report.json").exists()
 
 
 @pytest.mark.parametrize("raw", ["3", "[1, 2]", '"converge"', "null"])
