@@ -7,9 +7,13 @@ Submodules:
   recovery      piecewise-constant and multiscale recovery, constant estimator
   weights       singular weight fields and weighted recovery
   analytic      rate functions and grid-free radial optimality computations
-  harness       experiment runners, slope fits, CSV/JSON persistence
+  harness       experiment runners, slope fits, CSV/JSON persistence; not
+                imported by the package: ``import msrecover.harness``
 """
 
+# every module below loads with the package, and tracing wrappers such as
+# bench/tracing.py's bind only in loaded modules; the study layer (harness)
+# loads with the command line or its own import
 from .errors import AlignmentError, ConfigError, SolverError
 from .grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
                    build_partition, build_subsample, gradient_lp_norm, lp_norm)
@@ -25,8 +29,5 @@ from .weights import (DistanceField, build_weight, distance_field, weight_condit
                       weighted_basis)
 from .analytic import (RadialFunction, ball_average_sequence, critical_ratio, eval_radial,
                        eval_radial_deriv, power_profile, radial_function, rho)
-from .harness import (STUDIES, ExperimentConfig, FitResult, fit_loglog,
-                      run_convergence_study, run_degeneracy_study, run_pointwise_limit_study,
-                      run_rate_study, run_study, run_weighted_study)
 
 __version__ = "0.1.0"

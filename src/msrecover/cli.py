@@ -7,20 +7,18 @@ Exit codes: 0 the study ran and passed its gates, 1 it ran and failed them,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
 from .elliptic import assemble
 from .errors import SolverError
 from .grid import build_partition, build_subsample, load_grid_function, save_grid_function
-from .harness import STUDIES, ExperimentConfig, _coefficient, run_study
 from .recovery import recover, recovery_error_report
 
 
-def _epilog() -> str:
+def _epilog(studies) -> str:
     lines = ["CSV column names by subcommand:"]
-    lines += [f"  {name:<12}{', '.join(study.columns)}" for name, study in STUDIES.items()]
+    lines += [f"  {name:<12}{', '.join(study.columns)}" for name, study in studies.items()]
     lines.append("Config files are JSON objects whose keys mirror ExperimentConfig fields.\n")
     return "\n".join(lines)
 
@@ -31,27 +29,28 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, help="override the config seed")
 
 
-def _load_config(args, defaults: dict) -> ExperimentConfig:
+def _load_config(args, harness):
     if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
+        cfg = harness.ExperimentConfig.from_json(args.config)
     else:
-        cfg = ExperimentConfig(**defaults)
+        cfg = harness.ExperimentConfig(**harness.STUDIES[args.command].defaults)
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
 
 
-def _run_recover(args) -> int:
+def _run_recover(args, harness) -> int:
     try:
         u = load_grid_function(args.input)
     except ValueError as exc:
         print(f"input error: {args.input}: {exc}", file=sys.stderr)
         return 2
     # the grid comes from the input file, so the config's dim and n are unused
-    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    cfg = (harness.ExperimentConfig.from_json(args.config) if args.config
+           else harness.ExperimentConfig())
     part = build_partition(u.spec, cfg.m)
     sub = build_subsample(part, cfg.kind, cfg.r)
-    op = assemble(u.spec, _coefficient(u.spec, cfg))
+    op = assemble(u.spec, harness._coefficient(u.spec, cfg))
     rec = recover(u, sub, op, cfg.basis)
     report = recovery_error_report(u, rec, {"basis": cfg.basis, "dim": u.spec.dim,
                                             "h": sub.h, "H": part.H}, a=op,
@@ -62,13 +61,16 @@ def _run_recover(args) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # loaded by the command line, never by `import msrecover`
+
+    from . import harness  # the study layer: loaded by the command line, not the package
     parser = argparse.ArgumentParser(
         prog="msrecover",
         description="Recovery of functions from subsampled local averages: "
                     "rate studies and one-shot recovery.",
-        epilog=_epilog(), formatter_class=argparse.RawDescriptionHelpFormatter)
+        epilog=_epilog(harness.STUDIES), formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in STUDIES:
+    for name in harness.STUDIES:
         sub = subs.add_parser(name, help=f"run the {name} study")
         _add_common(sub)
     rec = subs.add_parser("recover", help="one-shot recovery from a grid-function file")
@@ -79,9 +81,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "recover":
-            return _run_recover(args)
-        cfg = _load_config(args, STUDIES[args.command].defaults)
-        report = run_study(args.command, cfg, args.out)
+            return _run_recover(args, harness)
+        report = harness.run_study(args.command, _load_config(args, harness), args.out)
     # ValueError covers ConfigError, AlignmentError, malformed JSON and every
     # value a library constructor rejects (a slice kind at dim 1, m = 0, ...)
     except (ValueError, FileNotFoundError) as exc:

@@ -145,14 +145,6 @@ class CoarsePartition:
     def patch_multi_index(self, i: int) -> tuple:
         return np.unravel_index(i, (self.m,) * self.spec.dim)
 
-    def center(self, i: int) -> np.ndarray:
-        mi = self.patch_multi_index(i)
-        return (np.asarray(mi, dtype=float) + 0.5) * self.H
-
-    def centers(self) -> np.ndarray:
-        """All patch centers, shape (num_patches, dim), in patch index order."""
-        return np.stack([self.center(i) for i in range(self.num_patches)])
-
     def patch_cells(self, i: int) -> tuple:
         """Cell-array slices covering patch i."""
         q = self.cells_per_patch
@@ -164,10 +156,6 @@ class CoarsePartition:
         q = self.cells_per_patch
         mi = self.patch_multi_index(i)
         return tuple(slice(k * q, k * q + q + 1) for k in mi)
-
-    def patch_bounds(self, i: int) -> tuple:
-        mi = np.asarray(self.patch_multi_index(i), dtype=float)
-        return mi * self.H, (mi + 1.0) * self.H
 
 
 def build_partition(spec: DomainSpec, m: int) -> CoarsePartition:
@@ -227,12 +215,6 @@ class SubsampleSpec:
         flat = self.kind == "point" or normal
         half = 0.0 if flat else 0.5 * self.h
         return c - half, c + half
-
-    def support_box(self, i: int) -> tuple:
-        """(lo, hi) corners of the subsample set of patch i (degenerate axes allowed)."""
-        mi = self.partition.patch_multi_index(i)
-        return tuple(np.array([[e[k] for e in self.axis_intervals(axis)]
-                               for axis, k in enumerate(mi)]).T)
 
 
 def build_subsample(part: CoarsePartition, kind: str, ratio: float = 1.0,

@@ -236,7 +236,9 @@ def sharp_constant_estimate(sub: SubsampleSpec) -> float:
     c = np.r_[1.0, np.full(n - 1, np.sqrt(2.0)), 1.0]
     cos = np.cos(np.pi * np.arange(2 * n) / n)
     factors = [axis_factors(sub, axis)[0] for axis in range(dim)]  # of the one patch
-    g = outer([c * (cos[k * np.arange(s, s + len(w)) % (2 * n)] @ w) for s, w in factors])
+    # (elementwise sums, not BLAS products, so no bit depends on the BLAS thread count)
+    g = outer([c * np.sum(cos[k * np.arange(s, s + len(w)) % (2 * n)] * w, axis=1)
+               for s, w in factors])
     # k = 0 is the constants, which the quotient leaves out
     kappa, mu, g = (v.reshape(-1)[1:] for v in (kappa, mu, g))
     return float(np.sqrt(_rank_one_top(mu / kappa, g / np.sqrt(kappa))))
@@ -256,7 +258,7 @@ def _rank_one_top(delta, z) -> float:
         return off
     zz, gap = zz[on], delta[on].max() - delta[on]
     # lower bounds: the poles at the top, and the Rayleigh quotient of z
-    t = max(zz[gap == 0.0].sum(), zz.sum() - (gap @ zz) / zz.sum())
+    t = max(zz[gap == 0.0].sum(), zz.sum() - np.sum(gap * zz) / zz.sum())
     while True:
         r = zz / (gap + t)
         step = r.sum() * (r.sum() - 1.0) / np.sum(r / (gap + t))

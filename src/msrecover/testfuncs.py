@@ -11,7 +11,7 @@ import numpy as np
 from .grid import CoarsePartition, DomainSpec, GridFunction, build_subsample
 from .measurements import build_functionals, measure_all
 
-LIBRARY_VERSION = 2
+LIBRARY_VERSION = 3
 
 __all__ = ["LIBRARY_VERSION", "sine_product", "fourier_h01", "fourier_free",
            "flattened_profile"]
@@ -23,56 +23,51 @@ def sine_product(spec: DomainSpec) -> GridFunction:
         spec, lambda *xs: np.prod([np.sin(np.pi * x) for x in xs], axis=0))
 
 
-def _mode_indices(dim: int, kmax: int):
-    grids = np.meshgrid(*([np.arange(kmax + 1)] * dim), indexing="ij")
-    modes = np.stack([g.reshape(-1) for g in grids], axis=1)
-    return modes
+def _coefficients(rng, dim: int, kmax: int, skip_zero_axis: bool) -> np.ndarray:
+    """(kmax+1)^dim tensor of c_k = N(0,1) / (1 + |k|^2), drawn in row-major mode order.
+
+    With ``skip_zero_axis`` a mode with any k_a = 0 draws nothing and stays 0.
+    """
+    k = np.indices((kmax + 1,) * dim)
+    ksq = np.sum(k * k, axis=0)
+    coef = np.zeros(ksq.shape)
+    drawn = np.all(k > 0, axis=0) if skip_zero_axis else np.ones(ksq.shape, dtype=bool)
+    coef[drawn] = rng.standard_normal(int(drawn.sum())) / (1.0 + ksq[drawn])
+    return coef
 
 
-def _axis_modes(spec: DomainSpec, fn, kmax: int) -> list:
-    """fn(pi k x) on each axis's nodes for k = 0..kmax, shaped to broadcast along it."""
-    tables = []
-    for axis, x in enumerate(spec.node_coordinates()):
-        shape = [1] * spec.dim
-        shape[axis] = -1
-        tables.append([fn(np.pi * k * x).reshape(shape) for k in range(kmax + 1)])
-    return tables
+def _series(spec: DomainSpec, coef: np.ndarray, fn) -> np.ndarray:
+    """sum_k coef[k] prod_a fn(pi k_a x_a) on the nodes, contracted one axis at a time.
 
-
-def _product_term(tables: list, k) -> np.ndarray:
-    """Tensor product of the axis factors of mode k, multiplied in axis order."""
-    term = tables[0][k[0]]
-    for axis in range(1, len(tables)):
-        term = term * tables[axis][k[axis]]
-    return term
+    The last mode axis left is replaced by its node axis.  Each contraction
+    adds elementwise products in k order, so the result does not depend on
+    BLAS threads, and in 1D it adds the terms as a mode-by-mode sum does.
+    """
+    x = spec.node_coordinates()[0]
+    table = fn(np.pi * np.arange(len(coef))[:, None] * x)  # (kmax+1, n+1)
+    vals = coef
+    for axis in reversed(range(spec.dim)):
+        lead = (slice(None),) * axis
+        row = (slice(None),) + (None,) * (spec.dim - axis - 1)  # a table row along the axis
+        out = vals[lead + (0, None)] * table[0][row]
+        term = np.empty_like(out)  # one product buffer for the k > 0 terms
+        for k in range(1, len(table)):
+            out += np.multiply(vals[lead + (k, None)], table[k][row], out=term)
+        vals = out
+    return vals
 
 
 def fourier_h01(spec: DomainSpec, seed: int, kmax: int = 3) -> GridFunction:
     """Random low-order sine series with decaying coefficients; boundary zero."""
-    rng = np.random.default_rng(seed)
-    tables = _axis_modes(spec, np.sin, kmax)
-    vals = np.zeros(spec.node_shape)
-    modes = _mode_indices(spec.dim, kmax)
-    for k in modes:
-        if np.any(k == 0):
-            continue
-        c = rng.standard_normal() / (1.0 + float(np.sum(k * k)))
-        vals += c * _product_term(tables, k)
-    return GridFunction(spec, vals)
+    coef = _coefficients(np.random.default_rng(seed), spec.dim, kmax, skip_zero_axis=True)
+    return GridFunction(spec, _series(spec, coef, np.sin))
 
 
 def fourier_free(spec: DomainSpec, seed: int, kmax: int = 3) -> GridFunction:
     """Random low-order cosine series; generic boundary values, nonconstant."""
-    rng = np.random.default_rng(seed)
-    tables = _axis_modes(spec, np.cos, kmax)
-    vals = np.zeros(spec.node_shape)
-    modes = _mode_indices(spec.dim, kmax)
-    for k in modes:
-        c = rng.standard_normal() / (1.0 + float(np.sum(k * k)))
-        if np.all(k == 0):
-            continue  # constants drop out of every average-removed quantity
-        vals += c * _product_term(tables, k)
-    return GridFunction(spec, vals)
+    coef = _coefficients(np.random.default_rng(seed), spec.dim, kmax, skip_zero_axis=False)
+    coef[(0,) * spec.dim] = 0.0  # constants drop out of every average-removed quantity
+    return GridFunction(spec, _series(spec, coef, np.cos))
 
 
 def flattened_profile(part: CoarsePartition, seed: int) -> GridFunction:

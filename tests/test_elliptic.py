@@ -167,11 +167,11 @@ def test_l2_inner_reproduces_measurement():
     phi = build_functionals(sub)[2]
     rng = np.random.default_rng(9)
     u = GridFunction(spec, rng.standard_normal(spec.node_shape))
-    lo, hi = sub.support_box(2)
     centers = np.meshgrid(*spec.cell_center_coordinates(), indexing="ij")
     inside = np.ones(spec.cell_shape, dtype=bool)
-    for axis in range(2):
-        inside &= (centers[axis] > lo[axis]) & (centers[axis] < hi[axis])
+    for axis, k in enumerate(part.patch_multi_index(2)):
+        lo, hi = sub.axis_intervals(axis)
+        inside &= (centers[axis] > lo[k]) & (centers[axis] < hi[k])
     density_cells = inside / sub.h**2
     # evaluate sum over cells of u_c * density * vol, the midpoint pairing
     from msrecover.grid import cell_center_values

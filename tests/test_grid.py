@@ -22,8 +22,9 @@ def test_partition_uniform_bisection():
     part = build_partition(spec, 2)
     assert part.H == 0.5
     assert part.num_patches == 2
-    assert np.allclose(part.centers().ravel(), [0.25, 0.75])
-    lo, hi = part.patch_bounds(0)
+    centers, _ = build_subsample(part, "point").axis_intervals(0)
+    assert np.allclose(centers, [0.25, 0.75])
+    lo, hi = build_subsample(part, "cube", 1.0).axis_intervals(0)
     assert lo[0] == 0.0 and hi[0] == 0.5
 
 
@@ -47,29 +48,29 @@ def test_partition_tiling_volume():
 
 def test_subsample_full_patch():
     part = build_partition(DomainSpec(1, 8), 2)
-    sub = build_subsample(part, "cube", 1.0)
-    lo, hi = sub.support_box(0)
-    plo, phi = part.patch_bounds(0)
-    assert np.allclose(lo, plo) and np.allclose(hi, phi)
+    lo, hi = build_subsample(part, "cube", 1.0).axis_intervals(0)
+    k = np.arange(part.m)
+    assert np.allclose(lo, k * part.H) and np.allclose(hi, (k + 1) * part.H)
 
 
 def test_subsample_concentric_squares():
     part = build_partition(DomainSpec(2, 16), 4)
     sub = build_subsample(part, "cube", 0.5)
     assert sub.h == pytest.approx(0.125)
-    lo, hi = sub.support_box(5)
-    assert np.allclose(hi - lo, 0.125)
-    area = np.prod(hi - lo)
+    sides = [np.subtract(*sub.axis_intervals(axis)[::-1]) for axis in range(2)]
+    assert np.allclose(sides, 0.125)
+    area = sides[0][1] * sides[1][1]  # patch 5 is (1, 1)
     assert area == pytest.approx(0.125**2, rel=1e-12)
 
 
 def test_subsample_slice_segments():
     part = build_partition(DomainSpec(2, 16), 4)
     sub = build_subsample(part, "slice", 0.5)
-    lo, hi = sub.support_box(0)
-    assert hi[1] - lo[1] == pytest.approx(0.0)  # degenerate along the normal
-    assert hi[0] - lo[0] == pytest.approx(0.125)
-    assert np.allclose(0.5 * (lo + hi), part.center(0))
+    (lo0, hi0), (lo1, hi1) = sub.axis_intervals(0), sub.axis_intervals(1)
+    assert np.allclose(hi1 - lo1, 0.0)  # degenerate along the normal
+    assert np.allclose(hi0 - lo0, 0.125)
+    centers = (np.arange(part.m) + 0.5) * part.H
+    assert np.allclose(0.5 * (lo0 + hi0), centers) and np.allclose(lo1, centers)
 
 
 def test_subsample_alignment_errors():
@@ -90,8 +91,8 @@ def test_point_subsample():
     part = build_partition(DomainSpec(1, 8), 2)
     sub = build_subsample(part, "point")
     assert sub.h == 0.0
-    lo, hi = sub.support_box(1)
-    assert np.allclose(lo, hi) and lo[0] == pytest.approx(0.75)
+    lo, hi = sub.axis_intervals(0)
+    assert np.array_equal(lo, hi) and lo[1] == pytest.approx(0.75)
 
 
 def test_lp_norm_constant():

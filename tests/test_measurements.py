@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def test_unit_mass_2d(kind, r):
 def test_point_functional_between_nodes_is_multilinear_interpolation(dim, n, m):
     # three cells per patch put every patch center midway between two nodes
     spec = DomainSpec(dim, n)
-    part, _, phis = _functionals(dim, n, m, "point", 1.0)
+    part, sub, phis = _functionals(dim, n, m, "point", 1.0)
     assert all(len(phi.node_indices) == 2**dim for phi in phis)
     coef = np.random.default_rng(dim).standard_normal(2**dim)
 
@@ -42,7 +44,9 @@ def test_point_functional_between_nodes_is_multilinear_interpolation(dim, n, m):
                    for s, c in enumerate(coef))
 
     vals = measure_all(GridFunction.from_callable(spec, multilinear), phis).values
-    exact = np.array([multilinear(*c) for c in part.centers()])
+    # the centers in patch (row-major) order
+    centers = itertools.product(*(sub.axis_intervals(axis)[0] for axis in range(dim)))
+    exact = np.array([multilinear(*c) for c in centers])
     np.testing.assert_allclose(vals, exact, rtol=0.0, atol=1e-14)
 
 

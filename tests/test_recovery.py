@@ -1,4 +1,7 @@
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -328,3 +331,24 @@ def test_sharp_constant_rejects_multi_patch():
     with pytest.raises(ValueError):
         sharp_constant_estimate(sub)
 
+
+
+def test_sharp_constant_bits_do_not_depend_on_blas_threads():
+    # the rates study's 2D n=256 sweep; BLAS products there moved the last bit
+    # of the r = 1/8 constant between 1 and 2 threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(recovery.__file__)))
+    script = """
+from msrecover.grid import DomainSpec, build_partition, build_subsample
+from msrecover.recovery import sharp_constant_estimate
+part = build_partition(DomainSpec(2, 256), 1)
+print([sharp_constant_estimate(build_subsample(part, "cube", r)).hex()
+       for r in (1 / 2, 1 / 4, 1 / 8, 1 / 16)])
+"""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]

@@ -20,10 +20,13 @@ def _modes(dim, kmax):
 
 
 def reference_fourier_h01(spec, seed, kmax=3):
-    """Meshgrid reference: every sine factor evaluated on the full node grid."""
+    """Meshgrid reference: every sine factor evaluated on the full node grid.
+
+    Returns the values and sum |c_k|, which bounds every term's magnitude sum.
+    """
     rng = np.random.default_rng(seed)
     grids = np.meshgrid(*spec.node_coordinates(), indexing="ij")
-    vals = np.zeros(spec.node_shape)
+    vals, coef_l1 = np.zeros(spec.node_shape), 0.0
     for k in _modes(spec.dim, kmax):
         if np.any(k == 0):
             continue
@@ -32,14 +35,15 @@ def reference_fourier_h01(spec, seed, kmax=3):
         for axis in range(spec.dim):
             term = term * np.sin(np.pi * k[axis] * grids[axis])
         vals += c * term
-    return vals
+        coef_l1 += abs(c)
+    return vals, coef_l1
 
 
 def reference_fourier_free(spec, seed, kmax=3):
     """Meshgrid reference: draws before the constant-mode skip, as the generator must."""
     rng = np.random.default_rng(seed)
     grids = np.meshgrid(*spec.node_coordinates(), indexing="ij")
-    vals = np.zeros(spec.node_shape)
+    vals, coef_l1 = np.zeros(spec.node_shape), 0.0
     for k in _modes(spec.dim, kmax):
         c = rng.standard_normal() / (1.0 + float(np.sum(k * k)))
         if np.all(k == 0):
@@ -48,7 +52,24 @@ def reference_fourier_free(spec, seed, kmax=3):
         for axis in range(spec.dim):
             term = term * np.cos(np.pi * k[axis] * grids[axis])
         vals += c * term
-    return vals
+        coef_l1 += abs(c)
+    return vals, coef_l1
+
+
+def assert_matches_reference(got, reference, kmax):
+    """Bit-equal in 1D.  In 2D and 3D the generator sums the same terms one axis
+    at a time, so the two differ only by rounding: each is within
+    gamma_(N+d) sum |c_k| of the exact series, N = (kmax+1)^d terms of d
+    factors |sin|, |cos| <= 1 (Higham, Accuracy and Stability, sec. 3.1)."""
+    ref, coef_l1 = reference
+    assert got.shape == ref.shape
+    if got.ndim == 1:
+        assert np.array_equal(got, ref)
+    else:
+        steps = (kmax + 1) ** got.ndim + got.ndim
+        unit = 0.5 * np.finfo(float).eps
+        gamma = steps * unit / (1.0 - steps * unit)
+        assert np.abs(got - ref).max() <= 2.0 * gamma * coef_l1
 
 
 @pytest.mark.parametrize("dim,n", SPECS)
@@ -58,7 +79,7 @@ def test_fourier_h01_matches_meshgrid_reference(dim, n, seed, kmax):
     spec = DomainSpec(dim, n)
     got = fourier_h01(spec, seed, kmax).values
     assert got.shape == spec.node_shape
-    assert np.array_equal(got, reference_fourier_h01(spec, seed, kmax))
+    assert_matches_reference(got, reference_fourier_h01(spec, seed, kmax), kmax)
 
 
 @pytest.mark.parametrize("dim,n", SPECS)
@@ -68,7 +89,7 @@ def test_fourier_free_matches_meshgrid_reference(dim, n, seed, kmax):
     spec = DomainSpec(dim, n)
     got = fourier_free(spec, seed, kmax).values
     assert got.shape == spec.node_shape
-    assert np.array_equal(got, reference_fourier_free(spec, seed, kmax))
+    assert_matches_reference(got, reference_fourier_free(spec, seed, kmax), kmax)
 
 
 @pytest.mark.parametrize("dim,n", SPECS)
@@ -103,6 +124,15 @@ def test_package_import_leaves_out_scipy_integrate():
     # "scipy" itself is loaded by any of its submodules: the import loads numpy only
     assert _loaded_after(code, ("scipy", "scipy.sparse", "scipy.integrate", "scipy.special",
                                 "scipy.optimize")) == "[]"
+
+
+def test_recovery_import_leaves_out_the_study_layer():
+    # the benchmark's import line: the command-line module loads argparse and
+    # the harness only when main runs, while the modules whose functions the
+    # bench traces are loaded by the package itself
+    code = "from msrecover import cli, elliptic, grid, measurements, recovery, testfuncs"
+    modules = ("msrecover.harness", "argparse", "msrecover.weights", "msrecover.analytic")
+    assert _loaded_after(code, modules) == str(["msrecover.analytic", "msrecover.weights"])
 
 
 SOLVER_STACK = ("scipy.linalg", "scipy.sparse.linalg")
@@ -153,11 +183,13 @@ assert M.recovery_error_report(u, rec, {"basis": "ms"}, a=op).energy_stable
 def test_flattened_profile_plateau_is_the_center_point_value(dim, n, m):
     part = build_partition(DomainSpec(dim, n), m)
     vals = flattened_profile(part, seed=4).values.reshape(-1)
-    point = build_functionals(build_subsample(part, "point"))
-    centers = measure_all(fourier_h01(part.spec, 4), point).values
+    sub = build_subsample(part, "point")
+    values = measure_all(fourier_h01(part.spec, 4), build_functionals(sub)).values
     grids = np.meshgrid(*part.spec.node_coordinates(), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    for i in range(part.num_patches):
-        plateau = np.linalg.norm(pts - part.center(i), axis=1) <= 0.05 * part.H
+    # the centers in patch (row-major) order
+    centers = itertools.product(*(sub.axis_intervals(axis)[0] for axis in range(dim)))
+    for center, value in zip(centers, values):
+        plateau = np.linalg.norm(pts - np.array(center), axis=1) <= 0.05 * part.H
         assert np.any(plateau)
-        assert np.all(vals[plateau] == centers[i])
+        assert np.all(vals[plateau] == value)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,11 @@ def test_distance_zero_inside_support():
     part = build_partition(DomainSpec(2, 16), 2)
     sub = build_subsample(part, "cube", 0.5)
     dist = distance_field(part, sub)
-    lo, hi = sub.support_box(0)
     centers = np.meshgrid(*part.spec.cell_center_coordinates(), indexing="ij")
     inside = np.ones(part.spec.cell_shape, dtype=bool)
     for axis in range(2):
-        inside &= (centers[axis] > lo[axis]) & (centers[axis] < hi[axis])
+        lo, hi = sub.axis_intervals(axis)  # patch 0 is (0, 0)
+        inside &= (centers[axis] > lo[0]) & (centers[axis] < hi[0])
     assert np.all(dist.values[inside] == 0.0)
     assert np.all(dist.values[~inside] >= 0.0)
 
@@ -53,8 +55,9 @@ def test_distance_equals_brute_force_box_minimum(dim, n, m, kind, r, axis):
     grids = np.meshgrid(*part.spec.cell_center_coordinates(), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     best = np.full(len(pts), np.inf)
-    for i in range(part.num_patches):
-        lo, hi = sub.support_box(i)
+    # every set is the product of one (lo, hi) interval per axis
+    for box in itertools.product(*(zip(*sub.axis_intervals(a)) for a in range(dim))):
+        lo, hi = np.array(box).T
         excess = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
         best = np.minimum(best, np.sqrt(np.sum(excess * excess, axis=1)))
     got = distance_field(part, sub).values
