@@ -17,7 +17,7 @@ Submodules:
 from .errors import AlignmentError, ConfigError, SolverError
 from .grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
                    build_partition, build_subsample, gradient_lp_norm, lp_norm)
-from .measurements import (MeasurementFunctional, MeasurementVector, alpha_envelope,
+from .measurements import (MeasurementOperator, MeasurementVector, alpha_envelope,
                            bound_integral, build_functionals, measure, measure_all)
 from .elliptic import (CoefficientField, StiffnessOperator, assemble,
                        checkerboard_coefficient, constant_coefficient, energy_inner,

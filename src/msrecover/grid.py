@@ -330,12 +330,13 @@ def lp_norm(u: GridFunction, p: float, region: tuple | None = None) -> float:
     v = cell_center_values(u)
     if region is not None:
         v = v[region]
-    return _midpoint_lp(v, p, u.spec.cell_volume)
+    return float(_midpoint_lp(v, p, u.spec.cell_volume))
 
 
-def _midpoint_lp(cells: np.ndarray, p: float, cell_volume: float) -> float:
-    """Midpoint-rule L^p norm of cell-center values (the formula behind ``lp_norm``)."""
-    return float(np.sum(np.abs(cells) ** p) * cell_volume) ** (1.0 / p)
+def _midpoint_lp(cells: np.ndarray, p: float, cell_volume: float, axis=None):
+    """Midpoint-rule L^p norm of cell-center values over ``axis`` (default all): the
+    formula behind ``lp_norm``, with the same bits for one norm or an array of them."""
+    return np.power(np.sum(np.abs(cells) ** p, axis=axis) * cell_volume, 1.0 / p)
 
 
 def gradient_lp_norm(u: GridFunction, p: float, weight=None) -> float:

@@ -3,26 +3,29 @@
 A measurement functional is a unit-mass measure: the normalized indicator of a
 subsampled cube (density 1/h^dim), a normalized (dim-1)-dimensional slice
 density (1/h^(dim-1)), or a point evaluation at the patch center.  Applied to a
-grid function it returns the measured average.  Internally each functional is a
-sparse vector of node weights, consistent with the midpoint-rule inner product,
-so that measuring u equals integrating u against the functional's grid density.
+grid function it returns the measured average.  Its node weights are
+consistent with the midpoint-rule inner product, so that measuring u equals
+integrating u against the functional's grid density.  Every subsampled set is
+a product of one interval per axis, so these weights are a tensor product of
+per-axis factors, and measuring is one contraction per axis.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DomainSpec, GridFunction, SubsampleSpec
+from .grid import GridFunction, SubsampleSpec
 
 __all__ = [
     "MeasurementFunctional",
+    "MeasurementOperator",
     "MeasurementVector",
     "axis_factors",
     "build_functionals",
+    "contract",
     "measure",
     "measure_all",
     "alpha_envelope",
@@ -30,74 +33,81 @@ __all__ = [
 ]
 
 
+def contract(values: np.ndarray, matrices) -> np.ndarray:
+    """Apply the matrix M_a (K_a x J_a) to trailing axis a of ``values``, the last first.
+
+    np.einsum adds elementwise products, so no bit depends on the BLAS thread count.
+    """
+    axes = "xyz"[:len(matrices)]  # a grid has at most three axes
+    for a in reversed(range(len(matrices))):
+        before, after = axes[:a] + "j" + axes[a + 1:], axes[:a] + "k" + axes[a + 1:]
+        values = np.einsum(f"kj,...{before}->...{after}", matrices[a], values)
+    return values
+
+
 class MeasurementFunctional:
-    """One unit-mass measurement over a single patch's subsample set."""
+    """One functional: a row of each axis factor, and the support of their product
+    (flat row-major ``node_indices``, with ``node_weights``)."""
 
-    __slots__ = ("spec", "node_indices", "node_weights")
+    __slots__ = ("rows", "node_indices", "node_weights")
 
-    def __init__(self, spec, node_indices, node_weights):
-        self.spec = spec
-        self.node_indices = node_indices
-        self.node_weights = node_weights
+    def __init__(self, rows):
+        self.rows = rows
+        self.node_indices, self.node_weights = np.zeros(1, dtype=np.intp), np.ones(1)
+        for row in rows:
+            nz = np.flatnonzero(row)
+            self.node_indices = np.add.outer(self.node_indices * len(row), nz).reshape(-1)
+            self.node_weights = np.multiply.outer(self.node_weights, row[nz]).reshape(-1)
 
     def apply(self, u: GridFunction) -> float:
-        return float(np.dot(self.node_weights, u.values.reshape(-1)[self.node_indices]))
-
-    def dense_weights(self) -> np.ndarray:
-        """Node-weight vector as a dense array over all nodes."""
-        w = np.zeros(self.spec.num_nodes)
-        np.add.at(w, self.node_indices, self.node_weights)
-        return w
+        # an elementwise dot, not BLAS, so no bit depends on the BLAS thread count
+        return float(np.einsum("i,i->", self.node_weights, u.values.reshape(-1)[self.node_indices]))
 
 
-def _axis_interp(spec: DomainSpec, x: float):
-    """Start node index and interpolation weights for coordinate x in [0,1]."""
-    g = x * spec.n
-    j = int(np.floor(g))
-    if j >= spec.n:
-        j = spec.n - 1
-    frac = g - j
-    if frac < 1e-12:
-        return j, np.array([1.0])
-    if frac > 1.0 - 1e-12:
-        return j + 1, np.array([1.0])
-    return j, np.array([1.0 - frac, frac])
+class MeasurementOperator:
+    """Measurement functionals in per-axis form: one (m_a, n+1) node-weight matrix per axis.
+
+    Functional i, with row-major multi-index (k_0, ..., k_{d-1}), has node
+    weights factors[0][k_0] (x) ... (x) factors[d-1][k_{d-1}]; ``len``,
+    iteration and ``[i]`` give the functionals in that order.
+    """
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        self.factors = factors
+
+    def __len__(self) -> int:
+        return math.prod(len(w) for w in self.factors)
+
+    def __getitem__(self, i: int) -> MeasurementFunctional:
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"functional {i} out of range for {len(self)} functionals")
+        multi = np.unravel_index(i % len(self), [len(w) for w in self.factors])
+        return MeasurementFunctional([w[k] for w, k in zip(self.factors, multi)])
 
 
-def axis_factors(sub: SubsampleSpec, axis: int) -> list:
-    """(start node, node weights) of every patch coordinate along ``axis``.
+def axis_factors(sub: SubsampleSpec, axis: int) -> np.ndarray:
+    """(m, n+1) node weights of the patch coordinates k = 0..m-1 along ``axis``.
 
     A flat interval is a point value, interpolated between its two nearest
-    nodes; any other interval lies on grid lines, and its factor averages the
-    interval's cells by the trapezoid rule.  A functional's node weights are
-    the outer product of its axes' factors.
+    nodes (the hat functions there); any other interval lies on grid lines,
+    and its row averages the interval's cells by the trapezoid rule.
     """
-    spec = sub.partition.spec
-    lo, hi = sub.axis_intervals(axis)
+    n = sub.partition.spec.n
+    node = np.arange(n + 1)
+    lo, hi = (x[:, None] * n for x in sub.axis_intervals(axis))  # in cells
     if np.array_equal(lo, hi):
-        return [_axis_interp(spec, x) for x in lo]
-    k = sub.cells_across
-    w = np.ones(k + 1)
-    w[0] = 0.5
-    w[-1] = 0.5
-    w /= w.sum()
-    return [(int(round(x * spec.n)), w) for x in lo]
+        lo = np.where(np.abs(lo - np.rint(lo)) < 1e-12, np.rint(lo), lo)  # on a node: it alone
+        return np.maximum(0.0, 1.0 - np.abs(lo - node))
+    lo, hi = np.rint(lo), np.rint(hi)
+    inside, ends = (lo <= node) & (node <= hi), (node == lo) | (node == hi)
+    return (inside - 0.5 * ends) / (hi - lo)
 
 
-def build_functionals(sub: SubsampleSpec) -> list:
-    """One measurement functional per patch, in patch index order."""
-    spec = sub.partition.spec
-    out = []
-    strides = [(spec.n + 1) ** (spec.dim - 1 - axis) for axis in range(spec.dim)]
-    # per axis and patch coordinate: (flat-index contribution, weights)
-    factors = [[(stride * np.arange(s, s + len(w)), w) for s, w in axis_factors(sub, axis)]
-               for axis, stride in enumerate(strides)]
-    for mi in itertools.product(range(sub.partition.m), repeat=spec.dim):
-        idx, weights = zip(*(factors[axis][k] for axis, k in enumerate(mi)))
-        out.append(MeasurementFunctional(
-            spec, functools.reduce(np.add.outer, idx).reshape(-1),
-            functools.reduce(np.multiply.outer, weights).reshape(-1)))
-    return out
+def build_functionals(sub: SubsampleSpec) -> MeasurementOperator:
+    """The measurement operator of ``sub``: one functional per patch, in patch index order."""
+    return MeasurementOperator([axis_factors(sub, a) for a in range(sub.partition.spec.dim)])
 
 
 def measure(u: GridFunction, phi: MeasurementFunctional) -> float:
@@ -112,9 +122,9 @@ class MeasurementVector:
     values: np.ndarray
 
 
-def measure_all(u: GridFunction, functionals: list) -> MeasurementVector:
+def measure_all(u: GridFunction, functionals: MeasurementOperator) -> MeasurementVector:
     """Measured averages of u under each functional."""
-    return MeasurementVector(np.array([phi.apply(u) for phi in functionals]))
+    return MeasurementVector(contract(u.values, functionals.factors).reshape(-1))
 
 
 def alpha_envelope(kind: str, dim: int, H: float, h: float, t: float) -> float:

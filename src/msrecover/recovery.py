@@ -19,7 +19,8 @@ from .elliptic import StiffnessOperator, energy_inner
 from .errors import SolverError
 from .grid import (CoarsePartition, GridFunction, SubsampleSpec, _midpoint_lp,
                    cell_center_values, lp_norm)
-from .measurements import MeasurementVector, axis_factors, build_functionals, measure_all
+from .measurements import (MeasurementOperator, MeasurementVector, axis_factors,
+                           build_functionals, contract, measure_all)
 
 __all__ = [
     "ThetaMatrix",
@@ -44,14 +45,12 @@ def pc_recover(data: MeasurementVector, part: CoarsePartition) -> GridFunction:
     Nodes shared by several patches take the average of the adjacent patch
     values (a measure-zero convention, fixed here for reproducibility).
     """
-    spec = part.spec
-    acc = np.zeros(spec.node_shape)
-    cnt = np.zeros(spec.node_shape)
-    for i in range(part.num_patches):
-        sl = part.patch_nodes(i)
-        acc[sl] += data.values[i]
-        cnt[sl] += 1.0
-    return GridFunction(spec, acc / cnt)
+    spec, q = part.spec, part.cells_per_patch
+    node = np.arange(spec.n + 1)[:, None]
+    on = (q * np.arange(part.m) <= node) & (node <= q * np.arange(1, part.m + 1))
+    average = on / on.sum(axis=1, keepdims=True)  # per axis, a face node averages two
+    return GridFunction(spec, contract(data.values.reshape((part.m,) * spec.dim),
+                                       [average] * spec.dim))
 
 
 class ThetaMatrix:
@@ -75,7 +74,7 @@ class ThetaMatrix:
         return self.matrix.shape[0]
 
 
-def build_theta(functionals: list, op: StiffnessOperator) -> ThetaMatrix:
+def build_theta(functionals: MeasurementOperator, op: StiffnessOperator) -> ThetaMatrix:
     """Solve the operator against every measurement density and pair the results.
 
     One solve per functional; the load of a functional is its node-weight
@@ -88,13 +87,10 @@ def build_theta(functionals: list, op: StiffnessOperator) -> ThetaMatrix:
     nfun = len(functionals)
     solves = np.empty((nfun, spec.num_nodes))
     for j, phi in enumerate(functionals):
-        b = phi.dense_weights()
-        x = op.solve_interior(b[op.interior_indices])
-        solves[j] = op.embed_interior(x)
+        load = functools.reduce(np.multiply.outer, phi.rows).reshape(-1)
+        solves[j] = op.embed_interior(op.solve_interior(load[op.interior_indices]))
 
-    theta = np.empty((nfun, nfun))
-    for j, phi in enumerate(functionals):
-        theta[:, j] = solves[:, phi.node_indices] @ phi.node_weights
+    theta = contract(solves.reshape(nfun, *spec.node_shape), functionals.factors).reshape(nfun, -1)
     theta = 0.5 * (theta + theta.T)
     from scipy.linalg import cho_factor  # loaded by the first Cholesky, never by pc runs
 
@@ -145,7 +141,8 @@ def ms_recover(data: MeasurementVector, basis: BasisSet) -> GridFunction:
     """Expand the measured data in the recovery basis."""
     if len(data.values) != len(basis):
         raise ValueError("data and basis index sets do not match")
-    vals = data.values @ basis.stack
+    # elementwise sums, not a BLAS product, so no bit depends on the BLAS thread count
+    vals = np.einsum("i,ij->j", data.values, basis.stack)
     return GridFunction(basis.spec, vals.reshape(basis.spec.node_shape))
 
 
@@ -198,10 +195,11 @@ def recovery_error_report(u: GridFunction, recovered: GridFunction, params: dict
         stable = energy <= u_energy * (1.0 + 1e-10)
     per_patch = []
     if partition is not None:
-        # the cell values once, not once per patch as lp_norm(region=) would
-        cells = cell_center_values(diff)
-        per_patch = [_midpoint_lp(cells[partition.patch_cells(i)], 2.0, u.spec.cell_volume)
-                     for i in range(partition.num_patches)]
+        # one row of cells per patch: (m, q)^d transposed to (m^d, q^d), in patch order
+        m, q, dim = partition.m, partition.cells_per_patch, u.spec.dim
+        cells = cell_center_values(diff).reshape((m, q) * dim)
+        cells = cells.transpose([*range(0, 2 * dim, 2), *range(1, 2 * dim, 2)]).reshape(m**dim, -1)
+        per_patch = _midpoint_lp(cells, 2.0, u.spec.cell_volume, axis=1).tolist()
     return RecoveryReport(l2, energy, dict(params), per_patch, stable)
 
 
@@ -235,10 +233,10 @@ def sharp_constant_estimate(sub: SubsampleSpec) -> float:
     k = np.arange(n + 1)[:, None]
     c = np.r_[1.0, np.full(n - 1, np.sqrt(2.0)), 1.0]
     cos = np.cos(np.pi * np.arange(2 * n) / n)
-    factors = [axis_factors(sub, axis)[0] for axis in range(dim)]  # of the one patch
-    # (elementwise sums, not BLAS products, so no bit depends on the BLAS thread count)
-    g = outer([c * np.sum(cos[k * np.arange(s, s + len(w)) % (2 * n)] * w, axis=1)
-               for s, w in factors])
+    # (elementwise sums over each row's support, so no bit depends on the BLAS thread count)
+    rows = [axis_factors(sub, axis)[0] for axis in range(dim)]  # of the one patch
+    g = outer([c * np.sum(cos[k * j % (2 * n)] * row[j], axis=1)
+               for row, j in zip(rows, map(np.flatnonzero, rows))])
     # k = 0 is the constants, which the quotient leaves out
     kappa, mu, g = (v.reshape(-1)[1:] for v in (kappa, mu, g))
     return float(np.sqrt(_rank_one_top(mu / kappa, g / np.sqrt(kappa))))

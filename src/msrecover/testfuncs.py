@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import CoarsePartition, DomainSpec, GridFunction, build_subsample
-from .measurements import build_functionals, measure_all
+from .measurements import build_functionals, contract, measure_all
 
 LIBRARY_VERSION = 3
 
@@ -39,22 +39,12 @@ def _coefficients(rng, dim: int, kmax: int, skip_zero_axis: bool) -> np.ndarray:
 def _series(spec: DomainSpec, coef: np.ndarray, fn) -> np.ndarray:
     """sum_k coef[k] prod_a fn(pi k_a x_a) on the nodes, contracted one axis at a time.
 
-    The last mode axis left is replaced by its node axis.  Each contraction
-    adds elementwise products in k order, so the result does not depend on
-    BLAS threads, and in 1D it adds the terms as a mode-by-mode sum does.
+    Each mode axis becomes its node axis; the contraction adds the terms in k
+    order, so in 1D it adds them as a mode-by-mode sum does.
     """
     x = spec.node_coordinates()[0]
     table = fn(np.pi * np.arange(len(coef))[:, None] * x)  # (kmax+1, n+1)
-    vals = coef
-    for axis in reversed(range(spec.dim)):
-        lead = (slice(None),) * axis
-        row = (slice(None),) + (None,) * (spec.dim - axis - 1)  # a table row along the axis
-        out = vals[lead + (0, None)] * table[0][row]
-        term = np.empty_like(out)  # one product buffer for the k > 0 terms
-        for k in range(1, len(table)):
-            out += np.multiply(vals[lead + (k, None)], table[k][row], out=term)
-        vals = out
-    return vals
+    return contract(coef, [table.T] * spec.dim)
 
 
 def fourier_h01(spec: DomainSpec, seed: int, kmax: int = 3) -> GridFunction:

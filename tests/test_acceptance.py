@@ -79,7 +79,8 @@ def test_criterion_02_dense_oracle_equivalence():
     h = 1.0 / n
     K = (np.diag(np.full(n - 1, 2.0)) + np.diag(np.full(n - 2, -1.0), 1)
          + np.diag(np.full(n - 2, -1.0), -1)) / h
-    W = np.stack([phi.dense_weights() for phi in functionals])
+    W = np.stack([np.bincount(phi.node_indices, phi.node_weights, spec.num_nodes)
+                  for phi in functionals])
     G = np.zeros((m, n + 1))
     G[:, 1:-1] = np.linalg.solve(K, W[:, 1:-1].T).T
     theta_d = G @ W.T

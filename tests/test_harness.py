@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -289,6 +290,34 @@ def test_run_study_writes_the_declared_columns(tmp_path, name):
     assert len(rows) == len(report["rows"])
     assert all(len(row) == len(header.split(",")) for row in report["rows"])
     assert (tmp_path / f"{name}_report.json").exists()
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _assert_matches(new, old, path):
+    """Verdicts, strings and integers exactly; floats to a relative 1e-12."""
+    assert type(new) is type(old), path
+    if isinstance(old, dict):
+        assert sorted(new) == sorted(old), path
+        for key in old:
+            _assert_matches(new[key], old[key], f"{path}.{key}")
+    elif isinstance(old, list):
+        assert len(new) == len(old), path
+        for i, (a, b) in enumerate(zip(new, old)):
+            _assert_matches(a, b, f"{path}[{i}]")
+    elif isinstance(old, float):
+        assert new == pytest.approx(old, rel=1e-12, abs=0.0, nan_ok=True), path
+    else:
+        assert new == old, path
+
+
+@pytest.mark.parametrize("name", list(STUDIES))
+def test_default_report_matches_its_golden_file(tmp_path, name):
+    # tests/golden holds the report `msrecover <name>` writes at the defaults
+    run_study(name, ExperimentConfig(**STUDIES[name].defaults), out_dir=tmp_path)
+    new = json.loads((tmp_path / f"{name}_report.json").read_text())
+    _assert_matches(new, json.loads((GOLDEN / f"{name}_report.json").read_text()), name)
 
 
 @pytest.mark.parametrize("raw", ["3", "[1, 2]", '"converge"', "null"])

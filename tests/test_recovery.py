@@ -12,7 +12,7 @@ from msrecover.elliptic import assemble, constant_coefficient, lognormal_coeffic
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
                             lp_norm)
 from msrecover.errors import SolverError
-from msrecover.measurements import (MeasurementFunctional, MeasurementVector,
+from msrecover.measurements import (MeasurementOperator, MeasurementVector,
                                     build_functionals, measure, measure_all)
 from msrecover.recovery import (build_theta, ms_recover, multiscale_basis, pc_recover,
                                 recover, recovery_error_report, sharp_constant_estimate)
@@ -92,7 +92,8 @@ def test_theta_matches_dense_oracle():
     h = 1.0 / n
     K = (np.diag(np.full(n - 1, 2.0)) + np.diag(np.full(n - 2, -1.0), 1)
          + np.diag(np.full(n - 2, -1.0), -1)) / h
-    W = np.stack([phi.dense_weights() for phi in functionals])
+    W = np.stack([np.bincount(phi.node_indices, phi.node_weights, spec.num_nodes)
+                  for phi in functionals])
     G = np.zeros((m, n + 1))
     G[:, 1:-1] = np.linalg.solve(K, W[:, 1:-1].T).T
     theta_dense = G @ W.T
@@ -104,15 +105,16 @@ def test_theta_matches_dense_oracle():
 
 def test_build_theta_rejects_dependent_functionals():
     spec = DomainSpec(1, 16)
-    phi = build_functionals(build_subsample(build_partition(spec, 2), "cube", 0.5))[0]
-    # a zero copy of phi: its row and column of the coupling matrix are exactly 0
-    zero = MeasurementFunctional(phi.spec, phi.node_indices, 0.0 * phi.node_weights)
+    (w,) = build_functionals(build_subsample(build_partition(spec, 2), "cube", 0.5)).factors
+    # a zero copy of a functional: its row and column of the coupling matrix are exactly 0
+    zero = MeasurementOperator([np.stack([w[0], 0.0 * w[0]])])
     with pytest.raises(SolverError, match="not numerically positive definite"):
-        build_theta([phi, zero], assemble(spec, constant_coefficient(spec)))
+        build_theta(zero, assemble(spec, constant_coefficient(spec)))
     # a repeated functional: Cholesky ends on a pivot that rounding left positive
-    one = build_functionals(build_subsample(build_partition(spec, 1), "cube", 0.5))[0]
+    (w,) = build_functionals(build_subsample(build_partition(spec, 1), "cube", 0.5)).factors
+    repeated = MeasurementOperator([np.stack([w[0], w[0]])])
     with pytest.raises(SolverError, match="not numerically positive definite"):
-        build_theta([one, one], assemble(spec, constant_coefficient(spec)))
+        build_theta(repeated, assemble(spec, constant_coefficient(spec)))
 
 
 def test_single_patch_basis_is_parabola():
@@ -303,7 +305,8 @@ def _dense_sharp_constant(sub):
     avg = np.zeros((n, n + 1))  # 1D nodes to cell centers
     avg[np.arange(n), np.arange(n)] = avg[np.arange(n), np.arange(n) + 1] = 0.5
     mass = functools.reduce(np.kron, [avg.T @ avg / n] * spec.dim)
-    w = build_functionals(sub)[0].dense_weights()
+    phi = build_functionals(sub)[0]
+    w = np.bincount(phi.node_indices, phi.node_weights, spec.num_nodes)
     center = np.eye(spec.num_nodes) - np.outer(np.ones(spec.num_nodes), w)
     num = center.T @ mass @ center
     den = assemble(spec, constant_coefficient(spec)).full_matrix.toarray()
@@ -335,14 +338,24 @@ def test_sharp_constant_rejects_multi_patch():
 
 def test_sharp_constant_bits_do_not_depend_on_blas_threads():
     # the rates study's 2D n=256 sweep; BLAS products there moved the last bit
-    # of the r = 1/8 constant between 1 and 2 threads
+    # of the r = 1/8 constant between 1 and 2 threads.  Then two recoveries:
+    # the ms one of `msrecover recover`'s 2D n=128 m=8 input, whose BLAS expansion
+    # in the basis moved bits between 1 and 2 threads, and a 3D pc one
     src = os.path.dirname(os.path.dirname(os.path.abspath(recovery.__file__)))
     script = """
+import hashlib
+from msrecover.elliptic import assemble, constant_coefficient
 from msrecover.grid import DomainSpec, build_partition, build_subsample
-from msrecover.recovery import sharp_constant_estimate
+from msrecover.recovery import recover, sharp_constant_estimate
+from msrecover.testfuncs import fourier_h01
 part = build_partition(DomainSpec(2, 256), 1)
 print([sharp_constant_estimate(build_subsample(part, "cube", r)).hex()
        for r in (1 / 2, 1 / 4, 1 / 8, 1 / 16)])
+for dim, n, m, basis in ((2, 128, 8, "ms"), (3, 64, 16, "pc")):
+    spec = DomainSpec(dim, n)
+    sub = build_subsample(build_partition(spec, m), "cube", 0.5)
+    rec = recover(fourier_h01(spec, 7), sub, assemble(spec, constant_coefficient(spec)), basis)
+    print(hashlib.sha256(rec.values.tobytes()).hexdigest())
 """
     outputs = []
     for threads in ("1", "2"):
