@@ -385,7 +385,7 @@ def load_grid_function(path) -> GridFunction:
     """Read a grid function written by save_grid_function; the magic bytes tell
     binary from CSV.
 
-    Raises ValueError on a malformed or truncated file.
+    Raises ValueError on a malformed or truncated file, or a value that is not finite.
     """
     with open(path, "rb") as fh:
         if fh.read(4) == _BINARY_MAGIC:
@@ -393,11 +393,13 @@ def load_grid_function(path) -> GridFunction:
             if len(header) != 16:
                 raise ValueError("truncated binary grid-function header")
             dim, n = struct.unpack("<qq", header)
-            return GridFunction(DomainSpec(int(dim), int(n)),
-                                np.frombuffer(fh.read(), dtype="<f8").astype(float))
-        fh.seek(0)
-        reader = csv.reader(io.TextIOWrapper(fh, newline=""))
-        # an empty file, or a header other than "dim,n", raises ValueError here
-        dim, n = (int(tok) for tok in next(reader, []))
-        vals = np.array([float(tok) for tok, *_ in reader])  # a blank row raises ValueError
-    return GridFunction(DomainSpec(dim, n), vals)
+            vals = np.frombuffer(fh.read(), dtype="<f8").astype(float)
+        else:
+            fh.seek(0)
+            reader = csv.reader(io.TextIOWrapper(fh, newline=""))
+            # an empty file, or a header other than "dim,n", raises ValueError here
+            dim, n = (int(tok) for tok in next(reader, []))
+            vals = np.array([float(tok) for tok, *_ in reader])  # a blank row raises ValueError
+    if not np.isfinite(vals).all():
+        raise ValueError("grid-function values must be finite")
+    return GridFunction(DomainSpec(int(dim), int(n)), vals)

@@ -3,11 +3,10 @@
 A measurement functional is a unit-mass measure: the normalized indicator of a
 subsampled cube (density 1/h^dim), a normalized (dim-1)-dimensional slice
 density (1/h^(dim-1)), or a point evaluation at the patch center.  Applied to a
-grid function it returns the measured average.  Its node weights are
-consistent with the midpoint-rule inner product, so that measuring u equals
-integrating u against the functional's grid density.  Every subsampled set is
-a product of one interval per axis, so these weights are a tensor product of
-per-axis factors, and measuring is one contraction per axis.
+grid function it returns the measured average.  Its node weights, consistent
+with the midpoint-rule inner product, are a tensor product of per-axis factors
+(every subsampled set is a product of intervals), so measuring u integrates u
+against the functional's grid density by one contraction per axis.
 """
 
 from __future__ import annotations
@@ -36,12 +35,18 @@ __all__ = [
 def contract(values: np.ndarray, matrices) -> np.ndarray:
     """Apply the matrix M_a (K_a x J_a) to trailing axis a of ``values``, the last first.
 
-    np.einsum adds elementwise products, so no bit depends on the BLAS thread count.
+    Row k sums over its band of nonzero columns only (every band padded to the widest),
+    gathered band offset first, by np.einsum: no bit depends on the BLAS thread count.
     """
-    axes = "xyz"[:len(matrices)]  # a grid has at most three axes
-    for a in reversed(range(len(matrices))):
-        before, after = axes[:a] + "j" + axes[a + 1:], axes[:a] + "k" + axes[a + 1:]
-        values = np.einsum(f"kj,...{before}->...{after}", matrices[a], values)
+    d, axes = len(matrices), "xyz"[:len(matrices)]  # a grid has at most three axes
+    for a in reversed(range(d)):
+        nz = matrices[a] != 0
+        first, last = nz.argmax(axis=1), nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
+        width = np.max(last - first, where=nz.any(axis=1), initial=0) + 1
+        cols = np.minimum(first, nz.shape[1] - width) + np.arange(width)[:, None]  # (w, K)
+        before, after = axes[:a] + "tk" + axes[a + 1:], axes[:a] + "k" + axes[a + 1:]
+        values = np.einsum(f"tk,...{before}->...{after}", np.take_along_axis(
+            matrices[a].T, cols, axis=0), np.take(values, cols, axis=a - d))
     return values
 
 
@@ -59,23 +64,15 @@ class MeasurementFunctional:
             self.node_indices = np.add.outer(self.node_indices * len(row), nz).reshape(-1)
             self.node_weights = np.multiply.outer(self.node_weights, row[nz]).reshape(-1)
 
-    def apply(self, u: GridFunction) -> float:
-        # an elementwise dot, not BLAS, so no bit depends on the BLAS thread count
-        return float(np.einsum("i,i->", self.node_weights, u.values.reshape(-1)[self.node_indices]))
 
-
+@dataclass(frozen=True, eq=False)
 class MeasurementOperator:
-    """Measurement functionals in per-axis form: one (m_a, n+1) node-weight matrix per axis.
+    """Measurement functionals as one (m_a, n+1) node-weight matrix per axis: functional
+    i, of row-major multi-index (k_0, ..., k_{d-1}), weighs the nodes by
+    factors[0][k_0] (x) ... (x) factors[d-1][k_{d-1}]; ``len``, iteration and ``[i]``
+    give the functionals in that order."""
 
-    Functional i, with row-major multi-index (k_0, ..., k_{d-1}), has node
-    weights factors[0][k_0] (x) ... (x) factors[d-1][k_{d-1}]; ``len``,
-    iteration and ``[i]`` give the functionals in that order.
-    """
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        self.factors = factors
+    factors: list
 
     def __len__(self) -> int:
         return math.prod(len(w) for w in self.factors)
@@ -111,8 +108,8 @@ def build_functionals(sub: SubsampleSpec) -> MeasurementOperator:
 
 
 def measure(u: GridFunction, phi: MeasurementFunctional) -> float:
-    """Measured average of u under one functional."""
-    return phi.apply(u)
+    """Measured average of u under one functional: ``measure_all`` with its rows alone."""
+    return contract(u.values, [row[None] for row in phi.rows]).item()
 
 
 @dataclass(frozen=True)

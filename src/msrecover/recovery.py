@@ -87,7 +87,8 @@ def build_theta(functionals: MeasurementOperator, op: StiffnessOperator) -> Thet
     nfun = len(functionals)
     solves = np.empty((nfun, spec.num_nodes))
     for j, phi in enumerate(functionals):
-        load = functools.reduce(np.multiply.outer, phi.rows).reshape(-1)
+        load = np.zeros(spec.num_nodes)
+        load[phi.node_indices] = phi.node_weights
         solves[j] = op.embed_interior(op.solve_interior(load[op.interior_indices]))
 
     theta = contract(solves.reshape(nfun, *spec.node_shape), functionals.factors).reshape(nfun, -1)

@@ -448,6 +448,18 @@ def test_cli_recover_rejects_a_truncated_binary_input(tmp_path, capsys, end):
     assert "input error" in _recover_input_error(tmp_path, capsys, content)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_cli_recover_rejects_a_value_that_is_not_finite(tmp_path, capsys, bad, fmt):
+    from msrecover.grid import DomainSpec, GridFunction, save_grid_function
+
+    u = GridFunction.constant(DomainSpec(2, 4), 1.0)
+    u.values[2, 3] = float(bad)
+    path = tmp_path / "bad.in"
+    save_grid_function(u, path, fmt=fmt)
+    assert "must be finite" in _recover_input_error(tmp_path, capsys, path.read_bytes())
+
+
 def test_cli_recover_roundtrip(tmp_path, capsys):
     from msrecover.grid import DomainSpec, GridFunction, save_grid_function
 
