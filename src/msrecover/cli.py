@@ -16,22 +16,25 @@ from .grid import build_partition, build_subsample, load_grid_function, save_gri
 from .recovery import recover, recovery_error_report
 
 
-def _epilog(studies) -> str:
+def _epilog(harness) -> str:
+    studies = harness.STUDIES.items()
     lines = ["CSV column names by subcommand:"]
-    lines += [f"  {name:<12}{', '.join(study.columns)}" for name, study in studies.items()]
-    lines.append("Config files are JSON objects whose keys mirror ExperimentConfig fields.\n")
+    lines += [f"  {name:<12}{', '.join(study.columns)}" for name, study in studies]
+    lines.append("Config keys by subcommand (any other key is a configuration error):")
+    lines += [f"  {name:<12}{', '.join(study.reads)}" for name, study in studies]
+    lines.append(f"  {'recover':<12}{', '.join(harness.RECOVER_READS)}\n")
     return "\n".join(lines)
 
 
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file (defaults per subcommand)")
     sub.add_argument("--out", help="output directory for CSV/JSON records")
-    sub.add_argument("--seed", type=int, help="override the config seed")
+    sub.add_argument("--seed", type=int, help="override the config seed, if the study reads one")
 
 
 def _load_config(args, harness):
     if args.config:
-        cfg = harness.ExperimentConfig.from_json(args.config)
+        cfg = harness.ExperimentConfig.from_json(args.config, harness.STUDIES[args.command].reads)
     else:
         cfg = harness.ExperimentConfig(**harness.STUDIES[args.command].defaults)
     if args.seed is not None:
@@ -45,8 +48,7 @@ def _run_recover(args, harness) -> int:
     except ValueError as exc:
         print(f"input error: {args.input}: {exc}", file=sys.stderr)
         return 2
-    # the grid comes from the input file, so the config's dim and n are unused
-    cfg = (harness.ExperimentConfig.from_json(args.config) if args.config
+    cfg = (harness.ExperimentConfig.from_json(args.config, harness.RECOVER_READS) if args.config
            else harness.ExperimentConfig())
     part = build_partition(u.spec, cfg.m)
     sub = build_subsample(part, cfg.kind, cfg.r)
@@ -68,7 +70,7 @@ def main(argv=None) -> int:
         prog="msrecover",
         description="Recovery of functions from subsampled local averages: "
                     "rate studies and one-shot recovery.",
-        epilog=_epilog(harness.STUDIES), formatter_class=argparse.RawDescriptionHelpFormatter)
+        epilog=_epilog(harness), formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
     for name in harness.STUDIES:
         sub = subs.add_parser(name, help=f"run the {name} study")
@@ -76,7 +78,7 @@ def main(argv=None) -> int:
     rec = subs.add_parser("recover", help="one-shot recovery from a grid-function file")
     rec.add_argument("--input", required=True, help="grid-function file (csv or binary)")
     rec.add_argument("--output", required=True, help="recovered grid-function CSV")
-    rec.add_argument("--config", help="JSON config (m, kind, r, basis, coeff)")
+    rec.add_argument("--config", help=f"JSON config ({', '.join(harness.RECOVER_READS)})")
     args = parser.parse_args(argv)
 
     try:

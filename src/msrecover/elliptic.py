@@ -70,6 +70,8 @@ def checkerboard_coefficient(spec: DomainSpec, contrast: float) -> CoefficientFi
 
 
 def layered_coefficient(spec: DomainSpec, contrast: float, axis: int = 0) -> CoefficientField:
+    if not 0 <= axis < spec.dim:
+        raise ValueError(f"layered axis must lie in 0..{spec.dim - 1}, got {axis}")
     idx = np.indices(spec.cell_shape)[axis]
     vals = np.where(idx % 2 == 0, 1.0, float(contrast))
     return CoefficientField(spec, vals)

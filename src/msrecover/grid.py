@@ -195,13 +195,6 @@ class SubsampleSpec:
             return 0.0
         return self.ratio * self.partition.H
 
-    @property
-    def cells_across(self) -> int:
-        """Subsample side length in fine cells (0 for point kind)."""
-        if self.kind == "point":
-            return 0
-        return int(round(self.ratio * self.partition.cells_per_patch))
-
     def axis_intervals(self, axis: int) -> tuple:
         """(lo, hi) arrays over the patch coordinates k = 0..m-1 along ``axis``.
 

@@ -1,9 +1,9 @@
 """Experiment orchestration: sweeps, slope fits, pass/fail gates, persistence.
 
-Every study returns a plain dict embedding its fully resolved configuration.
-``STUDIES`` declares each CLI subcommand once: its runner, default config and
-CSV columns.  ``run_study`` runs one and, given an output directory, writes
-deterministic CSV/JSON: same config and seed, byte-identical files.
+``STUDIES`` declares each CLI subcommand once: its runner, default config, CSV
+columns and the config fields it reads.  ``run_study`` runs one, records those
+fields in its report and, given an output directory, writes deterministic
+CSV/JSON: same config and seed, byte-identical files.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "run_weighted_study",
     "run_pointwise_limit_study",
     "STUDIES",
+    "RECOVER_READS",
     "run_study",
 ]
 
@@ -93,7 +94,7 @@ def fit_loglog(points) -> FitResult:
 
 @dataclass
 class ExperimentConfig:
-    """Bag of sweep parameters; each study validates the fields it needs."""
+    """Bag of sweep parameters; each command reads those its ``reads`` declares."""
 
     name: str = "study"
     dim: int = 1
@@ -139,9 +140,8 @@ class ExperimentConfig:
         for key in ("value", "contrast", "sigma"):
             if key in self.coeff:
                 _check_number(f"coeff {key}", self.coeff[key], positive=key != "sigma")
-        axis = self.coeff.get("axis", 0)
-        if not (_is_int(axis) and 0 <= axis < self.dim):
-            raise ConfigError(f"coeff axis must be an integer in 0..{self.dim - 1}, got {axis!r}")
+        if not _is_int(self.coeff.get("axis", 0)):  # its range is the grid's (layered_coefficient)
+            raise ConfigError(f"coeff axis must be an integer, got {self.coeff['axis']!r}")
         seed = self.coeff.get("seed", 0)
         if not (_is_int(seed) and seed >= 0):  # numpy seeds are non-negative
             raise ConfigError(f"coeff seed must be a non-negative integer, got {seed!r}")
@@ -150,24 +150,16 @@ class ExperimentConfig:
                 _check_number(f"{key} entries", value, positive=True)
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
+    def from_json(cls, path, reads) -> "ExperimentConfig":
+        """The config of a JSON object whose keys are among the field names ``reads``."""
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError(f"a config must be a JSON object, got {raw!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(raw) - known
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def resolved(self) -> dict:
-        out = asdict(self)
-        out["library_version"] = testfuncs.LIBRARY_VERSION
-        return out
+        unread = sorted(set(raw) - set(reads))
+        if unread:
+            raise ConfigError(f"keys this command does not read: {unread}; it reads {list(reads)}")
+        return cls(**raw)
 
 
 def _is_int(value) -> bool:
@@ -277,7 +269,6 @@ def run_convergence_study(cfg: ExperimentConfig) -> dict:
     passed = stable and all(
         abs(fits[k]["slope"] - target) <= width for k, (target, width) in SLOPE_BANDS.items())
     report = {
-        "config": cfg.resolved(),
         "fits": fits,
         "energy_stable_everywhere": stable,
         "passed": bool(passed),
@@ -295,7 +286,7 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
     """
     if len(cfg.r_sweep) < 2 and len(cfg.h_sweep) < 3:
         raise ConfigError("rate study needs an r_sweep (grid) or h_sweep (grid-free)")
-    report = {"config": cfg.resolved(), "passed": True}
+    report = {"passed": True}
     rows = []
 
     if cfg.r_sweep:
@@ -392,7 +383,6 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
     passed = (active_max_min <= WEIGHTED_MAX_MIN) and monotone
     full_rows = [(h, uw, wv, c) for (h, uw, wv), c in zip(rows, constants)]
     report = {
-        "config": cfg.resolved(),
         "weighted_max_min": max(weighted_vals) / min(weighted_vals),
         "weighted_active_max_min": active_max_min,
         "unweighted_growth": max(unweighted_vals) / unweighted_vals[0],
@@ -455,7 +445,6 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
             "divergent" if cond_growth >= 2.0 else "inconclusive")
 
     report = {
-        "config": cfg.resolved(),
         "fitted_constant": fitted,
         "per_h_max_ratio": per_h_max,
         "constant_growth": growth,
@@ -515,7 +504,6 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
     passed = classification == expect
     rows = list(zip(seq["radii"], seq["averages"], [float("nan")] + diffs))
     report = {
-        "config": cfg.resolved(),
         "classification": classification,
         "expected": expect,
         "measured_ratio": measured,
@@ -529,53 +517,67 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
 
 @dataclass(frozen=True)
 class Study:
-    """A CLI subcommand: its runner, its default config and its CSV columns."""
+    """A CLI subcommand: its runner, default config, CSV columns and the config
+    fields it reads, the only keys its config file may hold and its report records."""
 
     runner: object  # ExperimentConfig -> report dict whose "rows" match columns
     defaults: dict
     columns: tuple
+    reads: tuple
 
 
 _RATE_COLUMNS = ("h", "ratio", "rho_value", "normalized_ratio", "source")
+_RATE_READS = ("name", "dim", "p", "n", "kind", "r_sweep", "h_sweep")
 
 STUDIES = {
     "converge": Study(run_convergence_study,
                       dict(name="converge", dim=1, n=256, r=0.5,
                            H_sweep=[1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32]),
                       ("H", "h", "pc_l2_error", "ms_l2_error", "ms_energy_error",
-                       "energy_stable")),
+                       "energy_stable"),
+                      # a lognormal coeff without a seed of its own draws with seed
+                      ("name", "dim", "n", "kind", "r", "H_sweep", "coeff", "seed")),
     "rates": Study(run_rate_study,
                    dict(name="rates", dim=2, p=2.0, n=256,
                         r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16]),
-                   _RATE_COLUMNS),
+                   _RATE_COLUMNS, _RATE_READS),
     "critical": Study(run_rate_study,
                       dict(name="critical", dim=2, p=2.0, n=256,
                            r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16],
                            h_sweep=[1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]),
-                      _RATE_COLUMNS),
+                      _RATE_COLUMNS, _RATE_READS),
     "degeneracy": Study(run_degeneracy_study,
                         dict(name="degeneracy", dim=2, p=2.0, n=128, m=2,
                              r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8]),
-                        ("h", "unweighted_ms_l2", "weighted_ms_l2", "sharp_constant")),
+                        ("h", "unweighted_ms_l2", "weighted_ms_l2", "sharp_constant"),
+                        ("name", "dim", "p", "n", "m", "r_sweep", "weight", "seed")),
     "weighted": Study(run_weighted_study,
                       dict(name="weighted", dim=2, p=2.0, n=64,
                            r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16]),
-                      ("h", "max_ratio", "condition_normalized")),
+                      ("h", "max_ratio", "condition_normalized"),
+                      ("name", "dim", "p", "n", "kind", "r_sweep", "weight", "seed",
+                       "num_functions")),
     "pointwise": Study(run_pointwise_limit_study,
                        dict(name="pointwise", dim=2, p=2.0,
                             radii=[2.0**-k for k in range(1, 11)]),
-                       ("h", "average", "difference")),
+                       ("h", "average", "difference"),
+                       ("name", "dim", "p", "radii", "weight", "profile_kind", "profile_q")),
 }
+# `msrecover recover`: the grid (dim, n) comes from its input file
+RECOVER_READS = ("m", "kind", "r", "basis", "coeff", "seed")
 
 
 def run_study(name: str, cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run the study ``name`` of ``STUDIES`` on ``cfg`` and return its report.
 
+    The report's config is the fields the study reads, with the library version.
     Given ``out_dir``, writes ``<cfg.name>_rows.csv`` (the report's rows under
     the study's columns) and ``<cfg.name>_report.json`` there.
     """
     study = STUDIES[name]
     report = study.runner(cfg)
+    report["config"] = {**{k: getattr(cfg, k) for k in study.reads},
+                        "library_version": testfuncs.LIBRARY_VERSION}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         stem = os.path.join(out_dir, cfg.name)

@@ -79,17 +79,17 @@ def build_theta(functionals: MeasurementOperator, op: StiffnessOperator) -> Thet
 
     One solve per functional; the load of a functional is its node-weight
     vector restricted to interior nodes (test functions vanish on the
-    boundary).  Raises ``SolverError`` if the coupling matrix is not
-    numerically positive definite, e.g. for a repeated or nearly linearly
-    dependent functional.
+    boundary): the product of its factor rows' interior columns, in axis order.
+    Raises ``SolverError`` if the coupling matrix is not numerically positive
+    definite, e.g. for a repeated or nearly linearly dependent functional.
     """
     spec = op.spec
     nfun = len(functionals)
     solves = np.empty((nfun, spec.num_nodes))
-    for j, phi in enumerate(functionals):
-        load = np.zeros(spec.num_nodes)
-        load[phi.node_indices] = phi.node_weights
-        solves[j] = op.embed_interior(op.solve_interior(load[op.interior_indices]))
+    interior = [w[:, 1:-1] for w in functionals.factors]
+    for j, multi in enumerate(np.ndindex(*(len(w) for w in interior))):
+        load = functools.reduce(np.multiply.outer, [w[k] for w, k in zip(interior, multi)])
+        solves[j] = op.embed_interior(op.solve_interior(load.reshape(-1)))
 
     theta = contract(solves.reshape(nfun, *spec.node_shape), functionals.factors).reshape(nfun, -1)
     theta = 0.5 * (theta + theta.T)

@@ -62,7 +62,7 @@ def distance_field(part: CoarsePartition, sub: SubsampleSpec) -> DistanceField:
     return DistanceField(spec, np.sqrt(sq))
 
 
-def _check_limit_geometry(dist: DistanceField, part: CoarsePartition) -> None:
+def _check_limit_geometry(part: CoarsePartition) -> None:
     if part.cells_per_patch % 2 != 0:
         raise AlignmentError(
             "limit weight (h=0) needs an even cell count per patch so cell "
@@ -88,7 +88,7 @@ def build_weight(dist: DistanceField, profile: str, p: float, H: float, h: float
     if h < 0.0:
         raise ValueError("h must be >= 0")
     if h == 0.0 and partition is not None:
-        _check_limit_geometry(dist, partition)
+        _check_limit_geometry(partition)
     s = np.maximum(dist.values, h)
     if h == 0.0 and np.any(s <= 0.0):
         raise AlignmentError("limit weight hit a zero distance; cell centers touch a sample point")

@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
+from msrecover import harness
 from msrecover.cli import main as cli_main
 from msrecover.errors import ConfigError
-from msrecover.harness import (STUDIES, WEIGHTED_MAX_MIN, ExperimentConfig, fit_loglog,
-                               run_convergence_study, run_degeneracy_study,
+from msrecover.harness import (RECOVER_READS, STUDIES, WEIGHTED_MAX_MIN, ExperimentConfig,
+                               fit_loglog, run_convergence_study, run_degeneracy_study,
                                run_pointwise_limit_study, run_rate_study, run_study,
                                run_weighted_study)
 
@@ -44,12 +46,15 @@ def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"name": "t", "dim": 1, "n": 64,
                                 "H_sweep": [0.5, 0.25, 0.125]}))
-    cfg = ExperimentConfig.from_json(path)
+    cfg = ExperimentConfig.from_json(path, STUDIES["converge"].reads)
     assert cfg.n == 64 and len(cfg.H_sweep) == 3
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "t", "bogus_key": 1}))
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_json(bad)
+        ExperimentConfig.from_json(bad, STUDIES["converge"].reads)
+    # a field the command does not read is rejected like an unknown key
+    with pytest.raises(ConfigError, match="does not read"):
+        ExperimentConfig.from_json(path, STUDIES["pointwise"].reads)
 
 
 def test_convergence_study_requires_sweep():
@@ -60,12 +65,13 @@ def test_convergence_study_requires_sweep():
 def test_convergence_study_small():
     cfg = ExperimentConfig(name="conv", dim=1, n=256, r=0.5,
                            H_sweep=[1 / 2, 1 / 4, 1 / 8, 1 / 16])
-    rep = run_convergence_study(cfg)
+    rep = run_study("converge", cfg)
     assert rep["passed"]
     assert abs(rep["fits"]["pc_l2"]["slope"] - 1.0) <= 0.15
     assert abs(rep["fits"]["ms_l2"]["slope"] - 2.0) <= 0.2
     assert abs(rep["fits"]["ms_energy"]["slope"] - 1.0) <= 0.15
-    assert rep["config"]["n"] == 256  # resolved config embedded
+    # run_study records the fields the study reads, and only those
+    assert rep["config"]["n"] == 256 and "m" not in rep["config"]
 
 
 def test_rate_study_grid_free_only():
@@ -222,12 +228,27 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
     ("degeneracy", {"weight": {"beta": 0.0, "validate": True}}),  # build_weight's rule
     ("rates", {"kind": "cubee"}),
     ("converge", {"basis": "pcc"}),
+    # a valid field the command does not read
+    ("converge", {"m": 4}),
+    ("rates", {"seed": 1}),
+    ("critical", {"weight": {"beta": 2.0}}),
+    ("degeneracy", {"kind": "slice"}),
+    ("weighted", {"coeff": {"name": "checkerboard", "contrast": 10.0}}),
+    ("pointwise", {"coeff": {"name": "checkerboard", "contrast": 1e9}}),
+    ("recover", {"dim": 2}),
 ])
 def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
-    # the study's default config, which runs, with one bad entry
+    # the command's default config, which runs, with one bad entry
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**STUDIES[study].defaults, **override}))
-    assert cli_main([study, "--config", str(path)]) == 2
+    argv = [study, "--config", str(path)]
+    if study == "recover":
+        from msrecover.grid import save_grid_function
+
+        save_grid_function(_field_2d(), tmp_path / "u.csv")
+        argv += ["--input", str(tmp_path / "u.csv"), "--output", str(tmp_path / "rec.csv")]
+    defaults = STUDIES[study].defaults if study in STUDIES else {}
+    path.write_text(json.dumps({**defaults, **override}))
+    assert cli_main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
 
 
@@ -244,6 +265,8 @@ def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
     ("converge", None, {"n": 1}),
     ("pointwise", None, {"profile_q": 0}),
     ("critical", None, {"h_sweep": [0.5, 0.25, 0.125]}),
+    # the grid is 2D: a layered axis is checked against the input, not a config dim
+    ("recover", 2, {"coeff": {"name": "layered", "contrast": 10, "axis": 2}}),
 ])
 def test_cli_value_a_library_rejects_is_a_configuration_error(tmp_path, capsys, command,
                                                                grid_dim, override):
@@ -348,7 +371,7 @@ def test_cli_format_option_is_gone(capsys):
 ])
 def test_convergence_study_variable_coefficient(coeff):
     sweep = dict(name="vc", dim=2, n=32, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8])
-    rep = run_convergence_study(ExperimentConfig(coeff=coeff, **sweep))
+    rep = run_study("converge", ExperimentConfig(coeff=coeff, **sweep))
     plain = run_convergence_study(ExperimentConfig(**sweep))
     # energy stability holds in the energy norm of every admissible coefficient
     assert rep["energy_stable_everywhere"]
@@ -386,6 +409,15 @@ def test_cli_recover_reports_the_grid_dim(tmp_path, capsys, basis):
     assert report["params"] == {"basis": basis, "dim": 2, "h": 0.125, "H": 0.25}
     assert len(report["per_patch_l2"]) == 16
     assert report["energy_stable"] is (True if basis == "ms" else None)
+
+
+def test_cli_recover_layered_axis_is_checked_against_the_input_grid(tmp_path, capsys):
+    # the config carries no dim: axis 1 is valid because the input is 2D
+    _recover(tmp_path, capsys, _field_2d(),
+             {"m": 2, "coeff": {"name": "layered", "contrast": 10, "axis": 1}})
+    layered = (tmp_path / "rec.csv").read_bytes()
+    _recover(tmp_path, capsys, _field_2d(), {"m": 2})
+    assert (tmp_path / "rec.csv").read_bytes() != layered
 
 
 def test_cli_recover_without_config(tmp_path, capsys):
@@ -468,8 +500,7 @@ def test_cli_recover_roundtrip(tmp_path, capsys):
     upath = tmp_path / "u.csv"
     save_grid_function(u, upath)
     cfgpath = tmp_path / "rc.json"
-    cfgpath.write_text(json.dumps({"name": "rec", "dim": 1, "n": 32, "m": 4,
-                                   "kind": "cube", "r": 0.5, "basis": "ms"}))
+    cfgpath.write_text(json.dumps({"m": 4, "kind": "cube", "r": 0.5, "basis": "ms"}))
     out = tmp_path / "rec.csv"
     rc = cli_main(["recover", "--input", str(upath), "--output", str(out),
                    "--config", str(cfgpath)])
@@ -477,3 +508,44 @@ def test_cli_recover_roundtrip(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["l2_error"] < 0.05
     assert report["energy_stable"] is True
+
+
+def _record_reads(monkeypatch) -> set:
+    """Make ``harness.ExperimentConfig`` a subclass that adds the name of every
+    field read after construction to the returned set."""
+    read, names = set(), {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    class RecordingConfig(ExperimentConfig):
+        built = False
+
+        def __post_init__(self):
+            super().__post_init__()
+            self.built = True
+
+        def __getattribute__(self, key):
+            if key in names and object.__getattribute__(self, "built"):
+                read.add(key)
+            return object.__getattribute__(self, key)
+
+    monkeypatch.setattr(harness, "ExperimentConfig", RecordingConfig)
+    return read
+
+
+# runs besides the defaults that reach a field the defaults leave unread
+_MORE_RUNS = {"converge": [{"coeff": {"name": "lognormal", "sigma": 0.5}}]}  # seed
+
+
+@pytest.mark.parametrize("name", list(STUDIES))
+def test_each_study_reads_exactly_its_declared_fields(monkeypatch, name):
+    read, study = _record_reads(monkeypatch), STUDIES[name]
+    for override in [{}] + _MORE_RUNS.get(name, []):
+        study.runner(harness.ExperimentConfig(**{**study.defaults, **override}))
+    # name is read by run_study alone, for the output file names
+    assert read | {"name"} == set(study.reads)
+    assert set(study.defaults) <= set(study.reads)
+
+
+def test_recover_reads_exactly_its_declared_fields(tmp_path, capsys, monkeypatch):
+    read = _record_reads(monkeypatch)
+    _recover(tmp_path, capsys, _field_2d(), {"coeff": {"name": "lognormal", "sigma": 0.5}})
+    assert read == set(RECOVER_READS)
