@@ -21,23 +21,21 @@ def _epilog(harness) -> str:
     lines = ["CSV column names by subcommand:"]
     lines += [f"  {name:<12}{', '.join(study.columns)}" for name, study in studies]
     lines.append("Config keys by subcommand (any other key is a configuration error):")
-    lines += [f"  {name:<12}{', '.join(study.reads)}" for name, study in studies]
-    lines.append(f"  {'recover':<12}{', '.join(harness.RECOVER_READS)}\n")
+    lines += [f"  {name:<12}{', '.join(study.defaults)}" for name, study in studies]
+    lines.append(f"  {'recover':<12}{', '.join(harness.RECOVER_DEFAULTS)}\n")
     return "\n".join(lines)
 
 
 def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file (defaults per subcommand)")
+    sub.add_argument("--config", help="JSON config file; its keys override the defaults")
     sub.add_argument("--out", help="output directory for CSV/JSON records")
     sub.add_argument("--seed", type=int, help="override the config seed, if the study reads one")
 
 
-def _load_config(args, harness):
-    if args.config:
-        cfg = harness.ExperimentConfig.from_json(args.config, harness.STUDIES[args.command].reads)
-    else:
-        cfg = harness.ExperimentConfig(**harness.STUDIES[args.command].defaults)
-    if args.seed is not None:
+def _load_config(args, defaults, harness):
+    cfg = (harness.ExperimentConfig.from_json(args.config, defaults) if args.config
+           else harness.ExperimentConfig(**defaults))
+    if getattr(args, "seed", None) is not None:  # recover has no --seed
         cfg.seed = args.seed
     return cfg
 
@@ -48,8 +46,7 @@ def _run_recover(args, harness) -> int:
     except ValueError as exc:
         print(f"input error: {args.input}: {exc}", file=sys.stderr)
         return 2
-    cfg = (harness.ExperimentConfig.from_json(args.config, harness.RECOVER_READS) if args.config
-           else harness.ExperimentConfig())
+    cfg = _load_config(args, harness.RECOVER_DEFAULTS, harness)
     part = build_partition(u.spec, cfg.m)
     sub = build_subsample(part, cfg.kind, cfg.r)
     op = assemble(u.spec, harness._coefficient(u.spec, cfg))
@@ -78,13 +75,14 @@ def main(argv=None) -> int:
     rec = subs.add_parser("recover", help="one-shot recovery from a grid-function file")
     rec.add_argument("--input", required=True, help="grid-function file (csv or binary)")
     rec.add_argument("--output", required=True, help="recovered grid-function CSV")
-    rec.add_argument("--config", help=f"JSON config ({', '.join(harness.RECOVER_READS)})")
+    rec.add_argument("--config", help=f"JSON config ({', '.join(harness.RECOVER_DEFAULTS)})")
     args = parser.parse_args(argv)
 
     try:
         if args.command == "recover":
             return _run_recover(args, harness)
-        report = harness.run_study(args.command, _load_config(args, harness), args.out)
+        cfg = _load_config(args, harness.STUDIES[args.command].defaults, harness)
+        report = harness.run_study(args.command, cfg, args.out)
     # ValueError covers ConfigError, AlignmentError, malformed JSON and every
     # value a library constructor rejects (a slice kind at dim 1, m = 0, ...)
     except (ValueError, FileNotFoundError) as exc:

@@ -1,9 +1,9 @@
 """Experiment orchestration: sweeps, slope fits, pass/fail gates, persistence.
 
-``STUDIES`` declares each CLI subcommand once: its runner, default config, CSV
-columns and the config fields it reads.  ``run_study`` runs one, records those
-fields in its report and, given an output directory, writes deterministic
-CSV/JSON: same config and seed, byte-identical files.
+``STUDIES`` declares each CLI subcommand once: its runner, CSV columns and
+default config, whose keys are the fields it reads.  ``run_study`` runs one,
+records those fields in its report and, given an output directory, writes
+deterministic CSV/JSON: same config and seed, byte-identical files.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
     "run_weighted_study",
     "run_pointwise_limit_study",
     "STUDIES",
-    "RECOVER_READS",
+    "RECOVER_DEFAULTS",
     "run_study",
 ]
 
@@ -94,7 +94,7 @@ def fit_loglog(points) -> FitResult:
 
 @dataclass
 class ExperimentConfig:
-    """Bag of sweep parameters; each command reads those its ``reads`` declares."""
+    """Bag of sweep parameters; each command reads those its defaults list."""
 
     name: str = "study"
     dim: int = 1
@@ -150,16 +150,16 @@ class ExperimentConfig:
                 _check_number(f"{key} entries", value, positive=True)
 
     @classmethod
-    def from_json(cls, path, reads) -> "ExperimentConfig":
-        """The config of a JSON object whose keys are among the field names ``reads``."""
+    def from_json(cls, path, defaults) -> "ExperimentConfig":
+        """``defaults`` overridden key by key by a JSON object of some of their keys."""
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError(f"a config must be a JSON object, got {raw!r}")
-        unread = sorted(set(raw) - set(reads))
-        if unread:
-            raise ConfigError(f"keys this command does not read: {unread}; it reads {list(reads)}")
-        return cls(**raw)
+        bad = sorted(set(raw) - set(defaults))
+        if bad:
+            raise ConfigError(f"keys this command does not read: {bad}; it reads {list(defaults)}")
+        return cls(**{**defaults, **raw})
 
 
 def _is_int(value) -> bool:
@@ -467,6 +467,9 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
     if not cfg.radii or len(cfg.radii) < 4:
         raise ConfigError("pointwise study needs at least 4 radii")
     beta = cfg.weight.get("beta", 1.0)
+    # the target rate is the polynomial weight's: beta is the only weight key read
+    if not set(cfg.weight.items()) <= {("profile", "polynomial"), ("beta", beta)}:
+        raise ConfigError(f"pointwise reads only a polynomial weight's beta, got {cfg.weight}")
     if cfg.profile_kind == "power":
         fn = power_profile(cfg.profile_q)
         expect = "convergent"
@@ -517,54 +520,53 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
 
 @dataclass(frozen=True)
 class Study:
-    """A CLI subcommand: its runner, default config, CSV columns and the config
-    fields it reads, the only keys its config file may hold and its report records."""
+    """A CLI subcommand: its runner, default config and CSV columns.  The defaults'
+    keys are the fields it reads: all its config file may hold and its report records."""
 
     runner: object  # ExperimentConfig -> report dict whose "rows" match columns
     defaults: dict
     columns: tuple
-    reads: tuple
 
 
 _RATE_COLUMNS = ("h", "ratio", "rho_value", "normalized_ratio", "source")
-_RATE_READS = ("name", "dim", "p", "n", "kind", "r_sweep", "h_sweep")
 
 STUDIES = {
     "converge": Study(run_convergence_study,
-                      dict(name="converge", dim=1, n=256, r=0.5,
-                           H_sweep=[1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32]),
-                      ("H", "h", "pc_l2_error", "ms_l2_error", "ms_energy_error",
-                       "energy_stable"),
                       # a lognormal coeff without a seed of its own draws with seed
-                      ("name", "dim", "n", "kind", "r", "H_sweep", "coeff", "seed")),
+                      dict(name="converge", dim=1, n=256, kind="cube", r=0.5,
+                           H_sweep=[1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32],
+                           coeff={"name": "constant", "value": 1.0}, seed=0),
+                      ("H", "h", "pc_l2_error", "ms_l2_error", "ms_energy_error",
+                       "energy_stable")),
     "rates": Study(run_rate_study,
-                   dict(name="rates", dim=2, p=2.0, n=256,
-                        r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16]),
-                   _RATE_COLUMNS, _RATE_READS),
+                   dict(name="rates", dim=2, p=2.0, n=256, kind="cube",
+                        r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16], h_sweep=[]),
+                   _RATE_COLUMNS),
     "critical": Study(run_rate_study,
-                      dict(name="critical", dim=2, p=2.0, n=256,
+                      dict(name="critical", dim=2, p=2.0, n=256, kind="cube",
                            r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16],
                            h_sweep=[1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]),
-                      _RATE_COLUMNS, _RATE_READS),
+                      _RATE_COLUMNS),
     "degeneracy": Study(run_degeneracy_study,
                         dict(name="degeneracy", dim=2, p=2.0, n=128, m=2,
-                             r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8]),
-                        ("h", "unweighted_ms_l2", "weighted_ms_l2", "sharp_constant"),
-                        ("name", "dim", "p", "n", "m", "r_sweep", "weight", "seed")),
+                             r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8],
+                             weight={"profile": "polynomial", "beta": 1.0}, seed=0),
+                        ("h", "unweighted_ms_l2", "weighted_ms_l2", "sharp_constant")),
     "weighted": Study(run_weighted_study,
-                      dict(name="weighted", dim=2, p=2.0, n=64,
-                           r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16]),
-                      ("h", "max_ratio", "condition_normalized"),
-                      ("name", "dim", "p", "n", "kind", "r_sweep", "weight", "seed",
-                       "num_functions")),
+                      dict(name="weighted", dim=2, p=2.0, n=64, kind="cube",
+                           r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16],
+                           weight={"profile": "polynomial", "beta": 1.0}, seed=0, num_functions=50),
+                      ("h", "max_ratio", "condition_normalized")),
     "pointwise": Study(run_pointwise_limit_study,
                        dict(name="pointwise", dim=2, p=2.0,
-                            radii=[2.0**-k for k in range(1, 11)]),
-                       ("h", "average", "difference"),
-                       ("name", "dim", "p", "radii", "weight", "profile_kind", "profile_q")),
+                            radii=[2.0**-k for k in range(1, 11)],
+                            weight={"profile": "polynomial", "beta": 1.0},
+                            profile_kind="power", profile_q=0.55),
+                       ("h", "average", "difference")),
 }
 # `msrecover recover`: the grid (dim, n) comes from its input file
-RECOVER_READS = ("m", "kind", "r", "basis", "coeff", "seed")
+RECOVER_DEFAULTS = dict(m=2, kind="cube", r=1.0, basis="ms",
+                        coeff={"name": "constant", "value": 1.0}, seed=0)
 
 
 def run_study(name: str, cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -576,7 +578,7 @@ def run_study(name: str, cfg: ExperimentConfig, out_dir=None) -> dict:
     """
     study = STUDIES[name]
     report = study.runner(cfg)
-    report["config"] = {**{k: getattr(cfg, k) for k in study.reads},
+    report["config"] = {**{k: getattr(cfg, k) for k in study.defaults},
                         "library_version": testfuncs.LIBRARY_VERSION}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -8,10 +8,11 @@ import pytest
 from msrecover import harness
 from msrecover.cli import main as cli_main
 from msrecover.errors import ConfigError
-from msrecover.harness import (RECOVER_READS, STUDIES, WEIGHTED_MAX_MIN, ExperimentConfig,
+from msrecover.harness import (RECOVER_DEFAULTS, STUDIES, WEIGHTED_MAX_MIN, ExperimentConfig,
                                fit_loglog, run_convergence_study, run_degeneracy_study,
                                run_pointwise_limit_study, run_rate_study, run_study,
                                run_weighted_study)
+from msrecover.testfuncs import LIBRARY_VERSION
 
 
 def test_fit_loglog_exact_quadratic():
@@ -46,15 +47,17 @@ def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"name": "t", "dim": 1, "n": 64,
                                 "H_sweep": [0.5, 0.25, 0.125]}))
-    cfg = ExperimentConfig.from_json(path, STUDIES["converge"].reads)
+    cfg = ExperimentConfig.from_json(path, STUDIES["converge"].defaults)
     assert cfg.n == 64 and len(cfg.H_sweep) == 3
+    # a key the file leaves out keeps the study's default, not the class default
+    assert cfg.r == STUDIES["converge"].defaults["r"] != ExperimentConfig().r
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "t", "bogus_key": 1}))
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_json(bad, STUDIES["converge"].reads)
+        ExperimentConfig.from_json(bad, STUDIES["converge"].defaults)
     # a field the command does not read is rejected like an unknown key
     with pytest.raises(ConfigError, match="does not read"):
-        ExperimentConfig.from_json(path, STUDIES["pointwise"].reads)
+        ExperimentConfig.from_json(path, STUDIES["pointwise"].defaults)
 
 
 def test_convergence_study_requires_sweep():
@@ -236,6 +239,10 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
     ("weighted", {"coeff": {"name": "checkerboard", "contrast": 10.0}}),
     ("pointwise", {"coeff": {"name": "checkerboard", "contrast": 1e9}}),
     ("recover", {"dim": 2}),
+    # pointwise's target rate is the polynomial weight's: it reads beta alone
+    ("pointwise", {"weight": {"profile": "w11", "gamma": 3.0, "validate": False}}),
+    ("pointwise", {"weight": {"profile": "logarithmic"}}),
+    ("pointwise", {"weight": {"beta": 2.0, "validate": True}}),
 ])
 def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
     # the command's default config, which runs, with one bad entry
@@ -293,9 +300,15 @@ def test_cli_help_lists_every_study_with_its_columns(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["--help"])
     assert exc.value.code == 0
-    listed = [" ".join(line.split(maxsplit=1)) for line in capsys.readouterr().out.splitlines()]
+    columns, keys = capsys.readouterr().out.split("Config keys by subcommand")
+    listed = [" ".join(line.split(maxsplit=1)) for line in columns.splitlines()]
     for name, study in STUDIES.items():
         assert f"{name} {', '.join(study.columns)}" in listed
+    # the accepted keys are the defaults', in their order
+    listed = [" ".join(line.split(maxsplit=1)) for line in keys.splitlines()[1:] if line]
+    declared = {**{name: study.defaults for name, study in STUDIES.items()},
+                "recover": RECOVER_DEFAULTS}
+    assert listed == [f"{name} {', '.join(defaults)}" for name, defaults in declared.items()]
 
 
 # small grids and sweeps; a study missing here runs at its defaults
@@ -422,9 +435,35 @@ def test_cli_recover_layered_axis_is_checked_against_the_input_grid(tmp_path, ca
 
 def test_cli_recover_without_config(tmp_path, capsys):
     report = _recover(tmp_path, capsys, _field_2d())
-    # ExperimentConfig defaults: m = 2, full-patch cubes, multiscale basis
+    # RECOVER_DEFAULTS: m = 2, full-patch cubes, multiscale basis
     assert report["params"] == {"basis": "ms", "dim": 2, "h": 0.5, "H": 0.5}
     assert report["energy_stable"] is True
+
+
+@pytest.mark.parametrize("command,override", [
+    # r is left out: converge's 0.5 holds, not the class default 1.0
+    ("converge", {"H_sweep": [0.5, 0.25, 0.125, 0.0625]}),
+    ("rates", {"n": 32}),
+    ("critical", {"n": 32}),
+    ("degeneracy", {"n": 32}),
+    ("weighted", {"num_functions": 5}),
+    ("pointwise", {"weight": {"beta": 0.5}}),
+    ("recover", {"m": 4}),
+])
+def test_cli_config_overrides_the_defaults_key_by_key(tmp_path, capsys, command, override):
+    if command == "recover":
+        partial = _recover(tmp_path, capsys, _field_2d(), override)
+        recovered = (tmp_path / "rec.csv").read_bytes()
+        assert _recover(tmp_path, capsys, _field_2d(), {**RECOVER_DEFAULTS, **override}) == partial
+        assert (tmp_path / "rec.csv").read_bytes() == recovered
+        return
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(override))
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / f"{command}_report.json").read_text())
+    assert report["config"] == {**STUDIES[command].defaults, **override,
+                                "library_version": LIBRARY_VERSION}
 
 
 @pytest.mark.parametrize("override", [{"basis": "pcc"}, {"kind": "cubee"}])
@@ -541,11 +580,10 @@ def test_each_study_reads_exactly_its_declared_fields(monkeypatch, name):
     for override in [{}] + _MORE_RUNS.get(name, []):
         study.runner(harness.ExperimentConfig(**{**study.defaults, **override}))
     # name is read by run_study alone, for the output file names
-    assert read | {"name"} == set(study.reads)
-    assert set(study.defaults) <= set(study.reads)
+    assert read | {"name"} == set(study.defaults)
 
 
 def test_recover_reads_exactly_its_declared_fields(tmp_path, capsys, monkeypatch):
     read = _record_reads(monkeypatch)
     _recover(tmp_path, capsys, _field_2d(), {"coeff": {"name": "lognormal", "sigma": 0.5}})
-    assert read == set(RECOVER_READS)
+    assert read == set(RECOVER_DEFAULTS)
