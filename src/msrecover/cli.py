@@ -54,7 +54,7 @@ def _run_recover(args, harness) -> int:
     report = recovery_error_report(u, rec, {"basis": cfg.basis, "dim": u.spec.dim,
                                             "h": sub.h, "H": part.H}, a=op,
                                    partition=part)
-    save_grid_function(rec, args.output, fmt="csv")
+    save_grid_function(rec, args.output)
     print(report.to_json())
     return 0
 
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
         sub = subs.add_parser(name, help=f"run the {name} study")
         _add_common(sub)
     rec = subs.add_parser("recover", help="one-shot recovery from a grid-function file")
-    rec.add_argument("--input", required=True, help="grid-function file (csv or binary)")
+    rec.add_argument("--input", required=True, help="grid-function CSV")
     rec.add_argument("--output", required=True, help="recovered grid-function CSV")
     rec.add_argument("--config", help=f"JSON config ({', '.join(harness.RECOVER_DEFAULTS)})")
     args = parser.parse_args(argv)

@@ -10,8 +10,6 @@ cell-center values obtained from the interpolant.
 from __future__ import annotations
 
 import csv
-import io
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,6 @@ __all__ = [
     "load_grid_function",
 ]
 
-_BINARY_MAGIC = b"MSRG"
 # the subsample kinds, in the order errors list them
 SUBSAMPLE_KINDS = ("cube", "slice", "point")
 
@@ -176,14 +173,13 @@ class SubsampleSpec:
 
     kind "cube": an axis-aligned cube of side h = ratio*H centered in the patch.
     kind "slice": an axis-aligned (dim-1)-square of side h through the patch
-    center, orthogonal to normal_axis.
+    center, orthogonal to the last axis.
     kind "point": the patch center itself (h treated as 0).
     """
 
     partition: CoarsePartition
     kind: str
     ratio: float
-    normal_axis: int = -1
 
     @property
     def H(self) -> float:
@@ -199,44 +195,32 @@ class SubsampleSpec:
         """(lo, hi) arrays over the patch coordinates k = 0..m-1 along ``axis``.
 
         The set spans (k + 1/2)H -+ h/2 there; the interval is flat on every
-        axis of the point kind and on the slice kind's normal axis.  Every set
+        axis of the point kind and on the slice kind's last axis.  Every set
         is the product of its axes' intervals, so the union of the sets is the
         product of the per-axis unions.
         """
         c = (np.arange(self.partition.m) + 0.5) * self.H
-        normal = self.kind == "slice" and axis == self.normal_axis % self.partition.spec.dim
+        normal = self.kind == "slice" and axis == self.partition.spec.dim - 1
         flat = self.kind == "point" or normal
         half = 0.0 if flat else 0.5 * self.h
         return c - half, c + half
 
 
-def build_subsample(part: CoarsePartition, kind: str, ratio: float = 1.0,
-                    normal_axis: int | None = None) -> SubsampleSpec:
+def build_subsample(part: CoarsePartition, kind: str, ratio: float = 1.0) -> SubsampleSpec:
     """Build the subsampled sets inside each patch.
 
     For cube and slice kinds the side h = ratio*H must be a whole number of fine
     cells and the concentric placement must put the set's corners on grid lines,
     i.e. cells_per_patch - h*n must be even.
     """
-    dim = part.spec.dim
     if kind not in SUBSAMPLE_KINDS:
         raise ValueError(f"unknown subsample kind {kind!r}")
     if kind == "point":
-        if normal_axis is not None:
-            raise ValueError("normal_axis is only meaningful for slice kind")
         return SubsampleSpec(part, kind, 0.0)
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    if kind == "slice":
-        if dim < 2:
-            raise ValueError("slice kind needs dim >= 2")
-        axis = dim - 1 if normal_axis is None else int(normal_axis)
-        if not (0 <= axis < dim):
-            raise ValueError(f"normal_axis {axis} out of range for dim {dim}")
-    else:
-        if normal_axis is not None:
-            raise ValueError("normal_axis is only meaningful for slice kind")
-        axis = -1
+    if kind == "slice" and part.spec.dim < 2:
+        raise ValueError("slice kind needs dim >= 2")
     q = part.cells_per_patch
     k = ratio * q
     k_int = int(round(k))
@@ -250,7 +234,7 @@ def build_subsample(part: CoarsePartition, kind: str, ratio: float = 1.0,
             f"concentric subsample of {k_int} cells inside a {q}-cell patch has "
             "corners off the fine grid (parity mismatch)"
         )
-    return SubsampleSpec(part, kind, ratio, axis)
+    return SubsampleSpec(part, kind, ratio)
 
 
 def cell_center_values(u: GridFunction) -> np.ndarray:
@@ -351,48 +335,36 @@ def gradient_lp_norm(u: GridFunction, p: float, weight=None) -> float:
     return float(np.sum(integrand) * u.spec.cell_volume) ** (1.0 / p)
 
 
-def save_grid_function(u: GridFunction, path, fmt: str = "csv") -> None:
-    """Write a grid function to disk.
-
-    csv: header row "dim,n", then node values one per line in C (lexicographic)
-    node order.  binary: magic b"MSRG", dim and n as little-endian int64, then
-    node values as little-endian float64 in the same order.
-    """
-    flat = np.ascontiguousarray(u.values).reshape(-1)
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([u.spec.dim, u.spec.n])
-            for val in flat:
-                writer.writerow([repr(float(val))])
-    elif fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(_BINARY_MAGIC)
-            fh.write(struct.pack("<qq", u.spec.dim, u.spec.n))
-            fh.write(flat.astype("<f8").tobytes())
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+def save_grid_function(u: GridFunction, path) -> None:
+    """Write a grid function as CSV: header row "dim,n", then node values one per
+    line in C (lexicographic) node order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([u.spec.dim, u.spec.n])
+        for val in np.ascontiguousarray(u.values).reshape(-1):
+            writer.writerow([repr(float(val))])
 
 
 def load_grid_function(path) -> GridFunction:
-    """Read a grid function written by save_grid_function; the magic bytes tell
-    binary from CSV.
+    """Read a grid function written by save_grid_function.
 
-    Raises ValueError on a malformed or truncated file, or a value that is not finite.
+    Raises ValueError on a malformed or truncated file, a value row that is not
+    exactly one field, or a value that is not finite.
     """
-    with open(path, "rb") as fh:
-        if fh.read(4) == _BINARY_MAGIC:
-            header = fh.read(16)
-            if len(header) != 16:
-                raise ValueError("truncated binary grid-function header")
-            dim, n = struct.unpack("<qq", header)
-            vals = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-        else:
-            fh.seek(0)
-            reader = csv.reader(io.TextIOWrapper(fh, newline=""))
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
             # an empty file, or a header other than "dim,n", raises ValueError here
             dim, n = (int(tok) for tok in next(reader, []))
-            vals = np.array([float(tok) for tok, *_ in reader])  # a blank row raises ValueError
+            vals = np.array([_one_value(row) for row in reader])
+        except csv.Error as exc:  # a line over the csv field limit, or a NUL before 3.11
+            raise ValueError(f"not a grid-function CSV: {exc}") from exc
     if not np.isfinite(vals).all():
         raise ValueError("grid-function values must be finite")
-    return GridFunction(DomainSpec(int(dim), int(n)), vals)
+    return GridFunction(DomainSpec(dim, n), vals)
+
+
+def _one_value(row: list) -> float:
+    if len(row) != 1:
+        raise ValueError(f"a value row must hold exactly one field, got {row!r}")
+    return float(row[0])

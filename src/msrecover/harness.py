@@ -122,6 +122,10 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"{f.name} must be a JSON {what}, got {value!r}")
+        if not 1 <= self.p < math.inf:  # the range lp_norm accepts, and finite
+            raise ConfigError(f"p must be a finite number >= 1, got {self.p!r}")
+        if self.num_functions < 1:
+            raise ConfigError(f"num_functions must be >= 1, got {self.num_functions!r}")
         _check_choice("kind", self.kind, SUBSAMPLE_KINDS)
         _check_choice("basis", self.basis, BASES)
         _check_keys("weight", self.weight, (), _WEIGHT_KEYS)

@@ -12,8 +12,10 @@ from .grid import CoarsePartition, DomainSpec, GridFunction, build_subsample
 from .measurements import build_functionals, contract, measure_all
 
 LIBRARY_VERSION = 3
+# the seeded series keep the modes k_a = 0..KMAX on every axis
+KMAX = 3
 
-__all__ = ["LIBRARY_VERSION", "sine_product", "fourier_h01", "fourier_free",
+__all__ = ["LIBRARY_VERSION", "KMAX", "sine_product", "fourier_h01", "fourier_free",
            "flattened_profile"]
 
 
@@ -23,12 +25,12 @@ def sine_product(spec: DomainSpec) -> GridFunction:
         spec, lambda *xs: np.prod([np.sin(np.pi * x) for x in xs], axis=0))
 
 
-def _coefficients(rng, dim: int, kmax: int, skip_zero_axis: bool) -> np.ndarray:
-    """(kmax+1)^dim tensor of c_k = N(0,1) / (1 + |k|^2), drawn in row-major mode order.
+def _coefficients(rng, dim: int, skip_zero_axis: bool) -> np.ndarray:
+    """(KMAX+1)^dim tensor of c_k = N(0,1) / (1 + |k|^2), drawn in row-major mode order.
 
     With ``skip_zero_axis`` a mode with any k_a = 0 draws nothing and stays 0.
     """
-    k = np.indices((kmax + 1,) * dim)
+    k = np.indices((KMAX + 1,) * dim)
     ksq = np.sum(k * k, axis=0)
     coef = np.zeros(ksq.shape)
     drawn = np.all(k > 0, axis=0) if skip_zero_axis else np.ones(ksq.shape, dtype=bool)
@@ -43,19 +45,19 @@ def _series(spec: DomainSpec, coef: np.ndarray, fn) -> np.ndarray:
     order, so in 1D it adds them as a mode-by-mode sum does.
     """
     x = spec.node_coordinates()[0]
-    table = fn(np.pi * np.arange(len(coef))[:, None] * x)  # (kmax+1, n+1)
+    table = fn(np.pi * np.arange(len(coef))[:, None] * x)  # (KMAX+1, n+1)
     return contract(coef, [table.T] * spec.dim)
 
 
-def fourier_h01(spec: DomainSpec, seed: int, kmax: int = 3) -> GridFunction:
+def fourier_h01(spec: DomainSpec, seed: int) -> GridFunction:
     """Random low-order sine series with decaying coefficients; boundary zero."""
-    coef = _coefficients(np.random.default_rng(seed), spec.dim, kmax, skip_zero_axis=True)
+    coef = _coefficients(np.random.default_rng(seed), spec.dim, skip_zero_axis=True)
     return GridFunction(spec, _series(spec, coef, np.sin))
 
 
-def fourier_free(spec: DomainSpec, seed: int, kmax: int = 3) -> GridFunction:
+def fourier_free(spec: DomainSpec, seed: int) -> GridFunction:
     """Random low-order cosine series; generic boundary values, nonconstant."""
-    coef = _coefficients(np.random.default_rng(seed), spec.dim, kmax, skip_zero_axis=False)
+    coef = _coefficients(np.random.default_rng(seed), spec.dim, skip_zero_axis=False)
     coef[(0,) * spec.dim] = 0.0  # constants drop out of every average-removed quantity
     return GridFunction(spec, _series(spec, coef, np.cos))
 

@@ -73,6 +73,13 @@ def test_subsample_slice_segments():
     assert np.allclose(0.5 * (lo0 + hi0), centers) and np.allclose(lo1, centers)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_slice_is_normal_to_the_last_axis(dim):
+    sub = build_subsample(build_partition(DomainSpec(dim, 8), 2), "slice", 0.5)
+    flat = [np.array_equal(*sub.axis_intervals(axis)) for axis in range(dim)]
+    assert flat == [False] * (dim - 1) + [True]
+
+
 def test_subsample_alignment_errors():
     part = build_partition(DomainSpec(1, 8), 2)
     with pytest.raises(AlignmentError):
@@ -180,9 +187,8 @@ def test_serialization_roundtrip(tmp_path):
     spec = DomainSpec(2, 6)
     rng = np.random.default_rng(3)
     u = GridFunction(spec, rng.standard_normal(spec.node_shape))
-    for fmt in ("csv", "binary"):
-        path = tmp_path / f"u.{fmt}"
-        save_grid_function(u, path, fmt)
-        v = load_grid_function(path)
-        assert v.spec == spec
-        np.testing.assert_array_equal(v.values, u.values)
+    path = tmp_path / "u.csv"
+    save_grid_function(u, path)
+    v = load_grid_function(path)
+    assert v.spec == spec
+    np.testing.assert_array_equal(v.values, u.values)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -243,6 +244,11 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
     ("pointwise", {"weight": {"profile": "w11", "gamma": 3.0, "validate": False}}),
     ("pointwise", {"weight": {"profile": "logarithmic"}}),
     ("pointwise", {"weight": {"beta": 2.0, "validate": True}}),
+    # p below 1 is no norm exponent, and weighted draws at least one function
+    ("pointwise", {"p": 0}),
+    ("pointwise", {"p": -2.0}),
+    ("degeneracy", {"p": -1.0}),
+    ("weighted", {"num_functions": 0}),
 ])
 def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
     # the command's default config, which runs, with one bad entry
@@ -504,30 +510,27 @@ def _recover_input_error(tmp_path, capsys, content: bytes) -> str:
     return capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b"", b"dim,n\n0.0\n", b"2\n0.0\n", b"1,4\n0.0\n\n0.0\n"])
+@pytest.mark.parametrize("content", [
+    b"", b"dim,n\n0.0\n", b"2\n0.0\n", b"1,4\n0.0\n\n0.0\n",
+    pytest.param(b"1,4\n0.0,7.5\n1.0\n2.0\n3.0\n4.0\n", id="two-field-row"),
+    # the former binary layout: magic, dim and n as int64, then float64 values
+    pytest.param(b"MSRG" + struct.pack("<qq", 1, 4) + struct.pack("<5d", *range(5)),
+                 id="binary-layout"),
+    # a line beyond the csv module's field limit raises csv.Error, not ValueError
+    pytest.param(b"1,4\n" + b"1" * 200_000 + b"\n", id="over-field-limit"),
+])
 def test_cli_recover_rejects_a_malformed_csv_input(tmp_path, capsys, content):
     assert "input error" in _recover_input_error(tmp_path, capsys, content)
 
 
-@pytest.mark.parametrize("end", [-3, -8, 10], ids=["partial-value", "value-short", "header-cut"])
-def test_cli_recover_rejects_a_truncated_binary_input(tmp_path, capsys, end):
-    from msrecover.grid import DomainSpec, GridFunction, save_grid_function
-
-    path = tmp_path / "full.bin"
-    save_grid_function(GridFunction.constant(DomainSpec(2, 4), 1.0), path, fmt="binary")
-    content = path.read_bytes()[:end]
-    assert "input error" in _recover_input_error(tmp_path, capsys, content)
-
-
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("fmt", ["csv", "binary"])
-def test_cli_recover_rejects_a_value_that_is_not_finite(tmp_path, capsys, bad, fmt):
+def test_cli_recover_rejects_a_value_that_is_not_finite(tmp_path, capsys, bad):
     from msrecover.grid import DomainSpec, GridFunction, save_grid_function
 
     u = GridFunction.constant(DomainSpec(2, 4), 1.0)
     u.values[2, 3] = float(bad)
-    path = tmp_path / "bad.in"
-    save_grid_function(u, path, fmt=fmt)
+    path = tmp_path / "bad.csv"
+    save_grid_function(u, path)
     assert "must be finite" in _recover_input_error(tmp_path, capsys, path.read_bytes())
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import msrecover
+from msrecover import testfuncs
 from msrecover.grid import DomainSpec, build_partition, build_subsample
 from msrecover.measurements import build_functionals, measure_all
-from msrecover.testfuncs import flattened_profile, fourier_free, fourier_h01
+from msrecover.testfuncs import KMAX, flattened_profile, fourier_free, fourier_h01
 
 SPECS = [(1, 64), (2, 32), (3, 12)]
 SEEDS = [0, 1, 2024]
@@ -19,7 +20,7 @@ def _modes(dim, kmax):
     return np.array(list(itertools.product(range(kmax + 1), repeat=dim)))
 
 
-def reference_fourier_h01(spec, seed, kmax=3):
+def reference_fourier_h01(spec, seed, kmax):
     """Meshgrid reference: every sine factor evaluated on the full node grid.
 
     Returns the values and sum |c_k|, which bounds every term's magnitude sum.
@@ -39,7 +40,7 @@ def reference_fourier_h01(spec, seed, kmax=3):
     return vals, coef_l1
 
 
-def reference_fourier_free(spec, seed, kmax=3):
+def reference_fourier_free(spec, seed, kmax):
     """Meshgrid reference: draws before the constant-mode skip, as the generator must."""
     rng = np.random.default_rng(seed)
     grids = np.meshgrid(*spec.node_coordinates(), indexing="ij")
@@ -74,20 +75,22 @@ def assert_matches_reference(got, reference, kmax):
 
 @pytest.mark.parametrize("dim,n", SPECS)
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("kmax", [1, 3])
-def test_fourier_h01_matches_meshgrid_reference(dim, n, seed, kmax):
+@pytest.mark.parametrize("kmax", [1, KMAX])
+def test_fourier_h01_matches_meshgrid_reference(dim, n, seed, kmax, monkeypatch):
+    monkeypatch.setattr(testfuncs, "KMAX", kmax)  # the contraction holds at any cutoff
     spec = DomainSpec(dim, n)
-    got = fourier_h01(spec, seed, kmax).values
+    got = fourier_h01(spec, seed).values
     assert got.shape == spec.node_shape
     assert_matches_reference(got, reference_fourier_h01(spec, seed, kmax), kmax)
 
 
 @pytest.mark.parametrize("dim,n", SPECS)
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("kmax", [1, 3])
-def test_fourier_free_matches_meshgrid_reference(dim, n, seed, kmax):
+@pytest.mark.parametrize("kmax", [1, KMAX])
+def test_fourier_free_matches_meshgrid_reference(dim, n, seed, kmax, monkeypatch):
+    monkeypatch.setattr(testfuncs, "KMAX", kmax)
     spec = DomainSpec(dim, n)
-    got = fourier_free(spec, seed, kmax).values
+    got = fourier_free(spec, seed).values
     assert got.shape == spec.node_shape
     assert_matches_reference(got, reference_fourier_free(spec, seed, kmax), kmax)
 
