@@ -1,14 +1,16 @@
 """Discrete divergence-form elliptic operator on the fine grid.
 
 Multilinear (linear/bilinear/trilinear) elements with a cellwise-constant
-coefficient a, homogeneous Dirichlet boundary.  The discrete energy form is the
-exact element bilinear form; loads and the scalar product [.,.] use the same
-midpoint-rule quadrature as the grid-module norms, so Galerkin identities hold
-to solver tolerance.
+coefficient a, homogeneous Dirichlet boundary.  The element matrix (the exact
+energy form) and its DCT-I spectrum are Kronecker sums of the 1D unit-cell
+stiffness and consistent mass.  Loads and the scalar product [.,.] use the
+midpoint rule of the grid-module norms, so Galerkin identities hold to solver
+tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -84,33 +86,38 @@ def lognormal_coefficient(spec: DomainSpec, sigma: float = 1.0, seed: int = 0) -
     return CoefficientField(spec, vals)
 
 
-def _corners(dim: int) -> list:
-    """Local corner offsets of a cell, in the row order of ``_reference_stiffness``."""
-    return list(itertools.product((0, 1), repeat=dim))
+# the 1D unit-cell Q1 factors: stiffness int N_i' N_j' and consistent mass int N_i N_j
+UNIT_STIFFNESS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+UNIT_MASS = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
+
+
+def kronecker_sum(stiffness, mass, dim: int, product):
+    """sum_a (x)_b (stiffness if b == a else mass), axis 0 outermost; ``product`` is
+    ``np.kron`` for element matrices and ``np.multiply.outer`` for spectra."""
+    return sum(functools.reduce(product, [stiffness if b == a else mass for b in range(dim)])
+               for a in range(dim))
 
 
 def _reference_stiffness(dim: int) -> np.ndarray:
-    """Exact unit-cell stiffness of multilinear elements (2-pt Gauss per axis)."""
-    g = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-    corners = _corners(dim)
-    nloc = len(corners)
-    K = np.zeros((nloc, nloc))
-    for qpt in itertools.product(range(2), repeat=dim):
-        x = g[list(qpt)]
-        wq = 0.5**dim
-        dN = np.zeros((nloc, dim))
-        for a, c in enumerate(corners):
-            for axis in range(dim):
-                term = 1.0
-                for other in range(dim):
-                    xo = x[other]
-                    if other == axis:
-                        term *= 1.0 if c[other] else -1.0
-                    else:
-                        term *= xo if c[other] else 1.0 - xo
-                dN[a, axis] = term
-        K += wq * dN @ dN.T
-    return K
+    """Exact unit-cell stiffness of multilinear elements, in ``_corner_values`` order."""
+    return kronecker_sum(UNIT_STIFFNESS, UNIT_MASS, dim, np.kron)
+
+
+def q1_spectrum(n: int):
+    """(theta, consistent, midpoint, c, cos): the 1D DCT-I tables of n cells.
+
+    cos(pi k j / n) = cos[k j % 2n] (exact arguments at large n) are the modes of
+    the natural stiffness K against the lumped mass L, eigenvalues theta; the
+    consistent and midpoint masses L - (h^2/6) K and L - (h^2/4) K have the
+    eigenvalues consistent and midpoint, and c_k cos(pi k j / n) is L-orthonormal.
+    """
+    angle = 0.5 * np.pi * np.arange(n + 1) / n
+    theta = 4.0 * n * n * np.sin(angle) ** 2
+    consistent = 1.0 - theta / (6.0 * n * n)
+    midpoint = np.cos(angle) ** 2
+    c = np.r_[1.0, np.full(n - 1, np.sqrt(2.0)), 1.0]
+    cos = np.cos(np.pi * np.arange(2 * n) / n)
+    return theta, consistent, midpoint, c, cos
 
 
 class StiffnessOperator:
@@ -273,17 +280,9 @@ def _assemble_full(spec: DomainSpec, a: CoefficientField):
     """COO assembly of the natural form over all nodes, summed into CSR."""
     from scipy.sparse import coo_matrix  # loaded by the first matrix use, never by pc runs
 
-    dim = spec.dim
-    kref = _reference_stiffness(dim)
-    corners = _corners(dim)
-    nloc = len(corners)
-
-    base = np.indices(spec.cell_shape).reshape(dim, -1)
-    corner_ids = np.empty((base.shape[1], nloc), dtype=np.int64)
-    for k, c in enumerate(corners):
-        shifted = base + np.asarray(c)[:, None]
-        corner_ids[:, k] = np.ravel_multi_index(shifted, spec.node_shape)
-
+    kref = _reference_stiffness(spec.dim)
+    nloc = len(kref)
+    corner_ids = _corner_values(np.arange(spec.num_nodes).reshape(spec.node_shape)).T
     scale = _cell_scale(a)
     rows = np.repeat(corner_ids, nloc, axis=1).reshape(-1)
     cols = np.tile(corner_ids, (1, nloc)).reshape(-1)
@@ -316,16 +315,17 @@ def energy_inner(u: GridFunction, v: GridFunction, op: StiffnessOperator) -> flo
     for boundary-vanishing fields it coincides with the Dirichlet form.
     """
     kref = _reference_stiffness(op.spec.dim)
-    uc = _corner_values(u)
-    vc = _corner_values(v)
+    uc = _corner_values(u.values)
+    vc = _corner_values(v.values)
     return float(_cell_scale(op.coefficient) @ np.sum(uc * (kref @ vc), axis=0))
 
 
-def _corner_values(u: GridFunction) -> np.ndarray:
-    """Nodal values at each local corner of every cell, shape (2^d, cells)."""
-    n = u.spec.n
-    return np.stack([u.values[tuple(slice(c, c + n) for c in corner)].reshape(-1)
-                     for corner in _corners(u.spec.dim)])
+def _corner_values(values: np.ndarray) -> np.ndarray:
+    """Nodal values at each local corner of every cell, shape (2^d, cells), corners in
+    lexicographic order (axis 0 slowest)."""
+    n = values.shape[0] - 1
+    return np.stack([values[tuple(slice(c, c + n) for c in corner)].reshape(-1)
+                     for corner in itertools.product((0, 1), repeat=values.ndim)])
 
 
 def l2_inner(u: GridFunction, v: GridFunction) -> float:

@@ -302,8 +302,8 @@ def _resolve_cell_weight(weight, spec: DomainSpec):
 
 def lp_norm(u: GridFunction, p: float, region: tuple | None = None) -> float:
     """Midpoint-rule L^p norm of u over the cube, or over a patch cell-slice region."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < np.inf:  # p = inf would read |x|**inf ** (1/inf) = 1
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     v = cell_center_values(u)
     if region is not None:
         v = v[region]
@@ -322,8 +322,8 @@ def gradient_lp_norm(u: GridFunction, p: float, weight=None) -> float:
     weight is an optional strictly positive field on cells (array, or any
     object with a cell-shaped ``values`` attribute); weight None means 1.
     """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < np.inf:  # p = inf would read |x|**inf ** (1/inf) = 1
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     w = _resolve_cell_weight(weight, u.spec)
     comps = cell_gradient(u)
     mag2 = np.zeros(u.spec.cell_shape)
@@ -354,9 +354,9 @@ def load_grid_function(path) -> GridFunction:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            # an empty file, or a header other than "dim,n", raises ValueError here
-            dim, n = (int(tok) for tok in next(reader, []))
-            vals = np.array([_one_value(row) for row in reader])
+            dim, n = _parse_row(next(reader, []), int, 2, "the header must be 'dim,n'")
+            vals = np.array([_parse_row(row, float, 1, "a value row must hold one number")[0]
+                             for row in reader])
         except csv.Error as exc:  # a line over the csv field limit, or a NUL before 3.11
             raise ValueError(f"not a grid-function CSV: {exc}") from exc
     if not np.isfinite(vals).all():
@@ -364,7 +364,13 @@ def load_grid_function(path) -> GridFunction:
     return GridFunction(DomainSpec(dim, n), vals)
 
 
-def _one_value(row: list) -> float:
-    if len(row) != 1:
-        raise ValueError(f"a value row must hold exactly one field, got {row!r}")
-    return float(row[0])
+def _parse_row(row: list, convert, count: int, rule: str) -> list:
+    """The ``count`` fields of a CSV row through ``convert``; any other row raises
+    ValueError stating ``rule`` and quoting at most the row's first 40 characters."""
+    try:
+        if len(row) == count:
+            return [convert(tok) for tok in row]
+    except ValueError:
+        pass
+    text = ",".join(row)
+    raise ValueError(f"{rule}, got {text[:40]!r}" + ("..." if len(text) > 40 else ""))

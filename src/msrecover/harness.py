@@ -122,7 +122,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"{f.name} must be a JSON {what}, got {value!r}")
-        if not 1 <= self.p < math.inf:  # the range lp_norm accepts, and finite
+        if not 1 <= self.p < math.inf:  # the range lp_norm accepts
             raise ConfigError(f"p must be a finite number >= 1, got {self.p!r}")
         if self.num_functions < 1:
             raise ConfigError(f"num_functions must be >= 1, got {self.num_functions!r}")

@@ -40,6 +40,9 @@ def contract(values: np.ndarray, matrices) -> np.ndarray:
     """
     d, axes = len(matrices), "xyz"[:len(matrices)]  # a grid has at most three axes
     for a in reversed(range(d)):
+        if matrices[a].shape[1] != values.shape[a - d]:
+            raise ValueError(f"axis {a}: the matrix has {matrices[a].shape[1]} columns, "
+                             f"the values {values.shape[a - d]} entries")
         nz = matrices[a] != 0
         first, last = nz.argmax(axis=1), nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
         width = np.max(last - first, where=nz.any(axis=1), initial=0) + 1

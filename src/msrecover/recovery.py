@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .elliptic import StiffnessOperator, energy_inner
+from .elliptic import StiffnessOperator, energy_inner, kronecker_sum, q1_spectrum
 from .errors import SolverError
 from .grid import (CoarsePartition, GridFunction, SubsampleSpec, _midpoint_lp,
                    cell_center_values, lp_norm)
@@ -218,22 +218,12 @@ def sharp_constant_estimate(sub: SubsampleSpec) -> float:
         raise ValueError("the constant estimate runs on a single-patch configuration")
     n, dim = part.spec.n, part.spec.dim
     outer = functools.partial(functools.reduce, np.multiply.outer)  # of one array per axis
-    # 1D: cos(pi k j / n) are the eigenvectors of the Q1 stiffness K against the
-    # lumped mass L, eigenvalues theta_k; the consistent and midpoint masses
-    # are L - (h^2/6) K and L - (h^2/4) K
-    angle = 0.5 * np.pi * np.arange(n + 1) / n
-    theta = 4.0 * n * n * np.sin(angle) ** 2
-    consistent = 1.0 - theta / (6.0 * n * n)
-    kappa = sum(outer([theta if b == a else consistent for b in range(dim)])
-                for a in range(dim))
-    mu = outer([np.cos(angle) ** 2] * dim)
-    # g = Q^T w for the L-orthonormal DCT-I basis Q, c_k cos(pi k j / n) per axis
-    # with c_k = sqrt(2) inside and 1 at both ends; the functional's node weights
-    # are a product of axis factors, so g is the product of their cosine sums
-    # (a table over k j mod 2n keeps the cosine argument exact at large n)
+    theta, consistent, midpoint, c, cos = q1_spectrum(n)
+    kappa = kronecker_sum(theta, consistent, dim, np.multiply.outer)
+    mu = outer([midpoint] * dim)
+    # g = Q^T w for the L-orthonormal tensor DCT-I basis Q; the functional's node
+    # weights are a product of axis factors, so g is the product of their cosine sums
     k = np.arange(n + 1)[:, None]
-    c = np.r_[1.0, np.full(n - 1, np.sqrt(2.0)), 1.0]
-    cos = np.cos(np.pi * np.arange(2 * n) / n)
     # (elementwise sums over each row's support, so no bit depends on the BLAS thread count)
     rows = [axis_factors(sub, axis)[0] for axis in range(dim)]  # of the one patch
     g = outer([c * np.sum(cos[k * j % (2 * n)] * row[j], axis=1)

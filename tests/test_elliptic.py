@@ -29,6 +29,44 @@ def test_stiffness_1d_tridiagonal():
     np.testing.assert_allclose(K, expected, rtol=1e-14)
 
 
+@pytest.mark.parametrize("dim,by_distance", [
+    (1, [1.0, -1.0]),
+    (2, [2.0 / 3.0, -1.0 / 6.0, -1.0 / 3.0]),
+    (3, [1.0 / 3.0, 0.0, -1.0 / 12.0, -1.0 / 12.0]),
+])
+def test_reference_stiffness_is_the_exact_q1_element(dim, by_distance):
+    # entry (i, j) depends only on how many coordinates corners i and j differ in,
+    # and is the exact value rounded once: the 3D edge coupling is exactly 0
+    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
+    distance = np.abs(corners[:, None] - corners[None]).sum(axis=-1)
+    expected = np.asarray(by_distance)[distance]
+    assert np.array_equal(elliptic._reference_stiffness(dim), expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33])
+def test_q1_spectrum_diagonalizes_the_1d_forms(n):
+    # the assembled stiffness, the consistent mass and the midpoint mass (l2_inner
+    # of the nodal hats) against the lumped mass L, on the cosine modes
+    spec = DomainSpec(1, n)
+    theta, consistent, midpoint, c, cos = elliptic.q1_spectrum(n)
+    k = np.arange(n + 1)
+    modes = cos[np.outer(k, k) % (2 * n)]  # node j, mode k
+    hats = np.eye(n + 1)
+    lumped = np.diag(np.r_[0.5, np.ones(n - 1), 0.5]) / n
+    forms = {
+        "stiffness": (assemble(spec, constant_coefficient(spec)).full_matrix.toarray(), theta),
+        "consistent": ((np.diag(np.r_[2.0, np.full(n - 1, 4.0), 2.0]) + np.eye(n + 1, k=1)
+                        + np.eye(n + 1, k=-1)) / (6 * n), consistent),
+        "midpoint": (np.array([[l2_inner(GridFunction(spec, a), GridFunction(spec, b))
+                                for b in hats] for a in hats]), midpoint),
+    }
+    for name, (form, eigenvalues) in forms.items():
+        np.testing.assert_allclose(form @ modes, lumped @ modes * eigenvalues, rtol=0,
+                                   atol=1e-13 * np.abs(form).max(), err_msg=name)
+    np.testing.assert_allclose((modes * c).T @ lumped @ (modes * c), np.eye(n + 1),
+                               rtol=0, atol=1e-13)
+
+
 def test_stiffness_scales_with_coefficient():
     spec = DomainSpec(2, 8)
     K1 = assemble(spec, constant_coefficient(spec, 1.0)).matrix

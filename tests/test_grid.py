@@ -127,6 +127,23 @@ def test_gradient_norm_constant_and_linear():
     assert gradient_lp_norm(u, 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [np.inf, np.nan])
+def test_lp_norm_rejects_a_p_that_is_not_finite(p):
+    # the midpoint formula would give |x|**inf ** (1/inf) = 1 for any u
+    spec = DomainSpec(2, 8)
+    for c in (0.3, 2.0):
+        with pytest.raises(ValueError, match="finite"):
+            lp_norm(GridFunction.constant(spec, c), p)
+
+
+@pytest.mark.parametrize("p", [np.inf, np.nan])
+def test_gradient_norm_rejects_a_p_that_is_not_finite(p):
+    # the gradient of u = 2x has magnitude 2; the midpoint formula would give 1
+    u = GridFunction.from_callable(DomainSpec(2, 8), lambda x, y: 2.0 * x)
+    with pytest.raises(ValueError, match="finite"):
+        gradient_lp_norm(u, p)
+
+
 def test_gradient_norm_sine():
     spec = DomainSpec(1, 256)
     u = GridFunction.from_callable(spec, lambda x: np.sin(np.pi * x))

@@ -518,9 +518,15 @@ def _recover_input_error(tmp_path, capsys, content: bytes) -> str:
                  id="binary-layout"),
     # a line beyond the csv module's field limit raises csv.Error, not ValueError
     pytest.param(b"1,4\n" + b"1" * 200_000 + b"\n", id="over-field-limit"),
+    # rows far longer than the quoted prefix: 2000 fields, and one 5000-character field
+    pytest.param(b"1,4\n" + b",".join([b"0.0"] * 2000) + b"\n", id="long-value-row"),
+    pytest.param(b"1,4\n" + b"x" * 5000 + b"\n", id="long-value"),
 ])
 def test_cli_recover_rejects_a_malformed_csv_input(tmp_path, capsys, content):
-    assert "input error" in _recover_input_error(tmp_path, capsys, content)
+    err = _recover_input_error(tmp_path, capsys, content)
+    prefix = f"input error: {tmp_path / 'u.in'}: "
+    assert err.startswith(prefix)
+    assert len(err[len(prefix):].rstrip("\n")) <= 120
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

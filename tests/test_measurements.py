@@ -81,6 +81,17 @@ def test_measure_all_orders_and_values():
     np.testing.assert_allclose(measure_all(u, pts).values, [0.25, 0.75], rtol=1e-12)
 
 
+def test_measure_all_rejects_functionals_of_another_grid():
+    # read without the check, the n = 4 functionals take a prefix of each n = 8 axis:
+    # u = 2x gives [0.25, 0.25, 0.75, 0.75], not the patch averages [0.5, 0.5, 1.5, 1.5]
+    _, _, phis = _functionals(2, 4, 2, "cube", 1.0)
+    u = GridFunction.from_callable(DomainSpec(2, 8), lambda x, y: 2.0 * x)
+    with pytest.raises(ValueError, match="axis 1: the matrix has 5 columns, the values 9"):
+        measure_all(u, phis)
+    with pytest.raises(ValueError, match="axis 1"):
+        measure(u, phis[0])
+
+
 def test_measure_linearity_and_range():
     part, sub, phis = _functionals(2, 16, 4, "cube", 0.5)
     spec = part.spec

@@ -167,6 +167,15 @@ def test_recover_rejects_an_unknown_basis():
         recover(fourier_h01(spec, 0), sub, op, "mss")
 
 
+@pytest.mark.parametrize("basis", ["ms", "pc"])
+def test_recover_rejects_a_field_on_another_grid(basis):
+    # an n = 8 field with the subsample and operator of n = 4 is malformed input
+    spec, part, sub, functionals, op, theta, ms_basis = _pipeline(2, 4, 2, "cube", 1.0)
+    u = GridFunction.from_callable(DomainSpec(2, 8), lambda x, y: 2.0 * x)
+    with pytest.raises(ValueError, match="axis"):
+        recover(u, sub, op, basis)
+
+
 def test_basis_vanishes_on_boundary():
     spec, part, sub, functionals, op, theta, basis = _pipeline(2, 16, 2, "cube", 0.5)
     for i in range(len(basis)):
