@@ -125,45 +125,48 @@ class StiffnessOperator:
 
     ``matrix`` couples interior nodes only (the solve target).  ``full_matrix``
     is the same bilinear form over all nodes (no boundary condition); its null
-    space is the constants.  Both are assembled at first access, so an
-    operator that only evaluates energies (``energy_inner``) builds neither.
+    space is the constants.  Matrices, norms and factors are built at first
+    access and kept, so an operator that only evaluates energies
+    (``energy_inner``) builds none of them.
     """
-
-    __slots__ = ("spec", "coefficient", "interior_indices", "_matrix", "_full_matrix",
-                 "_lu", "_lu_pinned", "_norm", "_full_norm")
 
     def __init__(self, spec, coefficient, interior_indices):
         self.spec = spec
         self.coefficient = coefficient
         self.interior_indices = interior_indices
-        self._matrix = None
-        self._full_matrix = None
-        self._lu = None
-        self._lu_pinned = None
-        self._norm = None
-        self._full_norm = None
 
-    @property
+    @functools.cached_property
     def full_matrix(self):
         """CSR natural form over all nodes."""
-        if self._full_matrix is None:
-            self._full_matrix = _assemble_full(self.spec, self.coefficient)
-        return self._full_matrix
+        return _assemble_full(self.spec, self.coefficient)
 
-    @property
+    @functools.cached_property
     def matrix(self):
         """CSR Dirichlet form: the interior rows and columns of ``full_matrix``."""
-        if self._matrix is None:
-            interior = self.interior_indices
-            self._matrix = self.full_matrix[interior][:, interior].tocsr()
-        return self._matrix
+        return self.full_matrix[self.interior_indices][:, self.interior_indices].tocsr()
 
-    @property
+    @functools.cached_property
     def matrix_norm(self) -> float:
         """Infinity norm of the interior matrix (for backward-error checks)."""
-        if self._norm is None:
-            self._norm = _inf_norm(self.matrix)
-        return self._norm
+        return _inf_norm(self.matrix)
+
+    @functools.cached_property
+    def _full_norm(self) -> float:
+        return _inf_norm(self.full_matrix)
+
+    @functools.cached_property
+    def _lu(self):
+        from scipy.sparse.linalg import splu  # loaded by the first solve, never by pc runs
+
+        return splu(self.matrix.tocsc())
+
+    @functools.cached_property
+    def _lu_pinned(self):
+        from scipy.sparse.linalg import splu
+
+        pinned = self.full_matrix.tocsc(copy=True)
+        pinned[0, 0] += 1.0  # an entry of the pattern, so no structural change
+        return splu(pinned)
 
     @property
     def num_interior(self) -> int:
@@ -175,7 +178,8 @@ class StiffnessOperator:
         return full
 
     def solve_interior(self, b_int: np.ndarray) -> np.ndarray:
-        """Solve K x = b on interior nodes.
+        """Solve K x = b on interior nodes: ``splu`` up to DIRECT_SOLVE_MAX_NODES
+        unknowns, Jacobi-preconditioned CG above.
 
         Acceptance is the normwise backward error ||Kx-b|| <= BACKWARD_TOL*(||b||
         + ||K|| ||x||): a plain relative residual of 1e-10 is not representable
@@ -183,34 +187,14 @@ class StiffnessOperator:
         number past ~1e8.  The direct solve meets it without refinement even at
         contrast 1e12 (tests/test_elliptic.py pins this).
         """
-        bnorm = float(np.linalg.norm(b_int))
-        if bnorm == 0.0:
+        if float(np.linalg.norm(b_int)) == 0.0:
             return np.zeros_like(b_int)
-        from scipy.sparse.linalg import cg, splu  # loaded by the first solve, never by pc runs
-
         if self.num_interior <= DIRECT_SOLVE_MAX_NODES:
-            if self._lu is None:
-                self._lu = splu(self.matrix.tocsc())
             x = self._lu.solve(b_int)
         else:
-            from scipy.sparse import diags  # loaded by the first CG solve, never by pc runs
-
             contrast = self.coefficient.a_max / self.coefficient.a_min
-            maxiter = int(4000 * max(1.0, np.sqrt(contrast)))
-            x, info = cg(self.matrix, b_int, rtol=BACKWARD_TOL * 0.1, atol=0.0,
-                         maxiter=maxiter, M=diags(1.0 / self.matrix.diagonal()))
-            if info != 0:
-                res = np.linalg.norm(self.matrix @ x - b_int) / bnorm
-                raise SolverError(
-                    f"conjugate gradients did not converge in {maxiter} iterations "
-                    f"(relative residual {res:.3e}, target {BACKWARD_TOL:.1e})"
-                )
-        ok, res = _backward_error_ok(self.matrix, self.matrix_norm, x, b_int)
-        if not ok:
-            raise SolverError(
-                f"solve backward error {res:.3e} exceeds tolerance {BACKWARD_TOL:.1e}"
-            )
-        return x
+            x = _jacobi_cg(self.matrix, b_int, int(4000 * max(1.0, np.sqrt(contrast))))
+        return _accepted("solve", self.matrix, self.matrix_norm, x, b_int)
 
     def solve_neumann(self, b_full: np.ndarray) -> np.ndarray:
         """Solve the natural-form system for zero-sum right-hand sides.
@@ -221,44 +205,53 @@ class StiffnessOperator:
         same normwise backward-error test as ``solve_interior``, against the
         full matrix, so an incompatible b raises ``SolverError``.
         """
-        if self._lu_pinned is None:
-            from scipy.sparse.linalg import splu  # loaded by the first solve, never by pc runs
-
-            pinned = self.full_matrix.tocsc(copy=True)
-            pinned[0, 0] += 1.0  # an entry of the pattern, so no structural change
-            # set before the factor: a caller that sees the factor also needs the norm
-            self._full_norm = _inf_norm(self.full_matrix)
-            self._lu_pinned = splu(pinned)
         x = self._lu_pinned.solve(b_full)
-        ok, res = _backward_error_ok(self.full_matrix, self._full_norm, x, b_full)
-        if not ok:
-            raise SolverError(
-                f"Neumann solve backward error {res:.3e} exceeds tolerance {BACKWARD_TOL:.1e}"
-            )
-        return x
+        return _accepted("Neumann solve", self.full_matrix, self._full_norm, x, b_full)
 
 
 def _inf_norm(matrix) -> float:
     return float(np.abs(matrix).sum(axis=1).max())
 
 
-def _backward_error_ok(matrix, matrix_norm: float, x, b):
-    """(||Ax-b|| <= BACKWARD_TOL*(||b|| + ||A|| ||x||), ||Ax-b||): the normwise
-    backward-error test."""
+def _accepted(what: str, matrix, matrix_norm: float, x, b):
+    """x, if it meets the normwise backward-error test ||Ax-b|| <= BACKWARD_TOL*(||b||
+    + ||A|| ||x||); else ``SolverError``.  A NaN residual fails the test."""
     res = float(np.linalg.norm(matrix @ x - b))
     bound = BACKWARD_TOL * (float(np.linalg.norm(b)) + matrix_norm * float(np.linalg.norm(x)))
-    return res <= bound, res
+    if not res <= bound:
+        raise SolverError(f"{what} backward error {res:.3e} exceeds tolerance {BACKWARD_TOL:.1e}")
+    return x
+
+
+def _jacobi_cg(matrix, b, maxiter: int):
+    """Jacobi-preconditioned conjugate gradients from x = 0 until the recursive
+    residual meets ||r|| <= 0.1*BACKWARD_TOL*||b||.  Inner products sum
+    elementwise (np.einsum), so no bit depends on the BLAS thread count."""
+    dot = functools.partial(np.einsum, "i,i->")
+    bnorm = np.sqrt(dot(b, b))
+    target = 0.1 * BACKWARD_TOL * bnorm
+    inv_diag = 1.0 / matrix.diagonal()
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = z = inv_diag * r
+    rz = dot(r, z)
+    for _ in range(maxiter):
+        q = matrix @ p
+        alpha = rz / dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rnorm = np.sqrt(dot(r, r))
+        if rnorm <= target:  # False for NaN, which runs out the iterations
+            return x
+        z = inv_diag * r
+        rz, rz_old = dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    raise SolverError(f"conjugate gradients did not converge in {maxiter} iterations "
+                      f"(relative residual {rnorm / bnorm:.3e}, target {0.1 * BACKWARD_TOL:.1e})")
 
 
 def _interior_mask(spec: DomainSpec) -> np.ndarray:
-    mask = np.ones(spec.node_shape, dtype=bool)
-    for axis in range(spec.dim):
-        sl = [slice(None)] * spec.dim
-        sl[axis] = 0
-        mask[tuple(sl)] = False
-        sl[axis] = -1
-        mask[tuple(sl)] = False
-    return mask.reshape(-1)
+    return np.pad(np.ones((spec.n - 1,) * spec.dim, dtype=bool), 1).reshape(-1)
 
 
 def _cell_scale(a: CoefficientField) -> np.ndarray:

@@ -78,8 +78,8 @@ class FitResult:
 def fit_loglog(points) -> FitResult:
     """Least-squares slope of log y against log x."""
     pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points to fit")
+    if len({x for x, _ in pts}) < 3:
+        raise ValueError("need at least 3 distinct x values to fit")
     if any(x <= 0.0 or y <= 0.0 for x, y in pts):
         raise ValueError("log-log fit needs strictly positive data")
     lx = np.log([x for x, _ in pts])
@@ -150,8 +150,11 @@ class ExperimentConfig:
         if not (_is_int(seed) and seed >= 0):  # numpy seeds are non-negative
             raise ConfigError(f"coeff seed must be a non-negative integer, got {seed!r}")
         for key in ("H_sweep", "r_sweep", "h_sweep", "radii"):
-            for value in getattr(self, key):
+            values = getattr(self, key)
+            for value in values:
                 _check_number(f"{key} entries", value, positive=True)
+            if len(set(values)) < len(values):  # a repeated point adds nothing to a gate
+                raise ConfigError(f"{key} repeats a value: {values!r}")
 
     @classmethod
     def from_json(cls, path, defaults) -> "ExperimentConfig":

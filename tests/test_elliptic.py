@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -263,29 +264,40 @@ def test_cg_fallback_agrees_with_direct_solve(monkeypatch, coefficient):
     monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0)
     op = assemble(spec, a)
     x = op.solve_interior(b)
-    assert op._lu is None  # the conjugate-gradient path ran
+    assert "_lu" not in vars(op)  # the conjugate-gradient path ran
     res = np.linalg.norm(op.matrix @ x - b)
     assert res / (np.linalg.norm(b) + op.matrix_norm * np.linalg.norm(x)) <= 1e-10
     assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
 def test_cg_nonconvergence_raises(monkeypatch):
-    import scipy.sparse.linalg
-
-    calls = []
-
-    def stalled_cg(matrix, b, **kwargs):
-        calls.append(kwargs)
-        return np.zeros_like(b), 7  # info > 0: the iteration limit was reached
-
-    spec = DomainSpec(2, 8)
+    # 1D n=12000 needs far more than the 4000 iterations a constant coefficient allows
+    spec = DomainSpec(1, 12000)
     op = assemble(spec, constant_coefficient(spec))
     b = load_vector(spec, GridFunction.constant(spec, 1.0))[op.interior_indices]
     monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0)
-    monkeypatch.setattr(scipy.sparse.linalg, "cg", stalled_cg)
-    with pytest.raises(SolverError, match="did not converge"):
+    with pytest.raises(SolverError, match="did not converge in 4000 iterations"):
         op.solve_interior(b)
-    assert calls[0]["rtol"] == 0.1 * elliptic.BACKWARD_TOL
+
+
+def test_cg_stops_at_a_tenth_of_the_backward_tolerance(monkeypatch):
+    # the first iterate whose residual meets 0.1*BACKWARD_TOL*||b|| is returned,
+    # and the one before it does not meet it
+    tol = 1e-4  # far above rounding, where the recursive residual is the true one
+    monkeypatch.setattr(elliptic, "BACKWARD_TOL", tol)
+    spec = DomainSpec(2, 16)
+    op = assemble(spec, lognormal_coefficient(spec, sigma=1.0, seed=3))
+    b = load_vector(spec, GridFunction.constant(spec, 1.0))[op.interior_indices]
+    for maxiter in range(1, 200):
+        try:
+            x = elliptic._jacobi_cg(op.matrix, b, maxiter)
+            break
+        except SolverError as exc:
+            stalled = exc
+    assert maxiter > 1 and f"target {0.1 * tol:.1e}" in str(stalled)
+    before = float(re.search(r"relative residual (\S+),", str(stalled)).group(1))
+    assert before > 0.1 * tol
+    assert np.linalg.norm(op.matrix @ x - b) <= 0.1 * tol * np.linalg.norm(b)
 
 
 def test_direct_solve_backward_error_exit(monkeypatch):
@@ -320,6 +332,53 @@ def test_neumann_solve_rejects_incompatible_rhs():
     b[5] = 1.0  # nonzero sum: no solution exists
     with pytest.raises(SolverError, match="Neumann"):
         op.solve_neumann(b)
+
+
+def test_each_form_is_factored_once_per_operator(monkeypatch):
+    import scipy.sparse.linalg
+
+    calls = []
+    factor = scipy.sparse.linalg.splu
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return factor(matrix)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    spec = DomainSpec(2, 8)
+    op = assemble(spec, lognormal_coefficient(spec, sigma=1.0, seed=3))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        op.solve_interior(rng.standard_normal(op.num_interior))
+    assert calls == [(op.num_interior,) * 2]
+    for _ in range(3):
+        b = rng.standard_normal(spec.num_nodes)
+        op.solve_neumann(b - b.mean())
+    assert calls == [(op.num_interior,) * 2, (spec.num_nodes,) * 2]
+
+
+class _NanFactor:
+    def solve(self, b):
+        return np.full_like(b, np.nan)
+
+
+@pytest.mark.parametrize("path", ["direct", "cg", "neumann"])
+def test_a_nan_solution_raises(monkeypatch, path):
+    spec = DomainSpec(2, 8)
+    op = assemble(spec, constant_coefficient(spec))
+    load = load_vector(spec, GridFunction.constant(spec, 1.0))
+    solve, b = op.solve_interior, load[op.interior_indices]
+    if path == "direct":
+        op._lu = _NanFactor()
+    elif path == "cg":
+        monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0)
+        monkeypatch.setattr(elliptic, "_jacobi_cg", lambda matrix, b, maxiter: b * np.nan)
+    else:
+        op._lu_pinned = _NanFactor()
+        solve, b = op.solve_neumann, load - load.mean()
+    with pytest.raises(SolverError, match="backward error nan"):
+        solve(b)
+    assert ("_lu" in vars(op)) == (path == "direct")  # the stub, never a real factor
 
 
 def _count_assembly(monkeypatch):

@@ -42,6 +42,8 @@ def test_fit_loglog_validation():
         fit_loglog([(1.0, 1.0), (2.0, 4.0)])
     with pytest.raises(ValueError):
         fit_loglog([(1.0, 1.0), (2.0, -4.0), (3.0, 9.0)])
+    with pytest.raises(ValueError, match="distinct"):
+        fit_loglog([(0.5, 1.0), (0.5, 1.0), (0.25, 0.25)])
 
 
 def test_config_from_json(tmp_path):
@@ -249,6 +251,11 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
     ("pointwise", {"p": -2.0}),
     ("degeneracy", {"p": -1.0}),
     ("weighted", {"num_functions": 0}),
+    # a repeated sweep value: the fits and bands would read fewer distinct points
+    ("converge", {"H_sweep": [0.5, 0.5, 0.5]}),
+    ("rates", {"r_sweep": [0.5, 0.5]}),
+    ("critical", {"h_sweep": [0.25, 0.25, 0.25]}),
+    ("degeneracy", {"r_sweep": [0.25, 0.25]}),
 ])
 def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
     # the command's default config, which runs, with one bad entry

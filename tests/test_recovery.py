@@ -349,10 +349,13 @@ def test_sharp_constant_bits_do_not_depend_on_blas_threads():
     # the rates study's 2D n=256 sweep; BLAS products there moved the last bit
     # of the r = 1/8 constant between 1 and 2 threads.  Then two recoveries:
     # the ms one of `msrecover recover`'s 2D n=128 m=8 input, whose BLAS expansion
-    # in the basis moved bits between 1 and 2 threads, and a 3D pc one
+    # in the basis moved bits between 1 and 2 threads, and a 3D pc one.  Last a
+    # 2D n=128 m=2 ms recovery on the conjugate-gradient path, whose inner
+    # products moved bits between 1 and 2 threads while they were BLAS dots
     src = os.path.dirname(os.path.dirname(os.path.abspath(recovery.__file__)))
     script = """
 import hashlib
+from msrecover import elliptic
 from msrecover.elliptic import assemble, constant_coefficient
 from msrecover.grid import DomainSpec, build_partition, build_subsample
 from msrecover.recovery import recover, sharp_constant_estimate
@@ -365,6 +368,11 @@ for dim, n, m, basis in ((2, 128, 8, "ms"), (3, 64, 16, "pc")):
     sub = build_subsample(build_partition(spec, m), "cube", 0.5)
     rec = recover(fourier_h01(spec, 7), sub, assemble(spec, constant_coefficient(spec)), basis)
     print(hashlib.sha256(rec.values.tobytes()).hexdigest())
+elliptic.DIRECT_SOLVE_MAX_NODES = 0
+spec = DomainSpec(2, 128)
+sub = build_subsample(build_partition(spec, 2), "cube", 0.5)
+rec = recover(fourier_h01(spec, 7), sub, assemble(spec, constant_coefficient(spec)), "ms")
+print(hashlib.sha256(rec.values.tobytes()).hexdigest())
 """
     outputs = []
     for threads in ("1", "2"):
