@@ -50,24 +50,21 @@ def rho(variant: str, p: float, dim: int, x: float) -> float:
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Radial profile u(r) on [0,1] with its derivative rule and known kinks.
+    """Radial profile u(r) on [0,1] with its derivative rule and known kinks."""
 
-    kinds:
-      critical_log   max{0, ln(1+r/h) - ln 2} / ln(1+1/h); zero on r <= h
-      critical_ramp  min{max{r-h, 0}/h, 1}; ramps from 0 to 1 on [h, 2h]
-      loglog         ln(ln(1/r+1)); diverges at r = 0
-      logloglog      ln(ln(ln(1/r+1))); defined for r < 1/(e-1), diverges at 0
-      custom         caller-supplied (f, df)
-    """
-
-    kind: str
-    h: float | None = None
-    f: object = None
-    df: object = None
+    f: object
+    df: object
     kinks: tuple = ()
 
 
 def radial_function(kind: str, h: float | None = None) -> RadialFunction:
+    """A named radial profile:
+
+      critical_log   max{0, ln(1+r/h) - ln 2} / ln(1+1/h); zero on r <= h
+      critical_ramp  min{max{r-h, 0}/h, 1}; ramps from 0 to 1 on [h, 2h]
+      loglog         ln(ln(1/r+1)); diverges at r = 0
+      logloglog      ln(ln(ln(1/r+1))); defined for r < 1/(e-1), diverges at 0
+    """
     if kind == "critical_log":
         if h is None or not (0.0 < h <= 0.25):
             raise ValueError("critical_log needs h in (0, 1/4]")
@@ -79,7 +76,7 @@ def radial_function(kind: str, h: float | None = None) -> RadialFunction:
         def df(r):
             return np.where(r > h, scale / (h + r), 0.0)
 
-        return RadialFunction(kind, h, f, df, kinks=(h,))
+        return RadialFunction(f, df, kinks=(h,))
     if kind == "critical_ramp":
         if h is None or not (0.0 < h <= 0.25):
             raise ValueError("critical_ramp needs h in (0, 1/4]")
@@ -91,7 +88,7 @@ def radial_function(kind: str, h: float | None = None) -> RadialFunction:
             r = np.asarray(r)
             return np.where((r > h) & (r < 2 * h), 1.0 / h, 0.0)
 
-        return RadialFunction(kind, h, f, df, kinks=(h, 2 * h))
+        return RadialFunction(f, df, kinks=(h, 2 * h))
     if kind == "loglog":
 
         def f(r):
@@ -104,7 +101,7 @@ def radial_function(kind: str, h: float | None = None) -> RadialFunction:
             r = np.asarray(r, dtype=float)
             return -1.0 / (r * (r + 1.0) * np.log(1.0 / r + 1.0))
 
-        return RadialFunction(kind, None, f, df)
+        return RadialFunction(f, df)
     if kind == "logloglog":
         r_max = 1.0 / (np.e - 1.0)
 
@@ -121,7 +118,7 @@ def radial_function(kind: str, h: float | None = None) -> RadialFunction:
             inner = np.log(1.0 / r + 1.0)
             return -1.0 / (r * (r + 1.0) * inner * np.log(inner))
 
-        return RadialFunction(kind, None, f, df)
+        return RadialFunction(f, df)
     raise ValueError(f"unknown radial kind {kind!r}")
 
 
@@ -136,7 +133,7 @@ def power_profile(q: float) -> RadialFunction:
     def df(r):
         return q * np.asarray(r, dtype=float) ** (q - 1.0)
 
-    return RadialFunction("custom", None, f, df)
+    return RadialFunction(f, df)
 
 
 def eval_radial(fn: RadialFunction, r: float) -> float:
@@ -161,23 +158,19 @@ def _radial_integral(g, dim: int, lo: float, hi: float, kinks=()) -> float:
     return float(val)
 
 
-def critical_ratio(kind: str, dim: int, p: float, h: float) -> float:
-    """Average-removed to gradient p-norm ratio of a critical profile on the ball.
+def critical_ratio(dim: int, p: float, h: float) -> float:
+    """Average-removed to gradient p-norm ratio of the critical profile on the ball.
 
-    The profile vanishes on the sampled ball of radius h, so the removed
+    The regime picks the profile: critical_log at dim = p, critical_ramp at
+    dim > p.  It vanishes on the sampled ball of radius h, so the removed
     average is exactly zero and the numerator is the plain p-norm.  Valid for
-    dim >= p with the kind matching the regime (critical_log at dim = p,
-    critical_ramp at dim > p); h must lie in (0, 1/4].
+    dim >= p; h must lie in (0, 1/4].
     """
     if not (0.0 < h <= 0.25):
         raise ValueError("h must lie in (0, 1/4]")
     if dim < p:
         raise ValueError("critical profiles exist for dim >= p only")
-    if kind == "critical_log" and dim != p:
-        raise ValueError("critical_log realizes the balanced regime dim = p")
-    if kind == "critical_ramp" and dim <= p:
-        raise ValueError("critical_ramp realizes the regime dim > p")
-    fn = radial_function(kind, h)
+    fn = radial_function("critical_log" if dim == p else "critical_ramp", h)
     num_p = _radial_integral(lambda r: np.abs(fn.f(r)) ** p, dim, 0.0, 1.0,
                              kinks=fn.kinks + (0.5,))
     den_p = _radial_integral(lambda r: np.abs(fn.df(r)) ** p, dim, 0.0, 1.0,

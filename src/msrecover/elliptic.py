@@ -138,7 +138,7 @@ class StiffnessOperator:
     @functools.cached_property
     def full_matrix(self):
         """CSR natural form over all nodes."""
-        return _assemble_full(self.spec, self.coefficient)
+        return _assemble_full(self.coefficient)
 
     @functools.cached_property
     def matrix(self):
@@ -269,10 +269,11 @@ def assemble(spec: DomainSpec, a: CoefficientField) -> StiffnessOperator:
     return StiffnessOperator(spec, a, np.flatnonzero(_interior_mask(spec)))
 
 
-def _assemble_full(spec: DomainSpec, a: CoefficientField):
-    """COO assembly of the natural form over all nodes, summed into CSR."""
+def _assemble_full(a: CoefficientField):
+    """COO assembly of the natural form over all nodes of ``a.spec``, summed into CSR."""
     from scipy.sparse import coo_matrix  # loaded by the first matrix use, never by pc runs
 
+    spec = a.spec
     kref = _reference_stiffness(spec.dim)
     nloc = len(kref)
     corner_ids = _corner_values(np.arange(spec.num_nodes).reshape(spec.node_shape)).T
@@ -287,15 +288,16 @@ def _assemble_full(spec: DomainSpec, a: CoefficientField):
     return full
 
 
-def load_vector(spec: DomainSpec, f: GridFunction) -> np.ndarray:
+def load_vector(f: GridFunction) -> np.ndarray:
     """Midpoint-rule load over all nodes: entries integrate f against nodal hats."""
-    fc = cell_center_values(f) * spec.cell_volume
-    return scatter_cells_to_nodes(spec, fc).reshape(-1)
+    return scatter_cells_to_nodes(cell_center_values(f) * f.spec.cell_volume).reshape(-1)
 
 
 def solve(op: StiffnessOperator, f: GridFunction) -> GridFunction:
-    """Solve the operator against source f; the result vanishes on the boundary."""
-    b = load_vector(op.spec, f)
+    """Solve the operator against source f on its grid; the result vanishes on the boundary."""
+    if f.spec != op.spec:
+        raise ValueError(f"source grid {f.spec} does not match the operator grid {op.spec}")
+    b = load_vector(f)
     x = op.solve_interior(b[op.interior_indices])
     return GridFunction(op.spec, op.embed_interior(x))
 

@@ -267,14 +267,14 @@ def cell_gradient(u: GridFunction) -> list:
     return out
 
 
-def scatter_cells_to_nodes(spec: DomainSpec, cellvals: np.ndarray) -> np.ndarray:
+def scatter_cells_to_nodes(cellvals: np.ndarray) -> np.ndarray:
     """Adjoint of cell-center averaging: distribute cell values to corner nodes.
 
     Each cell value is split equally (weight 2^-dim) among its corner nodes, so
     dot(scatter(c), u_nodes) == dot(c, cell_center_values(u)) exactly.
     """
     t = np.asarray(cellvals, dtype=float)
-    for axis in range(spec.dim):
+    for axis in range(t.ndim):
         shape = list(t.shape)
         shape[axis] += 1
         out = np.zeros(shape)
@@ -286,18 +286,6 @@ def scatter_cells_to_nodes(spec: DomainSpec, cellvals: np.ndarray) -> np.ndarray
         out[tuple(hi)] += 0.5 * t
         t = out
     return t
-
-
-def _resolve_cell_weight(weight, spec: DomainSpec):
-    if weight is None:
-        return None
-    w = getattr(weight, "values", weight)
-    w = np.asarray(w, dtype=float)
-    if w.shape != spec.cell_shape:
-        raise ValueError(f"weight shape {w.shape} does not match cell shape {spec.cell_shape}")
-    if np.any(w <= 0.0):
-        raise ValueError("weight must be strictly positive on all cells")
-    return w
 
 
 def lp_norm(u: GridFunction, p: float, region: tuple | None = None) -> float:
@@ -319,19 +307,20 @@ def _midpoint_lp(cells: np.ndarray, p: float, cell_volume: float, axis=None):
 def gradient_lp_norm(u: GridFunction, p: float, weight=None) -> float:
     """Midpoint-rule (weighted) L^p norm of the gradient magnitude.
 
-    weight is an optional strictly positive field on cells (array, or any
-    object with a cell-shaped ``values`` attribute); weight None means 1.
+    weight is a ``CoefficientField`` on the grid of u (strictly positive by
+    construction), or None for 1.
     """
     if not 1.0 <= p < np.inf:  # p = inf would read |x|**inf ** (1/inf) = 1
         raise ValueError(f"p must be a finite number >= 1, got {p}")
-    w = _resolve_cell_weight(weight, u.spec)
+    if weight is not None and weight.spec != u.spec:
+        raise ValueError(f"weight grid {weight.spec} does not match the field grid {u.spec}")
     comps = cell_gradient(u)
     mag2 = np.zeros(u.spec.cell_shape)
     for g in comps:
         mag2 += g * g
     integrand = mag2 ** (p / 2.0)
-    if w is not None:
-        integrand = integrand * w
+    if weight is not None:
+        integrand = integrand * weight.values
     return float(np.sum(integrand) * u.spec.cell_volume) ** (1.0 / p)
 
 

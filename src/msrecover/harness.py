@@ -53,7 +53,6 @@ CONSTANT_SLACK = 0.25  # weighted: growth allowed to the constant fitted at h = 
 RATE_SLACK = 0.2  # pointwise: slack on the per-halving difference ratio
 DIVERGENCE_LEVEL = 3.0  # pointwise: growing averages above this level diverge
 
-_WEIGHT_KEYS = ("profile", "beta", "gamma", "validate")
 # ExperimentConfig field annotation -> (accepted Python types, JSON type name);
 # bool is an int subclass but is accepted nowhere
 _FIELD_TYPES = {"str": (str, "string"), "int": (int, "integer"), "float": ((int, float), "number"),
@@ -128,9 +127,10 @@ class ExperimentConfig:
             raise ConfigError(f"num_functions must be >= 1, got {self.num_functions!r}")
         _check_choice("kind", self.kind, SUBSAMPLE_KINDS)
         _check_choice("basis", self.basis, BASES)
-        _check_keys("weight", self.weight, (), _WEIGHT_KEYS)
-        _check_choice("weight profile", self.weight.get("profile", "polynomial"),
-                      WEIGHT_PROFILES)
+        profile = self.weight.get("profile", "polynomial")
+        _check_choice("weight profile", profile, WEIGHT_PROFILES)
+        _check_keys(f"{profile} weight", set(self.weight) - {"profile"}, (),
+                    WEIGHT_PROFILES[profile])
         for key in ("beta", "gamma"):
             if key in self.weight:
                 _check_number(f"weight {key}", self.weight[key], positive=False)
@@ -211,11 +211,10 @@ def _coefficient(spec: DomainSpec, cfg: ExperimentConfig):
     return constant_coefficient(spec, c.get("value", 1.0))
 
 
-def _weight(cfg: ExperimentConfig, part, sub, dist):
+def _weight(cfg: ExperimentConfig, dist):
     w = cfg.weight
-    return build_weight(dist, w.get("profile", "polynomial"), cfg.p, part.H, sub.h,
-                        beta=w.get("beta", 1.0), gamma=w.get("gamma"), partition=part,
-                        validate=w.get("validate", True))
+    return build_weight(dist, w.get("profile", "polynomial"), cfg.p, beta=w.get("beta", 1.0),
+                        gamma=w.get("gamma"), validate=w.get("validate", True))
 
 
 def _nondecreasing(estimates) -> bool:
@@ -322,10 +321,9 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
         report["passed"] = report["passed"] and grid_pass
 
     if cfg.h_sweep:
-        kind = "critical_log" if cfg.dim == cfg.p else "critical_ramp"
         free_rows = []
         for h in cfg.h_sweep:
-            ratio = critical_ratio(kind, cfg.dim, cfg.p, h)
+            ratio = critical_ratio(cfg.dim, cfg.p, h)
             rv = rho("sharp", cfg.p, cfg.dim, 1.0 / h)
             free_rows.append((h, ratio, rv, ratio / rv, "grid-free"))
         rows.extend(free_rows)
@@ -368,7 +366,7 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
     sweep = [build_subsample(part, "cube", r) for r in cfg.r_sweep] + [
         build_subsample(part, "point")]
     # the weights first: the gate's precondition fails before any recovery runs
-    weights = [_weight(cfg, part, sub, distance_field(part, sub)) for sub in sweep]
+    weights = [_weight(cfg, distance_field(sub)) for sub in sweep]
     acts = [w.a_min < w.a_max for w in weights]
     if sum(acts) < 2:
         raise ConfigError("degeneracy study needs the weight to act (vary across cells) "
@@ -424,8 +422,8 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
     for r in cfg.r_sweep:
         sub = build_subsample(part, cfg.kind, r)
         phi = build_functionals(sub)[0]
-        dist = distance_field(part, sub)
-        w = _weight(cfg, part, sub, dist)
+        dist = distance_field(sub)
+        w = _weight(cfg, dist)
         ratios = []
         for u in funcs:
             avg = measure(u, phi)
@@ -434,7 +432,7 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
             ratios.append(lhs / rhs)
         cmax = max(ratios)
         per_h_max.append(cmax)
-        cond = (weight_condition_check(w, dist, cfg.p, H, sub.h)["normalized"]
+        cond = (weight_condition_check(w, dist, cfg.p)["normalized"]
                 if cfg.p > 1.0 else None)
         condition.append(cond)
         rows.append((sub.h, cmax, cond))
@@ -484,7 +482,7 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
         fn = radial_function(cfg.profile_kind)
         expect = "divergent"
     elif cfg.profile_kind == "constant":
-        fn = RadialFunction("custom", None, lambda r: np.ones_like(np.asarray(r, float)),
+        fn = RadialFunction(lambda r: np.ones_like(np.asarray(r, float)),
                             lambda r: np.zeros_like(np.asarray(r, float)))
         expect = "convergent"
     else:

@@ -117,7 +117,7 @@ def test_criterion_04_noncritical_rate_exponents():
     slopes = {}
     for dim, target in ((3, 0.5), (4, 1.0)):
         hs = [1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]
-        fit = fit_loglog([(1 / h, critical_ratio("critical_ramp", dim, 2, h))
+        fit = fit_loglog([(1 / h, critical_ratio(dim, 2, h))
                           for h in hs])
         slopes[dim] = fit.slope
         ok &= abs(fit.slope - target) <= 0.1
@@ -127,7 +127,7 @@ def test_criterion_04_noncritical_rate_exponents():
 def test_criterion_05_critical_case(grid2d_sweeps):
     # (a) grid-free: profile ratio over sqrt-log stays in a 25 percent band
     hs = [1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]
-    norm_free = [critical_ratio("critical_log", 2, 2, h) / np.sqrt(np.log(1 + 1 / h))
+    norm_free = [critical_ratio(2, 2, h) / np.sqrt(np.log(1 + 1 / h))
                  for h in hs]
     center = float(np.mean(norm_free))
     ok_a = all(abs(v - center) <= 0.25 * center for v in norm_free)
@@ -149,7 +149,7 @@ def test_criterion_06_sliced_data(grid2d_sweeps):
     ok_upper = all(v <= up[0] * 1.10 for v in up)
     # at least as fast as the grid-free lower-bound profile's growth
     cmp = [(r, e) for r, e in zip(rs, ests) if r <= 0.25]
-    lower = {r: critical_ratio("critical_log", 2, 2, r) for r, _ in cmp}
+    lower = {r: critical_ratio(2, 2, r) for r, _ in cmp}
     base_r, base_e = cmp[0]
     ok_lower = all((e / base_e) >= 0.75 * (lower[r] / lower[base_r]) for r, e in cmp)
     _verdict(6, "sliced-data rate (upper, lower growth checks)", ok_upper and ok_lower)

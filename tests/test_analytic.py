@@ -75,13 +75,9 @@ def test_derivative_rule_matches_finite_differences(kind, h):
 
 def test_critical_ratio_regime_checks():
     with pytest.raises(ValueError):
-        critical_ratio("critical_log", 3, 2, 0.1)
+        critical_ratio(3, 2, 0.3)  # h above 1/4
     with pytest.raises(ValueError):
-        critical_ratio("critical_ramp", 2, 2, 0.1)
-    with pytest.raises(ValueError):
-        critical_ratio("critical_ramp", 3, 2, 0.3)
-    with pytest.raises(ValueError):
-        critical_ratio("critical_log", 1, 2, 0.1)
+        critical_ratio(1, 2, 0.1)  # no critical profile below dim = p
 
 
 def test_ramp_gradient_norm_closed_form():
@@ -97,27 +93,26 @@ def test_ramp_gradient_norm_closed_form():
 def test_critical_ratio_rates():
     hs = [1 / 4, 1 / 8, 1 / 16, 1 / 32]
     # balanced regime: ratio tracks sqrt(log(1 + 1/h))
-    vals = [critical_ratio("critical_log", 2, 2, h) / np.sqrt(np.log(1 + 1 / h))
+    vals = [critical_ratio(2, 2, h) / np.sqrt(np.log(1 + 1 / h))
             for h in hs]
     center = np.mean(vals)
     assert all(abs(v - center) <= 0.25 * center for v in vals)
     # d=2, p=1: ratio grows like 1/h
-    vals2 = [critical_ratio("critical_ramp", 2, 1, h) * h for h in hs]
+    vals2 = [critical_ratio(2, 1, h) * h for h in hs]
     center2 = np.mean(vals2)
     assert all(abs(v - center2) <= 0.25 * center2 for v in vals2)
 
 
 def test_critical_ratio_monotone_as_h_shrinks():
-    for kind, d, p in [("critical_log", 2, 2), ("critical_ramp", 3, 2)]:
-        vals = [critical_ratio(kind, d, p, h) for h in (1 / 4, 1 / 8, 1 / 16, 1 / 32)]
+    for d, p in [(2, 2), (3, 2)]:
+        vals = [critical_ratio(d, p, h) for h in (1 / 4, 1 / 8, 1 / 16, 1 / 32)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_ball_average_constant():
     from msrecover.analytic import RadialFunction
 
-    fn = RadialFunction("custom", None,
-                        lambda r: 3.0 * np.ones_like(np.asarray(r, float)),
+    fn = RadialFunction(lambda r: 3.0 * np.ones_like(np.asarray(r, float)),
                         lambda r: np.zeros_like(np.asarray(r, float)))
     seq = ball_average_sequence(fn, [0.5, 0.25, 0.125, 0.0625], 2)
     np.testing.assert_allclose(seq["averages"], 3.0, rtol=1e-9)

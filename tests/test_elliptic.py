@@ -11,6 +11,7 @@ from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coeffic
 from msrecover.errors import SolverError
 from msrecover.grid import DomainSpec, GridFunction, build_partition, build_subsample
 from msrecover.measurements import build_functionals, measure
+from msrecover.testfuncs import fourier_h01
 
 
 def test_coefficient_validation():
@@ -99,6 +100,16 @@ def test_solve_zero_source():
     op = assemble(spec, constant_coefficient(spec))
     u = solve(op, GridFunction.constant(spec, 0.0))
     assert np.all(u.values == 0.0)
+
+
+@pytest.mark.parametrize("source_n", [16, 4])
+def test_solve_rejects_a_source_on_another_grid(source_n):
+    # a finer source used to give a wrong field from its first load entries, a
+    # coarser one an IndexError
+    spec = DomainSpec(2, 8)
+    op = assemble(spec, constant_coefficient(spec))
+    with pytest.raises(ValueError, match=r"n=%d.*n=8" % source_n):
+        solve(op, fourier_h01(DomainSpec(2, source_n), 7))
 
 
 def test_solve_poisson_parabola():
@@ -224,7 +235,7 @@ def test_high_contrast_solve():
     op = assemble(spec, layered_coefficient(spec, 1e6))
     f = GridFunction.constant(spec, 1.0)
     u = solve(op, f)
-    b = load_vector(spec, f)[op.interior_indices]
+    b = load_vector(f)[op.interior_indices]
     x = u.values[1:-1]
     res = np.linalg.norm(op.matrix @ x - b)
     backward = res / (np.linalg.norm(b) + op.matrix_norm * np.linalg.norm(x))
@@ -259,7 +270,7 @@ def test_cg_fallback_agrees_with_direct_solve(monkeypatch, coefficient):
     a = coefficient(spec)
     f = GridFunction.from_callable(spec, lambda x, y: np.exp(x) * (1.0 + y * y))
     direct_op = assemble(spec, a)
-    b = load_vector(spec, f)[direct_op.interior_indices]
+    b = load_vector(f)[direct_op.interior_indices]
     direct = direct_op.solve_interior(b)
     monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0)
     op = assemble(spec, a)
@@ -274,7 +285,7 @@ def test_cg_nonconvergence_raises(monkeypatch):
     # 1D n=12000 needs far more than the 4000 iterations a constant coefficient allows
     spec = DomainSpec(1, 12000)
     op = assemble(spec, constant_coefficient(spec))
-    b = load_vector(spec, GridFunction.constant(spec, 1.0))[op.interior_indices]
+    b = load_vector(GridFunction.constant(spec, 1.0))[op.interior_indices]
     monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0)
     with pytest.raises(SolverError, match="did not converge in 4000 iterations"):
         op.solve_interior(b)
@@ -287,7 +298,7 @@ def test_cg_stops_at_a_tenth_of_the_backward_tolerance(monkeypatch):
     monkeypatch.setattr(elliptic, "BACKWARD_TOL", tol)
     spec = DomainSpec(2, 16)
     op = assemble(spec, lognormal_coefficient(spec, sigma=1.0, seed=3))
-    b = load_vector(spec, GridFunction.constant(spec, 1.0))[op.interior_indices]
+    b = load_vector(GridFunction.constant(spec, 1.0))[op.interior_indices]
     for maxiter in range(1, 200):
         try:
             x = elliptic._jacobi_cg(op.matrix, b, maxiter)
@@ -303,7 +314,7 @@ def test_cg_stops_at_a_tenth_of_the_backward_tolerance(monkeypatch):
 def test_direct_solve_backward_error_exit(monkeypatch):
     spec = DomainSpec(2, 8)
     op = assemble(spec, lognormal_coefficient(spec, sigma=1.0, seed=3))
-    b = load_vector(spec, GridFunction.constant(spec, 1.0))[op.interior_indices]
+    b = load_vector(GridFunction.constant(spec, 1.0))[op.interior_indices]
     monkeypatch.setattr(elliptic, "BACKWARD_TOL", 1e-30)  # below double-precision rounding
     with pytest.raises(SolverError, match="solve backward error"):
         op.solve_interior(b)
@@ -366,7 +377,7 @@ class _NanFactor:
 def test_a_nan_solution_raises(monkeypatch, path):
     spec = DomainSpec(2, 8)
     op = assemble(spec, constant_coefficient(spec))
-    load = load_vector(spec, GridFunction.constant(spec, 1.0))
+    load = load_vector(GridFunction.constant(spec, 1.0))
     solve, b = op.solve_interior, load[op.interior_indices]
     if path == "direct":
         op._lu = _NanFactor()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from msrecover.elliptic import constant_coefficient
 from msrecover.errors import AlignmentError
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
                             cell_center_values, gradient_lp_norm, load_grid_function,
@@ -150,11 +151,12 @@ def test_gradient_norm_sine():
     assert gradient_lp_norm(u, 2.0) == pytest.approx(np.pi / np.sqrt(2.0), abs=1e-2)
 
 
-def test_gradient_norm_rejects_nonpositive_weight():
-    spec = DomainSpec(1, 8)
-    u = GridFunction.from_callable(spec, lambda x: x)
-    with pytest.raises(ValueError):
-        gradient_lp_norm(u, 2.0, weight=np.zeros(spec.cell_shape))
+def test_gradient_norm_rejects_a_weight_on_another_grid():
+    u = GridFunction.from_callable(DomainSpec(1, 8), lambda x: x)
+    assert gradient_lp_norm(u, 2.0, weight=constant_coefficient(u.spec, 4.0)) == 2.0
+    for other in (DomainSpec(1, 16), DomainSpec(1, 4), DomainSpec(2, 8)):
+        with pytest.raises(ValueError, match="weight grid"):
+            gradient_lp_norm(u, 2.0, weight=constant_coefficient(other))
 
 
 def test_norm_homogeneity_and_triangle():

@@ -256,6 +256,10 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
     ("rates", {"r_sweep": [0.5, 0.5]}),
     ("critical", {"h_sweep": [0.25, 0.25, 0.25]}),
     ("degeneracy", {"r_sweep": [0.25, 0.25]}),
+    # a key the weight's profile does not read
+    ("weighted", {"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}),
+    ("weighted", {"weight": {"profile": "w11", "beta": 7.0, "gamma": 9.0}}),
+    ("degeneracy", {"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}),
 ])
 def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
     # the command's default config, which runs, with one bad entry

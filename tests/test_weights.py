@@ -11,14 +11,14 @@ from msrecover.measurements import build_functionals, measure, measure_all
 from msrecover.recovery import build_theta, ms_recover, multiscale_basis, recover
 from msrecover.elliptic import assemble, constant_coefficient
 from msrecover.testfuncs import fourier_h01
-from msrecover.weights import (build_weight, distance_field, weight_condition_check,
-                               weighted_basis)
+from msrecover.weights import (DistanceField, build_weight, distance_field,
+                               weight_condition_check, weighted_basis)
 
 
 def test_distance_zero_inside_support():
     part = build_partition(DomainSpec(2, 16), 2)
     sub = build_subsample(part, "cube", 0.5)
-    dist = distance_field(part, sub)
+    dist = distance_field(sub)
     centers = np.meshgrid(*part.spec.cell_center_coordinates(), indexing="ij")
     inside = np.ones(part.spec.cell_shape, dtype=bool)
     for axis in range(2):
@@ -31,7 +31,7 @@ def test_distance_zero_inside_support():
 def test_distance_to_point_1d():
     part = build_partition(DomainSpec(1, 16), 1)
     sub = build_subsample(part, "point")
-    dist = distance_field(part, sub)
+    dist = distance_field(sub)
     centers = part.spec.cell_center_coordinates()[0]
     np.testing.assert_allclose(dist.values, np.abs(centers - 0.5), atol=1e-14)
 
@@ -74,7 +74,7 @@ def test_distance_equals_brute_force_box_minimum(dim, n, m, kind, r, axis):
         lo, hi = np.array(box).T
         excess = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
         best = np.minimum(best, np.sqrt(np.sum(excess * excess, axis=1)))
-    got = distance_field(part, sub).values
+    got = distance_field(sub).values
     assert got.shape == part.spec.cell_shape
     assert np.array_equal(got.reshape(-1), best)
 
@@ -82,7 +82,7 @@ def test_distance_equals_brute_force_box_minimum(dim, n, m, kind, r, axis):
 def test_distance_lipschitz():
     part = build_partition(DomainSpec(2, 32), 4)
     sub = build_subsample(part, "cube", 0.25)
-    dist = distance_field(part, sub)
+    dist = distance_field(sub)
     step = part.spec.spacing
     dx = np.abs(np.diff(dist.values, axis=0))
     dy = np.abs(np.diff(dist.values, axis=1))
@@ -90,38 +90,41 @@ def test_distance_lipschitz():
     assert dy.max() <= step + 1e-12
 
 
+def _at(sub, h):
+    """A stand-in for ``sub`` with its patch size H but the subsample size h, which
+    lets a test vary h over fixed distances (or pick an h off the fine grid)."""
+    return SimpleNamespace(partition=sub.partition, H=sub.H, h=h)
+
+
 def test_weight_formula_values():
     # polynomial profile, dim=2, p=2, beta=1, H=1: w = 1/max{h, dist}
     spec = DomainSpec(2, 16)
+    one_patch = build_subsample(build_partition(spec, 1), "point")  # H = 1
 
-    class FakeDist:
-        def __init__(self, values):
-            self.spec = spec
-            self.values = values
+    def weight(values, h):
+        return build_weight(DistanceField(_at(one_patch, h), values), "polynomial", 2.0,
+                            beta=1.0)
 
-    vals = np.full(spec.cell_shape, 0.5)
-    w = build_weight(FakeDist(vals), "polynomial", 2.0, 1.0, 0.1, beta=1.0)
+    w = weight(np.full(spec.cell_shape, 0.5), 0.1)
     assert w.values[0, 0] == pytest.approx(2.0, rel=1e-12)
-    inside = np.zeros(spec.cell_shape)
-    w2 = build_weight(FakeDist(inside), "polynomial", 2.0, 1.0, 0.1, beta=1.0)
+    w2 = weight(np.zeros(spec.cell_shape), 0.1)
     assert w2.values[0, 0] == pytest.approx(10.0, rel=1e-12)
-    w3 = build_weight(FakeDist(np.full(spec.cell_shape, 0.25)), "polynomial",
-                      2.0, 1.0, 0.0, beta=1.0)
+    w3 = weight(np.full(spec.cell_shape, 0.25), 0.0)
     assert w3.values[0, 0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_weight_parameter_validation():
     part = build_partition(DomainSpec(2, 16), 2)
     sub = build_subsample(part, "cube", 0.5)
-    dist = distance_field(part, sub)
+    dist = distance_field(sub)
     with pytest.raises(ValueError):
-        build_weight(dist, "polynomial", 2.0, part.H, sub.h, beta=0.0)
+        build_weight(dist, "polynomial", 2.0, beta=0.0)
     with pytest.raises(ValueError):
-        build_weight(dist, "logarithmic", 2.0, part.H, sub.h, gamma=1.0)
+        build_weight(dist, "logarithmic", 2.0, gamma=1.0)
     with pytest.raises(ValueError):
-        build_weight(dist, "pow", 2.0, part.H, sub.h)
+        build_weight(dist, "pow", 2.0)
     # bypass admits the invalid exponent
-    w = build_weight(dist, "polynomial", 2.0, part.H, sub.h, beta=0.0, validate=False)
+    w = build_weight(dist, "polynomial", 2.0, beta=0.0, validate=False)
     assert np.all(w.values > 0.0)
 
 
@@ -129,14 +132,13 @@ def test_limit_weight_parity_enforced():
     # odd cells per patch put a cell center exactly on a patch center
     part = build_partition(DomainSpec(2, 12), 4)  # 3 cells per patch
     sub = build_subsample(part, "point")
-    dist = distance_field(part, sub)
+    dist = distance_field(sub)
     with pytest.raises(AlignmentError):
-        build_weight(dist, "polynomial", 2.0, part.H, 0.0, beta=1.0, partition=part)
+        build_weight(dist, "polynomial", 2.0, beta=1.0)
     part_ok = build_partition(DomainSpec(2, 16), 4)
     sub_ok = build_subsample(part_ok, "point")
-    dist_ok = distance_field(part_ok, sub_ok)
-    w = build_weight(dist_ok, "polynomial", 2.0, part_ok.H, 0.0, beta=1.0,
-                     partition=part_ok)
+    dist_ok = distance_field(sub_ok)
+    w = build_weight(dist_ok, "polynomial", 2.0, beta=1.0)
     assert np.all(np.isfinite(w.values))
 
 
@@ -145,8 +147,8 @@ def test_weight_lower_bound():
     beta, p = 1.0, 2.0
     for r in (1.0, 0.5, 0.25, 0.125):
         sub = build_subsample(part, "cube", r)
-        dist = distance_field(part, sub)
-        w = build_weight(dist, "polynomial", p, part.H, sub.h, beta=beta)
+        dist = distance_field(sub)
+        w = build_weight(dist, "polynomial", p, beta=beta)
         lower = (part.H / np.sqrt(2.0)) ** (2 - p + beta)
         assert np.all(w.values >= lower - 1e-12)
 
@@ -156,12 +158,13 @@ def test_weight_monotone_limit():
     # nonincreasing in h, so the weight grows cellwise to its limit field
     part = build_partition(DomainSpec(2, 32), 2)
     sub = build_subsample(part, "point")
-    dist = distance_field(part, sub)
-    w_h = [build_weight(dist, "polynomial", 2.0, part.H, h, beta=1.0,
-                        partition=part).values
+    dist = distance_field(sub)
+    w_h = [build_weight(DistanceField(_at(sub, h), dist.values), "polynomial", 2.0,
+                        beta=1.0).values
            for h in (0.25, 0.125, 0.0625, 0.03125, 0.0)]
     for a, b in zip(w_h, w_h[1:]):
         assert np.all(b >= a - 1e-12)
+        assert np.any(b > a)  # h reaches the weight: the sequence is not constant
     # the h = 0 field is the limit: equality wherever dist >= the last finite h
     far = dist.values >= 0.03125
     np.testing.assert_allclose(w_h[-1][far], w_h[-2][far], rtol=1e-12)
@@ -171,8 +174,8 @@ def test_weighted_norm_sandwich():
     spec = DomainSpec(2, 16)
     part = build_partition(spec, 2)
     sub = build_subsample(part, "cube", 0.5)
-    dist = distance_field(part, sub)
-    w = build_weight(dist, "polynomial", 2.0, part.H, sub.h, beta=1.0)
+    dist = distance_field(sub)
+    w = build_weight(dist, "polynomial", 2.0, beta=1.0)
     rng = np.random.default_rng(0)
     u = GridFunction(spec, rng.standard_normal(spec.node_shape))
     for p in (1.0, 2.0):
@@ -185,10 +188,10 @@ def test_weighted_norm_sandwich():
 def test_condition_check_p1_rejected():
     part = build_partition(DomainSpec(2, 16), 1)
     sub = build_subsample(part, "cube", 0.5)
-    dist = distance_field(part, sub)
-    w = build_weight(dist, "w11", 1.0, part.H, sub.h)
+    dist = distance_field(sub)
+    w = build_weight(dist, "w11", 1.0)
     with pytest.raises(ValueError):
-        weight_condition_check(w, dist, 1.0, part.H, sub.h)
+        weight_condition_check(w, dist, 1.0)
 
 
 def test_condition_bounded_vs_divergent():
@@ -199,10 +202,10 @@ def test_condition_bounded_vs_divergent():
         vals = []
         for r in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625):
             sub = build_subsample(part, "cube", r)
-            dist = distance_field(part, sub)
-            w = build_weight(dist, "polynomial", 2.0, part.H, sub.h, beta=beta,
+            dist = distance_field(sub)
+            w = build_weight(dist, "polynomial", 2.0, beta=beta,
                              validate=False)
-            vals.append(weight_condition_check(w, dist, 2.0, part.H, sub.h)["normalized"])
+            vals.append(weight_condition_check(w, dist, 2.0)["normalized"])
         res[beta] = vals
     assert res[1.0][-1] / res[1.0][2] <= 1.6  # admissible profile saturates
     assert res[0.0][-1] / res[0.0][2] >= 2.0  # exponent at the integrability edge
@@ -214,9 +217,9 @@ def test_condition_logarithmic_bounded():
     vals = []
     for r in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
         sub = build_subsample(part, "cube", r)
-        dist = distance_field(part, sub)
-        w = build_weight(dist, "logarithmic", 2.0, part.H, sub.h, gamma=2.0)
-        vals.append(weight_condition_check(w, dist, 2.0, part.H, sub.h)["normalized"])
+        dist = distance_field(sub)
+        w = build_weight(dist, "logarithmic", 2.0, gamma=2.0)
+        vals.append(weight_condition_check(w, dist, 2.0)["normalized"])
     assert vals[-1] / vals[2] <= 1.6
 
 
@@ -228,7 +231,7 @@ def test_weighted_recovery_reduces_to_unweighted():
     u = GridFunction.from_callable(spec, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     data = measure_all(u, functionals)
 
-    rec_w = ms_recover(data, weighted_basis(part, sub, constant_coefficient(spec))[0])
+    rec_w = ms_recover(data, weighted_basis(sub, constant_coefficient(spec))[0])
     op = assemble(spec, constant_coefficient(spec))
     theta = build_theta(functionals, op)
     rec = ms_recover(data, multiscale_basis(theta))
@@ -239,11 +242,11 @@ def test_recover_with_a_weight_is_the_weighted_basis_recovery():
     spec = DomainSpec(2, 16)
     part = build_partition(spec, 2)
     sub = build_subsample(part, "cube", 0.25)
-    w = build_weight(distance_field(part, sub), "polynomial", 2.0, part.H, sub.h, beta=1.0)
+    w = build_weight(distance_field(sub), "polynomial", 2.0, beta=1.0)
     assert w.a_min < w.a_max
     u = fourier_h01(spec, 5)
     data = measure_all(u, build_functionals(sub))
-    expected = ms_recover(data, weighted_basis(part, sub, w)[0])
+    expected = ms_recover(data, weighted_basis(sub, w)[0])
     assert np.array_equal(recover(u, sub, assemble(spec, w)).values, expected.values)
 
 
@@ -251,11 +254,11 @@ def test_weighted_recovery_constants_exact():
     spec = DomainSpec(2, 16)
     part = build_partition(spec, 2)
     sub = build_subsample(part, "cube", 0.5)
-    dist = distance_field(part, sub)
-    w = build_weight(dist, "polynomial", 2.0, part.H, sub.h, beta=1.0)
+    dist = distance_field(sub)
+    w = build_weight(dist, "polynomial", 2.0, beta=1.0)
     u = GridFunction.constant(spec, 2.0)
     data = measure_all(u, build_functionals(sub))
-    rec = ms_recover(data, weighted_basis(part, sub, w)[0])
+    rec = ms_recover(data, weighted_basis(sub, w)[0])
     # constants are reproduced on the measurements, hence recovered exactly
     # in the measured averages (not pointwise: the basis is not a partition of unity)
     for phi, d in zip(build_functionals(sub), data.values):
@@ -266,9 +269,9 @@ def test_weighted_biorthogonality():
     spec = DomainSpec(2, 32)
     part = build_partition(spec, 2)
     sub = build_subsample(part, "cube", 0.5)
-    dist = distance_field(part, sub)
-    w = build_weight(dist, "polynomial", 2.0, part.H, sub.h, beta=1.0)
-    basis, op = weighted_basis(part, sub, w)
+    dist = distance_field(sub)
+    w = build_weight(dist, "polynomial", 2.0, beta=1.0)
+    basis, op = weighted_basis(sub, w)
     functionals = build_functionals(sub)
     gram = np.array([[measure(basis[i], phi) for phi in functionals]
                      for i in range(len(basis))])
