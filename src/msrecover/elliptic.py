@@ -312,7 +312,8 @@ def energy_inner(u: GridFunction, v: GridFunction, op: StiffnessOperator) -> flo
     kref = _reference_stiffness(op.spec.dim)
     uc = _corner_values(u.values)
     vc = _corner_values(v.values)
-    return float(_cell_scale(op.coefficient) @ np.sum(uc * (kref @ vc), axis=0))
+    # elementwise sums, not a BLAS dot, so no bit depends on the BLAS thread count
+    return float(np.einsum("c,ic,ic->", _cell_scale(op.coefficient), uc, kref @ vc))
 
 
 def _corner_values(values: np.ndarray) -> np.ndarray:

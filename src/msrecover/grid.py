@@ -205,6 +205,23 @@ class SubsampleSpec:
         half = 0.0 if flat else 0.5 * self.h
         return c - half, c + half
 
+    def distance(self, coords) -> np.ndarray:
+        """Euclidean distance to the union of the sets from each point of the grid
+        spanned by ``coords`` (one coordinate array per axis), of shape
+        ``tuple(map(len, coords))``.
+
+        The union is the product of the per-axis unions of ``axis_intervals``, so
+        the distance is the root of the summed squared per-axis gaps to them.
+        """
+        sq = 0.0
+        for axis, x in enumerate(coords):
+            lo, hi = (e[:, None] for e in self.axis_intervals(axis))
+            gap = np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=0)
+            shape = [1] * len(coords)
+            shape[axis] = -1
+            sq = sq + (gap * gap).reshape(shape)
+        return np.sqrt(sq)
+
 
 def build_subsample(part: CoarsePartition, kind: str, ratio: float = 1.0) -> SubsampleSpec:
     """Build the subsampled sets inside each patch.
@@ -237,15 +254,19 @@ def build_subsample(part: CoarsePartition, kind: str, ratio: float = 1.0) -> Sub
     return SubsampleSpec(part, kind, ratio)
 
 
+def _pairs(a: np.ndarray, axis: int) -> tuple:
+    """The views of ``a`` holding entries 0..k-2 and 1..k-1 along ``axis``: each
+    entry's pair with its successor."""
+    lead = (slice(None),) * axis
+    return a[lead + (slice(0, -1),)], a[lead + (slice(1, None),)]
+
+
 def cell_center_values(u: GridFunction) -> np.ndarray:
     """Values of the multilinear interpolant at cell centers (corner averages)."""
     v = u.values
     for axis in range(u.spec.dim):
-        lo = [slice(None)] * u.spec.dim
-        hi = [slice(None)] * u.spec.dim
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        v = 0.5 * (v[tuple(lo)] + v[tuple(hi)])
+        lo, hi = _pairs(v, axis)
+        v = 0.5 * (lo + hi)
     return v
 
 
@@ -254,15 +275,12 @@ def cell_gradient(u: GridFunction) -> list:
     dim = u.spec.dim
     out = []
     for axis in range(dim):
-        g = np.diff(u.values, axis=axis) * u.spec.n
+        lo, hi = _pairs(u.values, axis)
+        g = (hi - lo) * u.spec.n
         for other in range(dim):
-            if other == axis:
-                continue
-            lo = [slice(None)] * dim
-            hi = [slice(None)] * dim
-            lo[other] = slice(0, -1)
-            hi[other] = slice(1, None)
-            g = 0.5 * (g[tuple(lo)] + g[tuple(hi)])
+            if other != axis:
+                lo, hi = _pairs(g, other)
+                g = 0.5 * (lo + hi)
         out.append(g)
     return out
 
@@ -278,12 +296,8 @@ def scatter_cells_to_nodes(cellvals: np.ndarray) -> np.ndarray:
         shape = list(t.shape)
         shape[axis] += 1
         out = np.zeros(shape)
-        lo = [slice(None)] * t.ndim
-        hi = [slice(None)] * t.ndim
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        out[tuple(lo)] += 0.5 * t
-        out[tuple(hi)] += 0.5 * t
+        for view in _pairs(out, axis):
+            view += 0.5 * t
         t = out
     return t
 

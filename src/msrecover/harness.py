@@ -127,7 +127,7 @@ class ExperimentConfig:
             raise ConfigError(f"num_functions must be >= 1, got {self.num_functions!r}")
         _check_choice("kind", self.kind, SUBSAMPLE_KINDS)
         _check_choice("basis", self.basis, BASES)
-        profile = self.weight.get("profile", "polynomial")
+        profile = _profile(self.weight)
         _check_choice("weight profile", profile, WEIGHT_PROFILES)
         _check_keys(f"{profile} weight", set(self.weight) - {"profile"}, (),
                     WEIGHT_PROFILES[profile])
@@ -211,10 +211,23 @@ def _coefficient(spec: DomainSpec, cfg: ExperimentConfig):
     return constant_coefficient(spec, c.get("value", 1.0))
 
 
+def _profile(weight: dict) -> str:
+    """The profile of a config weight; one without a "profile" key is polynomial."""
+    return weight.get("profile", "polynomial")
+
+
 def _weight(cfg: ExperimentConfig, dist):
-    w = cfg.weight
-    return build_weight(dist, w.get("profile", "polynomial"), cfg.p, beta=w.get("beta", 1.0),
-                        gamma=w.get("gamma"), validate=w.get("validate", True))
+    """The config weight on ``dist``; a key it leaves out takes ``build_weight``'s default."""
+    keys = {k: v for k, v in cfg.weight.items() if k != "profile"}
+    return build_weight(dist, _profile(cfg.weight), cfg.p, **keys)
+
+
+def _band_gate(normalized: list, band: float) -> dict:
+    """A relative band gate: ``passed`` if every value lies within ``band`` times
+    their mean (``band_center``) of it."""
+    center = float(np.mean(normalized))
+    return {"normalized": normalized, "band": band, "band_center": center,
+            "passed": all(abs(v - center) <= band * center for v in normalized)}
 
 
 def _nondecreasing(estimates) -> bool:
@@ -307,18 +320,10 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
             rv = rho("sharp", cfg.p, cfg.dim, x)
             grid_rows.append((r, est, rv, est / rv, "grid"))
         rows.extend(grid_rows)
-        normalized = [g[3] for g in grid_rows]
-        center = float(np.mean(normalized))
-        grid_pass = all(abs(v - center) <= GRID_BAND * center for v in normalized)
-        report["grid"] = {
-            "estimates": [g[1] for g in grid_rows],
-            "normalized": normalized,
-            "band": GRID_BAND,
-            "band_center": center,
-            "passed": bool(grid_pass),
-            "monotone_growth": _nondecreasing([g[1] for g in grid_rows]),
-        }
-        report["passed"] = report["passed"] and grid_pass
+        report["grid"] = {"estimates": [g[1] for g in grid_rows],
+                          **_band_gate([g[3] for g in grid_rows], GRID_BAND),
+                          "monotone_growth": _nondecreasing([g[1] for g in grid_rows])}
+        report["passed"] = report["passed"] and report["grid"]["passed"]
 
     if cfg.h_sweep:
         free_rows = []
@@ -334,11 +339,8 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
             report["grid_free"] = {"fit": fit.to_dict(), "target_exponent": target,
                                    "width": EXPONENT_WIDTH, "passed": bool(free_pass)}
         else:
-            normalized = [fr[3] for fr in free_rows]
-            center = float(np.mean(normalized))
-            free_pass = all(abs(v - center) <= FREE_BAND * center for v in normalized)
-            report["grid_free"] = {"normalized": normalized, "band": FREE_BAND,
-                                   "band_center": center, "passed": bool(free_pass)}
+            report["grid_free"] = _band_gate([fr[3] for fr in free_rows], FREE_BAND)
+            free_pass = report["grid_free"]["passed"]
         report["passed"] = report["passed"] and free_pass
 
     report["rows"] = [list(r) for r in rows]
@@ -412,7 +414,7 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
     spec = DomainSpec(cfg.dim, cfg.n)
     part = build_partition(spec, 1)
     H = part.H
-    if cfg.weight.get("profile", "polynomial") != "w11" and cfg.p <= 1.0:
+    if _profile(cfg.weight) != "w11" and cfg.p <= 1.0:
         raise ConfigError("p must exceed 1 unless using the w11 profile")
     funcs = [testfuncs.fourier_free(spec, cfg.seed + k) for k in range(cfg.num_functions)]
 

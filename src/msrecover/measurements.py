@@ -166,17 +166,9 @@ def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
         )
     from scipy.integrate import quad
 
-    tstar = h / (H + h)
-    e = dim if kind == "cube" else dim - 1
-    ratio_pow = (H / h) ** (e / p)
-
     def integrand(t):
-        if t >= tstar:
-            return t ** (-dim / p)
-        if kind == "cube":
-            return ratio_pow * (1.0 - t) ** (-dim / p)
-        return ratio_pow * t ** (-1.0 / p) * (1.0 - t) ** (-(dim - 1) / p)
+        return alpha_envelope(kind, dim, H, h, t) ** (1.0 / p) * t ** (-dim / p)
 
-    val, _ = quad(integrand, 0.0, 1.0, points=[tstar], limit=200, epsabs=0.0, epsrel=1e-10)
+    val, _ = quad(integrand, 0.0, 1.0, points=[h / (H + h)], limit=200, epsabs=0.0,
+                  epsrel=1e-10)
     return float(val)
-

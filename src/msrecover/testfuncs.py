@@ -10,6 +10,7 @@ import numpy as np
 
 from .grid import CoarsePartition, DomainSpec, GridFunction, build_subsample
 from .measurements import build_functionals, contract, measure_all
+from .recovery import pc_recover
 
 LIBRARY_VERSION = 3
 # the seeded series keep the modes k_a = 0..KMAX on every axis
@@ -74,19 +75,9 @@ def flattened_profile(part: CoarsePartition, seed: int) -> GridFunction:
     plateau, ramp = 0.05 * part.H, 0.2 * part.H
     base = fourier_h01(spec, seed)
     centers = build_subsample(part, "point")
-    # per axis: each node's own patch coordinate and its offset from that patch's center
-    sq, own = 0.0, 0
-    for axis, x in enumerate(spec.node_coordinates()):
-        k = np.minimum((x * part.m).astype(int), part.m - 1)
-        shape = [1] * spec.dim
-        shape[axis] = -1
-        sq = sq + ((x - centers.axis_intervals(axis)[0][k]) ** 2).reshape(shape)
-        own = own * part.m + k.reshape(shape)  # the row-major patch index
-    dist = np.sqrt(sq)
-
-    # the anchor of each patch is the base field's point measurement at its center
-    anchor = measure_all(base, build_functionals(centers)).values[own]
-
-    s = np.clip((dist - plateau) / ramp, 0.0, 1.0)
+    # each patch's anchor is the base field's point measurement at its center; the
+    # face averages of pc_recover never show, the blend being 1 from 0.25*H on
+    anchor = pc_recover(measure_all(base, build_functionals(centers)), part)
+    s = np.clip((centers.distance(spec.node_coordinates()) - plateau) / ramp, 0.0, 1.0)
     eta = s * s * (3.0 - 2.0 * s)
-    return GridFunction(spec, eta * base.values + (1.0 - eta) * anchor)
+    return GridFunction(spec, eta * base.values + (1.0 - eta) * anchor.values)

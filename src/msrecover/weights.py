@@ -48,20 +48,8 @@ class DistanceField:
 
 
 def distance_field(sub: SubsampleSpec) -> DistanceField:
-    """Exact Euclidean distances from the cell centers to the union of subsample sets.
-
-    The union is a product of per-axis unions of intervals, so the distance is
-    the root of the summed squared per-axis gaps to those unions.
-    """
-    spec = sub.partition.spec
-    sq = 0.0
-    for axis, x in enumerate(spec.cell_center_coordinates()):
-        lo, hi = (e[:, None] for e in sub.axis_intervals(axis))
-        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=0)
-        shape = [1] * spec.dim
-        shape[axis] = -1
-        sq = sq + (gap * gap).reshape(shape)
-    return DistanceField(sub, np.sqrt(sq))
+    """Exact Euclidean distances from the cell centers to the union of subsample sets."""
+    return DistanceField(sub, sub.distance(sub.partition.spec.cell_center_coordinates()))
 
 
 def build_weight(dist: DistanceField, profile: str, p: float, *, beta: float = 1.0,

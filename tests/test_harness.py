@@ -9,11 +9,13 @@ import pytest
 from msrecover import harness
 from msrecover.cli import main as cli_main
 from msrecover.errors import ConfigError
+from msrecover.grid import DomainSpec, build_partition, build_subsample
 from msrecover.harness import (RECOVER_DEFAULTS, STUDIES, WEIGHTED_MAX_MIN, ExperimentConfig,
                                fit_loglog, run_convergence_study, run_degeneracy_study,
                                run_pointwise_limit_study, run_rate_study, run_study,
                                run_weighted_study)
 from msrecover.testfuncs import LIBRARY_VERSION
+from msrecover.weights import WEIGHT_PROFILES, build_weight, distance_field
 
 
 def test_fit_loglog_exact_quadratic():
@@ -190,6 +192,14 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
     path.write_text(json.dumps({**STUDIES["degeneracy"].defaults, "r_sweep": [1.0, 0.5]}))
     assert cli_main(["degeneracy", "--config", str(path)]) == 2
     assert "weight to act" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile", list(WEIGHT_PROFILES))
+def test_a_config_weight_of_only_a_profile_takes_build_weights_defaults(profile):
+    dist = distance_field(build_subsample(build_partition(DomainSpec(2, 16), 2), "cube", 0.5))
+    cfg = ExperimentConfig(p=3.0, weight={"profile": profile})
+    got = harness._weight(cfg, dist)
+    assert np.array_equal(got.values, build_weight(dist, profile, cfg.p).values)
 
 
 @pytest.mark.parametrize("study,override", [

@@ -196,3 +196,22 @@ def test_flattened_profile_plateau_is_the_center_point_value(dim, n, m):
         plateau = np.linalg.norm(pts - np.array(center), axis=1) <= 0.05 * part.H
         assert np.any(plateau)
         assert np.all(vals[plateau] == value)
+
+
+# the anchor is pc_recover of the center values, which averages two patches on a
+# face: the blend must be exactly 1 there, and from 0.25*H on everywhere
+@pytest.mark.parametrize("dim,n,m", [(1, 48, 2), (2, 24, 2), (3, 12, 2),
+                                     (1, 36, 3), (2, 18, 3), (3, 18, 3)])
+def test_flattened_profile_is_the_base_field_from_a_quarter_patch_on(dim, n, m):
+    part = build_partition(DomainSpec(dim, n), m)
+    vals = flattened_profile(part, seed=4).values.reshape(-1)
+    base = fourier_h01(part.spec, 4).values.reshape(-1)
+    sub = build_subsample(part, "point")
+    grids = np.meshgrid(*part.spec.node_coordinates(), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+    centers = itertools.product(*(sub.axis_intervals(axis)[0] for axis in range(dim)))
+    nearest = np.min([np.linalg.norm(pts - np.array(c), axis=1) for c in centers], axis=0)
+    far = nearest >= 0.25 * part.H
+    on_face = np.any(np.isclose((pts * m) % 1.0, 0.0), axis=1)
+    assert np.all(far[on_face]) and not np.all(far)
+    assert np.array_equal(vals[far], base[far])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from msrecover.errors import AlignmentError
-from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
-                            gradient_lp_norm, lp_norm)
+from msrecover.grid import (DomainSpec, GridFunction, SubsampleSpec, build_partition,
+                            build_subsample, gradient_lp_norm, lp_norm)
 from msrecover.measurements import build_functionals, measure, measure_all
 from msrecover.recovery import build_theta, ms_recover, multiscale_basis, recover
 from msrecover.elliptic import assemble, constant_coefficient
@@ -43,8 +43,10 @@ def _turned(sub, axis):
     if axis == last:
         return sub
     swap = {axis: last, last: axis}
-    return SimpleNamespace(partition=sub.partition,
-                           axis_intervals=lambda a: sub.axis_intervals(swap.get(a, a)))
+    turned = SimpleNamespace(partition=sub.partition,
+                             axis_intervals=lambda a: sub.axis_intervals(swap.get(a, a)))
+    turned.distance = lambda coords: SubsampleSpec.distance(turned, coords)
+    return turned
 
 
 def _subsample_cases():
@@ -66,17 +68,19 @@ def test_distance_equals_brute_force_box_minimum(dim, n, m, kind, r, axis):
            else build_subsample(part, kind, r))
     if axis is not None:
         sub = _turned(sub, axis)
-    grids = np.meshgrid(*part.spec.cell_center_coordinates(), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    best = np.full(len(pts), np.inf)
-    # every set is the product of one (lo, hi) interval per axis
-    for box in itertools.product(*(zip(*sub.axis_intervals(a)) for a in range(dim))):
-        lo, hi = np.array(box).T
-        excess = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
-        best = np.minimum(best, np.sqrt(np.sum(excess * excess, axis=1)))
-    got = distance_field(sub).values
-    assert got.shape == part.spec.cell_shape
-    assert np.array_equal(got.reshape(-1), best)
+    # at the cell centers through distance_field, and at the nodes
+    for coords, got in ((part.spec.cell_center_coordinates(), distance_field(sub).values),
+                        (part.spec.node_coordinates(), sub.distance(part.spec.node_coordinates()))):
+        grids = np.meshgrid(*coords, indexing="ij")
+        pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+        best = np.full(len(pts), np.inf)
+        # every set is the product of one (lo, hi) interval per axis
+        for box in itertools.product(*(zip(*sub.axis_intervals(a)) for a in range(dim))):
+            lo, hi = np.array(box).T
+            excess = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
+            best = np.minimum(best, np.sqrt(np.sum(excess * excess, axis=1)))
+        assert got.shape == grids[0].shape
+        assert np.array_equal(got.reshape(-1), best)
 
 
 def test_distance_lipschitz():
