@@ -7,6 +7,7 @@ Exit codes: 0 the study ran and passed its gates, 1 it ran and failed them,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -36,7 +37,7 @@ def _load_config(args, defaults, harness):
     cfg = (harness.ExperimentConfig.from_json(args.config, defaults) if args.config
            else harness.ExperimentConfig(**defaults))
     if getattr(args, "seed", None) is not None:  # recover has no --seed
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)  # checked like a config's seed
     return cfg
 
 
@@ -49,7 +50,7 @@ def _run_recover(args, harness) -> int:
     cfg = _load_config(args, harness.RECOVER_DEFAULTS, harness)
     part = build_partition(u.spec, cfg.m)
     sub = build_subsample(part, cfg.kind, cfg.r)
-    op = assemble(u.spec, harness._coefficient(u.spec, cfg))
+    op = assemble(u.spec, harness.coefficient(u.spec, cfg))
     rec = recover(u, sub, op, cfg.basis)
     report = recovery_error_report(u, rec, {"basis": cfg.basis, "dim": u.spec.dim,
                                             "h": sub.h, "H": part.H}, a=op,

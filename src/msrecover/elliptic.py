@@ -61,8 +61,8 @@ class CoefficientField:
         self.a_max = a_max
 
 
-def constant_coefficient(spec: DomainSpec, c: float = 1.0) -> CoefficientField:
-    return CoefficientField(spec, np.full(spec.cell_shape, float(c)))
+def constant_coefficient(spec: DomainSpec, value: float = 1.0) -> CoefficientField:
+    return CoefficientField(spec, np.full(spec.cell_shape, float(value)))
 
 
 def checkerboard_coefficient(spec: DomainSpec, contrast: float) -> CoefficientField:
@@ -125,15 +125,17 @@ class StiffnessOperator:
 
     ``matrix`` couples interior nodes only (the solve target).  ``full_matrix``
     is the same bilinear form over all nodes (no boundary condition); its null
-    space is the constants.  Matrices, norms and factors are built at first
-    access and kept, so an operator that only evaluates energies
-    (``energy_inner``) builds none of them.
+    space is the constants.  The grid is the coefficient's.  Matrices, norms
+    and factors are built at first access and kept, so an operator that only
+    evaluates energies (``energy_inner``) builds none of them.
     """
 
-    def __init__(self, spec, coefficient, interior_indices):
-        self.spec = spec
+    def __init__(self, coefficient: CoefficientField):
         self.coefficient = coefficient
-        self.interior_indices = interior_indices
+        self.spec = coefficient.spec
+        # the nodes off the boundary, the Dirichlet unknowns
+        self.interior_indices = np.flatnonzero(
+            np.pad(np.ones((self.spec.n - 1,) * self.spec.dim, dtype=bool), 1))
 
     @functools.cached_property
     def full_matrix(self):
@@ -250,10 +252,6 @@ def _jacobi_cg(matrix, b, maxiter: int):
                       f"(relative residual {rnorm / bnorm:.3e}, target {0.1 * BACKWARD_TOL:.1e})")
 
 
-def _interior_mask(spec: DomainSpec) -> np.ndarray:
-    return np.pad(np.ones((spec.n - 1,) * spec.dim, dtype=bool), 1).reshape(-1)
-
-
 def _cell_scale(a: CoefficientField) -> np.ndarray:
     """Per-cell factor a_c h^(d-2) of the reference stiffness, in C cell order."""
     return a.values.reshape(-1) * a.spec.spacing ** (a.spec.dim - 2)
@@ -266,7 +264,7 @@ def assemble(spec: DomainSpec, a: CoefficientField) -> StiffnessOperator:
     """
     if a.spec != spec:
         raise ValueError("coefficient and domain specs do not match")
-    return StiffnessOperator(spec, a, np.flatnonzero(_interior_mask(spec)))
+    return StiffnessOperator(a)
 
 
 def _assemble_full(a: CoefficientField):

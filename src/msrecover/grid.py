@@ -142,12 +142,6 @@ class CoarsePartition:
     def patch_multi_index(self, i: int) -> tuple:
         return np.unravel_index(i, (self.m,) * self.spec.dim)
 
-    def patch_cells(self, i: int) -> tuple:
-        """Cell-array slices covering patch i."""
-        q = self.cells_per_patch
-        mi = self.patch_multi_index(i)
-        return tuple(slice(k * q, (k + 1) * q) for k in mi)
-
     def patch_nodes(self, i: int) -> tuple:
         """Node-array slices covering patch i (inclusive of patch boundary nodes)."""
         q = self.cells_per_patch
@@ -302,17 +296,14 @@ def scatter_cells_to_nodes(cellvals: np.ndarray) -> np.ndarray:
     return t
 
 
-def lp_norm(u: GridFunction, p: float, region: tuple | None = None) -> float:
-    """Midpoint-rule L^p norm of u over the cube, or over a patch cell-slice region."""
+def lp_norm(u: GridFunction, p: float) -> float:
+    """Midpoint-rule L^p norm of u over the cube."""
     if not 1.0 <= p < np.inf:  # p = inf would read |x|**inf ** (1/inf) = 1
         raise ValueError(f"p must be a finite number >= 1, got {p}")
-    v = cell_center_values(u)
-    if region is not None:
-        v = v[region]
-    return float(_midpoint_lp(v, p, u.spec.cell_volume))
+    return float(midpoint_lp(cell_center_values(u), p, u.spec.cell_volume))
 
 
-def _midpoint_lp(cells: np.ndarray, p: float, cell_volume: float, axis=None):
+def midpoint_lp(cells: np.ndarray, p: float, cell_volume: float, axis=None):
     """Midpoint-rule L^p norm of cell-center values over ``axis`` (default all): the
     formula behind ``lp_norm``, with the same bits for one norm or an array of them."""
     return np.power(np.sum(np.abs(cells) ** p, axis=axis) * cell_volume, 1.0 / p)

@@ -9,6 +9,7 @@ deterministic CSV/JSON: same config and seed, byte-identical files.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -40,6 +41,8 @@ __all__ = [
     "STUDIES",
     "RECOVER_DEFAULTS",
     "run_study",
+    "COEFFICIENTS",
+    "coefficient",
 ]
 
 # gate widths and levels of the studies; they are fixed, not configurable
@@ -50,6 +53,10 @@ FREE_BAND = 0.25  # rates: relative band of the normalized grid-free ratios (dim
 EXPONENT_WIDTH = 0.1  # rates: grid-free exponent fit against (dim - p)/p (dim > p)
 WEIGHTED_MAX_MIN = 3.0  # degeneracy: cap on the weighted error's max/min where it acts
 CONSTANT_SLACK = 0.25  # weighted: growth allowed to the constant fitted at h = H
+CONDITION_POINTS = 5  # weighted: sweep points the condition class needs
+CONDITION_REFERENCE = 2  # weighted: sweep index the condition growth is measured from
+CONDITION_BOUNDED = 1.6  # weighted: condition growth up to this is "bounded"
+CONDITION_DIVERGENT = 2.0  # weighted: from this on "divergent", between "inconclusive"
 RATE_SLACK = 0.2  # pointwise: slack on the per-halving difference ratio
 DIVERGENCE_LEVEL = 3.0  # pointwise: growing averages above this level diverge
 
@@ -57,9 +64,10 @@ DIVERGENCE_LEVEL = 3.0  # pointwise: growing averages above this level diverge
 # bool is an int subclass but is accepted nowhere
 _FIELD_TYPES = {"str": (str, "string"), "int": (int, "integer"), "float": ((int, float), "number"),
                 "list": (list, "array"), "dict": (dict, "object")}
-# coefficient generator -> (required keys, optional keys) besides "name"
-_COEFF_KEYS = {"constant": ((), ("value",)), "checkerboard": (("contrast",), ()),
-               "layered": (("contrast",), ("axis",)), "lognormal": ((), ("sigma", "seed"))}
+# a config coeff's "name" -> its generator; the coeff's other keys are the
+# generator's parameters after spec, required where the signature has no default
+COEFFICIENTS = {"constant": constant_coefficient, "checkerboard": checkerboard_coefficient,
+                "layered": layered_coefficient, "lognormal": lognormal_coefficient}
 
 
 @dataclass
@@ -107,8 +115,8 @@ class ExperimentConfig:
     r_sweep: list = field(default_factory=list)
     h_sweep: list = field(default_factory=list)
     radii: list = field(default_factory=list)
-    coeff: dict = field(default_factory=lambda: {"name": "constant", "value": 1.0})
-    weight: dict = field(default_factory=lambda: {"profile": "polynomial", "beta": 1.0})
+    coeff: dict = field(default_factory=lambda: {"name": "constant"})
+    weight: dict = field(default_factory=lambda: {"profile": "polynomial"})
     profile_kind: str = "power"
     profile_q: float = 0.55
     seed: int = 0
@@ -134,21 +142,24 @@ class ExperimentConfig:
         for key in ("beta", "gamma"):
             if key in self.weight:
                 _check_number(f"weight {key}", self.weight[key], positive=False)
-        if not isinstance(self.weight.get("validate", True), bool):
+        if "validate" in self.weight and not isinstance(self.weight["validate"], bool):
             raise ConfigError(f"weight validate must be true or false, "
                               f"got {self.weight['validate']!r}")
-        name = self.coeff.get("name", "constant")
-        if name not in _COEFF_KEYS:
+        name = _generator_name(self.coeff)
+        if not (isinstance(name, str) and name in COEFFICIENTS):
             raise ConfigError(f"unknown coefficient generator {name!r}")
-        _check_keys(f"{name} coeff", set(self.coeff) - {"name"}, *_COEFF_KEYS[name])
+        params = list(inspect.signature(COEFFICIENTS[name]).parameters.values())[1:]
+        _check_keys(f"{name} coeff", set(self.coeff) - {"name"},
+                    [q.name for q in params if q.default is q.empty], [q.name for q in params])
         for key in ("value", "contrast", "sigma"):
             if key in self.coeff:
                 _check_number(f"coeff {key}", self.coeff[key], positive=key != "sigma")
-        if not _is_int(self.coeff.get("axis", 0)):  # its range is the grid's (layered_coefficient)
+        if "axis" in self.coeff and not _is_int(self.coeff["axis"]):  # its range: the grid's
             raise ConfigError(f"coeff axis must be an integer, got {self.coeff['axis']!r}")
-        seed = self.coeff.get("seed", 0)
-        if not (_is_int(seed) and seed >= 0):  # numpy seeds are non-negative
-            raise ConfigError(f"coeff seed must be a non-negative integer, got {seed!r}")
+        # the seed a generator draws with is the coeff's, else the config's
+        for what, seed in (("seed", self.seed), ("coeff seed", self.coeff.get("seed", self.seed))):
+            if not (_is_int(seed) and seed >= 0):  # numpy seeds are non-negative
+                raise ConfigError(f"{what} must be a non-negative integer, got {seed!r}")
         for key in ("H_sweep", "r_sweep", "h_sweep", "radii"):
             values = getattr(self, key)
             for value in values:
@@ -199,16 +210,19 @@ def _check_keys(what: str, given, required, optional) -> None:
         raise ConfigError(f"{what} needs keys: {missing}")
 
 
-def _coefficient(spec: DomainSpec, cfg: ExperimentConfig):
-    c = cfg.coeff
-    name = c.get("name", "constant")
-    if name == "checkerboard":
-        return checkerboard_coefficient(spec, c["contrast"])
-    if name == "layered":
-        return layered_coefficient(spec, c["contrast"], c.get("axis", 0))
-    if name == "lognormal":
-        return lognormal_coefficient(spec, c.get("sigma", 1.0), c.get("seed", cfg.seed))
-    return constant_coefficient(spec, c.get("value", 1.0))
+def _generator_name(coeff: dict):
+    """The generator a config coeff names; one without a "name" key is constant."""
+    return coeff.get("name", "constant")
+
+
+def coefficient(spec: DomainSpec, cfg: ExperimentConfig):
+    """The config coeff on ``spec``: its generator called with the coeff's other keys,
+    plus the config's seed if the generator takes a seed and the coeff gives none."""
+    generator = COEFFICIENTS[_generator_name(cfg.coeff)]
+    keys = {k: v for k, v in cfg.coeff.items() if k != "name"}
+    if "seed" in inspect.signature(generator).parameters and "seed" not in keys:
+        keys["seed"] = cfg.seed
+    return generator(spec, **keys)
 
 
 def _profile(weight: dict) -> str:
@@ -262,7 +276,7 @@ def run_convergence_study(cfg: ExperimentConfig) -> dict:
     if not (0.0 < cfg.r <= 1.0):
         raise ConfigError("fixed ratio r must lie in (0, 1]")
     spec = DomainSpec(cfg.dim, cfg.n)
-    a = _coefficient(spec, cfg)
+    a = coefficient(spec, cfg)
     op = assemble(spec, a)
     u = testfuncs.sine_product(spec)
 
@@ -287,13 +301,12 @@ def run_convergence_study(cfg: ExperimentConfig) -> dict:
     stable = all(r[5] for r in rows)
     passed = stable and all(
         abs(fits[k]["slope"] - target) <= width for k, (target, width) in SLOPE_BANDS.items())
-    report = {
+    return {
         "fits": fits,
         "energy_stable_everywhere": stable,
         "passed": bool(passed),
         "rows": [list(r) for r in rows],
     }
-    return report
 
 
 def run_rate_study(cfg: ExperimentConfig) -> dict:
@@ -383,22 +396,19 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
     constants = [sharp_constant_estimate(build_subsample(part1, sub.kind, sub.ratio))
                  for sub in sweep]
 
-    weighted_vals = [r[2] for r in rows]
+    _, unweighted_vals, weighted_vals = zip(*rows)
     active_max_min = max(active) / min(active)
     monotone = _nondecreasing(constants)
-    unweighted_vals = [r[1] for r in rows]
     passed = (active_max_min <= WEIGHTED_MAX_MIN) and monotone
-    full_rows = [(h, uw, wv, c) for (h, uw, wv), c in zip(rows, constants)]
-    report = {
+    return {
         "weighted_max_min": max(weighted_vals) / min(weighted_vals),
         "weighted_active_max_min": active_max_min,
         "unweighted_growth": max(unweighted_vals) / unweighted_vals[0],
         "sharp_constants": constants,
         "sharp_monotone": bool(monotone),
         "passed": bool(passed),
-        "rows": [list(r) for r in full_rows],
+        "rows": [[*r, c] for r, c in zip(rows, constants)],
     }
-    return report
 
 
 def run_weighted_study(cfg: ExperimentConfig) -> dict:
@@ -418,9 +428,7 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
         raise ConfigError("p must exceed 1 unless using the w11 profile")
     funcs = [testfuncs.fourier_free(spec, cfg.seed + k) for k in range(cfg.num_functions)]
 
-    rows = []
-    per_h_max = []
-    condition = []
+    rows, per_h_max, condition = [], [], []
     for r in cfg.r_sweep:
         sub = build_subsample(part, cfg.kind, r)
         phi = build_functionals(sub)[0]
@@ -446,12 +454,12 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
     passed = growth <= 1.0 + CONSTANT_SLACK
 
     condition_class = None
-    if cfg.p > 1.0 and len(condition) >= 5:
-        cond_growth = condition[-1] / condition[2]
-        condition_class = "bounded" if cond_growth <= 1.6 else (
-            "divergent" if cond_growth >= 2.0 else "inconclusive")
+    if cfg.p > 1.0 and len(condition) >= CONDITION_POINTS:
+        cond_growth = condition[-1] / condition[CONDITION_REFERENCE]
+        condition_class = "bounded" if cond_growth <= CONDITION_BOUNDED else (
+            "divergent" if cond_growth >= CONDITION_DIVERGENT else "inconclusive")
 
-    report = {
+    return {
         "fitted_constant": fitted,
         "per_h_max_ratio": per_h_max,
         "constant_growth": growth,
@@ -461,7 +469,6 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
         "passed": bool(passed),
         "rows": [list(r) for r in rows],
     }
-    return report
 
 
 def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
@@ -473,7 +480,7 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
     """
     if not cfg.radii or len(cfg.radii) < 4:
         raise ConfigError("pointwise study needs at least 4 radii")
-    beta = cfg.weight.get("beta", 1.0)
+    beta = cfg.weight.get("beta", inspect.signature(build_weight).parameters["beta"].default)
     # the target rate is the polynomial weight's: beta is the only weight key read
     if not set(cfg.weight.items()) <= {("profile", "polynomial"), ("beta", beta)}:
         raise ConfigError(f"pointwise reads only a polynomial weight's beta, got {cfg.weight}")
@@ -513,7 +520,7 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
         classification = "convergent" if (rate_ok and shrinking) else "inconclusive"
     passed = classification == expect
     rows = list(zip(seq["radii"], seq["averages"], [float("nan")] + diffs))
-    report = {
+    return {
         "classification": classification,
         "expected": expect,
         "measured_ratio": measured,
@@ -522,7 +529,6 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
         "passed": bool(passed),
         "rows": [list(r) for r in rows],
     }
-    return report
 
 
 @dataclass(frozen=True)

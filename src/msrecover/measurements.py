@@ -127,6 +127,20 @@ def measure_all(u: GridFunction, functionals: MeasurementOperator) -> Measuremen
     return MeasurementVector(contract(u.values, functionals.factors).reshape(-1))
 
 
+def _envelope_exponent(what: str, kind: str, dim: int, H: float, h: float) -> int:
+    """The envelope's exponent, dim for a cube and dim - 1 for a slice; checks kind and h."""
+    if kind not in ("cube", "slice"):
+        raise ValueError(f"{what} defined for cube and slice kinds, got {kind!r}")
+    if not (0.0 < h <= H):
+        raise ValueError(f"need 0 < h <= H, got h={h}, H={H}")
+    return dim if kind == "cube" else dim - 1
+
+
+def _envelope(e: int, H: float, h: float, t: float) -> float:
+    """The envelope of exponent e at t, unchecked."""
+    return 1.0 if t >= 1.0 else min(1.0, (H / h) ** e * (t / (1.0 - t)) ** e)
+
+
 def alpha_envelope(kind: str, dim: int, H: float, h: float, t: float) -> float:
     """Upper envelope for the mass of the subsample measure under t-shrinking.
 
@@ -134,17 +148,10 @@ def alpha_envelope(kind: str, dim: int, H: float, h: float, t: float) -> float:
     slice: min{1, (H/h)^(dim-1) * (t/(1-t))^(dim-1)}
     Nondecreasing in t, equal to 1 from the breakpoint t = h/(H+h) on.
     """
-    if kind not in ("cube", "slice"):
-        raise ValueError(f"alpha envelope defined for cube and slice kinds, got {kind!r}")
-    if not (0.0 < h <= H):
-        raise ValueError(f"need 0 < h <= H, got h={h}, H={H}")
+    e = _envelope_exponent("alpha envelope", kind, dim, H, h)
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0,1], got {t}")
-    if t >= 1.0:
-        return 1.0
-    e = dim if kind == "cube" else dim - 1
-    val = (H / h) ** e * (t / (1.0 - t)) ** e
-    return min(1.0, val)
+    return _envelope(e, H, h, t)
 
 
 def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
@@ -154,10 +161,7 @@ def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
     subdivision node.  The slice integrand carries a t^(-1/p) endpoint
     singularity, which is integrable only for p > 1.
     """
-    if kind not in ("cube", "slice"):
-        raise ValueError(f"bound integral defined for cube and slice kinds, got {kind!r}")
-    if not (0.0 < h <= H):
-        raise ValueError(f"need 0 < h <= H, got h={h}, H={H}")
+    e = _envelope_exponent("bound integral", kind, dim, H, h)
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     if kind == "slice" and p == 1.0:
@@ -166,8 +170,8 @@ def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
         )
     from scipy.integrate import quad
 
-    def integrand(t):
-        return alpha_envelope(kind, dim, H, h, t) ** (1.0 / p) * t ** (-dim / p)
+    def integrand(t):  # quad's nodes lie inside (0, 1), so alpha_envelope's checks hold
+        return _envelope(e, H, h, t) ** (1.0 / p) * t ** (-dim / p)
 
     val, _ = quad(integrand, 0.0, 1.0, points=[h / (H + h)], limit=200, epsabs=0.0,
                   epsrel=1e-10)

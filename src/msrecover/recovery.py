@@ -17,8 +17,8 @@ import numpy as np
 
 from .elliptic import StiffnessOperator, energy_inner, kronecker_sum, q1_spectrum
 from .errors import SolverError
-from .grid import (CoarsePartition, GridFunction, SubsampleSpec, _midpoint_lp,
-                   cell_center_values, lp_norm)
+from .grid import (CoarsePartition, GridFunction, SubsampleSpec, cell_center_values, lp_norm,
+                   midpoint_lp)
 from .measurements import (MeasurementOperator, MeasurementVector, axis_factors,
                            build_functionals, contract, measure_all)
 
@@ -200,7 +200,7 @@ def recovery_error_report(u: GridFunction, recovered: GridFunction, params: dict
         m, q, dim = partition.m, partition.cells_per_patch, u.spec.dim
         cells = cell_center_values(diff).reshape((m, q) * dim)
         cells = cells.transpose([*range(0, 2 * dim, 2), *range(1, 2 * dim, 2)]).reshape(m**dim, -1)
-        per_patch = _midpoint_lp(cells, 2.0, u.spec.cell_volume, axis=1).tolist()
+        per_patch = midpoint_lp(cells, 2.0, u.spec.cell_volume, axis=1).tolist()
     return RecoveryReport(l2, energy, dict(params), per_patch, stable)
 
 

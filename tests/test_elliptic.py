@@ -95,6 +95,23 @@ def test_stiffness_symmetry_and_definiteness():
         assert v @ K @ v > 0.0
 
 
+def test_stiffness_operator_reads_its_grid_off_its_coefficient():
+    spec = DomainSpec(2, 6)
+    a = checkerboard_coefficient(spec, 10.0)
+    op = elliptic.StiffnessOperator(a)
+    assert op.spec is a.spec
+    nodes = np.indices(spec.node_shape).reshape(spec.dim, -1)
+    np.testing.assert_array_equal(
+        op.interior_indices, np.flatnonzero(np.all((nodes > 0) & (nodes < spec.n), axis=0)))
+    ref = assemble(spec, a)
+    assert (op.matrix != ref.matrix).nnz == 0
+    f = fourier_h01(spec, 1)
+    np.testing.assert_array_equal(solve(op, f).values, solve(ref, f).values)
+    # assemble keeps its check of the coefficient against the grid it is given
+    with pytest.raises(ValueError, match="do not match"):
+        assemble(DomainSpec(2, 3), a)
+
+
 def test_solve_zero_source():
     spec = DomainSpec(1, 16)
     op = assemble(spec, constant_coefficient(spec))
@@ -422,7 +439,8 @@ def _eager_assembly(spec, a):
     nn = spec.num_nodes
     full = coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()
     full.sum_duplicates()
-    interior = np.flatnonzero(elliptic._interior_mask(spec))
+    nodes = np.indices(spec.node_shape).reshape(dim, -1)
+    interior = np.flatnonzero(np.all((nodes > 0) & (nodes < spec.n), axis=0))
     return full, full[interior][:, interior].tocsr()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import pathlib
 import struct
@@ -200,6 +201,63 @@ def test_a_config_weight_of_only_a_profile_takes_build_weights_defaults(profile)
     cfg = ExperimentConfig(p=3.0, weight={"profile": profile})
     got = harness._weight(cfg, dist)
     assert np.array_equal(got.values, build_weight(dist, profile, cfg.p).values)
+
+
+@pytest.mark.parametrize("name", list(harness.COEFFICIENTS))
+def test_a_config_coeff_of_only_its_required_keys_takes_its_generators_defaults(name):
+    spec = DomainSpec(2, 8)
+    generator = harness.COEFFICIENTS[name]
+    required = {"contrast": 10.0} if name in ("checkerboard", "layered") else {}
+    cfg = ExperimentConfig(coeff={"name": name, **required}, seed=4)
+    # every left-out key takes the signature default, but a seed is the config's
+    seed = {"seed": cfg.seed} if name == "lognormal" else {}
+    expected = generator(spec, **required, **seed)
+    assert np.array_equal(harness.coefficient(spec, cfg).values, expected.values)
+
+
+def test_a_lognormal_coeff_without_a_seed_draws_with_the_seed_option(tmp_path, capsys):
+    rows = {}
+    for label, seed, argv in [("option", {}, ["--seed", "3"]), ("config", {"seed": 3}, []),
+                              ("other", {}, ["--seed", "4"])]:
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"coeff": {"name": "lognormal", "sigma": 0.5, **seed}}))
+        out = tmp_path / label
+        assert cli_main(["converge", "--config", str(path), "--out", str(out)] + argv) in (0, 1)
+        rows[label] = (out / "converge_rows.csv").read_bytes()
+    capsys.readouterr()
+    assert rows["option"] == rows["config"] != rows["other"]
+
+
+@pytest.mark.parametrize("study,source", [
+    ("converge", "config"), ("degeneracy", "config"), ("weighted", "config"),
+    ("converge", "option"), ("weighted", "option"),
+    ("rates", "option"),  # a study that reads no seed still rejects a negative one
+])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, study, source):
+    argv = [study, "--out", str(tmp_path)]
+    if source == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    else:
+        argv += ["--seed", "-1"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: seed must be a non-negative integer, got -1\n")
+    assert list(tmp_path.glob("*_report.json")) == []
+
+
+def test_cli_a_study_that_reads_no_seed_ignores_the_seed_option(tmp_path, capsys):
+    assert cli_main(["pointwise", "--seed", "5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert "seed" not in json.loads((tmp_path / "pointwise_report.json").read_text())["config"]
+
+
+def test_pointwise_target_takes_build_weights_beta_default():
+    beta = inspect.signature(build_weight).parameters["beta"].default
+    defaults = STUDIES["pointwise"].defaults
+    for weight in ({"profile": "polynomial"}, {}):
+        rep = run_pointwise_limit_study(ExperimentConfig(**{**defaults, "weight": weight}))
+        assert rep["target_ratio"] == 2.0 ** (-beta / defaults["p"])
 
 
 @pytest.mark.parametrize("study,override", [
