@@ -62,12 +62,15 @@ def radial_function(kind: str, h: float | None = None) -> RadialFunction:
 
       critical_log   max{0, ln(1+r/h) - ln 2} / ln(1+1/h); zero on r <= h
       critical_ramp  min{max{r-h, 0}/h, 1}; ramps from 0 to 1 on [h, 2h]
+      constant       1; every ball average is 1
       loglog         ln(ln(1/r+1)); diverges at r = 0
       logloglog      ln(ln(ln(1/r+1))); defined for r < 1/(e-1), diverges at 0
+
+    The critical kinds need h in (0, 1/4].
     """
+    if kind in ("critical_log", "critical_ramp") and not (h is not None and 0.0 < h <= 0.25):
+        raise ValueError(f"{kind} needs h in (0, 1/4]")
     if kind == "critical_log":
-        if h is None or not (0.0 < h <= 0.25):
-            raise ValueError("critical_log needs h in (0, 1/4]")
         scale = 1.0 / np.log(1.0 + 1.0 / h)
 
         def f(r):
@@ -78,8 +81,6 @@ def radial_function(kind: str, h: float | None = None) -> RadialFunction:
 
         return RadialFunction(f, df, kinks=(h,))
     if kind == "critical_ramp":
-        if h is None or not (0.0 < h <= 0.25):
-            raise ValueError("critical_ramp needs h in (0, 1/4]")
 
         def f(r):
             return np.minimum(np.maximum(np.asarray(r) - h, 0.0) / h, 1.0)
@@ -89,6 +90,9 @@ def radial_function(kind: str, h: float | None = None) -> RadialFunction:
             return np.where((r > h) & (r < 2 * h), 1.0 / h, 0.0)
 
         return RadialFunction(f, df, kinks=(h, 2 * h))
+    if kind == "constant":
+        return RadialFunction(lambda r: np.ones_like(np.asarray(r, float)),
+                              lambda r: np.zeros_like(np.asarray(r, float)))
     if kind == "loglog":
 
         def f(r):
@@ -145,16 +149,17 @@ def eval_radial_deriv(fn: RadialFunction, r: float) -> float:
     return float(fn.df(r))
 
 
-def _radial_integral(g, dim: int, lo: float, hi: float, kinks=()) -> float:
+def _radial_integral(g, dim: int, kinks=()) -> float:
+    """int_0^1 g(r) r^(dim-1) dr, split at the kinks inside (0, 1)."""
     from scipy.integrate import quad
 
-    pts = sorted({k for k in kinks if lo < k < hi})
+    pts = sorted({k for k in kinks if 0.0 < k < 1.0})
 
     def integrand(r):
         return g(r) * r ** (dim - 1)
 
-    val, _ = quad(integrand, lo, hi, points=pts or None, limit=300,
-                  epsabs=1e-12, epsrel=1e-10)
+    val, _ = quad(integrand, 0.0, 1.0, points=pts or None, limit=300,
+                  epsabs=0.0, epsrel=1e-10)
     return float(val)
 
 
@@ -166,24 +171,22 @@ def critical_ratio(dim: int, p: float, h: float) -> float:
     average is exactly zero and the numerator is the plain p-norm.  Valid for
     dim >= p; h must lie in (0, 1/4].
     """
-    if not (0.0 < h <= 0.25):
-        raise ValueError("h must lie in (0, 1/4]")
     if dim < p:
         raise ValueError("critical profiles exist for dim >= p only")
     fn = radial_function("critical_log" if dim == p else "critical_ramp", h)
-    num_p = _radial_integral(lambda r: np.abs(fn.f(r)) ** p, dim, 0.0, 1.0,
-                             kinks=fn.kinks + (0.5,))
-    den_p = _radial_integral(lambda r: np.abs(fn.df(r)) ** p, dim, 0.0, 1.0,
-                             kinks=fn.kinks + (0.5,))
+    num_p = _radial_integral(lambda r: np.abs(fn.f(r)) ** p, dim, kinks=fn.kinks + (0.5,))
+    den_p = _radial_integral(lambda r: np.abs(fn.df(r)) ** p, dim, kinks=fn.kinks + (0.5,))
     return (num_p ** (1.0 / p)) / (den_p ** (1.0 / p))
 
 
 def ball_average_sequence(fn: RadialFunction, radii, dim: int) -> dict:
     """Averages of a radial profile over shrinking balls, with their increments.
 
-    radii must be strictly decreasing in (0, 1].  Returns the averages and the
-    magnitudes of consecutive differences; a divergent profile shows averages
-    growing beyond any bound instead of settling.
+    radii must be strictly decreasing in (0, 1].  The average over the ball of
+    radius r is taken in t = s/r, as dim * int_0^1 u(r t) t^(dim-1) dt, so its
+    accuracy does not depend on r.  Returns the averages and the magnitudes of
+    consecutive differences; a divergent profile shows averages growing beyond
+    any bound instead of settling.
     """
     radii = list(radii)
     if not radii or any(not (0.0 < r <= 1.0) for r in radii):
@@ -192,8 +195,7 @@ def ball_average_sequence(fn: RadialFunction, radii, dim: int) -> dict:
         raise ValueError("radii must be strictly decreasing")
     averages = []
     for r in radii:
-        kinks = tuple(k for k in fn.kinks if k < r)
-        mass = _radial_integral(lambda s: fn.f(s), dim, 0.0, r, kinks=kinks)
-        averages.append(mass * dim / r**dim)
+        mass = _radial_integral(lambda t: fn.f(r * t), dim, kinks=[k / r for k in fn.kinks])
+        averages.append(mass * dim)
     diffs = [abs(a - b) for a, b in zip(averages, averages[1:])]
     return {"radii": radii, "averages": averages, "differences": diffs}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -39,7 +40,8 @@ BACKWARD_TOL = 1e-10
 
 
 class CoefficientField:
-    """Strictly positive cellwise-constant coefficient."""
+    """Strictly positive cellwise-constant coefficient; a and its element scale
+    a h^(d-2) are finite on every cell."""
 
     __slots__ = ("spec", "values", "a_min", "a_max")
 
@@ -53,8 +55,11 @@ class CoefficientField:
             )
         a_min = float(values.min())
         a_max = float(values.max())
-        if not np.isfinite(a_max) or a_min <= 0.0:
-            raise ValueError("coefficient must be strictly positive and finite on every cell")
+        scale = spec.spacing ** (spec.dim - 2)  # of the element form, see _cell_scale
+        if not (a_min * scale > 0.0 and math.isfinite(a_max * scale)):  # False for NaN too
+            raise ValueError(f"coefficient must be strictly positive and finite on every cell, "
+                             f"and so must a h^(d-2): a in [{a_min!r}, {a_max!r}], "
+                             f"h^(d-2) = {scale!r}")
         self.spec = spec
         self.values = values
         self.a_min = a_min
@@ -82,7 +87,8 @@ def layered_coefficient(spec: DomainSpec, contrast: float, axis: int = 0) -> Coe
 def lognormal_coefficient(spec: DomainSpec, sigma: float = 1.0, seed: int = 0) -> CoefficientField:
     """Seeded multiplicative noise: exp(sigma * g), g iid standard normal per cell."""
     rng = np.random.default_rng(seed)
-    vals = np.exp(sigma * rng.standard_normal(spec.cell_shape))
+    with np.errstate(over="ignore"):  # an infinite cell is the constructor's to reject
+        vals = np.exp(sigma * rng.standard_normal(spec.cell_shape))
     return CoefficientField(spec, vals)
 
 
@@ -158,17 +164,13 @@ class StiffnessOperator:
 
     @functools.cached_property
     def _lu(self):
-        from scipy.sparse.linalg import splu  # loaded by the first solve, never by pc runs
-
-        return splu(self.matrix.tocsc())
+        return _splu(self.matrix.tocsc())
 
     @functools.cached_property
     def _lu_pinned(self):
-        from scipy.sparse.linalg import splu
-
         pinned = self.full_matrix.tocsc(copy=True)
         pinned[0, 0] += 1.0  # an entry of the pattern, so no structural change
-        return splu(pinned)
+        return _splu(pinned)
 
     @property
     def num_interior(self) -> int:
@@ -209,6 +211,16 @@ class StiffnessOperator:
         """
         x = self._lu_pinned.solve(b_full)
         return _accepted("Neumann solve", self.full_matrix, self._full_norm, x, b_full)
+
+
+def _splu(matrix):
+    """SuperLU factors of a CSC matrix; a failed factorization is a ``SolverError``."""
+    from scipy.sparse.linalg import splu  # loaded by the first solve, never by pc runs
+
+    try:
+        return splu(matrix)
+    except RuntimeError as exc:  # e.g. "Factor is exactly singular"
+        raise SolverError(f"sparse LU factorization failed: {exc}") from exc
 
 
 def _inf_norm(matrix) -> float:

@@ -18,8 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import testfuncs
-from .analytic import (RadialFunction, ball_average_sequence, critical_ratio, power_profile,
-                       radial_function, rho)
+from .analytic import ball_average_sequence, critical_ratio, power_profile, radial_function, rho
 from .elliptic import (assemble, checkerboard_coefficient, constant_coefficient,
                        layered_coefficient, lognormal_coefficient)
 from .errors import ConfigError
@@ -43,6 +42,7 @@ __all__ = [
     "run_study",
     "COEFFICIENTS",
     "coefficient",
+    "POINTWISE_PROFILES",
 ]
 
 # gate widths and levels of the studies; they are fixed, not configurable
@@ -68,6 +68,10 @@ _FIELD_TYPES = {"str": (str, "string"), "int": (int, "integer"), "float": ((int,
 # generator's parameters after spec, required where the signature has no default
 COEFFICIENTS = {"constant": constant_coefficient, "checkerboard": checkerboard_coefficient,
                 "layered": layered_coefficient, "lognormal": lognormal_coefficient}
+# a pointwise profile_kind -> the classification its ball averages must reach;
+# power is r^profile_q, the others are the analytic radial functions of that name
+POINTWISE_PROFILES = {"power": "convergent", "constant": "convergent",
+                      "loglog": "divergent", "logloglog": "divergent"}
 
 
 @dataclass
@@ -135,6 +139,7 @@ class ExperimentConfig:
             raise ConfigError(f"num_functions must be >= 1, got {self.num_functions!r}")
         _check_choice("kind", self.kind, SUBSAMPLE_KINDS)
         _check_choice("basis", self.basis, BASES)
+        _check_choice("profile_kind", self.profile_kind, POINTWISE_PROFILES)
         profile = _profile(self.weight)
         _check_choice("weight profile", profile, WEIGHT_PROFILES)
         _check_keys(f"{profile} weight", set(self.weight) - {"profile"}, (),
@@ -276,6 +281,9 @@ def run_convergence_study(cfg: ExperimentConfig) -> dict:
     if not (0.0 < cfg.r <= 1.0):
         raise ConfigError("fixed ratio r must lie in (0, 1]")
     spec = DomainSpec(cfg.dim, cfg.n)
+    if min(cfg.H_sweep) < spec.spacing:  # before 1/H, which overflows at a subnormal H
+        raise ConfigError(f"H_sweep entries must be at least one cell, 1/n = {spec.spacing!r}, "
+                          f"got {cfg.H_sweep!r}")
     a = coefficient(spec, cfg)
     op = assemble(spec, a)
     u = testfuncs.sine_product(spec)
@@ -484,19 +492,8 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
     # the target rate is the polynomial weight's: beta is the only weight key read
     if not set(cfg.weight.items()) <= {("profile", "polynomial"), ("beta", beta)}:
         raise ConfigError(f"pointwise reads only a polynomial weight's beta, got {cfg.weight}")
-    if cfg.profile_kind == "power":
-        fn = power_profile(cfg.profile_q)
-        expect = "convergent"
-    elif cfg.profile_kind in ("loglog", "logloglog"):
-        fn = radial_function(cfg.profile_kind)
-        expect = "divergent"
-    elif cfg.profile_kind == "constant":
-        fn = RadialFunction(lambda r: np.ones_like(np.asarray(r, float)),
-                            lambda r: np.zeros_like(np.asarray(r, float)))
-        expect = "convergent"
-    else:
-        raise ConfigError(f"unknown profile kind {cfg.profile_kind!r}")
-
+    fn = (power_profile(cfg.profile_q) if cfg.profile_kind == "power"
+          else radial_function(cfg.profile_kind))
     seq = ball_average_sequence(fn, cfg.radii, cfg.dim)
     diffs = seq["differences"]
     target = 2.0 ** (-beta / cfg.p)
@@ -508,16 +505,14 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
         classification = "divergent"
         measured = None
         rate_ok = False
-    elif all(d == 0.0 for d in diffs):
-        classification = "convergent"
-        rate_ok = True
-        measured = 0.0
     else:
+        # no positive difference to form a ratio (a constant profile): no decay to measure
         ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0]
-        measured = float(np.exp(np.mean(np.log(ratios)))) if ratios else 1.0
+        measured = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
         rate_ok = measured <= target * (1.0 + RATE_SLACK)
         shrinking = diffs[-1] <= diffs[0]
         classification = "convergent" if (rate_ok and shrinking) else "inconclusive"
+    expect = POINTWISE_PROFILES[cfg.profile_kind]
     passed = classification == expect
     rows = list(zip(seq["radii"], seq["averages"], [float("nan")] + diffs))
     return {

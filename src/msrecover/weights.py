@@ -73,20 +73,23 @@ def build_weight(dist: DistanceField, profile: str, p: float, *, beta: float = 1
         )
     s = np.maximum(dist.values, h)
 
-    if profile == "polynomial":
-        if validate and beta <= 0.0:
-            raise ValueError("polynomial profile needs beta > 0")
-        vals = (H / s) ** (dim - p + beta)
-    elif profile == "logarithmic":
-        if gamma is None:
-            gamma = p
-        if validate and gamma <= p - 1.0:
-            raise ValueError("logarithmic profile needs gamma > p - 1")
-        # s <= sqrt(3) < e and H <= 1, so both logarithms exceed 1
-        log_s = np.log(1.0 / s) + 1.0
-        vals = (H / s) ** (dim - p) * log_s**gamma / (np.log(1.0 / H) + 1.0) ** (gamma - p + 1.0)
-    else:  # w11
-        vals = (H / s) ** (dim - 1)
+    # a huge exponent overflows to inf (and inf/inf to nan): the constructor rejects both
+    with np.errstate(over="ignore", invalid="ignore"):
+        if profile == "polynomial":
+            if validate and beta <= 0.0:
+                raise ValueError("polynomial profile needs beta > 0")
+            vals = (H / s) ** (dim - p + beta)
+        elif profile == "logarithmic":
+            if gamma is None:
+                gamma = p
+            if validate and gamma <= p - 1.0:
+                raise ValueError("logarithmic profile needs gamma > p - 1")
+            # s <= sqrt(3) < e and H <= 1, so both logarithms exceed 1
+            log_s = np.log(1.0 / s) + 1.0
+            vals = ((H / s) ** (dim - p) * log_s**gamma
+                    / (np.log(1.0 / H) + 1.0) ** (gamma - p + 1.0))
+        else:  # w11
+            vals = (H / s) ** (dim - 1)
     return CoefficientField(spec, vals)
 
 

@@ -51,8 +51,10 @@ def test_radial_singularities_raise():
             eval_radial(fn, 0.0)
     with pytest.raises(ValueError):
         eval_radial(radial_function("logloglog"), 0.9)  # outside validity range
-    with pytest.raises(ValueError):
-        radial_function("critical_log", 0.3)  # h must stay <= 1/4
+    for kind in ("critical_log", "critical_ramp"):
+        for h in (None, 0.0, 0.3):  # h must lie in (0, 1/4]
+            with pytest.raises(ValueError, match=f"{kind} needs h in"):
+                radial_function(kind, h)
     with pytest.raises(ValueError):
         radial_function("nope")
 
@@ -74,8 +76,8 @@ def test_derivative_rule_matches_finite_differences(kind, h):
 
 
 def test_critical_ratio_regime_checks():
-    with pytest.raises(ValueError):
-        critical_ratio(3, 2, 0.3)  # h above 1/4
+    with pytest.raises(ValueError, match="critical_ramp needs h in"):
+        critical_ratio(3, 2, 0.3)  # h above 1/4: radial_function's check
     with pytest.raises(ValueError):
         critical_ratio(1, 2, 0.1)  # no critical profile below dim = p
 
@@ -86,7 +88,7 @@ def test_ramp_gradient_norm_closed_form():
     fn = radial_function("critical_ramp", h)
     from msrecover.analytic import _radial_integral
 
-    val = _radial_integral(lambda r: np.abs(fn.df(r)) ** p, d, 0.0, 1.0, kinks=fn.kinks)
+    val = _radial_integral(lambda r: np.abs(fn.df(r)) ** p, d, kinks=fn.kinks)
     assert val == pytest.approx((2**d - 1) / d * h ** (d - p), rel=1e-8)
 
 
@@ -130,6 +132,24 @@ def test_ball_average_power_rate():
     # exact average: d/(d+q) h^q
     for h, avg in zip(radii, seq["averages"]):
         assert avg == pytest.approx(2.0 / 2.9 * h**0.9, rel=1e-9)
+
+
+def test_radial_constant_profile_has_every_ball_average_one():
+    fn = radial_function("constant")
+    assert eval_radial(fn, 0.3) == 1.0 and eval_radial_deriv(fn, 0.3) == 0.0
+    seq = ball_average_sequence(fn, [2.0**-k for k in range(1, 8)], 3)
+    assert seq["averages"] == [1.0] * 7  # the same integral at every radius
+    assert seq["differences"] == [0.0] * 6
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_average_power_closed_form_down_to_tiny_radii(dim):
+    # averaged in t = s/r, the accuracy does not depend on r: d/(d+q) r^q exactly
+    q = 0.55
+    radii = [2.0**-k for k in range(1, 11)] + [1e-100, 1e-200, 1e-300]
+    seq = ball_average_sequence(power_profile(q), radii, dim)
+    for r, avg in zip(radii, seq["averages"]):
+        assert avg == pytest.approx(dim / (dim + q) * r**q, rel=1e-13, abs=0.0)
 
 
 def test_ball_average_loglog_divergence():

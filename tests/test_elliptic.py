@@ -24,6 +24,21 @@ def test_coefficient_validation():
     assert a.a_min == 1.0 and a.a_max == 4.0
 
 
+@pytest.mark.parametrize("dim,n,value,accepted", [
+    (1, 256, 1e308, False),  # the element scale a h^-1 overflows
+    (3, 16, 5e-324, False),  # the element scale a h underflows to 0
+    (2, 16, 5e-324, True),  # in 2D the scale is a itself
+    (1, 256, 1e305, True),
+])
+def test_coefficient_rejects_an_element_scale_outside_the_float_range(dim, n, value, accepted):
+    spec = DomainSpec(dim, n)
+    if accepted:
+        assert constant_coefficient(spec, value).a_max == value
+    else:
+        with pytest.raises(ValueError, match="so must a h"):
+            constant_coefficient(spec, value)
+
+
 def test_stiffness_1d_tridiagonal():
     spec = DomainSpec(1, 4)
     K = assemble(spec, constant_coefficient(spec)).matrix.toarray()
@@ -383,6 +398,23 @@ def test_each_form_is_factored_once_per_operator(monkeypatch):
         b = rng.standard_normal(spec.num_nodes)
         op.solve_neumann(b - b.mean())
     assert calls == [(op.num_interior,) * 2, (spec.num_nodes,) * 2]
+
+
+@pytest.mark.parametrize("neumann", [False, True])
+def test_a_failed_factorization_is_a_solver_error(monkeypatch, neumann):
+    import scipy.sparse.linalg
+
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    spec = DomainSpec(2, 8)
+    op = assemble(spec, constant_coefficient(spec))
+    with pytest.raises(SolverError, match="factorization failed: Factor is exactly singular"):
+        if neumann:
+            op.solve_neumann(np.zeros(spec.num_nodes))
+        else:
+            op.solve_interior(np.ones(op.num_interior))
 
 
 class _NanFactor:

@@ -3,6 +3,7 @@ import inspect
 import json
 import pathlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from msrecover import harness
 from msrecover.cli import main as cli_main
 from msrecover.errors import ConfigError
 from msrecover.grid import DomainSpec, build_partition, build_subsample
-from msrecover.harness import (RECOVER_DEFAULTS, STUDIES, WEIGHTED_MAX_MIN, ExperimentConfig,
+from msrecover.harness import (POINTWISE_PROFILES, RECOVER_DEFAULTS, STUDIES, WEIGHTED_MAX_MIN,
+                               ExperimentConfig,
                                fit_loglog, run_convergence_study, run_degeneracy_study,
                                run_pointwise_limit_study, run_rate_study, run_study,
                                run_weighted_study)
@@ -117,6 +119,25 @@ def test_weighted_study_report_shape(tmp_path):
 def test_pointwise_study_validation():
     with pytest.raises(ConfigError):
         run_pointwise_limit_study(ExperimentConfig(name="p", radii=[0.5]))
+
+
+def test_an_unknown_profile_kind_is_rejected_when_the_config_is_built():
+    with pytest.raises(ConfigError, match="profile_kind must be one of"):
+        ExperimentConfig(profile_kind="bogus")
+
+
+@pytest.mark.parametrize("kind", list(POINTWISE_PROFILES))
+def test_pointwise_expects_the_declared_classification(kind):
+    defaults = STUDIES["pointwise"].defaults
+    rep = run_pointwise_limit_study(ExperimentConfig(**{**defaults, "profile_kind": kind}))
+    assert rep["expected"] == POINTWISE_PROFILES[kind]
+
+
+def test_default_pointwise_ratio_is_the_power_profiles_two_to_the_minus_q():
+    # averages d/(d+q) r^q differ by a factor 2^-q per halving of r
+    defaults = STUDIES["pointwise"].defaults
+    rep = run_pointwise_limit_study(ExperimentConfig(**defaults))
+    assert rep["measured_ratio"] == pytest.approx(2.0 ** -defaults["profile_q"], rel=1e-12)
 
 
 def test_pointwise_study_constant_profile_is_convergent():
@@ -379,6 +400,34 @@ def test_cli_value_a_library_rejects_is_a_configuration_error(tmp_path, capsys, 
     # one line, no traceback
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert not (tmp_path / "rec.csv").exists()
+
+
+@pytest.mark.parametrize("command,grid_dim,override", [
+    # a value that overflows or underflows inside the library, or a sub-cell H
+    ("converge", None, {"coeff": {"name": "lognormal", "sigma": 1000}}),
+    ("converge", None, {"coeff": {"name": "checkerboard", "contrast": 1e308}}),  # a h^-1
+    ("converge", None, {"H_sweep": [0.5, 0.25, 1e-320]}),
+    ("degeneracy", None, {"weight": {"profile": "polynomial", "beta": 1e300}}),
+    ("degeneracy", None, {"weight": {"profile": "logarithmic", "gamma": 1e300}}),
+    ("pointwise", None, {"profile_kind": "bogus"}),
+    ("recover", 3, {"coeff": {"name": "constant", "value": 5e-324}}),  # a h
+])
+def test_cli_extreme_values_are_one_line_errors_without_warnings(tmp_path, capsys, command,
+                                                                  grid_dim, override):
+    from msrecover.grid import GridFunction, save_grid_function
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(override))
+    argv = [command, "--config", str(path)]
+    if command == "recover":
+        save_grid_function(GridFunction.constant(DomainSpec(grid_dim, 16), 1.0),
+                           tmp_path / "u.csv")
+        argv += ["--input", str(tmp_path / "u.csv"), "--output", str(tmp_path / "rec.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would escape as an exception
+        assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
 def test_cli_help_lists_every_study_with_its_columns(capsys):
