@@ -182,15 +182,17 @@ def critical_ratio(dim: int, p: float, h: float) -> float:
 def ball_average_sequence(fn: RadialFunction, radii, dim: int) -> dict:
     """Averages of a radial profile over shrinking balls, with their increments.
 
-    radii must be strictly decreasing in (0, 1].  The average over the ball of
-    radius r is taken in t = s/r, as dim * int_0^1 u(r t) t^(dim-1) dt, so its
-    accuracy does not depend on r.  Returns the averages and the magnitudes of
+    radii must be strictly decreasing normal floats in (0, 1]: below the smallest
+    normal float r t loses precision.  The average over the ball of radius r is
+    taken in t = s/r, as dim * int_0^1 u(r t) t^(dim-1) dt, so its accuracy does
+    not depend on r.  Returns the averages and the magnitudes of
     consecutive differences; a divergent profile shows averages growing beyond
     any bound instead of settling.
     """
     radii = list(radii)
-    if not radii or any(not (0.0 < r <= 1.0) for r in radii):
-        raise ValueError("radii must lie in (0, 1]")
+    tiny = float(np.finfo(float).tiny)
+    if not radii or any(not (tiny <= r <= 1.0) for r in radii):
+        raise ValueError(f"radii must lie in [{tiny!r}, 1], the normal floats of (0, 1]")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
     averages = []

@@ -116,9 +116,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def shifted(self, c: float) -> "GridFunction":
-        return GridFunction(self.spec, self.values - float(c))
-
 
 @dataclass(frozen=True)
 class CoarsePartition:

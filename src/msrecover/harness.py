@@ -24,8 +24,9 @@ from .elliptic import (assemble, checkerboard_coefficient, constant_coefficient,
 from .errors import ConfigError
 from .grid import (SUBSAMPLE_KINDS, DomainSpec, build_partition, build_subsample, lp_norm,
                    gradient_lp_norm)
-from .measurements import build_functionals, measure
-from .recovery import BASES, recover, recovery_error_report, sharp_constant_estimate
+from .measurements import build_functionals, measure_all
+from .recovery import (BASES, pc_recover, recover, recovery_error_report,
+                       sharp_constant_estimate)
 from .weights import WEIGHT_PROFILES, build_weight, distance_field, weight_condition_check
 
 __all__ = [
@@ -259,6 +260,14 @@ def _nondecreasing(estimates) -> bool:
     return all(b >= a * (1.0 - 1e-6) for a, b in zip(estimates, estimates[1:]))
 
 
+def _ratio_sweep(cfg: ExperimentConfig, part) -> list:
+    """The subsamples of ``cfg.kind`` at each ``r_sweep`` ratio on ``part``.  A point
+    set has no ratio: a sweep over it would repeat one set."""
+    if cfg.kind == "point":
+        raise ConfigError("an r_sweep needs a cube or slice kind: a point set has no ratio")
+    return [build_subsample(part, cfg.kind, r) for r in cfg.r_sweep]
+
+
 def _fmt(value):
     if value is None:
         return ""
@@ -333,13 +342,11 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
         if cfg.p != 2.0:
             raise ConfigError("the grid eigen estimate is a p = 2 construction")
         spec = DomainSpec(cfg.dim, cfg.n)
-        part = build_partition(spec, 1)
         grid_rows = []
-        for r in cfg.r_sweep:
-            est = sharp_constant_estimate(build_subsample(part, cfg.kind, r))
-            x = 1.0 / r
-            rv = rho("sharp", cfg.p, cfg.dim, x)
-            grid_rows.append((r, est, rv, est / rv, "grid"))
+        for sub in _ratio_sweep(cfg, build_partition(spec, 1)):
+            est = sharp_constant_estimate(sub)
+            rv = rho("sharp", cfg.p, cfg.dim, 1.0 / sub.ratio)
+            grid_rows.append((sub.ratio, est, rv, est / rv, "grid"))
         rows.extend(grid_rows)
         report["grid"] = {"estimates": [g[1] for g in grid_rows],
                           **_band_gate([g[3] for g in grid_rows], GRID_BAND),
@@ -434,18 +441,18 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
     H = part.H
     if _profile(cfg.weight) != "w11" and cfg.p <= 1.0:
         raise ConfigError("p must exceed 1 unless using the w11 profile")
+    sweep = _ratio_sweep(cfg, part)
     funcs = [testfuncs.fourier_free(spec, cfg.seed + k) for k in range(cfg.num_functions)]
 
     rows, per_h_max, condition = [], [], []
-    for r in cfg.r_sweep:
-        sub = build_subsample(part, cfg.kind, r)
-        phi = build_functionals(sub)[0]
+    for sub in sweep:
+        functionals = build_functionals(sub)
         dist = distance_field(sub)
         w = _weight(cfg, dist)
         ratios = []
         for u in funcs:
-            avg = measure(u, phi)
-            lhs = lp_norm(u.shifted(avg), cfg.p)
+            # the one patch's recovery is the measured average
+            lhs = lp_norm(u - pc_recover(measure_all(u, functionals), part), cfg.p)
             rhs = H * gradient_lp_norm(u, cfg.p, weight=w)
             ratios.append(lhs / rhs)
         cmax = max(ratios)

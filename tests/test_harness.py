@@ -411,6 +411,10 @@ def test_cli_value_a_library_rejects_is_a_configuration_error(tmp_path, capsys, 
     ("degeneracy", None, {"weight": {"profile": "logarithmic", "gamma": 1e300}}),
     ("pointwise", None, {"profile_kind": "bogus"}),
     ("recover", 3, {"coeff": {"name": "constant", "value": 5e-324}}),  # a h
+    # a ratio sweep over a point set, which has no ratio, or a subnormal radius
+    ("weighted", None, {"kind": "point"}),
+    ("rates", None, {"kind": "point"}),
+    ("pointwise", None, {"radii": [0.5, 0.25, 0.125, 5e-324]}),
 ])
 def test_cli_extreme_values_are_one_line_errors_without_warnings(tmp_path, capsys, command,
                                                                   grid_dim, override):

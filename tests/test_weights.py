@@ -8,8 +8,8 @@ from msrecover.errors import AlignmentError
 from msrecover.grid import (DomainSpec, GridFunction, SubsampleSpec, build_partition,
                             build_subsample, gradient_lp_norm, lp_norm)
 from msrecover.measurements import build_functionals, measure, measure_all
-from msrecover.recovery import build_theta, ms_recover, multiscale_basis, recover
-from msrecover.elliptic import assemble, constant_coefficient
+from msrecover.recovery import ms_recover, recover
+from msrecover.elliptic import assemble
 from msrecover.testfuncs import fourier_h01
 from msrecover.weights import (DistanceField, build_weight, distance_field,
                                weight_condition_check, weighted_basis)
@@ -227,21 +227,6 @@ def test_condition_logarithmic_bounded():
     assert vals[-1] / vals[2] <= 1.6
 
 
-def test_weighted_recovery_reduces_to_unweighted():
-    spec = DomainSpec(2, 16)
-    part = build_partition(spec, 2)
-    sub = build_subsample(part, "cube", 0.5)
-    functionals = build_functionals(sub)
-    u = GridFunction.from_callable(spec, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    data = measure_all(u, functionals)
-
-    rec_w = ms_recover(data, weighted_basis(sub, constant_coefficient(spec))[0])
-    op = assemble(spec, constant_coefficient(spec))
-    theta = build_theta(functionals, op)
-    rec = ms_recover(data, multiscale_basis(theta))
-    np.testing.assert_allclose(rec_w.values, rec.values, atol=1e-9)
-
-
 def test_recover_with_a_weight_is_the_weighted_basis_recovery():
     spec = DomainSpec(2, 16)
     part = build_partition(spec, 2)
@@ -252,21 +237,6 @@ def test_recover_with_a_weight_is_the_weighted_basis_recovery():
     data = measure_all(u, build_functionals(sub))
     expected = ms_recover(data, weighted_basis(sub, w)[0])
     assert np.array_equal(recover(u, sub, assemble(spec, w)).values, expected.values)
-
-
-def test_weighted_recovery_constants_exact():
-    spec = DomainSpec(2, 16)
-    part = build_partition(spec, 2)
-    sub = build_subsample(part, "cube", 0.5)
-    dist = distance_field(sub)
-    w = build_weight(dist, "polynomial", 2.0, beta=1.0)
-    u = GridFunction.constant(spec, 2.0)
-    data = measure_all(u, build_functionals(sub))
-    rec = ms_recover(data, weighted_basis(sub, w)[0])
-    # constants are reproduced on the measurements, hence recovered exactly
-    # in the measured averages (not pointwise: the basis is not a partition of unity)
-    for phi, d in zip(build_functionals(sub), data.values):
-        assert measure(rec, phi) == pytest.approx(d, abs=1e-8)
 
 
 def test_weighted_biorthogonality():
