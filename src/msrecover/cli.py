@@ -44,7 +44,7 @@ def _load_config(args, defaults, harness):
 def _run_recover(args, harness) -> int:
     try:
         u = load_grid_function(args.input)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {args.input}: {exc}", file=sys.stderr)
         return 2
     cfg = _load_config(args, harness.RECOVER_DEFAULTS, harness)
@@ -85,8 +85,9 @@ def main(argv=None) -> int:
         cfg = _load_config(args, harness.STUDIES[args.command].defaults, harness)
         report = harness.run_study(args.command, cfg, args.out)
     # ValueError covers ConfigError, AlignmentError, malformed JSON and every
-    # value a library constructor rejects (a slice kind at dim 1, m = 0, ...)
-    except (ValueError, FileNotFoundError) as exc:
+    # value a library constructor rejects (a slice kind at dim 1, m = 0, ...);
+    # OSError a --config, --out or --output path that cannot be read or written
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

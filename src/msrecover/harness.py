@@ -134,7 +134,9 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"{f.name} must be a JSON {what}, got {value!r}")
-        if not 1 <= self.p < math.inf:  # the range lp_norm accepts
+            if f.type == "float":  # NaN and Infinity parse as JSON numbers
+                _check_number(f.name, value, positive=False)
+        if self.p < 1:  # the range lp_norm accepts
             raise ConfigError(f"p must be a finite number >= 1, got {self.p!r}")
         if self.num_functions < 1:
             raise ConfigError(f"num_functions must be >= 1, got {self.num_functions!r}")
@@ -177,13 +179,22 @@ class ExperimentConfig:
     def from_json(cls, path, defaults) -> "ExperimentConfig":
         """``defaults`` overridden key by key by a JSON object of some of their keys."""
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
         if not isinstance(raw, dict):
             raise ConfigError(f"a config must be a JSON object, got {raw!r}")
         bad = sorted(set(raw) - set(defaults))
         if bad:
             raise ConfigError(f"keys this command does not read: {bad}; it reads {list(defaults)}")
         return cls(**{**defaults, **raw})
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A config JSON object; a key it repeats is malformed, not last-one-wins."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ConfigError(f"a config object repeats keys: {repeated}")
+    return dict(pairs)
 
 
 def _is_int(value) -> bool:

@@ -4,6 +4,7 @@ import json
 import pathlib
 import struct
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def test_pointwise_study_constant_profile_is_convergent():
     assert rep["passed"]
 
 
-def test_cli_pass_and_fail_and_config_error(tmp_path, capsys):
+def test_cli_pass_and_fail(tmp_path, capsys):
     cfg = {"name": "cli", "dim": 2, "p": 2.0, "profile_kind": "power",
            "profile_q": 0.55, "weight": {"beta": 1.0},
            "radii": [2.0**-k for k in range(1, 9)]}
@@ -165,11 +166,6 @@ def test_cli_pass_and_fail_and_config_error(tmp_path, capsys):
     path2.write_text(json.dumps(cfg))
     rc = cli_main(["pointwise", "--config", str(path2)])
     assert rc == 0  # divergence is the expected outcome for loglog
-    capsys.readouterr()
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"nonsense": True}))
-    assert cli_main(["pointwise", "--config", str(bad)]) == 2
     capsys.readouterr()
 
 
@@ -249,24 +245,6 @@ def test_a_lognormal_coeff_without_a_seed_draws_with_the_seed_option(tmp_path, c
     assert rows["option"] == rows["config"] != rows["other"]
 
 
-@pytest.mark.parametrize("study,source", [
-    ("converge", "config"), ("degeneracy", "config"), ("weighted", "config"),
-    ("converge", "option"), ("weighted", "option"),
-    ("rates", "option"),  # a study that reads no seed still rejects a negative one
-])
-def test_cli_rejects_a_negative_seed(tmp_path, capsys, study, source):
-    argv = [study, "--out", str(tmp_path)]
-    if source == "config":
-        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
-        argv += ["--config", str(tmp_path / "cfg.json")]
-    else:
-        argv += ["--seed", "-1"]
-    assert cli_main(argv) == 2
-    assert capsys.readouterr().err == (
-        "configuration error: seed must be a non-negative integer, got -1\n")
-    assert list(tmp_path.glob("*_report.json")) == []
-
-
 def test_cli_a_study_that_reads_no_seed_ignores_the_seed_option(tmp_path, capsys):
     assert cli_main(["pointwise", "--seed", "5", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -281,157 +259,243 @@ def test_pointwise_target_takes_build_weights_beta_default():
         assert rep["target_ratio"] == 2.0 ** (-beta / defaults["p"])
 
 
-@pytest.mark.parametrize("study,override", [
+def _grid_csv(dim: int, n: int, last: str = "1.0") -> bytes:
+    """A grid-function CSV of ones on the ``dim``-D grid of ``n`` cells a side, with
+    ``last`` as its last node value."""
+    return (f"{dim},{n}\n" + "1.0\n" * ((n + 1) ** dim - 1) + f"{last}\n").encode()
+
+
+# stderr prefixes; {tmp} is the test's directory, and u.csv its --input file
+CONFIG, SOLVER, INPUT = "configuration error: ", "solver error: ", "input error: {tmp}/u.csv: "
+SEED = "seed must be a non-negative integer, got -1\n"
+UNREAD = "keys this command does not read: "  # each such config has one key
+SCALE = "coefficient must be strictly positive and finite"  # an element scale a h^(d-2)
+
+
+class Refusal(NamedTuple):
+    """A command line that exits 2 with one line on stderr: ``prefix``, then a
+    message that starts with ``start`` (is ``start``, where that ends in a newline)."""
+
+    command: str
+    config: str | None  # the --config file's JSON text; None: no --config
+    start: str
+    prefix: str = CONFIG
+    data: bytes | None = None  # recover's --input bytes; None: a valid 2D n=16 field
+    argv: tuple = ()  # appended last, so an option here overrides the test's own
+
+
+# every exit-2 case of the command line
+REFUSALS = [
+    # a negative seed, from the config or --seed, even where the study reads none
+    Refusal("converge", '{"seed": -1}', SEED),
+    Refusal("degeneracy", '{"seed": -1}', SEED),
+    Refusal("weighted", '{"seed": -1}', SEED),
+    Refusal("converge", None, SEED, argv=("--seed", "-1")),
+    Refusal("weighted", None, SEED, argv=("--seed", "-1")),
+    Refusal("rates", None, SEED, argv=("--seed", "-1")),
     # gate widths are constants, so no config key sets them
-    ("rates", {"tolerances": {"grid_bnad": 0.0}}),
-    ("rates", {"tolerances": {"grid_band": 0.5}}),
-    ("converge", {"coeff": {"name": "checkerboard", "contrst": 10}}),
-    ("converge", {"coeff": {"name": "checkerboard"}}),  # contrast is required
-    ("converge", {"coeff": {"name": "stripes"}}),
-    ("converge", {"coeff": "checkerboard"}),
-    ("degeneracy", {"weight": {"betta": 5.0}}),
+    Refusal("rates", '{"tolerances": {"grid_bnad": 0.0}}', UNREAD),
+    Refusal("rates", '{"tolerances": {"grid_band": 0.5}}', UNREAD),
+    Refusal("converge", '{"coeff": {"name": "checkerboard", "contrst": 10}}',
+            "unknown checkerboard coeff keys: ['contrst']"),
+    Refusal("converge", '{"coeff": {"name": "checkerboard"}}',
+            "checkerboard coeff needs keys: ['contrast']"),
+    Refusal("converge", '{"coeff": {"name": "stripes"}}',
+            "unknown coefficient generator 'stripes'"),
+    Refusal("converge", '{"coeff": "checkerboard"}', "coeff must be a JSON object"),
+    Refusal("degeneracy", '{"weight": {"betta": 5.0}}',
+            "unknown polynomial weight keys: ['betta']"),
     # values of the wrong JSON type
-    ("converge", {"H_sweep": 0.5}),  # list field
-    ("converge", {"n": 256.0}),  # int field
-    ("converge", {"dim": True}),  # bool is not an int
-    ("converge", {"r": "0.5"}),  # float field
-    ("rates", {"name": 3}),  # str field
-    ("converge", {"seed": None}),  # null is no integer
+    Refusal("converge", '{"H_sweep": 0.5}', "H_sweep must be a JSON array"),
+    Refusal("converge", '{"n": 256.0}', "n must be a JSON integer"),
+    Refusal("converge", '{"dim": true}', "dim must be a JSON integer"),
+    Refusal("converge", '{"r": "0.5"}', "r must be a JSON number"),
+    Refusal("rates", '{"name": 3}', "name must be a JSON string"),
+    Refusal("converge", '{"seed": null}', "seed must be a JSON integer"),
     # values inside coeff and the sweep lists
-    ("converge", {"coeff": {"name": "checkerboard", "contrast": "ten"}}),
-    ("converge", {"coeff": {"name": "constant", "value": -1}}),
-    ("converge", {"coeff": {"name": "constant", "value": True}}),
-    ("converge", {"coeff": {"name": "layered", "contrast": 10, "axis": 1}}),  # dim 1
-    ("converge", {"coeff": {"name": "lognormal", "sigma": "1"}}),
-    ("converge", {"coeff": {"name": "lognormal", "seed": 2.0}}),
-    ("converge", {"H_sweep": [1 / 2, "1/4", 1 / 8]}),
-    ("rates", {"r_sweep": [1.0, 1 / 2, 0.0]}),
-    ("critical", {"h_sweep": [1 / 4, 1 / 8, -1 / 16]}),
-    ("pointwise", {"radii": [0.5, 0.25, 0.125, None]}),
+    Refusal("converge", '{"coeff": {"name": "checkerboard", "contrast": "ten"}}',
+            "coeff contrast must be a positive finite number"),
+    Refusal("converge", '{"coeff": {"name": "constant", "value": -1}}',
+            "coeff value must be a positive finite number"),
+    Refusal("converge", '{"coeff": {"name": "constant", "value": true}}',
+            "coeff value must be a positive finite number"),
+    Refusal("converge", '{"coeff": {"name": "layered", "contrast": 10, "axis": 1}}',
+            "layered axis must lie in 0..0"),  # dim 1
+    Refusal("converge", '{"coeff": {"name": "lognormal", "sigma": "1"}}',
+            "coeff sigma must be a finite number"),
+    Refusal("converge", '{"coeff": {"name": "lognormal", "seed": 2.0}}',
+            "coeff seed must be a non-negative integer"),
+    Refusal("converge", '{"H_sweep": [0.5, "1/4", 0.125]}',
+            "H_sweep entries must be a positive finite number"),
+    Refusal("rates", '{"r_sweep": [1.0, 0.5, 0.0]}',
+            "r_sweep entries must be a positive finite number"),
+    Refusal("critical", '{"h_sweep": [0.25, 0.125, -0.0625]}',
+            "h_sweep entries must be a positive finite number"),
+    Refusal("pointwise", '{"radii": [0.5, 0.25, 0.125, null]}',
+            "radii entries must be a positive finite number"),
     # the slope bands and the condition class are constants too: tolerances is
     # an unknown key in every study, whatever it holds
-    ("converge", {"tolerances": {"slopes": {"ms_l3": [2.0, 0.2]}}}),
-    ("converge", {"tolerances": {"slopes": {"ms_l2": 2.0}}}),
-    ("converge", {"tolerances": {"slopes": {"ms_l2": [2.0, 0.2, 0.1]}}}),
-    ("converge", {"tolerances": {"slopes": {"ms_l2": [2.0, "wide"]}}}),
-    ("converge", {"tolerances": {"slopes": [["ms_l2", 2.0, 0.2]]}}),
-    ("weighted", {"tolerances": {"expect_condition": "bouned"}}),
+    Refusal("converge", '{"tolerances": {"slopes": {"ms_l3": [2.0, 0.2]}}}', UNREAD),
+    Refusal("converge", '{"tolerances": {"slopes": {"ms_l2": 2.0}}}', UNREAD),
+    Refusal("converge", '{"tolerances": {"slopes": {"ms_l2": [2.0, 0.2, 0.1]}}}', UNREAD),
+    Refusal("converge", '{"tolerances": {"slopes": {"ms_l2": [2.0, "wide"]}}}', UNREAD),
+    Refusal("converge", '{"tolerances": {"slopes": [["ms_l2", 2.0, 0.2]]}}', UNREAD),
+    Refusal("weighted", '{"tolerances": {"expect_condition": "bouned"}}', UNREAD),
     # names and types inside weight, and the named choices
-    ("degeneracy", {"weight": {"profile": "polinomial"}}),
-    ("degeneracy", {"weight": {"beta": "one"}}),
-    ("degeneracy", {"weight": {"validate": "yes"}}),
-    ("degeneracy", {"weight": {"beta": 0.0, "validate": True}}),  # build_weight's rule
-    ("rates", {"kind": "cubee"}),
-    ("converge", {"basis": "pcc"}),
-    # a valid field the command does not read
-    ("converge", {"m": 4}),
-    ("rates", {"seed": 1}),
-    ("critical", {"weight": {"beta": 2.0}}),
-    ("degeneracy", {"kind": "slice"}),
-    ("weighted", {"coeff": {"name": "checkerboard", "contrast": 10.0}}),
-    ("pointwise", {"coeff": {"name": "checkerboard", "contrast": 1e9}}),
-    ("recover", {"dim": 2}),
+    Refusal("degeneracy", '{"weight": {"profile": "polinomial"}}', "weight profile must be one of"),
+    Refusal("degeneracy", '{"weight": {"beta": "one"}}', "weight beta must be a finite number"),
+    Refusal("degeneracy", '{"weight": {"validate": "yes"}}',
+            "weight validate must be true or false"),
+    Refusal("degeneracy", '{"weight": {"beta": 0.0, "validate": true}}',
+            "polynomial profile needs beta > 0"),  # build_weight's rule
+    Refusal("rates", '{"kind": "cubee"}', "kind must be one of"),
+    Refusal("converge", '{"basis": "pcc"}', UNREAD),
+    Refusal("recover", '{"basis": "pcc"}', "basis must be one of"),
+    Refusal("recover", '{"kind": "cubee"}', "kind must be one of"),
+    # a valid field the command does not read, or no field at all
+    Refusal("converge", '{"m": 4}', UNREAD),
+    Refusal("rates", '{"seed": 1}', UNREAD),
+    Refusal("critical", '{"weight": {"beta": 2.0}}', UNREAD),
+    Refusal("degeneracy", '{"kind": "slice"}', UNREAD),
+    Refusal("weighted", '{"coeff": {"name": "checkerboard", "contrast": 10.0}}', UNREAD),
+    Refusal("pointwise", '{"coeff": {"name": "checkerboard", "contrast": 1e9}}', UNREAD),
+    Refusal("recover", '{"dim": 2}', UNREAD),
+    Refusal("pointwise", '{"nonsense": true}', UNREAD),
     # pointwise's target rate is the polynomial weight's: it reads beta alone
-    ("pointwise", {"weight": {"profile": "w11", "gamma": 3.0, "validate": False}}),
-    ("pointwise", {"weight": {"profile": "logarithmic"}}),
-    ("pointwise", {"weight": {"beta": 2.0, "validate": True}}),
+    Refusal("pointwise", '{"weight": {"profile": "w11", "gamma": 3.0, "validate": false}}',
+            "unknown w11 weight keys: ['gamma', 'validate']"),
+    Refusal("pointwise", '{"weight": {"profile": "logarithmic"}}',
+            "pointwise reads only a polynomial weight's beta"),
+    Refusal("pointwise", '{"weight": {"beta": 2.0, "validate": true}}',
+            "pointwise reads only a polynomial weight's beta"),
     # p below 1 is no norm exponent, and weighted draws at least one function
-    ("pointwise", {"p": 0}),
-    ("pointwise", {"p": -2.0}),
-    ("degeneracy", {"p": -1.0}),
-    ("weighted", {"num_functions": 0}),
+    Refusal("pointwise", '{"p": 0}', "p must be a finite number >= 1"),
+    Refusal("pointwise", '{"p": -2.0}', "p must be a finite number >= 1"),
+    Refusal("degeneracy", '{"p": -1.0}', "p must be a finite number >= 1"),
+    Refusal("weighted", '{"num_functions": 0}', "num_functions must be >= 1"),
+    # a number field that is not finite: JSON text may hold NaN and Infinity
+    Refusal("pointwise", '{"profile_q": NaN}', "profile_q must be a finite number, got nan\n"),
+    Refusal("pointwise", '{"profile_q": Infinity}', "profile_q must be a finite number, got inf\n"),
+    Refusal("converge", '{"r": NaN}', "r must be a finite number, got nan\n"),
+    Refusal("degeneracy", '{"p": Infinity}', "p must be a finite number, got inf\n"),
     # a repeated sweep value: the fits and bands would read fewer distinct points
-    ("converge", {"H_sweep": [0.5, 0.5, 0.5]}),
-    ("rates", {"r_sweep": [0.5, 0.5]}),
-    ("critical", {"h_sweep": [0.25, 0.25, 0.25]}),
-    ("degeneracy", {"r_sweep": [0.25, 0.25]}),
+    Refusal("converge", '{"H_sweep": [0.5, 0.5, 0.5]}', "H_sweep repeats a value"),
+    Refusal("rates", '{"r_sweep": [0.5, 0.5]}', "r_sweep repeats a value"),
+    Refusal("critical", '{"h_sweep": [0.25, 0.25, 0.25]}', "h_sweep repeats a value"),
+    Refusal("degeneracy", '{"r_sweep": [0.25, 0.25]}', "r_sweep repeats a value"),
     # a key the weight's profile does not read
-    ("weighted", {"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}),
-    ("weighted", {"weight": {"profile": "w11", "beta": 7.0, "gamma": 9.0}}),
-    ("degeneracy", {"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}),
-])
-def test_cli_rejects_bad_config_keys(tmp_path, capsys, study, override):
-    # the command's default config, which runs, with one bad entry
-    path = tmp_path / "cfg.json"
-    argv = [study, "--config", str(path)]
-    if study == "recover":
-        from msrecover.grid import save_grid_function
-
-        save_grid_function(_field_2d(), tmp_path / "u.csv")
-        argv += ["--input", str(tmp_path / "u.csv"), "--output", str(tmp_path / "rec.csv")]
-    defaults = STUDIES[study].defaults if study in STUDIES else {}
-    path.write_text(json.dumps({**defaults, **override}))
-    assert cli_main(argv) == 2
-    assert "configuration error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command,grid_dim,override", [
+    Refusal("weighted", '{"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}',
+            "unknown polynomial weight keys: ['gamma']"),
+    Refusal("weighted", '{"weight": {"profile": "w11", "beta": 7.0, "gamma": 9.0}}',
+            "unknown w11 weight keys: ['beta', 'gamma']"),
+    Refusal("degeneracy", '{"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}',
+            "unknown polynomial weight keys: ['gamma']"),
+    # JSON text that is no config object, or a key it repeats at any depth
+    Refusal("converge", "3", "a config must be a JSON object"),
+    Refusal("converge", "[1, 2]", "a config must be a JSON object"),
+    Refusal("converge", '"converge"', "a config must be a JSON object"),
+    Refusal("converge", "null", "a config must be a JSON object"),
+    Refusal("converge", '{"n": 64, "H_sweep": [0.5', "Expecting"),  # truncated
+    Refusal("converge", '{"n": 64, "n": 32}', "a config object repeats keys: ['n']\n"),
+    Refusal("converge", '{"coeff": {"name": "checkerboard", "contrast": 10, "contrast": 100}}',
+            "a config object repeats keys: ['contrast']\n"),
     # ExperimentConfig accepts each value; a library constructor rejects it
-    ("recover", 1, {"kind": "slice"}),
-    ("recover", 2, {"r": 1.5}),
-    ("recover", 2, {"m": 0}),
-    ("recover", 2, {"m": -2}),
-    ("rates", None, {"dim": 1, "kind": "slice"}),
-    ("rates", None, {"r_sweep": [1.0, 2.0]}),
-    ("degeneracy", None, {"m": 0}),
-    ("weighted", None, {"dim": 4}),
-    ("converge", None, {"n": 1}),
-    ("pointwise", None, {"profile_q": 0}),
-    ("critical", None, {"h_sweep": [0.5, 0.25, 0.125]}),
+    Refusal("recover", '{"kind": "slice"}', "slice kind needs dim >= 2", data=_grid_csv(1, 16)),
+    Refusal("recover", '{"r": 1.5}', "ratio must lie in (0, 1]"),
+    Refusal("recover", '{"m": 0}', "m must be >= 1"),
+    Refusal("recover", '{"m": -2}', "m must be >= 1"),
+    Refusal("rates", '{"dim": 1, "kind": "slice"}', "slice kind needs dim >= 2"),
+    Refusal("rates", '{"r_sweep": [1.0, 2.0]}', "ratio must lie in (0, 1]"),
+    Refusal("degeneracy", '{"m": 0}', "m must be >= 1"),
+    Refusal("weighted", '{"dim": 4}', "dim must be 1, 2 or 3"),
+    Refusal("converge", '{"n": 1}', "n must be >= 2"),
+    Refusal("pointwise", '{"profile_q": 0}', "power profile needs q > 0"),
+    Refusal("critical", '{"h_sweep": [0.5, 0.25, 0.125]}', "critical_log needs h in (0, 1/4]"),
     # the grid is 2D: a layered axis is checked against the input, not a config dim
-    ("recover", 2, {"coeff": {"name": "layered", "contrast": 10, "axis": 2}}),
-])
-def test_cli_value_a_library_rejects_is_a_configuration_error(tmp_path, capsys, command,
-                                                               grid_dim, override):
-    from msrecover.grid import DomainSpec, GridFunction, save_grid_function
-
-    path = tmp_path / "cfg.json"
-    if command == "recover":
-        save_grid_function(GridFunction.constant(DomainSpec(grid_dim, 16), 1.0),
-                           tmp_path / "u.csv")
-        path.write_text(json.dumps(override))
-        argv = [command, "--input", str(tmp_path / "u.csv"), "--output",
-                str(tmp_path / "rec.csv")]
-    else:
-        path.write_text(json.dumps({**STUDIES[command].defaults, **override}))
-        argv = [command]
-    assert cli_main(argv + ["--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    # one line, no traceback
-    assert err.startswith("configuration error: ") and err.count("\n") == 1
-    assert not (tmp_path / "rec.csv").exists()
-
-
-@pytest.mark.parametrize("command,grid_dim,override", [
+    Refusal("recover", '{"coeff": {"name": "layered", "contrast": 10, "axis": 2}}',
+            "layered axis must lie in 0..1"),
     # a value that overflows or underflows inside the library, or a sub-cell H
-    ("converge", None, {"coeff": {"name": "lognormal", "sigma": 1000}}),
-    ("converge", None, {"coeff": {"name": "checkerboard", "contrast": 1e308}}),  # a h^-1
-    ("converge", None, {"H_sweep": [0.5, 0.25, 1e-320]}),
-    ("degeneracy", None, {"weight": {"profile": "polynomial", "beta": 1e300}}),
-    ("degeneracy", None, {"weight": {"profile": "logarithmic", "gamma": 1e300}}),
-    ("pointwise", None, {"profile_kind": "bogus"}),
-    ("recover", 3, {"coeff": {"name": "constant", "value": 5e-324}}),  # a h
+    Refusal("converge", '{"coeff": {"name": "lognormal", "sigma": 1000}}', SCALE),
+    Refusal("converge", '{"coeff": {"name": "checkerboard", "contrast": 1e308}}', SCALE),  # a h^-1
+    Refusal("converge", '{"H_sweep": [0.5, 0.25, 1e-320]}',
+            "H_sweep entries must be at least one cell"),
+    Refusal("degeneracy", '{"weight": {"profile": "polynomial", "beta": 1e300}}', SCALE),
+    Refusal("degeneracy", '{"weight": {"profile": "logarithmic", "gamma": 1e300}}', SCALE),
+    Refusal("pointwise", '{"profile_kind": "bogus"}', "profile_kind must be one of"),
+    Refusal("recover", '{"coeff": {"name": "constant", "value": 5e-324}}',
+            SCALE, data=_grid_csv(3, 16)),  # a h
     # a ratio sweep over a point set, which has no ratio, or a subnormal radius
-    ("weighted", None, {"kind": "point"}),
-    ("rates", None, {"kind": "point"}),
-    ("pointwise", None, {"radii": [0.5, 0.25, 0.125, 5e-324]}),
-])
-def test_cli_extreme_values_are_one_line_errors_without_warnings(tmp_path, capsys, command,
-                                                                  grid_dim, override):
-    from msrecover.grid import GridFunction, save_grid_function
+    Refusal("weighted", '{"kind": "point"}', "an r_sweep needs a cube or slice kind"),
+    Refusal("rates", '{"kind": "point"}', "an r_sweep needs a cube or slice kind"),
+    Refusal("pointwise", '{"radii": [0.5, 0.25, 0.125, 5e-324]}',
+            "radii must lie in [2.2250738585072014e-308, 1]"),
+    # 2D n = 2 has one interior node, so Theta of the four functionals has rank 1
+    Refusal("recover", '{"m": 2}', "coupling matrix", SOLVER, _grid_csv(2, 2)),
+    # a malformed --input file is quoted, not dumped
+    Refusal("recover", None, "the header must be 'dim,n'", INPUT, b""),
+    Refusal("recover", None, "the header must be 'dim,n'", INPUT, b"dim,n\n0.0\n"),
+    Refusal("recover", None, "the header must be 'dim,n'", INPUT, b"2\n0.0\n"),
+    Refusal("recover", None, "a value row must hold one number", INPUT, b"1,4\n0.0\n\n0.0\n"),
+    Refusal("recover", None, "a value row must hold one number", INPUT,
+            b"1,4\n0.0,7.5\n1.0\n2.0\n3.0\n4.0\n"),
+    # the former binary layout: magic, dim and n as int64, then float64 values
+    Refusal("recover", None, "'utf-8' codec can't decode", INPUT,
+            b"MSRG" + struct.pack("<qq", 1, 4) + struct.pack("<5d", *range(5))),
+    # a line beyond the csv module's field limit raises csv.Error, not ValueError
+    Refusal("recover", None, "not a grid-function CSV: field larger than field limit", INPUT,
+            b"1,4\n" + b"1" * 200_000 + b"\n"),
+    # rows far longer than the quoted prefix: 2000 fields, and one 5000-character field
+    Refusal("recover", None, "a value row must hold one number", INPUT,
+            b"1,4\n" + b",".join([b"0.0"] * 2000) + b"\n"),
+    Refusal("recover", None, "a value row must hold one number", INPUT,
+            b"1,4\n" + b"x" * 5000 + b"\n"),
+    Refusal("recover", None, "grid-function values must be finite", INPUT, _grid_csv(2, 4, "nan")),
+    Refusal("recover", None, "grid-function values must be finite", INPUT, _grid_csv(2, 4, "inf")),
+    Refusal("recover", None, "grid-function values must be finite", INPUT, _grid_csv(2, 4, "-inf")),
+    # a path that cannot be read or written; --out names the config, a file, and
+    # --output a directory, found only after the study or the recovery ran
+    Refusal("recover", None, "[Errno 2] No such file or directory",
+            "input error: {tmp}/none.csv: ", argv=("--input", "{tmp}/none.csv")),
+    Refusal("recover", None, "[Errno 21] Is a directory", "input error: {tmp}: ",
+            argv=("--input", "{tmp}")),
+    Refusal("recover", None, "[Errno 21] Is a directory", argv=("--output", "{tmp}")),
+    Refusal("rates", None,
+            "[Errno 2] No such file or directory", argv=("--config", "{tmp}/none.json")),
+    Refusal("rates", None, "[Errno 21] Is a directory", argv=("--config", "{tmp}")),
+    Refusal("rates", "{}", "[Errno 17] File exists", argv=("--out", "{tmp}/cfg.json")),
+]
 
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(override))
-    argv = [command, "--config", str(path)]
-    if command == "recover":
-        save_grid_function(GridFunction.constant(DomainSpec(grid_dim, 16), 1.0),
-                           tmp_path / "u.csv")
+
+def _tree(root: pathlib.Path) -> dict:
+    """Every path under ``root``, with a file's bytes."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.command}-{i}")
+                                 for i, row in enumerate(REFUSALS)])
+def test_cli_refusal_exits_two(tmp_path, capsys, row):
+    argv = [row.command]
+    if row.config is not None:
+        (tmp_path / "cfg.json").write_text(row.config)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    if row.command == "recover":
+        (tmp_path / "u.csv").write_bytes(_grid_csv(2, 16) if row.data is None else row.data)
         argv += ["--input", str(tmp_path / "u.csv"), "--output", str(tmp_path / "rec.csv")]
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    argv += [arg.format(tmp=tmp_path) for arg in row.argv]
+    before = _tree(tmp_path)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a RuntimeWarning would escape as an exception
+        warnings.simplefilter("error")  # a warning would escape as an exception
         assert cli_main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    out, err = capsys.readouterr()
+    prefix = row.prefix.format(tmp=tmp_path)
+    # one line, no traceback, and nothing on stdout or on disk: no rec.csv, no report
+    assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith(prefix + row.start), err
+    if prefix.startswith("input error"):  # a malformed file is quoted, not dumped
+        assert len(err[len(prefix):-1].replace(str(tmp_path), "")) <= 120
+    assert _tree(tmp_path) == before
 
 
 def test_cli_help_lists_every_study_with_its_columns(capsys):
@@ -492,14 +556,6 @@ def test_default_report_matches_its_golden_file(tmp_path, name):
     run_study(name, ExperimentConfig(**STUDIES[name].defaults), out_dir=tmp_path)
     new = json.loads((tmp_path / f"{name}_report.json").read_text())
     _assert_matches(new, json.loads((GOLDEN / f"{name}_report.json").read_text()), name)
-
-
-@pytest.mark.parametrize("raw", ["3", "[1, 2]", '"converge"', "null"])
-def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, raw):
-    path = tmp_path / "cfg.json"
-    path.write_text(raw)
-    assert cli_main(["converge", "--config", str(path)]) == 2
-    assert "must be a JSON object" in capsys.readouterr().err
 
 
 def test_config_accepts_an_int_for_a_float_field_unchanged():
@@ -602,74 +658,6 @@ def test_cli_config_overrides_the_defaults_key_by_key(tmp_path, capsys, command,
     report = json.loads((tmp_path / f"{command}_report.json").read_text())
     assert report["config"] == {**STUDIES[command].defaults, **override,
                                 "library_version": LIBRARY_VERSION}
-
-
-@pytest.mark.parametrize("override", [{"basis": "pcc"}, {"kind": "cubee"}])
-def test_cli_recover_rejects_a_bad_choice(tmp_path, capsys, override):
-    from msrecover.grid import save_grid_function
-
-    upath, cfgpath = tmp_path / "u.csv", tmp_path / "rc.json"
-    save_grid_function(_field_2d(), upath)
-    cfgpath.write_text(json.dumps(override))
-    rc = cli_main(["recover", "--input", str(upath), "--output", str(tmp_path / "rec.csv"),
-                   "--config", str(cfgpath)])
-    assert rc == 2
-    assert not (tmp_path / "rec.csv").exists()
-    assert "configuration error" in capsys.readouterr().err
-
-
-def test_cli_recover_singular_coupling_matrix_exits_two(tmp_path, capsys):
-    from msrecover.grid import DomainSpec, GridFunction, save_grid_function
-
-    # 2D n = 2 has one interior node, so Theta of the four functionals has rank 1
-    upath, cfgpath = tmp_path / "u.csv", tmp_path / "rc.json"
-    save_grid_function(GridFunction.constant(DomainSpec(2, 2), 1.0), upath)
-    cfgpath.write_text(json.dumps({"m": 2}))
-    rc = cli_main(["recover", "--input", str(upath), "--output", str(tmp_path / "rec.csv"),
-                   "--config", str(cfgpath)])
-    assert rc == 2
-    assert not (tmp_path / "rec.csv").exists()
-    err = capsys.readouterr().err
-    assert err.startswith("solver error:") and "coupling matrix" in err
-
-
-def _recover_input_error(tmp_path, capsys, content: bytes) -> str:
-    upath = tmp_path / "u.in"
-    upath.write_bytes(content)
-    rc = cli_main(["recover", "--input", str(upath), "--output", str(tmp_path / "rec.csv")])
-    assert rc == 2
-    assert not (tmp_path / "rec.csv").exists()
-    return capsys.readouterr().err
-
-
-@pytest.mark.parametrize("content", [
-    b"", b"dim,n\n0.0\n", b"2\n0.0\n", b"1,4\n0.0\n\n0.0\n",
-    pytest.param(b"1,4\n0.0,7.5\n1.0\n2.0\n3.0\n4.0\n", id="two-field-row"),
-    # the former binary layout: magic, dim and n as int64, then float64 values
-    pytest.param(b"MSRG" + struct.pack("<qq", 1, 4) + struct.pack("<5d", *range(5)),
-                 id="binary-layout"),
-    # a line beyond the csv module's field limit raises csv.Error, not ValueError
-    pytest.param(b"1,4\n" + b"1" * 200_000 + b"\n", id="over-field-limit"),
-    # rows far longer than the quoted prefix: 2000 fields, and one 5000-character field
-    pytest.param(b"1,4\n" + b",".join([b"0.0"] * 2000) + b"\n", id="long-value-row"),
-    pytest.param(b"1,4\n" + b"x" * 5000 + b"\n", id="long-value"),
-])
-def test_cli_recover_rejects_a_malformed_csv_input(tmp_path, capsys, content):
-    err = _recover_input_error(tmp_path, capsys, content)
-    prefix = f"input error: {tmp_path / 'u.in'}: "
-    assert err.startswith(prefix)
-    assert len(err[len(prefix):].rstrip("\n")) <= 120
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_cli_recover_rejects_a_value_that_is_not_finite(tmp_path, capsys, bad):
-    from msrecover.grid import DomainSpec, GridFunction, save_grid_function
-
-    u = GridFunction.constant(DomainSpec(2, 4), 1.0)
-    u.values[2, 3] = float(bad)
-    path = tmp_path / "bad.csv"
-    save_grid_function(u, path)
-    assert "must be finite" in _recover_input_error(tmp_path, capsys, path.read_bytes())
 
 
 def test_cli_recover_roundtrip(tmp_path, capsys):
