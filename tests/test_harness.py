@@ -284,15 +284,8 @@ class Refusal(NamedTuple):
     argv: tuple = ()  # appended last, so an option here overrides the test's own
 
 
-# every exit-2 case of the command line
-REFUSALS = [
-    # a negative seed, from the config or --seed, even where the study reads none
-    Refusal("converge", '{"seed": -1}', SEED),
-    Refusal("degeneracy", '{"seed": -1}', SEED),
-    Refusal("weighted", '{"seed": -1}', SEED),
-    Refusal("converge", None, SEED, argv=("--seed", "-1")),
-    Refusal("weighted", None, SEED, argv=("--seed", "-1")),
-    Refusal("rates", None, SEED, argv=("--seed", "-1")),
+# one bad key or value in a command's config, an exit-2 case of the command line
+BAD_CONFIG_KEYS = [
     # gate widths are constants, so no config key sets them
     Refusal("rates", '{"tolerances": {"grid_bnad": 0.0}}', UNREAD),
     Refusal("rates", '{"tolerances": {"grid_band": 0.5}}', UNREAD),
@@ -350,9 +343,7 @@ REFUSALS = [
             "polynomial profile needs beta > 0"),  # build_weight's rule
     Refusal("rates", '{"kind": "cubee"}', "kind must be one of"),
     Refusal("converge", '{"basis": "pcc"}', UNREAD),
-    Refusal("recover", '{"basis": "pcc"}', "basis must be one of"),
-    Refusal("recover", '{"kind": "cubee"}', "kind must be one of"),
-    # a valid field the command does not read, or no field at all
+    # a valid field the command does not read
     Refusal("converge", '{"m": 4}', UNREAD),
     Refusal("rates", '{"seed": 1}', UNREAD),
     Refusal("critical", '{"weight": {"beta": 2.0}}', UNREAD),
@@ -360,7 +351,6 @@ REFUSALS = [
     Refusal("weighted", '{"coeff": {"name": "checkerboard", "contrast": 10.0}}', UNREAD),
     Refusal("pointwise", '{"coeff": {"name": "checkerboard", "contrast": 1e9}}', UNREAD),
     Refusal("recover", '{"dim": 2}', UNREAD),
-    Refusal("pointwise", '{"nonsense": true}', UNREAD),
     # pointwise's target rate is the polynomial weight's: it reads beta alone
     Refusal("pointwise", '{"weight": {"profile": "w11", "gamma": 3.0, "validate": false}}',
             "unknown w11 weight keys: ['gamma', 'validate']"),
@@ -373,11 +363,6 @@ REFUSALS = [
     Refusal("pointwise", '{"p": -2.0}', "p must be a finite number >= 1"),
     Refusal("degeneracy", '{"p": -1.0}', "p must be a finite number >= 1"),
     Refusal("weighted", '{"num_functions": 0}', "num_functions must be >= 1"),
-    # a number field that is not finite: JSON text may hold NaN and Infinity
-    Refusal("pointwise", '{"profile_q": NaN}', "profile_q must be a finite number, got nan\n"),
-    Refusal("pointwise", '{"profile_q": Infinity}', "profile_q must be a finite number, got inf\n"),
-    Refusal("converge", '{"r": NaN}', "r must be a finite number, got nan\n"),
-    Refusal("degeneracy", '{"p": Infinity}', "p must be a finite number, got inf\n"),
     # a repeated sweep value: the fits and bands would read fewer distinct points
     Refusal("converge", '{"H_sweep": [0.5, 0.5, 0.5]}', "H_sweep repeats a value"),
     Refusal("rates", '{"r_sweep": [0.5, 0.5]}', "r_sweep repeats a value"),
@@ -390,6 +375,26 @@ REFUSALS = [
             "unknown w11 weight keys: ['beta', 'gamma']"),
     Refusal("degeneracy", '{"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}',
             "unknown polynomial weight keys: ['gamma']"),
+]
+
+# every other exit-2 case of the command line
+REFUSALS = [
+    # a negative seed, from the config or --seed, even where the study reads none
+    Refusal("converge", '{"seed": -1}', SEED),
+    Refusal("degeneracy", '{"seed": -1}', SEED),
+    Refusal("weighted", '{"seed": -1}', SEED),
+    Refusal("converge", None, SEED, argv=("--seed", "-1")),
+    Refusal("weighted", None, SEED, argv=("--seed", "-1")),
+    Refusal("rates", None, SEED, argv=("--seed", "-1")),
+    # a named choice recover reads, and a key no command reads
+    Refusal("recover", '{"basis": "pcc"}', "basis must be one of"),
+    Refusal("recover", '{"kind": "cubee"}', "kind must be one of"),
+    Refusal("pointwise", '{"nonsense": true}', UNREAD),
+    # a number field that is not finite: JSON text may hold NaN and Infinity
+    Refusal("pointwise", '{"profile_q": NaN}', "profile_q must be a finite number, got nan\n"),
+    Refusal("pointwise", '{"profile_q": Infinity}', "profile_q must be a finite number, got inf\n"),
+    Refusal("converge", '{"r": NaN}', "r must be a finite number, got nan\n"),
+    Refusal("degeneracy", '{"p": Infinity}', "p must be a finite number, got inf\n"),
     # JSON text that is no config object, or a key it repeats at any depth
     Refusal("converge", "3", "a config must be a JSON object"),
     Refusal("converge", "[1, 2]", "a config must be a JSON object"),
@@ -471,9 +476,8 @@ def _tree(root: pathlib.Path) -> dict:
     return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
-@pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.command}-{i}")
-                                 for i, row in enumerate(REFUSALS)])
-def test_cli_refusal_exits_two(tmp_path, capsys, row):
+def _assert_refused(tmp_path: pathlib.Path, capsys, row: Refusal) -> None:
+    """Run ``row``'s command line in ``tmp_path`` and check that it is refused."""
     argv = [row.command]
     if row.config is not None:
         (tmp_path / "cfg.json").write_text(row.config)
@@ -496,6 +500,18 @@ def test_cli_refusal_exits_two(tmp_path, capsys, row):
     if prefix.startswith("input error"):  # a malformed file is quoted, not dumped
         assert len(err[len(prefix):-1].replace(str(tmp_path), "")) <= 120
     assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.command}-override{i}")
+                                 for i, row in enumerate(BAD_CONFIG_KEYS)])
+def test_cli_rejects_bad_config_keys(tmp_path, capsys, row):
+    _assert_refused(tmp_path, capsys, row)
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.command}-{i}")
+                                 for i, row in enumerate(REFUSALS)])
+def test_cli_refusal_exits_two(tmp_path, capsys, row):
+    _assert_refused(tmp_path, capsys, row)
 
 
 def test_cli_help_lists_every_study_with_its_columns(capsys):
