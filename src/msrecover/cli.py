@@ -8,7 +8,9 @@ Exit codes: 0 the study ran and passed its gates, 1 it ran and failed them,
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import os
 import sys
 
 from .elliptic import assemble
@@ -41,7 +43,23 @@ def _load_config(args, defaults, harness):
     return cfg
 
 
+def _check_output_file(path) -> None:
+    """Raise the ``OSError`` that writing the file ``path`` would, writing nothing:
+    it must not be a directory, and its parent must be one."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _run_recover(args, harness) -> int:
+    _check_output_file(args.output)  # before the recovery, not after it
     try:
         u = load_grid_function(args.input)
     except (ValueError, OSError) as exc:

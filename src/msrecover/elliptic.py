@@ -183,7 +183,8 @@ class StiffnessOperator:
 
     def solve_interior(self, b_int: np.ndarray) -> np.ndarray:
         """Solve K x = b on interior nodes: ``splu`` up to DIRECT_SOLVE_MAX_NODES
-        unknowns, Jacobi-preconditioned CG above.
+        unknowns, Jacobi-preconditioned CG above, for at most 4000 sqrt(contrast)
+        and at most max(4000, unknowns) iterations.
 
         Acceptance is the normwise backward error ||Kx-b|| <= BACKWARD_TOL*(||b||
         + ||K|| ||x||): a plain relative residual of 1e-10 is not representable
@@ -197,7 +198,8 @@ class StiffnessOperator:
             x = self._lu.solve(b_int)
         else:
             contrast = self.coefficient.a_max / self.coefficient.a_min
-            x = _jacobi_cg(self.matrix, b_int, int(4000 * max(1.0, np.sqrt(contrast))))
+            maxiter = min(4000 * max(1.0, np.sqrt(contrast)), max(4000, self.num_interior))
+            x = _jacobi_cg(self.matrix, b_int, int(maxiter))
         return _accepted("solve", self.matrix, self.matrix_norm, x, b_int)
 
     def solve_neumann(self, b_full: np.ndarray) -> np.ndarray:

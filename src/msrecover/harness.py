@@ -9,10 +9,12 @@ deterministic CSV/JSON: same config and seed, byte-identical files.
 from __future__ import annotations
 
 import csv
+import errno
 import inspect
 import json
 import math
 import os
+import pathlib
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -344,8 +346,13 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
     rate variants.  Off-balance regimes (dim > p) add a grid-free exponent fit
     from the critical-profile ratio.
     """
-    if len(cfg.r_sweep) < 2 and len(cfg.h_sweep) < 3:
+    if not (cfg.r_sweep or cfg.h_sweep):
         raise ConfigError("rate study needs an r_sweep (grid) or h_sweep (grid-free)")
+    # a gate on fewer points would pass on one estimate
+    for key, least, what in (("r_sweep", 2, "ratios"), ("h_sweep", 3, "radii")):
+        if 0 < len(getattr(cfg, key)) < least:
+            raise ConfigError(f"{key} needs at least {least} {what}, "
+                              f"got {len(getattr(cfg, key))}")
     report = {"passed": True}
     rows = []
 
@@ -526,7 +533,8 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
     else:
         # no positive difference to form a ratio (a constant profile): no decay to measure
         ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0]
-        measured = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
+        with np.errstate(divide="ignore"):  # a difference that underflows to 0: log -inf
+            measured = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
         rate_ok = measured <= target * (1.0 + RATE_SLACK)
         shrinking = diffs[-1] <= diffs[0]
         classification = "convergent" if (rate_ok and shrinking) else "inconclusive"
@@ -595,6 +603,17 @@ RECOVER_DEFAULTS = dict(m=2, kind="cube", r=1.0, basis="ms",
                         coeff={"name": "constant", "value": 1.0}, seed=0)
 
 
+def _check_out_dir(out_dir) -> None:
+    """Raise the ``OSError`` that creating ``out_dir`` would, creating nothing: it
+    must not be an existing non-directory, and neither may its nearest existing
+    ancestor."""
+    path = pathlib.Path(out_dir)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == path else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out_dir))
+
+
 def run_study(name: str, cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run the study ``name`` of ``STUDIES`` on ``cfg`` and return its report.
 
@@ -603,6 +622,8 @@ def run_study(name: str, cfg: ExperimentConfig, out_dir=None) -> dict:
     the study's columns) and ``<cfg.name>_report.json`` there.
     """
     study = STUDIES[name]
+    if out_dir is not None:
+        _check_out_dir(out_dir)
     report = study.runner(cfg)
     report["config"] = {**{k: getattr(cfg, k) for k in study.defaults},
                         "library_version": testfuncs.LIBRARY_VERSION}

@@ -1,5 +1,7 @@
 import itertools
 import re
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -262,67 +264,6 @@ def test_l2_inner_reproduces_measurement():
     assert measure(u, phi) == pytest.approx(val, abs=1e-12)
 
 
-def test_high_contrast_solve():
-    spec = DomainSpec(1, 64)
-    op = assemble(spec, layered_coefficient(spec, 1e6))
-    f = GridFunction.constant(spec, 1.0)
-    u = solve(op, f)
-    b = load_vector(f)[op.interior_indices]
-    x = u.values[1:-1]
-    res = np.linalg.norm(op.matrix @ x - b)
-    backward = res / (np.linalg.norm(b) + op.matrix_norm * np.linalg.norm(x))
-    assert backward <= 1e-10
-
-
-@pytest.mark.parametrize("dim,n", [(1, 512), (2, 48), (3, 12)])
-@pytest.mark.parametrize("coefficient", [
-    lambda spec: checkerboard_coefficient(spec, 1e12),
-    lambda spec: lognormal_coefficient(spec, sigma=10.0, seed=1),
-], ids=["checkerboard-1e12", "lognormal-10"])
-def test_extreme_contrast_direct_solve_needs_no_refinement(dim, n, coefficient):
-    # one splu solve meets the normwise backward-error bound 1000x over, so
-    # solve_interior carries no iterative-refinement loop
-    spec = DomainSpec(dim, n)
-    op = assemble(spec, coefficient(spec))
-    rng = np.random.default_rng(dim)
-    scales = np.exp(10.0 * rng.standard_normal(op.num_interior))  # badly scaled too
-    for b in (rng.standard_normal(op.num_interior), scales * rng.standard_normal(op.num_interior)):
-        x = op.solve_interior(b)
-        res = np.linalg.norm(op.matrix @ x - b)
-        assert res / (np.linalg.norm(b) + op.matrix_norm * np.linalg.norm(x)) <= 1e-13
-
-
-@pytest.mark.parametrize("coefficient", [
-    constant_coefficient,
-    lambda spec: checkerboard_coefficient(spec, 100.0),
-    lambda spec: lognormal_coefficient(spec, sigma=1.0, seed=3),
-], ids=["constant", "checkerboard", "lognormal"])
-def test_cg_fallback_agrees_with_direct_solve(monkeypatch, coefficient):
-    spec = DomainSpec(2, 16)
-    a = coefficient(spec)
-    f = GridFunction.from_callable(spec, lambda x, y: np.exp(x) * (1.0 + y * y))
-    direct_op = assemble(spec, a)
-    b = load_vector(f)[direct_op.interior_indices]
-    direct = direct_op.solve_interior(b)
-    monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0)
-    op = assemble(spec, a)
-    x = op.solve_interior(b)
-    assert "_lu" not in vars(op)  # the conjugate-gradient path ran
-    res = np.linalg.norm(op.matrix @ x - b)
-    assert res / (np.linalg.norm(b) + op.matrix_norm * np.linalg.norm(x)) <= 1e-10
-    assert np.linalg.norm(x - direct) <= 1e-8 * np.linalg.norm(direct)
-
-
-def test_cg_nonconvergence_raises(monkeypatch):
-    # 1D n=12000 needs far more than the 4000 iterations a constant coefficient allows
-    spec = DomainSpec(1, 12000)
-    op = assemble(spec, constant_coefficient(spec))
-    b = load_vector(GridFunction.constant(spec, 1.0))[op.interior_indices]
-    monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0)
-    with pytest.raises(SolverError, match="did not converge in 4000 iterations"):
-        op.solve_interior(b)
-
-
 def test_cg_stops_at_a_tenth_of_the_backward_tolerance(monkeypatch):
     # the first iterate whose residual meets 0.1*BACKWARD_TOL*||b|| is returned,
     # and the one before it does not meet it
@@ -341,40 +282,6 @@ def test_cg_stops_at_a_tenth_of_the_backward_tolerance(monkeypatch):
     before = float(re.search(r"relative residual (\S+),", str(stalled)).group(1))
     assert before > 0.1 * tol
     assert np.linalg.norm(op.matrix @ x - b) <= 0.1 * tol * np.linalg.norm(b)
-
-
-def test_direct_solve_backward_error_exit(monkeypatch):
-    spec = DomainSpec(2, 8)
-    op = assemble(spec, lognormal_coefficient(spec, sigma=1.0, seed=3))
-    b = load_vector(GridFunction.constant(spec, 1.0))[op.interior_indices]
-    monkeypatch.setattr(elliptic, "BACKWARD_TOL", 1e-30)  # below double-precision rounding
-    with pytest.raises(SolverError, match="solve backward error"):
-        op.solve_interior(b)
-
-
-@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
-def test_neumann_solve_zero_sum_rhs(dim, n):
-    spec = DomainSpec(dim, n)
-    op = assemble(spec, lognormal_coefficient(spec, sigma=1.0, seed=3))
-    rng = np.random.default_rng(4)
-    b = rng.standard_normal(spec.num_nodes)
-    b -= b.mean()
-    x = op.solve_neumann(b)
-    K = op.full_matrix
-    res = np.linalg.norm(K @ x - b)
-    norm_k = np.abs(K).sum(axis=1).max()
-    assert res / (np.linalg.norm(b) + norm_k * np.linalg.norm(x)) <= 1e-10
-    assert abs(x[0]) <= 1e-10 * np.linalg.norm(x)  # the pinned node, up to sum(b) rounding
-    assert res <= 1e-8 * np.linalg.norm(b)
-
-
-def test_neumann_solve_rejects_incompatible_rhs():
-    spec = DomainSpec(2, 8)
-    op = assemble(spec, constant_coefficient(spec))
-    b = np.zeros(spec.num_nodes)
-    b[5] = 1.0  # nonzero sum: no solution exists
-    with pytest.raises(SolverError, match="Neumann"):
-        op.solve_neumann(b)
 
 
 def test_each_form_is_factored_once_per_operator(monkeypatch):
@@ -400,45 +307,144 @@ def test_each_form_is_factored_once_per_operator(monkeypatch):
     assert calls == [(op.num_interior,) * 2, (spec.num_nodes,) * 2]
 
 
-@pytest.mark.parametrize("neumann", [False, True])
-def test_a_failed_factorization_is_a_solver_error(monkeypatch, neumann):
-    import scipy.sparse.linalg
-
-    def singular(matrix):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    spec = DomainSpec(2, 8)
-    op = assemble(spec, constant_coefficient(spec))
-    with pytest.raises(SolverError, match="factorization failed: Factor is exactly singular"):
-        if neumann:
-            op.solve_neumann(np.zeros(spec.num_nodes))
-        else:
-            op.solve_interior(np.ones(op.num_interior))
-
-
-class _NanFactor:
-    def solve(self, b):
-        return np.full_like(b, np.nan)
+# moderate contrasts, where a dense solve is an oracle to 1e-8
+COEFFICIENTS = {
+    "constant": lambda spec: constant_coefficient(spec),
+    "checkerboard-100": lambda spec: checkerboard_coefficient(spec, 100.0),
+    "lognormal-1": lambda spec: lognormal_coefficient(spec, sigma=1.0, seed=7),
+}
+# every coefficient a solve path must meet its bound on
+SOLVE_COEFFICIENTS = {
+    **COEFFICIENTS,
+    "checkerboard-1e12": lambda spec: checkerboard_coefficient(spec, 1e12),
+    "layered-1e6": lambda spec: layered_coefficient(spec, 1e6),
+    "lognormal-10": lambda spec: lognormal_coefficient(spec, sigma=10.0, seed=1),
+}
+GRIDS = [(1, 32), (2, 16), (3, 6)]
+LU_GRIDS = GRIDS + [(1, 512), (2, 48), (3, 12)]  # a path with a factor also runs these
+FACTORS = ("_lu", "_lu_pinned")  # every factor an operator may keep
 
 
-@pytest.mark.parametrize("path", ["direct", "cg", "neumann"])
-def test_a_nan_solution_raises(monkeypatch, path):
-    spec = DomainSpec(2, 8)
-    op = assemble(spec, constant_coefficient(spec))
-    load = load_vector(GridFunction.constant(spec, 1.0))
-    solve, b = op.solve_interior, load[op.interior_indices]
-    if path == "direct":
-        op._lu = _NanFactor()
-    elif path == "cg":
-        monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0)
-        monkeypatch.setattr(elliptic, "_jacobi_cg", lambda matrix, b, maxiter: b * np.nan)
-    else:
-        op._lu_pinned = _NanFactor()
-        solve, b = op.solve_neumann, load - load.mean()
-    with pytest.raises(SolverError, match="backward error nan"):
+# each solver path as name: (setup(monkeypatch), which sends solves down it; the
+# bound on its normwise backward error; the form it solves, interior (Dirichlet)
+# or natural (zero-sum right-hand sides, x[0] pinned to 0); the factors it keeps)
+SOLVE_PATHS = {
+    "direct": (lambda mp: None, 1e-13, "interior", ("_lu",)),
+    "cg": (lambda mp: mp.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0), elliptic.BACKWARD_TOL,
+           "interior", ()),
+    "neumann": (lambda mp: None, elliptic.BACKWARD_TOL, "natural", ("_lu_pinned",)),
+}
+
+
+def _system(op, form):
+    """(matrix, solve, right-hand side map) of ``form`` on ``op``."""
+    if form == "natural":
+        return op.full_matrix, op.solve_neumann, lambda b: b - b.mean()
+    return op.matrix, op.solve_interior, lambda b: b
+
+
+def _dense_solve(matrix, rhs, form):
+    """The solutions of ``form`` for the columns of ``rhs``, by a dense LU."""
+    dense = matrix.toarray()
+    if form == "interior":
+        return np.linalg.solve(dense, rhs)
+    # K + c 11^T is nonsingular and, for zero-sum b, solves K y = b with sum(y) = 0
+    y = np.linalg.solve(dense + np.abs(dense).sum(axis=1).max() / len(dense), rhs)
+    return y - y[0]
+
+
+@pytest.mark.parametrize("coefficient", SOLVE_COEFFICIENTS)
+@pytest.mark.parametrize("path,dim,n", [(name, *grid) for name, (*_, factors) in SOLVE_PATHS.items()
+                                        for grid in (LU_GRIDS if factors else GRIDS)])
+def test_solve_meets_its_backward_error(monkeypatch, path, dim, n, coefficient):
+    setup, tol, form, factors = SOLVE_PATHS[path]
+    setup(monkeypatch)
+    spec = DomainSpec(dim, n)
+    op = assemble(spec, SOLVE_COEFFICIENTS[coefficient](spec))
+    K, solve, rhs_map = _system(op, form)
+    size = K.shape[0]
+    assert np.array_equal(solve(np.zeros(size)), np.zeros(size))  # zero in, zero out
+    rng = np.random.default_rng(dim)
+    scales = np.exp(10.0 * rng.standard_normal(size))  # a badly scaled right-hand side too
+    rhs = np.stack([rhs_map(rng.standard_normal(size)),
+                    rhs_map(scales * rng.standard_normal(size))], axis=1)
+    dense = _dense_solve(K, rhs, form) if coefficient in COEFFICIENTS else None
+    norm, norm_k = np.linalg.norm, np.abs(K).sum(axis=1).max()
+    for j, b in enumerate(rhs.T):
+        x = solve(b)
+        res = norm(K @ x - b)
+        pin = abs(x[0]) if form == "natural" else 0.0
+        # the normwise backward error; the pin holds as well as the equations do
+        assert max(res, pin) <= tol * (norm(b) + norm_k * norm(x))
+        if dense is not None:  # a moderate contrast: x is the dense solution
+            assert norm(x - dense[:, j]) <= 1e-8 * norm(dense[:, j])
+            assert res <= 1e-8 * norm(b) and pin <= tol * norm(x)
+    assert [f for f in FACTORS if f in vars(op)] == list(factors)  # this path ran
+
+
+def _singular(matrix):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _patch(*target_and_value):
+    return lambda mp, op: mp.setattr(*target_and_value)
+
+
+def _stub(factor):  # a factor whose solves are NaN
+    return lambda mp, op: setattr(op, factor, SimpleNamespace(solve=lambda b: b * np.nan))
+
+
+class SolveFailure(NamedTuple):
+    """A solve down SOLVE_PATHS[``path``] that raises ``SolverError`` starting ``start``
+    once ``breaks(monkeypatch, op)`` ran.  Its right-hand side is standard normal,
+    mapped by the path's form and by ``rhs``.  The operator keeps ``kept``."""
+
+    path: str
+    start: str
+    breaks: Callable = lambda mp, op: None
+    grid: tuple = (2, 8)
+    coefficient: str = "constant"  # of SOLVE_COEFFICIENTS
+    rhs: Callable = lambda b: b
+    kept: tuple = ()
+
+
+BACKWARD = "solve backward error"
+NAN = BACKWARD + " nan"  # a NaN residual
+SINGULAR = "sparse LU factorization failed: Factor is exactly singular"
+CG_CAP = "conjugate gradients did not converge in 4000 iterations"
+SOLVE_FAILURES = [
+    # a NaN factor or iterate on each path: a stub is kept, never a real factor
+    SolveFailure("direct", NAN, _stub("_lu"), kept=("_lu",)),
+    SolveFailure("cg", NAN, _patch(elliptic, "_jacobi_cg", lambda K, b, maxiter: b * np.nan)),
+    SolveFailure("neumann", "Neumann " + NAN, _stub("_lu_pinned"), kept=("_lu_pinned",)),
+    # SuperLU refuses the interior or the pinned matrix: no factor is kept
+    SolveFailure("direct", SINGULAR, _patch("scipy.sparse.linalg.splu", _singular)),
+    SolveFailure("neumann", SINGULAR, _patch("scipy.sparse.linalg.splu", _singular)),
+    # a bound below double-precision rounding
+    SolveFailure("direct", BACKWARD, _patch(elliptic, "BACKWARD_TOL", 1e-30),
+                 coefficient="lognormal-1", kept=("_lu",)),
+    # CG runs out of its max(4000, unknowns) iterations at contrast 1 and 1.7e25
+    SolveFailure("cg", CG_CAP, grid=(1, 12000)),
+    SolveFailure("cg", CG_CAP, grid=(1, 512), coefficient="lognormal-10"),
+    # a right-hand side of nonzero sum: the natural form has no solution
+    SolveFailure("neumann", "Neumann " + BACKWARD, rhs=lambda b: b + 1.0, kept=("_lu_pinned",)),
+]
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.path}-{i}")
+                                 for i, row in enumerate(SOLVE_FAILURES)])
+def test_a_failed_solve_is_a_solver_error(monkeypatch, row):
+    setup, _, form, _ = SOLVE_PATHS[row.path]
+    setup(monkeypatch)
+    spec = DomainSpec(*row.grid)
+    op = assemble(spec, SOLVE_COEFFICIENTS[row.coefficient](spec))
+    K, solve, rhs_map = _system(op, form)
+    b = row.rhs(rhs_map(np.random.default_rng(0).standard_normal(K.shape[0])))
+    row.breaks(monkeypatch, op)
+    with pytest.raises(SolverError) as exc:
         solve(b)
-    assert ("_lu" in vars(op)) == (path == "direct")  # the stub, never a real factor
+    assert str(exc.value).startswith(row.start), exc.value
+    assert [f for f in FACTORS if f in vars(op)] == list(row.kept)
 
 
 def _count_assembly(monkeypatch):
@@ -474,13 +480,6 @@ def _eager_assembly(spec, a):
     nodes = np.indices(spec.node_shape).reshape(dim, -1)
     interior = np.flatnonzero(np.all((nodes > 0) & (nodes < spec.n), axis=0))
     return full, full[interior][:, interior].tocsr()
-
-
-COEFFICIENTS = {
-    "constant": lambda spec: constant_coefficient(spec),
-    "checkerboard-100": lambda spec: checkerboard_coefficient(spec, 100.0),
-    "lognormal-1": lambda spec: lognormal_coefficient(spec, sigma=1.0, seed=7),
-}
 
 
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 12), (3, 6)])

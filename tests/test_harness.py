@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from msrecover import harness
+from msrecover import cli, harness
 from msrecover.cli import main as cli_main
 from msrecover.errors import ConfigError
 from msrecover.grid import DomainSpec, build_partition, build_subsample
@@ -150,6 +150,17 @@ def test_pointwise_study_constant_profile_is_convergent():
     assert rep["passed"]
 
 
+@pytest.mark.parametrize("config", ['{"profile_q": 1000}', '{"dim": 1, "profile_q": 600}'])
+def test_cli_pointwise_difference_that_underflows_is_quiet(tmp_path, capsys, config):
+    # a later difference of ball averages ~r^q is exactly 0: its ratio's log is -inf
+    (tmp_path / "cfg.json").write_text(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["pointwise", "--config", str(tmp_path / "cfg.json")]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["measured_ratio"] == 0.0
+
+
 def test_cli_pass_and_fail(tmp_path, capsys):
     cfg = {"name": "cli", "dim": 2, "p": 2.0, "profile_kind": "power",
            "profile_q": 0.55, "weight": {"beta": 1.0},
@@ -282,6 +293,7 @@ class Refusal(NamedTuple):
     prefix: str = CONFIG
     data: bytes | None = None  # recover's --input bytes; None: a valid 2D n=16 field
     argv: tuple = ()  # appended last, so an option here overrides the test's own
+    early: bool = False  # refused before the study's runner or `recover` starts
 
 
 # one bad key or value in a command's config, an exit-2 case of the command line
@@ -457,17 +469,27 @@ REFUSALS = [
     Refusal("recover", None, "grid-function values must be finite", INPUT, _grid_csv(2, 4, "nan")),
     Refusal("recover", None, "grid-function values must be finite", INPUT, _grid_csv(2, 4, "inf")),
     Refusal("recover", None, "grid-function values must be finite", INPUT, _grid_csv(2, 4, "-inf")),
-    # a path that cannot be read or written; --out names the config, a file, and
-    # --output a directory, found only after the study or the recovery ran
+    # a path that cannot be read or written; an unusable --output or --out is
+    # found before the recovery or the study runs
     Refusal("recover", None, "[Errno 2] No such file or directory",
             "input error: {tmp}/none.csv: ", argv=("--input", "{tmp}/none.csv")),
     Refusal("recover", None, "[Errno 21] Is a directory", "input error: {tmp}: ",
             argv=("--input", "{tmp}")),
-    Refusal("recover", None, "[Errno 21] Is a directory", argv=("--output", "{tmp}")),
+    Refusal("recover", None, "[Errno 21] Is a directory", argv=("--output", "{tmp}"), early=True),
     Refusal("rates", None,
             "[Errno 2] No such file or directory", argv=("--config", "{tmp}/none.json")),
     Refusal("rates", None, "[Errno 21] Is a directory", argv=("--config", "{tmp}")),
-    Refusal("rates", "{}", "[Errno 17] File exists", argv=("--out", "{tmp}/cfg.json")),
+    Refusal("rates", "{}", "[Errno 17] File exists", argv=("--out", "{tmp}/cfg.json"), early=True),
+    Refusal("converge", "{}", "[Errno 20] Not a directory",
+            argv=("--out", "{tmp}/cfg.json/out"), early=True),
+    Refusal("recover", None, "[Errno 2] No such file or directory",
+            argv=("--output", "{tmp}/none/rec.csv"), early=True),
+    Refusal("recover", None, "[Errno 20] Not a directory",
+            argv=("--output", "{tmp}/u.csv/rec.csv"), early=True),
+    # a rate gate on fewer points would pass on one estimate
+    Refusal("rates", '{"h_sweep": [0.25]}', "h_sweep needs at least 3 radii, got 1\n"),
+    Refusal("critical", '{"r_sweep": [0.5], "h_sweep": [0.25, 0.125, 0.0625]}',
+            "r_sweep needs at least 2 ratios, got 1\n"),
 ]
 
 
@@ -476,8 +498,19 @@ def _tree(root: pathlib.Path) -> dict:
     return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
-def _assert_refused(tmp_path: pathlib.Path, capsys, row: Refusal) -> None:
+def _assert_refused(tmp_path: pathlib.Path, capsys, monkeypatch, row: Refusal) -> None:
     """Run ``row``'s command line in ``tmp_path`` and check that it is refused."""
+    started = []  # the work an early row must not start
+
+    def recorded(work):
+        return lambda *args: started.append(args) or work(*args)
+
+    if row.early and row.command == "recover":
+        monkeypatch.setattr(cli, "recover", recorded(cli.recover))
+    elif row.early:
+        study = STUDIES[row.command]
+        monkeypatch.setitem(STUDIES, row.command,
+                            dataclasses.replace(study, runner=recorded(study.runner)))
     argv = [row.command]
     if row.config is not None:
         (tmp_path / "cfg.json").write_text(row.config)
@@ -500,18 +533,19 @@ def _assert_refused(tmp_path: pathlib.Path, capsys, row: Refusal) -> None:
     if prefix.startswith("input error"):  # a malformed file is quoted, not dumped
         assert len(err[len(prefix):-1].replace(str(tmp_path), "")) <= 120
     assert _tree(tmp_path) == before
+    assert started == []
 
 
 @pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.command}-override{i}")
                                  for i, row in enumerate(BAD_CONFIG_KEYS)])
-def test_cli_rejects_bad_config_keys(tmp_path, capsys, row):
-    _assert_refused(tmp_path, capsys, row)
+def test_cli_rejects_bad_config_keys(tmp_path, capsys, monkeypatch, row):
+    _assert_refused(tmp_path, capsys, monkeypatch, row)
 
 
 @pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.command}-{i}")
                                  for i, row in enumerate(REFUSALS)])
-def test_cli_refusal_exits_two(tmp_path, capsys, row):
-    _assert_refused(tmp_path, capsys, row)
+def test_cli_refusal_exits_two(tmp_path, capsys, monkeypatch, row):
+    _assert_refused(tmp_path, capsys, monkeypatch, row)
 
 
 def test_cli_help_lists_every_study_with_its_columns(capsys):
