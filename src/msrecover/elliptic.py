@@ -37,6 +37,8 @@ __all__ = [
 DIRECT_SOLVE_MAX_NODES = 80_000
 # normwise backward-error bound every Dirichlet and Neumann solve must meet
 BACKWARD_TOL = 1e-10
+# CG's least iteration cap, and the iterations it runs without a new least residual
+_CG_ITERATIONS = 4000
 
 
 class CoefficientField:
@@ -184,7 +186,8 @@ class StiffnessOperator:
     def solve_interior(self, b_int: np.ndarray) -> np.ndarray:
         """Solve K x = b on interior nodes: ``splu`` up to DIRECT_SOLVE_MAX_NODES
         unknowns, Jacobi-preconditioned CG above, for at most 4000 sqrt(contrast)
-        and at most max(4000, unknowns) iterations.
+        and at most max(4000, unknowns) iterations, and no more than 4000 past the
+        last iteration that reduced the residual norm to a new least value.
 
         Acceptance is the normwise backward error ||Kx-b|| <= BACKWARD_TOL*(||b||
         + ||K|| ||x||): a plain relative residual of 1e-10 is not representable
@@ -198,7 +201,8 @@ class StiffnessOperator:
             x = self._lu.solve(b_int)
         else:
             contrast = self.coefficient.a_max / self.coefficient.a_min
-            maxiter = min(4000 * max(1.0, np.sqrt(contrast)), max(4000, self.num_interior))
+            maxiter = min(_CG_ITERATIONS * max(1.0, np.sqrt(contrast)),
+                          max(_CG_ITERATIONS, self.num_interior))
             x = _jacobi_cg(self.matrix, b_int, int(maxiter))
         return _accepted("solve", self.matrix, self.matrix_norm, x, b_int)
 
@@ -241,8 +245,9 @@ def _accepted(what: str, matrix, matrix_norm: float, x, b):
 
 def _jacobi_cg(matrix, b, maxiter: int):
     """Jacobi-preconditioned conjugate gradients from x = 0 until the recursive
-    residual meets ||r|| <= 0.1*BACKWARD_TOL*||b||.  Inner products sum
-    elementwise (np.einsum), so no bit depends on the BLAS thread count."""
+    residual meets ||r|| <= 0.1*BACKWARD_TOL*||b||, for at most ``maxiter``
+    iterations and at most _CG_ITERATIONS after the least ||r|| so far.  Inner
+    products sum elementwise (np.einsum), so no bit depends on the BLAS thread count."""
     dot = functools.partial(np.einsum, "i,i->")
     bnorm = np.sqrt(dot(b, b))
     target = 0.1 * BACKWARD_TOL * bnorm
@@ -251,7 +256,8 @@ def _jacobi_cg(matrix, b, maxiter: int):
     r = b.copy()
     p = z = inv_diag * r
     rz = dot(r, z)
-    for _ in range(maxiter):
+    least, least_at = np.inf, 0
+    for it in range(1, maxiter + 1):
         q = matrix @ p
         alpha = rz / dot(p, q)
         x += alpha * p
@@ -259,6 +265,13 @@ def _jacobi_cg(matrix, b, maxiter: int):
         rnorm = np.sqrt(dot(r, r))
         if rnorm <= target:  # False for NaN, which runs out the iterations
             return x
+        if rnorm < least:
+            least, least_at = rnorm, it
+        elif it - least_at >= _CG_ITERATIONS:  # a solve that stopped improving
+            raise SolverError(f"conjugate gradients stagnated: no new least residual in "
+                              f"{_CG_ITERATIONS} iterations after iteration {least_at} "
+                              f"(relative residual {least / bnorm:.3e}, "
+                              f"target {0.1 * BACKWARD_TOL:.1e})")
         z = inv_diag * r
         rz, rz_old = dot(r, z), rz
         p = z + (rz / rz_old) * p

@@ -138,6 +138,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be a JSON {what}, got {value!r}")
             if f.type == "float":  # NaN and Infinity parse as JSON numbers
                 _check_number(f.name, value, positive=False)
+        if self.dim not in (1, 2, 3):  # DomainSpec's rule, for the studies that build no grid
+            raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.p < 1:  # the range lp_norm accepts
             raise ConfigError(f"p must be a finite number >= 1, got {self.p!r}")
         if self.num_functions < 1:
@@ -517,6 +519,8 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
     # the target rate is the polynomial weight's: beta is the only weight key read
     if not set(cfg.weight.items()) <= {("profile", "polynomial"), ("beta", beta)}:
         raise ConfigError(f"pointwise reads only a polynomial weight's beta, got {cfg.weight}")
+    if beta <= 0:  # every bounded sequence would meet a target ratio of 1 or more
+        raise ConfigError("polynomial profile needs beta > 0")  # build_weight's rule
     fn = (power_profile(cfg.profile_q) if cfg.profile_kind == "power"
           else radial_function(cfg.profile_kind))
     seq = ball_average_sequence(fn, cfg.radii, cfg.dim)

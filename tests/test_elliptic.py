@@ -412,6 +412,7 @@ BACKWARD = "solve backward error"
 NAN = BACKWARD + " nan"  # a NaN residual
 SINGULAR = "sparse LU factorization failed: Factor is exactly singular"
 CG_CAP = "conjugate gradients did not converge in 4000 iterations"
+CG_STALL = "conjugate gradients stagnated: no new least residual in 4000 iterations"
 SOLVE_FAILURES = [
     # a NaN factor or iterate on each path: a stub is kept, never a real factor
     SolveFailure("direct", NAN, _stub("_lu"), kept=("_lu",)),
@@ -428,6 +429,9 @@ SOLVE_FAILURES = [
     SolveFailure("cg", CG_CAP, grid=(1, 512), coefficient="lognormal-10"),
     # a right-hand side of nonzero sum: the natural form has no solution
     SolveFailure("neumann", "Neumann " + BACKWARD, rhs=lambda b: b + 1.0, kept=("_lu_pinned",)),
+    # a cap of 19,999 iterations, but the residual's least value comes in the first
+    # few: 4000 iterations later CG stops
+    SolveFailure("cg", CG_STALL, grid=(1, 20000), coefficient="lognormal-10"),
 ]
 
 

@@ -1,8 +1,11 @@
 import dataclasses
 import inspect
 import json
+import os
 import pathlib
 import struct
+import subprocess
+import sys
 import warnings
 from typing import NamedTuple
 
@@ -12,13 +15,13 @@ import pytest
 from msrecover import cli, harness
 from msrecover.cli import main as cli_main
 from msrecover.errors import ConfigError
-from msrecover.grid import DomainSpec, build_partition, build_subsample
+from msrecover.grid import DomainSpec, build_partition, build_subsample, save_grid_function
 from msrecover.harness import (POINTWISE_PROFILES, RECOVER_DEFAULTS, STUDIES, WEIGHTED_MAX_MIN,
                                ExperimentConfig,
                                fit_loglog, run_convergence_study, run_degeneracy_study,
                                run_pointwise_limit_study, run_rate_study, run_study,
                                run_weighted_study)
-from msrecover.testfuncs import LIBRARY_VERSION
+from msrecover.testfuncs import LIBRARY_VERSION, fourier_h01
 from msrecover.weights import WEIGHT_PROFILES, build_weight, distance_field
 
 
@@ -92,16 +95,6 @@ def test_rate_study_grid_free_only():
     rep = run_rate_study(cfg)
     assert rep["grid_free"]["passed"]
     assert abs(rep["grid_free"]["fit"]["slope"] - 0.5) <= 0.1
-
-
-def test_determinism_byte_identical(tmp_path):
-    cfg = dict(name="det", dim=1, n=64, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8], seed=5)
-    for sub in ("x", "y"):
-        run_study("converge", ExperimentConfig(**cfg), out_dir=tmp_path / sub)
-    for fname in ("det_rows.csv", "det_report.json"):
-        a = (tmp_path / "x" / fname).read_bytes()
-        b = (tmp_path / "y" / fname).read_bytes()
-        assert a == b
 
 
 def test_weighted_study_report_shape(tmp_path):
@@ -424,7 +417,8 @@ REFUSALS = [
     Refusal("rates", '{"dim": 1, "kind": "slice"}', "slice kind needs dim >= 2"),
     Refusal("rates", '{"r_sweep": [1.0, 2.0]}', "ratio must lie in (0, 1]"),
     Refusal("degeneracy", '{"m": 0}', "m must be >= 1"),
-    Refusal("weighted", '{"dim": 4}', "dim must be 1, 2 or 3"),
+    # (but the config itself rejects a dim outside 1..3, as DomainSpec does)
+    Refusal("weighted", '{"dim": 4}', "dim must be 1, 2 or 3", early=True),
     Refusal("converge", '{"n": 1}', "n must be >= 2"),
     Refusal("pointwise", '{"profile_q": 0}', "power profile needs q > 0"),
     Refusal("critical", '{"h_sweep": [0.5, 0.25, 0.125]}', "critical_log needs h in (0, 1/4]"),
@@ -490,6 +484,14 @@ REFUSALS = [
     Refusal("rates", '{"h_sweep": [0.25]}', "h_sweep needs at least 3 radii, got 1\n"),
     Refusal("critical", '{"r_sweep": [0.5], "h_sweep": [0.25, 0.125, 0.0625]}',
             "r_sweep needs at least 2 ratios, got 1\n"),
+    # a dim no grid has, checked with the config even where no grid is built
+    Refusal("pointwise", '{"dim": 0}', "dim must be 1, 2 or 3", early=True),
+    Refusal("pointwise", '{"dim": -1}', "dim must be 1, 2 or 3", early=True),
+    Refusal("critical", '{"dim": 5, "r_sweep": []}', "dim must be 1, 2 or 3", early=True),
+    # a weight exponent beta <= 0 sets a target ratio 2^(-beta/p) any bounded sequence meets
+    Refusal("pointwise", '{"weight": {"profile": "polynomial", "beta": -1.0}}',
+            "polynomial profile needs beta > 0"),
+    Refusal("pointwise", '{"weight": {"beta": 0.0}}', "polynomial profile needs beta > 0"),
 ]
 
 
@@ -606,6 +608,99 @@ def test_default_report_matches_its_golden_file(tmp_path, name):
     run_study(name, ExperimentConfig(**STUDIES[name].defaults), out_dir=tmp_path)
     new = json.loads((tmp_path / f"{name}_report.json").read_text())
     _assert_matches(new, json.loads((GOLDEN / f"{name}_report.json").read_text()), name)
+
+
+class ThreadRun(NamedTuple):
+    """An ``msrecover`` command line whose stdout and written files may not depend
+    by one bit on the BLAS thread count."""
+
+    command: str
+    config: str | None = None  # the --config file's JSON text; None: no --config
+    field: tuple | None = None  # recover's --input: fourier_h01(DomainSpec(*field), 7)
+    cg: bool = False  # elliptic.DIRECT_SOLVE_MAX_NODES set to 0: every solve runs CG
+
+
+# command lines that reach every sum a threaded BLAS could reorder; a new solver
+# path is one more row
+THREAD_RUNS = [
+    # the studies at their defaults; rates holds the 2D n=256 sharp constants at
+    # r = 1/2 ... 1/16, where a BLAS product once moved the last bit of r = 1/8
+    *(ThreadRun(name) for name in STUDIES),
+    # the ms expansion in the basis moved bits at 2D n=128 while it was a BLAS product
+    ThreadRun("recover", '{"m": 8, "r": 0.5, "basis": "ms"}', (2, 128)),
+    # a variable coefficient, whose layered axis is checked against the input grid
+    ThreadRun("recover", '{"m": 8, "r": 0.5, "basis": "ms", '
+              '"coeff": {"name": "layered", "contrast": 100, "axis": 1}}', (2, 128)),
+    # 3D n=16: the element matrix has exact zeros
+    ThreadRun("recover", '{"m": 4, "r": 0.5, "basis": "ms"}', (3, 16)),
+    ThreadRun("recover", '{"m": 16, "r": 0.5, "basis": "pc"}', (3, 64)),
+    # CG's inner products moved bits while they were BLAS dots; the layered
+    # coefficient keeps a constant-coefficient fast path from bypassing them
+    ThreadRun("recover", '{"m": 2, "r": 0.5, "basis": "ms"}', (2, 128), cg=True),
+    ThreadRun("recover", '{"m": 2, "r": 0.5, "basis": "ms", '
+              '"coeff": {"name": "layered", "contrast": 10}}', (2, 128), cg=True),
+]
+
+# runs each [argv, output directory, cg] of the JSON list in argv[1] through
+# cli.main; prints [exit code, sha256 of stdout and of each written file] of each
+_THREAD_CHILD = """
+import contextlib, hashlib, io, json, pathlib, sys
+from msrecover import cli, elliptic
+direct, results = elliptic.DIRECT_SOLVE_MAX_NODES, []
+for argv, out, cg in json.loads(sys.argv[1]):
+    elliptic.DIRECT_SOLVE_MAX_NODES = 0 if cg else direct
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    digest = hashlib.sha256(stdout.getvalue().encode())
+    for path in sorted(pathlib.Path(out).iterdir()):
+        digest.update(path.name.encode() + b"\\0" + path.read_bytes())
+    results.append([code, digest.hexdigest()])
+print(json.dumps(results))
+"""
+
+
+def test_no_output_bit_depends_on_the_blas_thread_count(tmp_path):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for i, row in enumerate(THREAD_RUNS):
+        if row.config is not None:
+            (inputs / f"{i}.json").write_text(row.config)
+    for field in {row.field for row in THREAD_RUNS} - {None}:
+        save_grid_function(fourier_h01(DomainSpec(*field), 7), inputs / f"{field}.csv")
+    src = str(pathlib.Path(harness.__file__).parents[1])
+    children = {}
+    for threads in ("1", "2"):  # both children at once
+        jobs = []
+        for i, row in enumerate(THREAD_RUNS):
+            out = tmp_path / threads / str(i)
+            out.mkdir(parents=True)
+            argv = [row.command]
+            if row.config is not None:
+                argv += ["--config", str(inputs / f"{i}.json")]
+            if row.command == "recover":
+                argv += ["--input", str(inputs / f"{row.field}.csv"),
+                         "--output", str(out / "rec.csv")]
+            else:
+                argv += ["--out", str(out)]
+            jobs.append([argv, str(out), row.cg])
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        children[threads] = subprocess.Popen(
+            [sys.executable, "-c", _THREAD_CHILD, json.dumps(jobs)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    results = {}
+    try:
+        for threads, child in children.items():
+            out, err = child.communicate(timeout=120)
+            assert child.returncode == 0 and err == "", err
+            results[threads] = json.loads(out)
+    finally:  # a child left running by a failure or a timeout
+        for child in children.values():
+            child.kill()
+    assert [code for code, _ in results["1"]] == [0] * len(THREAD_RUNS)
+    differ = [row for row, one, two in zip(THREAD_RUNS, results["1"], results["2"]) if one != two]
+    assert not differ, f"the first run whose output depends on the thread count: {differ[0]}"
 
 
 def test_config_accepts_an_int_for_a_float_field_unchanged():

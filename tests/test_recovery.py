@@ -1,7 +1,4 @@
 import functools
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -364,45 +361,3 @@ def test_sharp_constant_rejects_multi_patch():
     sub = build_subsample(part, "cube", 1.0)
     with pytest.raises(ValueError):
         sharp_constant_estimate(sub)
-
-
-
-def test_sharp_constant_bits_do_not_depend_on_blas_threads():
-    # the rates study's 2D n=256 sweep; BLAS products there moved the last bit
-    # of the r = 1/8 constant between 1 and 2 threads.  Then two recoveries:
-    # the ms one of `msrecover recover`'s 2D n=128 m=8 input, whose BLAS expansion
-    # in the basis moved bits between 1 and 2 threads, and a 3D pc one.  Last a
-    # 2D n=128 m=2 ms recovery on the conjugate-gradient path, whose inner
-    # products moved bits between 1 and 2 threads while they were BLAS dots,
-    # with a constant and a layered coefficient
-    src = os.path.dirname(os.path.dirname(os.path.abspath(recovery.__file__)))
-    script = """
-import hashlib
-from msrecover import elliptic
-from msrecover.elliptic import assemble, constant_coefficient, layered_coefficient
-from msrecover.grid import DomainSpec, build_partition, build_subsample
-from msrecover.recovery import recover, sharp_constant_estimate
-from msrecover.testfuncs import fourier_h01
-part = build_partition(DomainSpec(2, 256), 1)
-print([sharp_constant_estimate(build_subsample(part, "cube", r)).hex()
-       for r in (1 / 2, 1 / 4, 1 / 8, 1 / 16)])
-for dim, n, m, basis in ((2, 128, 8, "ms"), (3, 64, 16, "pc")):
-    spec = DomainSpec(dim, n)
-    sub = build_subsample(build_partition(spec, m), "cube", 0.5)
-    rec = recover(fourier_h01(spec, 7), sub, assemble(spec, constant_coefficient(spec)), basis)
-    print(hashlib.sha256(rec.values.tobytes()).hexdigest())
-elliptic.DIRECT_SOLVE_MAX_NODES = 0
-spec = DomainSpec(2, 128)
-sub = build_subsample(build_partition(spec, 2), "cube", 0.5)
-for a in (constant_coefficient(spec), layered_coefficient(spec, 10.0)):
-    rec = recover(fourier_h01(spec, 7), sub, assemble(spec, a), "ms")
-    print(hashlib.sha256(rec.values.tobytes()).hexdigest())
-"""
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
-                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        outputs.append(out.stdout)
-    assert outputs[0] == outputs[1]
