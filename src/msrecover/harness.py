@@ -275,6 +275,14 @@ def _nondecreasing(estimates) -> bool:
     return all(b >= a * (1.0 - 1e-6) for a, b in zip(estimates, estimates[1:]))
 
 
+def _at_least(cfg: ExperimentConfig, key: str, least: int, what: str) -> None:
+    """Refuse a sweep ``key`` of fewer than ``least`` points: a gate on fewer
+    would pass on too few estimates."""
+    got = len(getattr(cfg, key))
+    if got < least:
+        raise ConfigError(f"{key} needs at least {least} {what}, got {got}")
+
+
 def _ratio_sweep(cfg: ExperimentConfig, part) -> list:
     """The subsamples of ``cfg.kind`` at each ``r_sweep`` ratio on ``part``.  A point
     set has no ratio: a sweep over it would repeat one set."""
@@ -300,8 +308,7 @@ def run_convergence_study(cfg: ExperimentConfig) -> dict:
     and the multiscale energy error against H, and verifies the energy
     stability of the multiscale recovery at every sweep point.
     """
-    if len(cfg.H_sweep) < 3:
-        raise ConfigError("convergence study needs an H_sweep of at least 3 values")
+    _at_least(cfg, "H_sweep", 3, "patch sizes")
     if not (0.0 < cfg.r <= 1.0):
         raise ConfigError("fixed ratio r must lie in (0, 1]")
     spec = DomainSpec(cfg.dim, cfg.n)
@@ -350,11 +357,9 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
     """
     if not (cfg.r_sweep or cfg.h_sweep):
         raise ConfigError("rate study needs an r_sweep (grid) or h_sweep (grid-free)")
-    # a gate on fewer points would pass on one estimate
     for key, least, what in (("r_sweep", 2, "ratios"), ("h_sweep", 3, "radii")):
-        if 0 < len(getattr(cfg, key)) < least:
-            raise ConfigError(f"{key} needs at least {least} {what}, "
-                              f"got {len(getattr(cfg, key))}")
+        if getattr(cfg, key):
+            _at_least(cfg, key, least, what)
     report = {"passed": True}
     rows = []
 
@@ -407,8 +412,7 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
     """
     if cfg.dim < cfg.p:
         raise ConfigError("the degeneracy regime needs dim >= p")
-    if len(cfg.r_sweep) < 2:
-        raise ConfigError("degeneracy study needs an r_sweep")
+    _at_least(cfg, "r_sweep", 2, "ratios")
     spec = DomainSpec(cfg.dim, cfg.n)
     part = build_partition(spec, cfg.m)
     u = testfuncs.flattened_profile(part, cfg.seed)
@@ -454,8 +458,7 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
     whole subsample sweep, and that the weight admissibility integral stays
     bounded over the sweep.
     """
-    if len(cfg.r_sweep) < 2:
-        raise ConfigError("weighted study needs an r_sweep")
+    _at_least(cfg, "r_sweep", 2, "ratios")
     spec = DomainSpec(cfg.dim, cfg.n)
     part = build_partition(spec, 1)
     H = part.H
@@ -513,8 +516,7 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
     per-halving difference ratio no worse than 2^(-beta/p) (20 percent slack);
     the divergent counterexamples must grow past DIVERGENCE_LEVEL.
     """
-    if not cfg.radii or len(cfg.radii) < 4:
-        raise ConfigError("pointwise study needs at least 4 radii")
+    _at_least(cfg, "radii", 4, "radii")
     beta = cfg.weight.get("beta", inspect.signature(build_weight).parameters["beta"].default)
     # the target rate is the polynomial weight's: beta is the only weight key read
     if not set(cfg.weight.items()) <= {("profile", "polynomial"), ("beta", beta)}:

@@ -14,13 +14,14 @@ import pytest
 
 from msrecover import cli, harness
 from msrecover.cli import main as cli_main
+from msrecover.elliptic import StiffnessOperator
 from msrecover.errors import ConfigError
-from msrecover.grid import DomainSpec, build_partition, build_subsample, save_grid_function
-from msrecover.harness import (POINTWISE_PROFILES, RECOVER_DEFAULTS, STUDIES, WEIGHTED_MAX_MIN,
-                               ExperimentConfig,
-                               fit_loglog, run_convergence_study, run_degeneracy_study,
-                               run_pointwise_limit_study, run_rate_study, run_study,
-                               run_weighted_study)
+from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
+                            save_grid_function)
+from msrecover.harness import (CONSTANT_SLACK, POINTWISE_PROFILES, RATE_SLACK, RECOVER_DEFAULTS,
+                               SLOPE_BANDS, STUDIES, WEIGHTED_MAX_MIN, ExperimentConfig,
+                               fit_loglog, run_convergence_study, run_pointwise_limit_study,
+                               run_study)
 from msrecover.testfuncs import LIBRARY_VERSION, fourier_h01
 from msrecover.weights import WEIGHT_PROFILES, build_weight, distance_field
 
@@ -72,138 +73,12 @@ def test_config_from_json(tmp_path):
         ExperimentConfig.from_json(path, STUDIES["pointwise"].defaults)
 
 
-def test_convergence_study_requires_sweep():
-    with pytest.raises(ConfigError):
-        run_convergence_study(ExperimentConfig(name="x", H_sweep=[]))
-
-
-def test_convergence_study_small():
-    cfg = ExperimentConfig(name="conv", dim=1, n=256, r=0.5,
-                           H_sweep=[1 / 2, 1 / 4, 1 / 8, 1 / 16])
-    rep = run_study("converge", cfg)
-    assert rep["passed"]
-    assert abs(rep["fits"]["pc_l2"]["slope"] - 1.0) <= 0.15
-    assert abs(rep["fits"]["ms_l2"]["slope"] - 2.0) <= 0.2
-    assert abs(rep["fits"]["ms_energy"]["slope"] - 1.0) <= 0.15
-    # run_study records the fields the study reads, and only those
-    assert rep["config"]["n"] == 256 and "m" not in rep["config"]
-
-
-def test_rate_study_grid_free_only():
-    cfg = ExperimentConfig(name="r", dim=3, p=2.0, r_sweep=[],
-                           h_sweep=[1 / 4, 1 / 8, 1 / 16, 1 / 32])
-    rep = run_rate_study(cfg)
-    assert rep["grid_free"]["passed"]
-    assert abs(rep["grid_free"]["fit"]["slope"] - 0.5) <= 0.1
-
-
-def test_weighted_study_report_shape(tmp_path):
-    cfg = ExperimentConfig(name="w", dim=2, p=2.0, n=32, num_functions=5,
-                           r_sweep=[1.0, 1 / 2, 1 / 4],
-                           weight={"profile": "polynomial", "beta": 1.0})
-    rep = run_study("weighted", cfg, out_dir=tmp_path)
-    assert rep["passed"]
-    assert len(rep["per_h_max_ratio"]) == 3
-    assert (tmp_path / "w_rows.csv").exists()
-    assert (tmp_path / "w_report.json").exists()
-    report = json.loads((tmp_path / "w_report.json").read_text())
-    assert report["config"]["weight"]["profile"] == "polynomial"
-
-
-def test_pointwise_study_validation():
-    with pytest.raises(ConfigError):
-        run_pointwise_limit_study(ExperimentConfig(name="p", radii=[0.5]))
-
-
 def test_an_unknown_profile_kind_is_rejected_when_the_config_is_built():
     with pytest.raises(ConfigError, match="profile_kind must be one of"):
         ExperimentConfig(profile_kind="bogus")
 
 
-@pytest.mark.parametrize("kind", list(POINTWISE_PROFILES))
-def test_pointwise_expects_the_declared_classification(kind):
-    defaults = STUDIES["pointwise"].defaults
-    rep = run_pointwise_limit_study(ExperimentConfig(**{**defaults, "profile_kind": kind}))
-    assert rep["expected"] == POINTWISE_PROFILES[kind]
-
-
-def test_default_pointwise_ratio_is_the_power_profiles_two_to_the_minus_q():
-    # averages d/(d+q) r^q differ by a factor 2^-q per halving of r
-    defaults = STUDIES["pointwise"].defaults
-    rep = run_pointwise_limit_study(ExperimentConfig(**defaults))
-    assert rep["measured_ratio"] == pytest.approx(2.0 ** -defaults["profile_q"], rel=1e-12)
-
-
-def test_pointwise_study_constant_profile_is_convergent():
-    rep = run_pointwise_limit_study(ExperimentConfig(
-        name="pc", dim=2, p=2.0, profile_kind="constant",
-        radii=[2.0**-k for k in range(1, 8)]))
-    assert rep["classification"] == "convergent"
-    assert rep["measured_ratio"] == 0.0
-    assert rep["passed"]
-
-
-@pytest.mark.parametrize("config", ['{"profile_q": 1000}', '{"dim": 1, "profile_q": 600}'])
-def test_cli_pointwise_difference_that_underflows_is_quiet(tmp_path, capsys, config):
-    # a later difference of ball averages ~r^q is exactly 0: its ratio's log is -inf
-    (tmp_path / "cfg.json").write_text(config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli_main(["pointwise", "--config", str(tmp_path / "cfg.json")]) == 0
-    out, err = capsys.readouterr()
-    assert err == "" and json.loads(out)["measured_ratio"] == 0.0
-
-
-def test_cli_pass_and_fail(tmp_path, capsys):
-    cfg = {"name": "cli", "dim": 2, "p": 2.0, "profile_kind": "power",
-           "profile_q": 0.55, "weight": {"beta": 1.0},
-           "radii": [2.0**-k for k in range(1, 9)]}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli_main(["pointwise", "--config", str(path), "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out.strip())["classification"] == "convergent"
-
-    cfg["profile_kind"] = "loglog"
-    cfg["radii"] = [10.0**-k for k in range(1, 13)]
-    path2 = tmp_path / "cfg2.json"
-    path2.write_text(json.dumps(cfg))
-    rc = cli_main(["pointwise", "--config", str(path2)])
-    assert rc == 0  # divergence is the expected outcome for loglog
-    capsys.readouterr()
-
-
-def test_default_rates_report_monotone_growth(tmp_path, capsys):
-    # the first two default estimates differ only by solver noise (relative ~1e-9)
-    assert cli_main(["rates", "--out", str(tmp_path)]) == 0
-    rep = json.loads((tmp_path / "rates_report.json").read_text())
-    assert rep["grid"]["monotone_growth"] is True
-
-
-def test_cli_failing_gate_returns_one(tmp_path, capsys):
-    # a rough coefficient breaks the regularity the predicted rates assume: the
-    # multiscale energy error stops decaying with H and misses its slope band
-    cfg = {**STUDIES["converge"].defaults, "coeff": {"name": "checkerboard", "contrast": 1e4}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli_main(["converge", "--config", str(path)]) == 1
-    fits = json.loads(capsys.readouterr().out)["fits"]
-    assert abs(fits["ms_energy"]["slope"] - 1.0) > 0.15
-
-
-@pytest.mark.parametrize("seed", [3881382969, 3518778431, 2116885485, 3528835259, 2620380365])
-def test_degeneracy_gate_reads_only_the_points_where_the_weight_acts(seed):
-    # at r = 1 and 1/2 the default weight is constant, so those points are the
-    # unweighted recovery; a small error there spiked the all-points max/min
-    rep = run_degeneracy_study(ExperimentConfig(**{**STUDIES["degeneracy"].defaults, "seed": seed}))
-    assert rep["weighted_max_min"] > WEIGHTED_MAX_MIN
-    assert rep["weighted_active_max_min"] <= WEIGHTED_MAX_MIN
-    assert rep["sharp_monotone"] and rep["passed"]
-
-
 def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys, monkeypatch):
-    from msrecover.elliptic import StiffnessOperator
-
     def no_solve(*args, **kwargs):
         raise AssertionError("a recovery ran before the weights were checked")
 
@@ -253,14 +128,6 @@ def test_cli_a_study_that_reads_no_seed_ignores_the_seed_option(tmp_path, capsys
     assert cli_main(["pointwise", "--seed", "5", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert "seed" not in json.loads((tmp_path / "pointwise_report.json").read_text())["config"]
-
-
-def test_pointwise_target_takes_build_weights_beta_default():
-    beta = inspect.signature(build_weight).parameters["beta"].default
-    defaults = STUDIES["pointwise"].defaults
-    for weight in ({"profile": "polynomial"}, {}):
-        rep = run_pointwise_limit_study(ExperimentConfig(**{**defaults, "weight": weight}))
-        assert rep["target_ratio"] == 2.0 ** (-beta / defaults["p"])
 
 
 def _grid_csv(dim: int, n: int, last: str = "1.0") -> bytes:
@@ -492,6 +359,21 @@ REFUSALS = [
     Refusal("pointwise", '{"weight": {"profile": "polynomial", "beta": -1.0}}',
             "polynomial profile needs beta > 0"),
     Refusal("pointwise", '{"weight": {"beta": 0.0}}', "polynomial profile needs beta > 0"),
+    # a value outside the construction a study's runner measures
+    Refusal("converge", '{"r": 1.5}', "fixed ratio r must lie in (0, 1]\n"),
+    Refusal("converge", '{"coeff": {"name": "layered", "contrast": 10, "axis": 0.5}}',
+            "coeff axis must be an integer, got 0.5\n"),
+    Refusal("rates", '{"r_sweep": [], "h_sweep": []}',
+            "rate study needs an r_sweep (grid) or h_sweep (grid-free)\n"),
+    Refusal("rates", '{"p": 3.0}', "the grid eigen estimate is a p = 2 construction\n"),
+    Refusal("degeneracy", '{"dim": 1, "p": 2.0}', "the degeneracy regime needs dim >= p\n"),
+    Refusal("weighted", '{"p": 1.0}', "p must exceed 1 unless using the w11 profile\n"),
+    # every sweep's least length, in the rule the rate gates use
+    Refusal("converge", '{"H_sweep": [0.5, 0.25]}',
+            "H_sweep needs at least 3 patch sizes, got 2\n"),
+    Refusal("degeneracy", '{"r_sweep": [1.0]}', "r_sweep needs at least 2 ratios, got 1\n"),
+    Refusal("weighted", '{"r_sweep": [1.0]}', "r_sweep needs at least 2 ratios, got 1\n"),
+    Refusal("pointwise", '{"radii": [0.5, 0.25, 0.125]}', "radii needs at least 4 radii, got 3\n"),
 ]
 
 
@@ -608,6 +490,187 @@ def test_default_report_matches_its_golden_file(tmp_path, name):
     run_study(name, ExperimentConfig(**STUDIES[name].defaults), out_dir=tmp_path)
     new = json.loads((tmp_path / f"{name}_report.json").read_text())
     _assert_matches(new, json.loads((GOLDEN / f"{name}_report.json").read_text()), name)
+
+
+# each study's gates at its defaults, by the report entry (or fit) holding the statistic
+GATES = {"converge": ("pc_l2", "ms_l2", "ms_energy", "energy_stable_everywhere"),
+         "rates": ("grid",), "critical": ("grid", "grid_free"),
+         "degeneracy": ("weighted_active_max_min", "sharp_monotone"),
+         "weighted": ("constant_growth",), "pointwise": ("classification",)}
+
+# the gates no config fails today, each with the ROADMAP item that will supply a
+# must-fail row; a control lands as one GATE_CONTROLS row and one deleted entry
+NO_FAILING_CONTROL = {
+    ("converge", "pc_l2"): "none found: the 1e4 checkerboard leaves it in band (1.095)",
+    ("converge", "energy_stable_everywhere"): "none: a projection cannot fail it",
+    ("rates", "grid"): "items 11(a) and 14: the same band against the plain-log rho",
+    ("critical", "grid"): "items 11(a) and 14: the same band against the plain-log rho",
+    ("critical", "grid_free"): "item 9: a construction check, profile and rate built alike",
+    ("degeneracy", "weighted_active_max_min"): "items 4 (gate B), 11(c): unweighted passes too",
+    ("degeneracy", "sharp_monotone"): "items 4 (gate B) and 11(c)",
+}
+# not a control: weighted passes at the critical beta = 0, growth 1.058 (items 5, 11(b))
+
+
+class GateRun(NamedTuple):
+    """A study run that exits ``exit``: 0 passes its gates, 1 fails them.
+    ``check`` reads, in the written report, the statistic of ``gate``: the gate
+    that decides, or of a passing run the one the row is about."""
+
+    command: str
+    config: str | None  # the --config file's JSON text; None: the defaults, whose
+    # report is the golden file test_default_report_matches_its_golden_file checks
+    exit: int
+    gate: str
+    check: object  # report dict -> bool
+
+
+def _in_band(report, *fits) -> bool:
+    return all(abs(report["fits"][fit]["slope"] - SLOPE_BANDS[fit][0]) <= SLOPE_BANDS[fit][1]
+               for fit in fits)
+
+
+def _declared(report) -> bool:
+    return report["expected"] == POINTWISE_PROFILES[report["config"]["profile_kind"]]
+
+
+_ROUGH = '{"coeff": {"name": "checkerboard", "contrast": 1e4}}'
+_BETA = inspect.signature(build_weight).parameters["beta"].default
+
+# each study's must-pass run at its defaults, the runs whose verdict rests on
+# one gate, and a must-fail run of each gate that has one
+GATE_CONTROLS = [
+    GateRun("converge", None, 0, "energy_stable_everywhere",
+            lambda r: r["energy_stable_everywhere"] and _in_band(r, *SLOPE_BANDS)),
+    GateRun("converge", '{"H_sweep": [0.5, 0.25, 0.125, 0.0625]}', 0, "ms_l2",
+            lambda r: _in_band(r, *SLOPE_BANDS) and "m" not in r["config"]),
+    # a rough coefficient breaks the regularity the predicted rates assume: both
+    # multiscale slopes leave their bands (energy 0.000, L2 1.766)
+    GateRun("converge", _ROUGH, 1, "ms_energy",
+            lambda r: not _in_band(r, "ms_energy") and _in_band(r, "pc_l2")),
+    GateRun("converge", _ROUGH, 1, "ms_l2", lambda r: not _in_band(r, "ms_l2")),
+    GateRun("rates", None, 0, "grid", lambda r: r["grid"]["monotone_growth"]),
+    GateRun("critical", None, 0, "grid_free", lambda r: r["grid_free"]["passed"]),
+    # 3D p = 2 off balance: the grid-free exponent fit alone, against (d - p)/p
+    GateRun("critical", '{"dim": 3, "r_sweep": [], "h_sweep": [0.25, 0.125, 0.0625, 0.03125]}', 0,
+            "grid_free", lambda r: abs(r["grid_free"]["fit"]["slope"] - 0.5) <= 0.1),
+    GateRun("degeneracy", None, 0, "weighted_active_max_min",
+            lambda r: r["weighted_active_max_min"] <= WEIGHTED_MAX_MIN and r["sharp_monotone"]),
+    # at r = 1 and 1/2 the default weight is constant, so those points are the
+    # unweighted recovery; a small error there spiked the all-points max/min
+    *(GateRun("degeneracy", f'{{"seed": {seed}}}', 0, "weighted_active_max_min",
+              lambda r: r["weighted_max_min"] > WEIGHTED_MAX_MIN >= r["weighted_active_max_min"])
+      for seed in (3881382969, 3518778431, 2116885485, 3528835259, 2620380365)),
+    GateRun("weighted", None, 0, "constant_growth",
+            lambda r: r["constant_growth"] <= 1.0 + CONSTANT_SLACK),
+    GateRun("weighted", '{"n": 32, "num_functions": 5, "r_sweep": [1.0, 0.5, 0.25]}', 0,
+            "constant_growth", lambda r: len(r["per_h_max_ratio"]) == 3),
+    # past the critical exponent the weight no longer keeps the constant bounded
+    GateRun("weighted", '{"weight": {"profile": "polynomial", "beta": -1.0, "validate": false}}',
+            1, "constant_growth", lambda r: r["constant_growth"] > 1.0 + CONSTANT_SLACK),
+    # averages d/(d+q) r^q differ by a factor 2^-q per halving of r
+    GateRun("pointwise", None, 0, "classification",
+            lambda r: _declared(r) and r["classification"] == "convergent"
+            and r["measured_ratio"] == pytest.approx(2.0 ** -r["config"]["profile_q"], rel=1e-12)),
+    GateRun("pointwise", '{"profile_kind": "constant"}', 0, "classification",
+            lambda r: _declared(r) and r["measured_ratio"] == 0.0),  # no difference to decay
+    # ln ln(1/r + 1) passes the divergence level 3 only below r ~ 1e-12
+    GateRun("pointwise", '{"profile_kind": "loglog", "radii": [%s]}'
+            % ", ".join(f"1e-{k}" for k in range(1, 13)), 0, "classification",
+            lambda r: _declared(r) and r["classification"] == "divergent"),
+    # a fault: ln ln ln(1/r + 1) diverges, but is only 1.88 at r = 1e-300, below the
+    # divergence level at every float radius, and its shrinking differences read convergent
+    GateRun("pointwise", '{"profile_kind": "logloglog"}', 1, "classification",
+            lambda r: _declared(r) and r["classification"] == "convergent"),
+    # a later difference of ball averages ~r^q is exactly 0: its ratio's log is -inf
+    *(GateRun("pointwise", config, 0, "classification", lambda r: r["measured_ratio"] == 0.0)
+      for config in ('{"profile_q": 1000}', '{"dim": 1, "profile_q": 600}')),
+    # a weight without beta takes build_weight's default
+    *(GateRun("pointwise", weight, 0, "classification",
+              lambda r: r["target_ratio"] == 2.0 ** (-_BETA / r["config"]["p"]))
+      for weight in ('{"weight": {"profile": "polynomial"}}', '{"weight": {}}')),
+    # q < beta/p lies outside the theorem's hypothesis: the differences decay
+    # too slowly (ratio 0.933)
+    GateRun("pointwise", '{"profile_q": 0.1}', 1, "classification",
+            lambda r: r["measured_ratio"] > r["target_ratio"] * (1.0 + RATE_SLACK)),
+    # radii that do not halve: the averages stay accurate down to 1e-110
+    GateRun("pointwise", '{"dim": 3, "radii": [0.5, 0.25, 0.125, 1e-110]}', 1, "classification",
+            lambda r: r["classification"] == "inconclusive"),
+]
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.command}-{i}")
+                                 for i, row in enumerate(GATE_CONTROLS)])
+def test_study_gate_reads_as_declared(tmp_path, capsys, row):
+    if row.config is None:
+        report = json.loads((GOLDEN / f"{row.command}_report.json").read_text())
+    else:
+        (tmp_path / "cfg.json").write_text(row.config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would escape as an exception
+            code = cli_main([row.command, "--config", str(tmp_path / "cfg.json"),
+                             "--out", str(tmp_path)])
+        assert (code, capsys.readouterr().err) == (row.exit, "")
+        assert (tmp_path / f"{row.command}_rows.csv").exists()
+        report = json.loads((tmp_path / f"{row.command}_report.json").read_text())
+    assert report["passed"] is (row.exit == 0)
+    assert row.check(report)
+
+
+@pytest.mark.parametrize("kind", list(POINTWISE_PROFILES))
+def test_pointwise_expects_the_declared_classification(kind):
+    defaults = STUDIES["pointwise"].defaults
+    rep = run_pointwise_limit_study(ExperimentConfig(**{**defaults, "profile_kind": kind}))
+    assert rep["expected"] == POINTWISE_PROFILES[kind]
+
+
+def test_default_pointwise_ratio_is_the_power_profiles_two_to_the_minus_q():
+    # averages d/(d+q) r^q differ by a factor 2^-q per halving of r
+    defaults = STUDIES["pointwise"].defaults
+    rep = run_pointwise_limit_study(ExperimentConfig(**defaults))
+    assert rep["measured_ratio"] == pytest.approx(2.0 ** -defaults["profile_q"], rel=1e-12)
+
+
+def test_pointwise_study_constant_profile_is_convergent():
+    rep = run_pointwise_limit_study(ExperimentConfig(
+        name="pc", dim=2, p=2.0, profile_kind="constant",
+        radii=[2.0**-k for k in range(1, 8)]))
+    assert rep["classification"] == "convergent"
+    assert rep["measured_ratio"] == 0.0
+    assert rep["passed"]
+
+
+def test_cli_pass_and_fail(tmp_path, capsys):
+    cfg = {"name": "cli", "dim": 2, "p": 2.0, "profile_kind": "power",
+           "profile_q": 0.55, "weight": {"beta": 1.0},
+           "radii": [2.0**-k for k in range(1, 9)]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["pointwise", "--config", str(path), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out.strip())["classification"] == "convergent"
+
+    cfg["profile_kind"] = "loglog"
+    cfg["radii"] = [10.0**-k for k in range(1, 13)]
+    path2 = tmp_path / "cfg2.json"
+    path2.write_text(json.dumps(cfg))
+    rc = cli_main(["pointwise", "--config", str(path2)])
+    assert rc == 0  # divergence is the expected outcome for loglog
+    capsys.readouterr()
+
+
+def test_every_gate_has_a_must_fail_row_or_names_what_will_supply_one():
+    gates = {(study, gate) for study, names in GATES.items() for gate in names}
+    failing = {(row.command, row.gate) for row in GATE_CONTROLS if row.exit == 1}
+    assert {(row.command, row.gate) for row in GATE_CONTROLS} <= gates
+    assert failing.isdisjoint(NO_FAILING_CONTROL)
+    assert failing | set(NO_FAILING_CONTROL) == gates
+    # every study has its defaults' row, and names only gates its report holds
+    defaults = {row.command for row in GATE_CONTROLS if row.config is None}
+    assert defaults == set(GATES) == set(STUDIES)
+    for study, names in GATES.items():
+        golden = json.loads((GOLDEN / f"{study}_report.json").read_text())
+        assert set(names) <= {*golden, *golden.get("fits", ())}
 
 
 class ThreadRun(NamedTuple):
@@ -733,8 +796,6 @@ def test_convergence_study_variable_coefficient(coeff):
 
 
 def _recover(tmp_path, capsys, u, config=None):
-    from msrecover.grid import save_grid_function
-
     upath = tmp_path / "u.csv"
     save_grid_function(u, upath)
     argv = ["recover", "--input", str(upath), "--output", str(tmp_path / "rec.csv")]
@@ -747,8 +808,6 @@ def _recover(tmp_path, capsys, u, config=None):
 
 
 def _field_2d():
-    from msrecover.grid import DomainSpec, GridFunction
-
     return GridFunction.from_callable(
         DomainSpec(2, 16), lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
 
@@ -806,19 +865,8 @@ def test_cli_config_overrides_the_defaults_key_by_key(tmp_path, capsys, command,
 
 
 def test_cli_recover_roundtrip(tmp_path, capsys):
-    from msrecover.grid import DomainSpec, GridFunction, save_grid_function
-
-    spec = DomainSpec(1, 32)
-    u = GridFunction.from_callable(spec, lambda x: np.sin(np.pi * x))
-    upath = tmp_path / "u.csv"
-    save_grid_function(u, upath)
-    cfgpath = tmp_path / "rc.json"
-    cfgpath.write_text(json.dumps({"m": 4, "kind": "cube", "r": 0.5, "basis": "ms"}))
-    out = tmp_path / "rec.csv"
-    rc = cli_main(["recover", "--input", str(upath), "--output", str(out),
-                   "--config", str(cfgpath)])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
+    u = GridFunction.from_callable(DomainSpec(1, 32), lambda x: np.sin(np.pi * x))
+    report = _recover(tmp_path, capsys, u, {"m": 4, "kind": "cube", "r": 0.5, "basis": "ms"})
     assert report["l2_error"] < 0.05
     assert report["energy_stable"] is True
 
