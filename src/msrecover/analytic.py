@@ -64,7 +64,6 @@ def radial_function(kind: str, h: float | None = None) -> RadialFunction:
       critical_ramp  min{max{r-h, 0}/h, 1}; ramps from 0 to 1 on [h, 2h]
       constant       1; every ball average is 1
       loglog         ln(ln(1/r+1)); diverges at r = 0
-      logloglog      ln(ln(ln(1/r+1))); defined for r < 1/(e-1), diverges at 0
 
     The critical kinds need h in (0, 1/4].
     """
@@ -104,23 +103,6 @@ def radial_function(kind: str, h: float | None = None) -> RadialFunction:
         def df(r):
             r = np.asarray(r, dtype=float)
             return -1.0 / (r * (r + 1.0) * np.log(1.0 / r + 1.0))
-
-        return RadialFunction(f, df)
-    if kind == "logloglog":
-        r_max = 1.0 / (np.e - 1.0)
-
-        def f(r):
-            r = np.asarray(r, dtype=float)
-            if np.any(r <= 0.0):
-                raise ValueError("logloglog diverges at r = 0 (the pointwise value is infinite)")
-            if np.any(r >= r_max):
-                raise ValueError(f"logloglog is defined for r < 1/(e-1) ~ {r_max:.4f}")
-            return np.log(np.log(np.log(1.0 / r + 1.0)))
-
-        def df(r):
-            r = np.asarray(r, dtype=float)
-            inner = np.log(1.0 / r + 1.0)
-            return -1.0 / (r * (r + 1.0) * inner * np.log(inner))
 
         return RadialFunction(f, df)
     raise ValueError(f"unknown radial kind {kind!r}")

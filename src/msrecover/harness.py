@@ -73,8 +73,7 @@ COEFFICIENTS = {"constant": constant_coefficient, "checkerboard": checkerboard_c
                 "layered": layered_coefficient, "lognormal": lognormal_coefficient}
 # a pointwise profile_kind -> the classification its ball averages must reach;
 # power is r^profile_q, the others are the analytic radial functions of that name
-POINTWISE_PROFILES = {"power": "convergent", "constant": "convergent",
-                      "loglog": "divergent", "logloglog": "divergent"}
+POINTWISE_PROFILES = {"power": "convergent", "constant": "convergent", "loglog": "divergent"}
 
 
 @dataclass

@@ -45,12 +45,8 @@ def test_radial_kind_values():
 
 
 def test_radial_singularities_raise():
-    for kind in ("loglog", "logloglog"):
-        fn = radial_function(kind)
-        with pytest.raises(ValueError):
-            eval_radial(fn, 0.0)
     with pytest.raises(ValueError):
-        eval_radial(radial_function("logloglog"), 0.9)  # outside validity range
+        eval_radial(radial_function("loglog"), 0.0)
     for kind in ("critical_log", "critical_ramp"):
         for h in (None, 0.0, 0.3):  # h must lie in (0, 1/4]
             with pytest.raises(ValueError, match=f"{kind} needs h in"):
@@ -60,11 +56,10 @@ def test_radial_singularities_raise():
 
 
 @pytest.mark.parametrize("kind,h", [("critical_log", 0.1), ("critical_ramp", 0.1),
-                                    ("loglog", None), ("logloglog", None)])
+                                    ("loglog", None)])
 def test_derivative_rule_matches_finite_differences(kind, h):
     fn = radial_function(kind, h) if h else radial_function(kind)
-    upper = 0.5 if kind == "logloglog" else 0.95
-    rs = np.linspace(0.02, upper, 100)
+    rs = np.linspace(0.02, 0.95, 100)
     if h:
         # keep clear of the kink radii where one-sided derivatives differ
         rs = rs[(np.abs(rs - h) > 5e-3) & (np.abs(rs - 2 * h) > 5e-3)]
@@ -111,29 +106,6 @@ def test_critical_ratio_monotone_as_h_shrinks():
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_ball_average_constant():
-    from msrecover.analytic import RadialFunction
-
-    fn = RadialFunction(lambda r: 3.0 * np.ones_like(np.asarray(r, float)),
-                        lambda r: np.zeros_like(np.asarray(r, float)))
-    seq = ball_average_sequence(fn, [0.5, 0.25, 0.125, 0.0625], 2)
-    np.testing.assert_allclose(seq["averages"], 3.0, rtol=1e-9)
-    assert max(seq["differences"]) <= 1e-9
-
-
-def test_ball_average_power_rate():
-    # averages of r^q scale like h^q: difference ratio per halving is 2^-q
-    fn = power_profile(0.9)
-    radii = [2.0**-k for k in range(1, 10)]
-    seq = ball_average_sequence(fn, radii, 2)
-    ratios = [b / a for a, b in zip(seq["differences"], seq["differences"][1:])]
-    for rr in ratios:
-        assert rr == pytest.approx(2.0**-0.9, rel=1e-6)
-    # exact average: d/(d+q) h^q
-    for h, avg in zip(radii, seq["averages"]):
-        assert avg == pytest.approx(2.0 / 2.9 * h**0.9, rel=1e-9)
-
-
 def test_radial_constant_profile_has_every_ball_average_one():
     fn = radial_function("constant")
     assert eval_radial(fn, 0.3) == 1.0 and eval_radial_deriv(fn, 0.3) == 0.0
@@ -144,20 +116,13 @@ def test_radial_constant_profile_has_every_ball_average_one():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_ball_average_power_closed_form_down_to_tiny_radii(dim):
-    # averaged in t = s/r, the accuracy does not depend on r: d/(d+q) r^q exactly
-    q = 0.55
+    # averaged in t = s/r, the accuracy does not depend on r: d/(d+q) r^q to the
+    # quadrature's requested 1e-10, which q = 0.55 meets to 1e-13 (q = 0.9 in 3D: 2.3e-13)
     radii = [2.0**-k for k in range(1, 11)] + [1e-100, 1e-200, 1e-300]
-    seq = ball_average_sequence(power_profile(q), radii, dim)
-    for r, avg in zip(radii, seq["averages"]):
-        assert avg == pytest.approx(dim / (dim + q) * r**q, rel=1e-13, abs=0.0)
-
-
-def test_ball_average_loglog_divergence():
-    fn = radial_function("loglog")
-    seq = ball_average_sequence(fn, [10.0**-k for k in range(1, 13)], 2)
-    avgs = seq["averages"]
-    assert all(b > a for a, b in zip(avgs, avgs[1:]))
-    assert avgs[-1] > 3.0
+    for q, rel in ((0.55, 1e-13), (0.9, 1e-10)):
+        seq = ball_average_sequence(power_profile(q), radii, dim)
+        for r, avg in zip(radii, seq["averages"]):
+            assert avg == pytest.approx(dim / (dim + q) * r**q, rel=rel, abs=0.0)
 
 
 def test_ball_average_input_validation():

@@ -129,13 +129,6 @@ def test_stiffness_operator_reads_its_grid_off_its_coefficient():
         assemble(DomainSpec(2, 3), a)
 
 
-def test_solve_zero_source():
-    spec = DomainSpec(1, 16)
-    op = assemble(spec, constant_coefficient(spec))
-    u = solve(op, GridFunction.constant(spec, 0.0))
-    assert np.all(u.values == 0.0)
-
-
 @pytest.mark.parametrize("source_n", [16, 4])
 def test_solve_rejects_a_source_on_another_grid(source_n):
     # a finer source used to give a wrong field from its first load entries, a

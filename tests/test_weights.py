@@ -6,34 +6,13 @@ import pytest
 
 from msrecover.errors import AlignmentError
 from msrecover.grid import (DomainSpec, GridFunction, SubsampleSpec, build_partition,
-                            build_subsample, gradient_lp_norm, lp_norm)
+                            build_subsample, gradient_lp_norm)
 from msrecover.measurements import build_functionals, measure, measure_all
 from msrecover.recovery import ms_recover, recover
 from msrecover.elliptic import assemble
 from msrecover.testfuncs import fourier_h01
 from msrecover.weights import (DistanceField, build_weight, distance_field,
                                weight_condition_check, weighted_basis)
-
-
-def test_distance_zero_inside_support():
-    part = build_partition(DomainSpec(2, 16), 2)
-    sub = build_subsample(part, "cube", 0.5)
-    dist = distance_field(sub)
-    centers = np.meshgrid(*part.spec.cell_center_coordinates(), indexing="ij")
-    inside = np.ones(part.spec.cell_shape, dtype=bool)
-    for axis in range(2):
-        lo, hi = sub.axis_intervals(axis)  # patch 0 is (0, 0)
-        inside &= (centers[axis] > lo[0]) & (centers[axis] < hi[0])
-    assert np.all(dist.values[inside] == 0.0)
-    assert np.all(dist.values[~inside] >= 0.0)
-
-
-def test_distance_to_point_1d():
-    part = build_partition(DomainSpec(1, 16), 1)
-    sub = build_subsample(part, "point")
-    dist = distance_field(sub)
-    centers = part.spec.cell_center_coordinates()[0]
-    np.testing.assert_allclose(dist.values, np.abs(centers - 0.5), atol=1e-14)
 
 
 def _turned(sub, axis):
@@ -81,17 +60,6 @@ def test_distance_equals_brute_force_box_minimum(dim, n, m, kind, r, axis):
             best = np.minimum(best, np.sqrt(np.sum(excess * excess, axis=1)))
         assert got.shape == grids[0].shape
         assert np.array_equal(got.reshape(-1), best)
-
-
-def test_distance_lipschitz():
-    part = build_partition(DomainSpec(2, 32), 4)
-    sub = build_subsample(part, "cube", 0.25)
-    dist = distance_field(sub)
-    step = part.spec.spacing
-    dx = np.abs(np.diff(dist.values, axis=0))
-    dy = np.abs(np.diff(dist.values, axis=1))
-    assert dx.max() <= step + 1e-12
-    assert dy.max() <= step + 1e-12
 
 
 def _at(sub, h):
