@@ -136,13 +136,10 @@ class CoarsePartition:
     def num_patches(self) -> int:
         return self.m**self.spec.dim
 
-    def patch_multi_index(self, i: int) -> tuple:
-        return np.unravel_index(i, (self.m,) * self.spec.dim)
-
     def patch_nodes(self, i: int) -> tuple:
         """Node-array slices covering patch i (inclusive of patch boundary nodes)."""
         q = self.cells_per_patch
-        mi = self.patch_multi_index(i)
+        mi = np.unravel_index(i, (self.m,) * self.spec.dim)
         return tuple(slice(k * q, k * q + q + 1) for k in mi)
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import pathlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .weights import WEIGHT_PROFILES, build_weight, distance_field, weight_condi
 
 __all__ = [
     "ExperimentConfig",
-    "FitResult",
     "fit_loglog",
     "run_convergence_study",
     "run_rate_study",
@@ -76,20 +75,8 @@ COEFFICIENTS = {"constant": constant_coefficient, "checkerboard": checkerboard_c
 POINTWISE_PROFILES = {"power": "convergent", "constant": "convergent", "loglog": "divergent"}
 
 
-@dataclass
-class FitResult:
-    slope: float
-    intercept: float
-    r_squared: float
-    points_used: int
-    fit_domain: str = "log-log"
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def fit_loglog(points) -> FitResult:
-    """Least-squares slope of log y against log x."""
+def fit_loglog(points) -> dict:
+    """Least-squares slope of log y against log x, as the report writes it."""
     pts = [(float(x), float(y)) for x, y in points]
     if len({x for x, _ in pts}) < 3:
         raise ValueError("need at least 3 distinct x values to fit")
@@ -102,7 +89,8 @@ def fit_loglog(points) -> FitResult:
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
-    return FitResult(float(slope), float(intercept), float(r2), len(pts))
+    return {"slope": float(slope), "intercept": float(intercept), "r_squared": float(r2),
+            "points_used": len(pts), "fit_domain": "log-log"}
 
 
 @dataclass
@@ -332,9 +320,9 @@ def run_convergence_study(cfg: ExperimentConfig) -> dict:
     rows = [one_point(H) for H in cfg.H_sweep]
     hs = [row[0] for row in rows]
     fits = {
-        "pc_l2": fit_loglog(zip(hs, [r[2] for r in rows])).to_dict(),
-        "ms_l2": fit_loglog(zip(hs, [r[3] for r in rows])).to_dict(),
-        "ms_energy": fit_loglog(zip(hs, [r[4] for r in rows])).to_dict(),
+        "pc_l2": fit_loglog(zip(hs, [r[2] for r in rows])),
+        "ms_l2": fit_loglog(zip(hs, [r[3] for r in rows])),
+        "ms_energy": fit_loglog(zip(hs, [r[4] for r in rows])),
     }
     stable = all(r[5] for r in rows)
     passed = stable and all(
@@ -387,8 +375,8 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
         if cfg.dim > cfg.p:
             fit = fit_loglog([(1.0 / h, ratio) for h, ratio, _, _, _ in free_rows])
             target = (cfg.dim - cfg.p) / cfg.p
-            free_pass = abs(fit.slope - target) <= EXPONENT_WIDTH
-            report["grid_free"] = {"fit": fit.to_dict(), "target_exponent": target,
+            free_pass = abs(fit["slope"] - target) <= EXPONENT_WIDTH
+            report["grid_free"] = {"fit": fit, "target_exponent": target,
                                    "width": EXPONENT_WIDTH, "passed": bool(free_pass)}
         else:
             report["grid_free"] = _band_gate([fr[3] for fr in free_rows], FREE_BAND)

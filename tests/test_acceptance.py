@@ -9,8 +9,7 @@ import pytest
 
 from msrecover.analytic import critical_ratio, rho
 from msrecover.elliptic import assemble, constant_coefficient
-from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
-                            lp_norm)
+from msrecover.grid import DomainSpec, GridFunction, build_partition, build_subsample
 from msrecover.harness import (ExperimentConfig, fit_loglog, run_convergence_study,
                                run_degeneracy_study, run_pointwise_limit_study, run_study,
                                run_weighted_study)
@@ -119,8 +118,8 @@ def test_criterion_04_noncritical_rate_exponents():
         hs = [1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]
         fit = fit_loglog([(1 / h, critical_ratio(dim, 2, h))
                           for h in hs])
-        slopes[dim] = fit.slope
-        ok &= abs(fit.slope - target) <= 0.1
+        slopes[dim] = fit["slope"]
+        ok &= abs(fit["slope"] - target) <= 0.1
     _verdict(4, f"non-critical exponents (d3 {slopes[3]:.3f}, d4 {slopes[4]:.3f})", ok)
 
 

@@ -11,7 +11,8 @@ from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coeffic
                                 constant_coefficient, energy_inner, l2_inner,
                                 layered_coefficient, load_vector, lognormal_coefficient, solve)
 from msrecover.errors import SolverError
-from msrecover.grid import DomainSpec, GridFunction, build_partition, build_subsample
+from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
+                            cell_center_values, gradient_lp_norm, lp_norm)
 from msrecover.measurements import build_functionals, measure
 from msrecover.testfuncs import fourier_h01
 
@@ -39,13 +40,6 @@ def test_coefficient_rejects_an_element_scale_outside_the_float_range(dim, n, va
     else:
         with pytest.raises(ValueError, match="so must a h"):
             constant_coefficient(spec, value)
-
-
-def test_stiffness_1d_tridiagonal():
-    spec = DomainSpec(1, 4)
-    K = assemble(spec, constant_coefficient(spec)).matrix.toarray()
-    expected = 4.0 * np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=float)
-    np.testing.assert_allclose(K, expected, rtol=1e-14)
 
 
 @pytest.mark.parametrize("dim,by_distance", [
@@ -86,30 +80,118 @@ def test_q1_spectrum_diagonalizes_the_1d_forms(n):
                                rtol=0, atol=1e-13)
 
 
-def test_stiffness_scales_with_coefficient():
-    spec = DomainSpec(2, 8)
-    K1 = assemble(spec, constant_coefficient(spec, 1.0)).matrix
-    K3 = assemble(spec, constant_coefficient(spec, 3.0)).matrix
-    np.testing.assert_allclose(K3.toarray(), 3.0 * K1.toarray(), rtol=1e-14)
+def _sines(*x):
+    """prod_i sin(pi x_i), which -Laplace maps to d pi^2 times itself."""
+    return np.prod(np.sin(np.pi * np.array(x)), axis=0)
 
 
-def test_stiffness_2d_single_interior_node():
-    spec = DomainSpec(2, 2)
-    K = assemble(spec, constant_coefficient(spec)).matrix.toarray()
-    assert K.shape == (1, 1)
-    assert K[0, 0] == pytest.approx(8.0 / 3.0, rel=1e-14)
+def _unit(spec):
+    """The a = 1 operator on ``spec``."""
+    return assemble(spec, constant_coefficient(spec))
 
 
-def test_stiffness_symmetry_and_definiteness():
-    spec = DomainSpec(2, 8)
-    op = assemble(spec, lognormal_coefficient(spec, sigma=0.5, seed=1))
-    K = op.matrix.toarray()
-    assert np.max(np.abs(K - K.T)) <= 1e-14 * np.max(np.abs(K))
-    np.linalg.cholesky(K)  # raises if not SPD
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        v = rng.standard_normal(K.shape[0])
-        assert v @ K @ v > 0.0
+def _on(spec, f):
+    return GridFunction.from_callable(spec, f)
+
+
+def _unit_solve(spec, f):
+    """Nodal values of the a = 1 Dirichlet solve against the nodal field f(x)."""
+    return solve(_unit(spec), _on(spec, f)).values
+
+
+def _sine_solve(spec):
+    """The a = 1 solve whose exact solution is ``_sines``."""
+    return _unit_solve(spec, lambda *x: spec.dim * np.pi**2 * _sines(*x))
+
+
+def _poisson(spec):
+    """The a = 1 solve of -u'' = 1 in 1D."""
+    return _unit_solve(spec, np.ones_like)
+
+
+def _parabola(x):
+    """x(1 - x)/2, the solution of -u'' = 1 on (0, 1)."""
+    return x * (1 - x) / 2
+
+
+def _norm(norm, f, p):
+    """``norm(u, p)`` of the nodal field u of f on the row's grid."""
+    return lambda spec: norm(_on(spec, f), p)
+
+
+class ClosedForm(NamedTuple):
+    """``computed(DomainSpec(*grid))`` equals ``exact`` (a value, or a callable of
+    the coordinates whose nodal values are meant) to ``rtol`` and ``atol``."""
+
+    grid: tuple
+    computed: Callable
+    exact: object
+    rtol: float = 0.0
+    atol: float = 0.0
+
+
+# every value of the operator and the grid norms known in closed form, each on
+# the grid and at the tolerance of the single check it replaced
+CLOSED_FORMS = {
+    # the a = 1 Dirichlet stiffness: the 3-point stencil over h, the Q1 element's 8/3
+    "stiffness-1d": ClosedForm((1, 4), lambda spec: _unit(spec).matrix.toarray(), 4.0 * np.array(
+        [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]), rtol=1e-14),
+    "stiffness-2d-one-node": ClosedForm((2, 2), lambda spec: _unit(spec).matrix.toarray(),
+                                        [[8.0 / 3.0]], rtol=1e-14),
+    # -u'' = 1: within 2h^2 at the nodes, 1/8 at x = 1/2, and exactly 0 at both ends
+    "poisson-parabola": ClosedForm((1, 64), _poisson, _parabola, atol=2.0 / 64**2),
+    "poisson-parabola-center": ClosedForm((1, 64), lambda spec: _poisson(spec)[32], 0.125,
+                                          atol=1e-4),
+    "poisson-parabola-ends": ClosedForm((1, 64), lambda spec: _poisson(spec)[[0, -1]], [0.0, 0.0]),
+    "poisson-sines-2d": ClosedForm((2, 32), _sine_solve, _sines, atol=0.01),
+    # int (1/2 - x)^2 = 1/12; int 1 = 1; int sin^2(pi x) = 1/2
+    "energy-parabola": ClosedForm((1, 128), lambda spec: energy_inner(
+        *[_on(spec, _parabola)] * 2, _unit(spec)), 1.0 / 12.0, atol=2e-4),
+    "l2-one": ClosedForm((1, 256), lambda spec: l2_inner(*[_on(spec, np.ones_like)] * 2), 1.0,
+                         rtol=1e-13),
+    "l2-sine": ClosedForm((1, 256), lambda spec: l2_inner(*[_on(spec, _sines)] * 2), 0.5,
+                          atol=1e-4),
+    "lp-constant": ClosedForm((2, 8), _norm(lp_norm, lambda x, y: np.full_like(x, -3.0), 2.0),
+                              3.0, rtol=1e-14),
+    "lp-sine": ClosedForm((1, 256), _norm(lp_norm, _sines, 2.0), np.sqrt(0.5), atol=1e-3),
+    "lp-linear-l1": ClosedForm((1, 256), _norm(lp_norm, lambda x: x, 1.0), 0.5, rtol=1e-12),
+    "gradient-constant": ClosedForm(
+        (1, 64), _norm(gradient_lp_norm, lambda x: np.full_like(x, 4.0), 2.0), 0.0),
+    "gradient-linear": ClosedForm((1, 64), _norm(gradient_lp_norm, lambda x: x, 2.0), 1.0,
+                                  rtol=1e-12),
+    "gradient-sine": ClosedForm((1, 256), _norm(gradient_lp_norm, _sines, 2.0),
+                                np.pi / np.sqrt(2.0), atol=1e-2),
+    # the bilinear interpolant of x + 2y at the four cell centers
+    "cell-centers-bilinear": ClosedForm((2, 2), lambda spec: cell_center_values(
+        _on(spec, lambda x, y: x + 2 * y)), [[0.75, 1.75], [1.25, 2.25]], rtol=1e-6),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_closed_form_value(name):
+    row = CLOSED_FORMS[name]
+    spec = DomainSpec(*row.grid)
+    exact = _on(spec, row.exact).values if callable(row.exact) else row.exact
+    np.testing.assert_allclose(row.computed(spec), exact, rtol=row.rtol, atol=row.atol,
+                               strict=True)
+
+
+# errors that shrink like h^2: each halving of h divides them by 3 to 5
+H2_SEQUENCES = {
+    # the nodal error of the 1D sine solve at n = 32, 64, 128
+    "solve-sine": lambda: [np.abs(_sine_solve(spec) - _on(spec, _sines).values).max()
+                           for spec in map(DomainSpec, (1, 1, 1), (32, 64, 128))],
+    # the midpoint rule's ||sin(pi x)||_2: its increments from n = 16 to 128
+    "lp-norm-sine": lambda: np.abs(np.diff([lp_norm(_on(DomainSpec(1, n), _sines), 2.0)
+                                            for n in (16, 32, 64, 128)])),
+}
+
+
+@pytest.mark.parametrize("sequence", H2_SEQUENCES)
+def test_second_order_in_h(sequence):
+    errors = np.asarray(H2_SEQUENCES[sequence]())
+    ratios = errors[:-1] / errors[1:]
+    assert np.all((3.0 <= ratios) & (ratios <= 5.0)), ratios
 
 
 def test_stiffness_operator_reads_its_grid_off_its_coefficient():
@@ -139,103 +221,6 @@ def test_solve_rejects_a_source_on_another_grid(source_n):
         solve(op, fourier_h01(DomainSpec(2, source_n), 7))
 
 
-def test_solve_poisson_parabola():
-    spec = DomainSpec(1, 64)
-    op = assemble(spec, constant_coefficient(spec))
-    u = solve(op, GridFunction.constant(spec, 1.0))
-    x = np.linspace(0, 1, 65)
-    assert np.abs(u.values - x * (1 - x) / 2).max() <= 2.0 / 64**2
-    assert u.values[32] == pytest.approx(0.125, abs=1e-4)
-    assert u.values[0] == 0.0 and u.values[-1] == 0.0
-
-
-def test_solve_eigenfunction_refinement():
-    errs = {}
-    for n in (32, 64, 128):
-        spec = DomainSpec(1, n)
-        op = assemble(spec, constant_coefficient(spec))
-        f = GridFunction.from_callable(spec, lambda x: np.pi**2 * np.sin(np.pi * x))
-        u = solve(op, f)
-        exact = GridFunction.from_callable(spec, lambda x: np.sin(np.pi * x))
-        errs[n] = np.abs(u.values - exact.values).max()
-    assert 3.0 <= errs[32] / errs[64] <= 5.0
-    assert 3.0 <= errs[64] / errs[128] <= 5.0
-
-
-def test_solve_2d_manufactured():
-    spec = DomainSpec(2, 32)
-    op = assemble(spec, constant_coefficient(spec))
-    f = GridFunction.from_callable(
-        spec, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y))
-    u = solve(op, f)
-    exact = GridFunction.from_callable(spec, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    assert np.abs(u.values - exact.values).max() <= 0.01
-
-
-def test_energy_inner_symmetry_and_positivity():
-    spec = DomainSpec(2, 8)
-    a = constant_coefficient(spec)
-    op = assemble(spec, a)
-    rng = np.random.default_rng(2)
-    u = GridFunction(spec, rng.standard_normal(spec.node_shape))
-    v = GridFunction(spec, rng.standard_normal(spec.node_shape))
-    assert energy_inner(u, v, op) == pytest.approx(energy_inner(v, u, op), rel=1e-14)
-    assert energy_inner(u, u, op) > 0.0
-    z = GridFunction.constant(spec, 5.0)
-    assert energy_inner(z, z, op) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_energy_inner_parabola_value():
-    spec = DomainSpec(1, 128)
-    op = assemble(spec, constant_coefficient(spec))
-    u = GridFunction.from_callable(spec, lambda x: x * (1 - x) / 2)
-    # int (1/2 - x)^2 dx = 1/12
-    assert energy_inner(u, u, op) == pytest.approx(1.0 / 12.0, abs=2e-4)
-
-
-def test_galerkin_consistency():
-    spec = DomainSpec(2, 16)
-    a = lognormal_coefficient(spec, sigma=0.4, seed=3)
-    op = assemble(spec, a)
-    f = GridFunction.from_callable(spec, lambda x, y: np.cos(np.pi * x) + y)
-    u = solve(op, f)
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        vv = np.zeros(spec.node_shape)
-        vv[1:-1, 1:-1] = rng.standard_normal((spec.n - 1, spec.n - 1))
-        v = GridFunction(spec, vv)
-        assert energy_inner(u, v, op) == pytest.approx(l2_inner(f, v), abs=1e-9)
-
-
-def test_coefficient_monotonicity():
-    spec = DomainSpec(2, 8)
-    a = checkerboard_coefficient(spec, 10.0)
-    op_a = assemble(spec, a)
-    op_1 = assemble(spec, constant_coefficient(spec))
-    rng = np.random.default_rng(6)
-    u = GridFunction(spec, rng.standard_normal(spec.node_shape))
-    e1 = energy_inner(u, u, op_1)
-    ea = energy_inner(u, u, op_a)
-    assert a.a_min * e1 - 1e-12 <= ea <= a.a_max * e1 + 1e-12
-
-
-def test_maximum_principle_1d():
-    spec = DomainSpec(1, 32)
-    op = assemble(spec, lognormal_coefficient(spec, sigma=0.5, seed=7))
-    rng = np.random.default_rng(8)
-    f = GridFunction(spec, rng.random(spec.node_shape))
-    u = solve(op, f)
-    assert np.all(u.values >= -1e-12)
-
-
-def test_l2_inner_values():
-    spec = DomainSpec(1, 256)
-    one = GridFunction.constant(spec, 1.0)
-    assert l2_inner(one, one) == pytest.approx(1.0, rel=1e-13)
-    s = GridFunction.from_callable(spec, lambda x: np.sin(np.pi * x))
-    assert l2_inner(s, s) == pytest.approx(0.5, abs=1e-4)
-
-
 def test_l2_inner_reproduces_measurement():
     # the measurement equals integrating against the normalized indicator density
     spec = DomainSpec(2, 16)
@@ -246,13 +231,11 @@ def test_l2_inner_reproduces_measurement():
     u = GridFunction(spec, rng.standard_normal(spec.node_shape))
     centers = np.meshgrid(*spec.cell_center_coordinates(), indexing="ij")
     inside = np.ones(spec.cell_shape, dtype=bool)
-    for axis, k in enumerate(part.patch_multi_index(2)):
+    for axis, k in enumerate(np.unravel_index(2, (part.m,) * spec.dim)):
         lo, hi = sub.axis_intervals(axis)
         inside &= (centers[axis] > lo[k]) & (centers[axis] < hi[k])
     density_cells = inside / sub.h**2
     # evaluate sum over cells of u_c * density * vol, the midpoint pairing
-    from msrecover.grid import cell_center_values
-
     val = float(np.sum(cell_center_values(u) * density_cells) * spec.cell_volume)
     assert measure(u, phi) == pytest.approx(val, abs=1e-12)
 
@@ -479,24 +462,98 @@ def _eager_assembly(spec, a):
     return full, full[interior][:, interior].tocsr()
 
 
+def test_stiffness_scales_with_coefficient():
+    spec = DomainSpec(2, 8)
+    K1 = assemble(spec, constant_coefficient(spec, 1.0)).matrix
+    K3 = assemble(spec, constant_coefficient(spec, 3.0)).matrix
+    np.testing.assert_allclose(K3.toarray(), 3.0 * K1.toarray(), rtol=1e-14)
+
+
+def test_stiffness_symmetry_and_definiteness():
+    spec = DomainSpec(2, 8)
+    op = assemble(spec, lognormal_coefficient(spec, sigma=0.5, seed=1))
+    K = op.matrix.toarray()
+    assert np.max(np.abs(K - K.T)) <= 1e-14 * np.max(np.abs(K))
+    np.linalg.cholesky(K)  # raises if not SPD
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        v = rng.standard_normal(K.shape[0])
+        assert v @ K @ v > 0.0
+
+
+def test_energy_inner_symmetry_and_positivity():
+    spec = DomainSpec(2, 8)
+    a = constant_coefficient(spec)
+    op = assemble(spec, a)
+    rng = np.random.default_rng(2)
+    u = GridFunction(spec, rng.standard_normal(spec.node_shape))
+    v = GridFunction(spec, rng.standard_normal(spec.node_shape))
+    assert energy_inner(u, v, op) == pytest.approx(energy_inner(v, u, op), rel=1e-14)
+    assert energy_inner(u, u, op) > 0.0
+    z = GridFunction.constant(spec, 5.0)
+    assert energy_inner(z, z, op) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_galerkin_consistency():
+    spec = DomainSpec(2, 16)
+    a = lognormal_coefficient(spec, sigma=0.4, seed=3)
+    op = assemble(spec, a)
+    f = GridFunction.from_callable(spec, lambda x, y: np.cos(np.pi * x) + y)
+    u = solve(op, f)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        vv = np.zeros(spec.node_shape)
+        vv[1:-1, 1:-1] = rng.standard_normal((spec.n - 1, spec.n - 1))
+        v = GridFunction(spec, vv)
+        assert energy_inner(u, v, op) == pytest.approx(l2_inner(f, v), abs=1e-9)
+
+
+def test_maximum_principle_1d():
+    spec = DomainSpec(1, 32)
+    op = assemble(spec, lognormal_coefficient(spec, sigma=0.5, seed=7))
+    rng = np.random.default_rng(8)
+    f = GridFunction(spec, rng.random(spec.node_shape))
+    u = solve(op, f)
+    assert np.all(u.values >= -1e-12)
+
+
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 12), (3, 6)])
 @pytest.mark.parametrize("coefficient", COEFFICIENTS)
-def test_energy_inner_matches_the_assembled_form_without_a_matrix(monkeypatch, dim, n,
-                                                                  coefficient):
+def test_operator_forms_are_one_spd_galerkin_operator(monkeypatch, dim, n, coefficient):
     spec = DomainSpec(dim, n)
-    op = assemble(spec, COEFFICIENTS[coefficient](spec))
+    a = COEFFICIENTS[coefficient](spec)
+    op = assemble(spec, a)
     builds = _count_assembly(monkeypatch)
     rng = np.random.default_rng(dim)
     u, v = (GridFunction(spec, rng.standard_normal(spec.num_nodes)) for _ in range(2))
     uv = energy_inner(u, v, op)
     assert energy_inner(v, u, op) == pytest.approx(uv, rel=1e-14)
-    assert energy_inner(GridFunction.constant(spec, 2.5), v, op) == pytest.approx(
-        0.0, abs=1e-12 * op.coefficient.a_max)
+    z = GridFunction.constant(spec, 2.5)
+    for w in (v, z):  # the constants are the natural form's null space
+        assert energy_inner(z, w, op) == pytest.approx(0.0, abs=1e-12 * a.a_max)
+    # positive off the constants, and between a_min and a_max times the a = 1 energy
+    e1 = energy_inner(u, u, _unit(spec))
+    ea = energy_inner(u, u, op)
+    assert 0.0 < ea and a.a_min * e1 <= ea <= a.a_max * e1
     assert builds == []  # the cellwise form needs no matrix
-    K = op.full_matrix
+    full = op.full_matrix
     for x, y in ((u, v), (u, u), (v, v)):
-        ref = x.values.reshape(-1) @ (K @ y.values.reshape(-1))
+        ref = x.values.reshape(-1) @ (full @ y.values.reshape(-1))
         assert abs(energy_inner(x, y, op) - ref) <= 1e-12 * abs(ref)
+    # the Dirichlet form: an exactly symmetric, positive definite M-matrix, linear in a
+    K = op.matrix
+    assert (K != K.T).nnz == 0
+    dense = K.toarray()
+    assert np.all(dense[~np.eye(len(dense), dtype=bool)] <= 0.0)
+    np.linalg.cholesky(dense)  # raises unless positive definite
+    tripled = assemble(spec, CoefficientField(spec, 3.0 * a.values)).matrix.toarray()
+    np.testing.assert_allclose(tripled, 3.0 * dense, rtol=1e-14)
+    # Galerkin with the midpoint product, and a nonnegative source gives u >= 0
+    f = GridFunction(spec, rng.random(spec.num_nodes))
+    u_f = solve(op, f)
+    w = GridFunction(spec, op.embed_interior(rng.standard_normal(op.num_interior)))
+    assert abs(energy_inner(u_f, w, op) - l2_inner(f, w)) <= 1e-9
+    assert u_f.values.min() >= 0.0
 
 
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 5)])

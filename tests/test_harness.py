@@ -20,8 +20,7 @@ from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_sub
                             save_grid_function)
 from msrecover.harness import (CONSTANT_SLACK, POINTWISE_PROFILES, RATE_SLACK, RECOVER_DEFAULTS,
                                SLOPE_BANDS, STUDIES, WEIGHTED_MAX_MIN, ExperimentConfig,
-                               fit_loglog, run_convergence_study, run_pointwise_limit_study,
-                               run_study)
+                               fit_loglog, run_convergence_study, run_study)
 from msrecover.testfuncs import LIBRARY_VERSION, fourier_h01
 from msrecover.weights import WEIGHT_PROFILES, build_weight, distance_field
 
@@ -29,14 +28,14 @@ from msrecover.weights import WEIGHT_PROFILES, build_weight, distance_field
 def test_fit_loglog_exact_quadratic():
     xs = [1.0, 2.0, 4.0, 8.0]
     fit = fit_loglog([(x, x**2) for x in xs])
-    assert fit.slope == pytest.approx(2.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit["slope"] == pytest.approx(2.0, abs=1e-12)
+    assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_loglog_linear_intercept():
     fit = fit_loglog([(x, 3.0 * x) for x in (1.0, 2.0, 5.0, 9.0)])
-    assert fit.slope == pytest.approx(1.0, abs=1e-12)
-    assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-12)
+    assert fit["slope"] == pytest.approx(1.0, abs=1e-12)
+    assert fit["intercept"] == pytest.approx(np.log(3.0), abs=1e-12)
 
 
 def test_fit_loglog_noisy_quadratic():
@@ -44,7 +43,7 @@ def test_fit_loglog_noisy_quadratic():
     xs = np.linspace(1.0, 16.0, 12)
     ys = xs**2 * np.exp(0.01 * rng.standard_normal(len(xs)))
     fit = fit_loglog(zip(xs, ys))
-    assert fit.slope == pytest.approx(2.0, abs=0.05)
+    assert fit["slope"] == pytest.approx(2.0, abs=0.05)
 
 
 def test_fit_loglog_validation():

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -122,22 +123,6 @@ def _loaded_after(code, modules):
     return out.stdout.strip().splitlines()[-1]
 
 
-def test_package_import_leaves_out_scipy_integrate():
-    code = "import msrecover"
-    # "scipy" itself is loaded by any of its submodules: the import loads numpy only
-    assert _loaded_after(code, ("scipy", "scipy.sparse", "scipy.integrate", "scipy.special",
-                                "scipy.optimize")) == "[]"
-
-
-def test_recovery_import_leaves_out_the_study_layer():
-    # the benchmark's import line: the command-line module loads argparse and
-    # the harness only when main runs, while the modules whose functions the
-    # bench traces are loaded by the package itself
-    code = "from msrecover import cli, elliptic, grid, measurements, recovery, testfuncs"
-    modules = ("msrecover.harness", "argparse", "msrecover.weights", "msrecover.analytic")
-    assert _loaded_after(code, modules) == str(["msrecover.analytic", "msrecover.weights"])
-
-
 SOLVER_STACK = ("scipy.linalg", "scipy.sparse.linalg")
 # 3D n=16 m=4: 64 patches, measured, assembled and recovered
 CHAIN_SETUP = """
@@ -151,33 +136,50 @@ op = M.assemble(spec, M.constant_coefficient(spec))
 """
 
 
-def test_pc_chain_leaves_out_solver_stack():
+class ImportRun(NamedTuple):
+    """Code run in a fresh interpreter, after which exactly ``loaded`` of the
+    modules ``probed`` are loaded."""
+
+    code: str
+    probed: tuple
+    loaded: tuple = ()
+
+
+IMPORT_RUNS = {
+    # "scipy" itself is loaded by any of its submodules: the import loads numpy only
+    "package": ImportRun("import msrecover", ("scipy", "scipy.sparse", "scipy.integrate",
+                                              "scipy.special", "scipy.optimize")),
+    # the benchmark's import line: the command-line module loads argparse and
+    # the harness only when main runs, while the modules whose functions the
+    # bench traces are loaded by the package itself
+    "recovery": ImportRun(
+        "from msrecover import cli, elliptic, grid, measurements, recovery, testfuncs",
+        ("msrecover.harness", "argparse", "msrecover.weights", "msrecover.analytic"),
+        ("msrecover.analytic", "msrecover.weights")),
     # piecewise-constant recovery solves nothing and its energy error is summed
     # cell by cell, so it never builds a sparse matrix and loads no scipy at all
-    code = CHAIN_SETUP + """
+    "pc-chain": ImportRun(CHAIN_SETUP + """
 rec = M.pc_recover(data, part)
 M.recovery_error_report(u, rec, {"basis": "pc"}, a=op, partition=part)
-"""
-    assert _loaded_after(code, ("scipy", "scipy.sparse") + SOLVER_STACK) == "[]"
-
-
-def test_sharp_constant_leaves_out_sparse_stack():
+""", ("scipy", "scipy.sparse") + SOLVER_STACK),
     # the closed form sums per-axis cosines: it builds no matrix, factors
     # nothing and needs no FFT, so it loads no scipy module at all
-    code = """
+    "sharp-constant": ImportRun("""
 import msrecover as M
 part = M.build_partition(M.DomainSpec(2, 32), 1)
 assert M.sharp_constant_estimate(M.build_subsample(part, "cube", 0.25)) > 0.0
-"""
-    assert _loaded_after(code, ("scipy", "scipy.fft", "scipy.sparse") + SOLVER_STACK) == "[]"
-
-
-def test_ms_chain_loads_solver_stack():
-    code = CHAIN_SETUP + """
+""", ("scipy", "scipy.fft", "scipy.sparse") + SOLVER_STACK),
+    "ms-chain": ImportRun(CHAIN_SETUP + """
 rec = M.ms_recover(data, M.multiscale_basis(M.build_theta(funs, op)))
 assert M.recovery_error_report(u, rec, {"basis": "ms"}, a=op).energy_stable
-"""
-    assert _loaded_after(code, SOLVER_STACK) == str(sorted(SOLVER_STACK))
+""", SOLVER_STACK, SOLVER_STACK),
+}
+
+
+@pytest.mark.parametrize("run", IMPORT_RUNS)
+def test_a_fresh_interpreter_loads_what_the_run_needs(run):
+    code, probed, loaded = IMPORT_RUNS[run]
+    assert _loaded_after(code, probed) == str(sorted(loaded))
 
 
 # every center is a node; for m = 3 the centers are inexact in floating point
