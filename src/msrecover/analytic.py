@@ -35,9 +35,9 @@ def rho(variant: str, p: float, dim: int, x: float) -> float:
     """
     if variant not in ("sharp", "tilde"):
         raise ValueError(f"variant must be 'sharp' or 'tilde', got {variant!r}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("x must be >= 0")
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be >= 1")
     if dim < p:
         return 1.0
@@ -110,7 +110,7 @@ def radial_function(kind: str, h: float | None = None) -> RadialFunction:
 
 def power_profile(q: float) -> RadialFunction:
     """Custom profile r^q; finite singular-weighted gradient norm iff q > beta/p."""
-    if q <= 0.0:
+    if not q > 0.0:
         raise ValueError("power profile needs q > 0")
 
     def f(r):
@@ -153,7 +153,7 @@ def critical_ratio(dim: int, p: float, h: float) -> float:
     average is exactly zero and the numerator is the plain p-norm.  Valid for
     dim >= p; h must lie in (0, 1/4].
     """
-    if dim < p:
+    if not p <= dim:
         raise ValueError("critical profiles exist for dim >= p only")
     fn = radial_function("critical_log" if dim == p else "critical_ramp", h)
     num_p = _radial_integral(lambda r: np.abs(fn.f(r)) ** p, dim, kinks=fn.kinks + (0.5,))

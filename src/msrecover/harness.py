@@ -80,7 +80,7 @@ def fit_loglog(points) -> dict:
     pts = [(float(x), float(y)) for x, y in points]
     if len({x for x, _ in pts}) < 3:
         raise ValueError("need at least 3 distinct x values to fit")
-    if any(x <= 0.0 or y <= 0.0 for x, y in pts):
+    if not all(x > 0.0 and y > 0.0 for x, y in pts):
         raise ValueError("log-log fit needs strictly positive data")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])

@@ -162,7 +162,7 @@ def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
     singularity, which is integrable only for p > 1.
     """
     e = _envelope_exponent("bound integral", kind, dim, H, h)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     if kind == "slice" and p == 1.0:
         raise ValueError(

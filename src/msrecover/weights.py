@@ -76,13 +76,13 @@ def build_weight(dist: DistanceField, profile: str, p: float, *, beta: float = 1
     # a huge exponent overflows to inf (and inf/inf to nan): the constructor rejects both
     with np.errstate(over="ignore", invalid="ignore"):
         if profile == "polynomial":
-            if validate and beta <= 0.0:
+            if validate and not beta > 0.0:
                 raise ValueError("polynomial profile needs beta > 0")
             vals = (H / s) ** (dim - p + beta)
         elif profile == "logarithmic":
             if gamma is None:
                 gamma = p
-            if validate and gamma <= p - 1.0:
+            if validate and not gamma > p - 1.0:
                 raise ValueError("logarithmic profile needs gamma > p - 1")
             # s <= sqrt(3) < e and H <= 1, so both logarithms exceed 1
             log_s = np.log(1.0 / s) + 1.0
@@ -101,7 +101,7 @@ def weight_condition_check(w: CoefficientField, dist: DistanceField, p: float) -
     integral/H^dim bounded as h decreases at fixed H.  Only defined for p > 1
     (the p = 1 inequality needs no condition).
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("the weight condition applies to p > 1 only")
     spec = w.spec
     dim = spec.dim

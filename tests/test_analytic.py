@@ -14,13 +14,6 @@ def test_rho_branch_values():
     assert rho("sharp", 1, 2, 5.0) == pytest.approx(5.0, rel=1e-14)
 
 
-def test_rho_validation_and_class():
-    with pytest.raises(ValueError):
-        rho("bogus", 2, 2, 1.0)
-    with pytest.raises(ValueError):
-        rho("sharp", 2, 2, -1.0)
-
-
 def test_rho_sharp_below_tilde_critical_branch():
     for x in (np.e - 1.0, 3.0, 10.0, 100.0):
         assert rho("sharp", 2, 2, x) <= rho("tilde", 2, 2, x) + 1e-14
@@ -44,17 +37,6 @@ def test_radial_kind_values():
     assert eval_radial(ll, 0.1) == pytest.approx(0.87459, abs=1e-5)
 
 
-def test_radial_singularities_raise():
-    with pytest.raises(ValueError):
-        eval_radial(radial_function("loglog"), 0.0)
-    for kind in ("critical_log", "critical_ramp"):
-        for h in (None, 0.0, 0.3):  # h must lie in (0, 1/4]
-            with pytest.raises(ValueError, match=f"{kind} needs h in"):
-                radial_function(kind, h)
-    with pytest.raises(ValueError):
-        radial_function("nope")
-
-
 @pytest.mark.parametrize("kind,h", [("critical_log", 0.1), ("critical_ramp", 0.1),
                                     ("loglog", None)])
 def test_derivative_rule_matches_finite_differences(kind, h):
@@ -68,13 +50,6 @@ def test_derivative_rule_matches_finite_differences(kind, h):
         fd = (fn.f(r + eps) - fn.f(r - eps)) / (2 * eps)
         an = eval_radial_deriv(fn, r)
         assert fd == pytest.approx(an, rel=1e-6, abs=1e-8)
-
-
-def test_critical_ratio_regime_checks():
-    with pytest.raises(ValueError, match="critical_ramp needs h in"):
-        critical_ratio(3, 2, 0.3)  # h above 1/4: radial_function's check
-    with pytest.raises(ValueError):
-        critical_ratio(1, 2, 0.1)  # no critical profile below dim = p
 
 
 def test_ramp_gradient_norm_closed_form():
@@ -124,12 +99,3 @@ def test_ball_average_power_closed_form_down_to_tiny_radii(dim):
         for r, avg in zip(radii, seq["averages"]):
             assert avg == pytest.approx(dim / (dim + q) * r**q, rel=rel, abs=0.0)
 
-
-def test_ball_average_input_validation():
-    fn = power_profile(0.5)
-    with pytest.raises(ValueError):
-        ball_average_sequence(fn, [0.5, 0.5], 2)
-    with pytest.raises(ValueError):
-        ball_average_sequence(fn, [2.0, 1.0], 2)
-    with pytest.raises(ValueError):
-        ball_average_sequence(fn, [], 2)

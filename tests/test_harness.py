@@ -46,15 +46,6 @@ def test_fit_loglog_noisy_quadratic():
     assert fit["slope"] == pytest.approx(2.0, abs=0.05)
 
 
-def test_fit_loglog_validation():
-    with pytest.raises(ValueError):
-        fit_loglog([(1.0, 1.0), (2.0, 4.0)])
-    with pytest.raises(ValueError):
-        fit_loglog([(1.0, 1.0), (2.0, -4.0), (3.0, 9.0)])
-    with pytest.raises(ValueError, match="distinct"):
-        fit_loglog([(0.5, 1.0), (0.5, 1.0), (0.25, 0.25)])
-
-
 def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"name": "t", "dim": 1, "n": 64,
@@ -70,11 +61,6 @@ def test_config_from_json(tmp_path):
     # a field the command does not read is rejected like an unknown key
     with pytest.raises(ConfigError, match="does not read"):
         ExperimentConfig.from_json(path, STUDIES["pointwise"].defaults)
-
-
-def test_an_unknown_profile_kind_is_rejected_when_the_config_is_built():
-    with pytest.raises(ConfigError, match="profile_kind must be one of"):
-        ExperimentConfig(profile_kind="bogus")
 
 
 def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys, monkeypatch):
@@ -451,23 +437,6 @@ def test_cli_help_lists_every_study_with_its_columns(capsys):
     assert listed == [f"{name} {', '.join(defaults)}" for name, defaults in declared.items()]
 
 
-# small grids and sweeps; a study missing here runs at its defaults
-_SMALL = {"converge": dict(n=64, H_sweep=[1 / 2, 1 / 4, 1 / 8]), "rates": dict(n=32),
-          "critical": dict(n=32), "degeneracy": dict(n=32),
-          "weighted": dict(n=32, num_functions=3)}
-
-
-@pytest.mark.parametrize("name", list(STUDIES))
-def test_run_study_writes_the_declared_columns(tmp_path, name):
-    cfg = ExperimentConfig(**{**STUDIES[name].defaults, **_SMALL.get(name, {})})
-    report = run_study(name, cfg, out_dir=tmp_path)
-    header, *rows = (tmp_path / f"{name}_rows.csv").read_text().splitlines()
-    assert header.split(",") == list(STUDIES[name].columns)
-    assert len(rows) == len(report["rows"])
-    assert all(len(row) == len(header.split(",")) for row in report["rows"])
-    assert (tmp_path / f"{name}_report.json").exists()
-
-
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -488,12 +457,51 @@ def _assert_matches(new, old, path):
         assert new == old, path
 
 
+# declared fields a study's defaults leave unread: converge reads seed only for a
+# lognormal coeff, as test_a_lognormal_coeff_without_a_seed_draws_with_the_seed_option shows
+UNREAD_AT_DEFAULTS = {"converge": {"seed"}}
+
+_DEFAULT_RUNS = {}
+
+
+def _default_run(name, tmp_path_factory):
+    """Run study ``name`` through ``run_study`` at its defaults, once per session.
+    Return its report, its output directory and the config fields its runner read."""
+    if name not in _DEFAULT_RUNS:
+        out_dir, study, read_by_runner = tmp_path_factory.mktemp(name), STUDIES[name], set()
+        with pytest.MonkeyPatch.context() as mp:
+            read = _record_reads(mp)
+
+            def runner(cfg):  # run_study reads every declared field after it, for the report
+                report = study.runner(cfg)
+                read_by_runner.update(read)
+                return report
+
+            mp.setitem(STUDIES, name, dataclasses.replace(study, runner=runner))
+            report = run_study(name, harness.ExperimentConfig(**study.defaults), out_dir=out_dir)
+        _DEFAULT_RUNS[name] = report, out_dir, frozenset(read_by_runner)
+    return _DEFAULT_RUNS[name]
+
+
 @pytest.mark.parametrize("name", list(STUDIES))
-def test_default_report_matches_its_golden_file(tmp_path, name):
+def test_default_report_matches_its_golden_file(tmp_path_factory, name):
     # tests/golden holds the report `msrecover <name>` writes at the defaults
-    run_study(name, ExperimentConfig(**STUDIES[name].defaults), out_dir=tmp_path)
-    new = json.loads((tmp_path / f"{name}_report.json").read_text())
+    report, out_dir, _ = _default_run(name, tmp_path_factory)
+    new = json.loads((out_dir / f"{name}_report.json").read_text())
     _assert_matches(new, json.loads((GOLDEN / f"{name}_report.json").read_text()), name)
+    header, *rows = (out_dir / f"{name}_rows.csv").read_text().splitlines()
+    assert header.split(",") == list(STUDIES[name].columns)
+    assert len(rows) == len(report["rows"])
+    assert all(len(row) == len(STUDIES[name].columns) for row in report["rows"])
+
+
+@pytest.mark.parametrize("name", list(STUDIES))
+def test_each_study_reads_exactly_its_declared_fields(tmp_path_factory, name):
+    _, _, read_by_runner = _default_run(name, tmp_path_factory)
+    unread = UNREAD_AT_DEFAULTS.get(name, set())
+    assert read_by_runner.isdisjoint(unread)
+    # name is read by run_study alone, for the output file names
+    assert read_by_runner | {"name"} | unread == set(STUDIES[name].defaults)
 
 
 # each study's gates at its defaults, by the report entry (or fit) holding the statistic
@@ -852,19 +860,6 @@ def _record_reads(monkeypatch) -> set:
 
     monkeypatch.setattr(harness, "ExperimentConfig", RecordingConfig)
     return read
-
-
-# runs besides the defaults that reach a field the defaults leave unread
-_MORE_RUNS = {"converge": [{"coeff": {"name": "lognormal", "sigma": 0.5}}]}  # seed
-
-
-@pytest.mark.parametrize("name", list(STUDIES))
-def test_each_study_reads_exactly_its_declared_fields(monkeypatch, name):
-    read, study = _record_reads(monkeypatch), STUDIES[name]
-    for override in [{}] + _MORE_RUNS.get(name, []):
-        study.runner(harness.ExperimentConfig(**{**study.defaults, **override}))
-    # name is read by run_study alone, for the output file names
-    assert read | {"name"} == set(study.defaults)
 
 
 def test_recover_reads_exactly_its_declared_fields(tmp_path, capsys, monkeypatch):

@@ -38,17 +38,6 @@ def test_point_functional_between_nodes_is_multilinear_interpolation(dim, n, m):
     np.testing.assert_allclose(vals, exact, rtol=0.0, atol=1e-14)
 
 
-def test_measure_all_rejects_functionals_of_another_grid():
-    # read without the check, the n = 4 functionals take a prefix of each n = 8 axis:
-    # u = 2x gives [0.25, 0.25, 0.75, 0.75], not the patch averages [0.5, 0.5, 1.5, 1.5]
-    _, _, phis = _functionals(2, 4, 2, "cube", 1.0)
-    u = GridFunction.from_callable(DomainSpec(2, 8), lambda x, y: 2.0 * x)
-    with pytest.raises(ValueError, match="axis 1: the matrix has 5 columns, the values 9"):
-        measure_all(u, phis)
-    with pytest.raises(ValueError, match="axis 1"):
-        measure(u, phis[0])
-
-
 def _turned(sub, axis):
     """``sub`` with its last axis swapped onto ``axis``: a slice normal to ``axis``,
     an orientation the library never builds but its per-axis code must handle."""
@@ -108,8 +97,6 @@ def test_operator_matches_the_dense_node_weights(dim, n, m, kind, r, normal):
         np.testing.assert_array_equal(phi.node_indices, support)
         np.testing.assert_array_equal(phi.node_weights, dense[i][support])
         np.testing.assert_array_equal(phis[i - len(phis)].node_indices, support)
-    with pytest.raises(IndexError):
-        phis[len(phis)]
 
     # positive fields and data, so every comparison is free of cancellation
     rng = np.random.default_rng(dim)
@@ -172,15 +159,6 @@ def test_alpha_envelope_monotonicity():
         assert v_small >= v_large - 1e-15
 
 
-def test_alpha_envelope_domain_errors():
-    with pytest.raises(ValueError):
-        alpha_envelope("cube", 2, 1.0, 2.0, 0.5)
-    with pytest.raises(ValueError):
-        alpha_envelope("cube", 2, 1.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        alpha_envelope("point", 2, 1.0, 0.5, 0.5)
-
-
 def _closed_form_cube(p, d, H, h):
     """Exact envelope integral for the cube kind, by regime."""
     x = H / h
@@ -222,11 +200,6 @@ def test_bound_integral_growth_rate_d3p2():
     normalized = [vals[x] / np.sqrt(x) for x in (4, 16, 64)]
     center = np.mean(normalized)
     assert all(abs(v - center) <= 0.2 * center for v in normalized)
-
-
-def test_bound_integral_slice_p1_rejected():
-    with pytest.raises(ValueError):
-        bound_integral("slice", 1.0, 2, 1.0, 0.5)
 
 
 def test_bound_integral_vs_rate_function():

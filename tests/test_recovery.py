@@ -179,21 +179,6 @@ def test_recovery_is_the_energy_projection_onto_the_data(monkeypatch, path, dim,
     assert close(Ru.values.reshape(-1)[op.interior_indices], x)
 
 
-def test_recover_rejects_an_unknown_basis():
-    spec, part, sub, functionals, op, theta, basis = _pipeline(1, 16, 2, "cube", 0.5)
-    with pytest.raises(ValueError, match="mss"):
-        recover(fourier_h01(spec, 0), sub, op, "mss")
-
-
-@pytest.mark.parametrize("basis", ["ms", "pc"])
-def test_recover_rejects_a_field_on_another_grid(basis):
-    # an n = 8 field with the subsample and operator of n = 4 is malformed input
-    spec, part, sub, functionals, op, theta, ms_basis = _pipeline(2, 4, 2, "cube", 1.0)
-    u = GridFunction.from_callable(DomainSpec(2, 8), lambda x, y: 2.0 * x)
-    with pytest.raises(ValueError, match="axis"):
-        recover(u, sub, op, basis)
-
-
 def test_basis_vanishes_on_boundary():
     spec, part, sub, functionals, op, theta, basis = _pipeline(2, 16, 2, "cube", 0.5)
     for i in range(len(basis)):
@@ -298,10 +283,3 @@ def test_sharp_constant_matches_dense_eigh(dim, n, kind, r):
     sub = build_subsample(part, kind) if r is None else build_subsample(part, kind, r)
     assert sharp_constant_estimate(sub) == pytest.approx(_dense_sharp_constant(sub), rel=1e-12)
 
-
-def test_sharp_constant_rejects_multi_patch():
-    spec = DomainSpec(1, 16)
-    part = build_partition(spec, 2)
-    sub = build_subsample(part, "cube", 1.0)
-    with pytest.raises(ValueError):
-        sharp_constant_estimate(sub)

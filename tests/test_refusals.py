@@ -1,0 +1,284 @@
+"""Every call the library refuses, with its exact exception class and message.
+
+Each guard checks a hypothesis of the paper or a shape the grid fixes, and is
+False for NaN too: a NaN argument is refused, never computed with.
+"""
+
+import ast
+import functools
+import inspect
+import math
+import pathlib
+import re
+import warnings
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+from msrecover import analytic, elliptic, grid, harness, measurements, recovery, weights
+from msrecover.analytic import (ball_average_sequence, critical_ratio, eval_radial,
+                                power_profile, radial_function, rho)
+from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coefficient,
+                                constant_coefficient, layered_coefficient, solve)
+from msrecover.errors import AlignmentError, ConfigError
+from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
+                            gradient_lp_norm, lp_norm)
+from msrecover.harness import ExperimentConfig, fit_loglog
+from msrecover.measurements import (MeasurementVector, alpha_envelope, bound_integral,
+                                    build_functionals, contract, measure, measure_all)
+from msrecover.recovery import (build_theta, ms_recover, multiscale_basis, recover,
+                                recovery_error_report, sharp_constant_estimate)
+from msrecover.testfuncs import fourier_h01
+from msrecover.weights import build_weight, distance_field, weight_condition_check
+
+nan, inf = math.nan, math.inf
+
+
+class Refusal(NamedTuple):
+    """``call()`` raises exactly ``error`` with a message that starts with ``start``;
+    ``name`` is the public callable it exercises."""
+
+    name: str
+    call: Callable
+    error: type
+    start: str
+
+
+def _rows(name, start, error=ValueError, **calls):
+    """One row per keyword ``case=call``, keyed ``<name>-<case>`` with ``_`` read as ``-``."""
+    return {f"{name}-{case.replace('_', '-')}": Refusal(name, call, error, start)
+            for case, call in calls.items()}
+
+
+def _sub(dim, n, m, kind="cube", ratio=1.0):
+    return build_subsample(build_partition(DomainSpec(dim, n), m), kind, ratio)
+
+
+def _op(dim, n):
+    return assemble(DomainSpec(dim, n), constant_coefficient(DomainSpec(dim, n)))
+
+
+def _ramp(dim, n):  # u = 2x on the first axis
+    return GridFunction.from_callable(DomainSpec(dim, n), lambda x, *_: 2.0 * x)
+
+
+def _weight(profile, n=16, m=2, kind="cube", p=2.0, **params):
+    dist = distance_field(_sub(2, n, m, kind, 0.5))
+    return build_weight(dist, profile, p, **params), dist
+
+
+def _radii(*radii):
+    return ball_average_sequence(power_profile(0.5), radii, 2)
+
+
+SCALE = "coefficient must be strictly positive and finite on every cell"
+# read without the check, the n = 4 functionals take a prefix of each n = 8 axis:
+# u = 2x gives [0.25, 0.25, 0.75, 0.75], not the patch averages [0.5, 0.5, 1.5, 1.5]
+OTHER_GRID = "axis 1: the matrix has 5 columns, the values 9 entries"
+FINITE = "p must be a finite number >= 1, got "
+
+LIBRARY_REFUSALS = {
+    # grid
+    **_rows("DomainSpec", "dim must be 1, 2 or 3, got 4", dim=lambda: DomainSpec(4, 8)),
+    **_rows("DomainSpec", "n must be >= 2, got 1", n=lambda: DomainSpec(1, 1)),
+    **_rows("GridFunction", "values shape (4,) does not match node shape (5,)",
+            shape=lambda: GridFunction(DomainSpec(1, 4), np.zeros(4))),
+    **_rows("build_partition", "m must be >= 1, got 0", m=lambda: _sub(1, 8, 0)),
+    **_rows("build_partition", "patch count m=3 does not divide fine resolution n=8",
+            AlignmentError, divides=lambda: _sub(1, 8, 3)),
+    **_rows("build_subsample", "unknown subsample kind 'disk'",
+            kind=lambda: _sub(1, 8, 2, "disk")),
+    **_rows("build_subsample", "subsample side h = 0.3333333333333333*H is not a whole number",
+            AlignmentError, whole_cells=lambda: _sub(1, 8, 2, "cube", 1 / 3)),
+    # one cell inside four
+    **_rows("build_subsample", "concentric subsample of 1 cells inside a 4-cell patch has corners",
+            AlignmentError, parity=lambda: _sub(1, 8, 2, "cube", 0.25)),
+    **{f"build_subsample-ratio-{r}": Refusal("build_subsample", lambda r=r: _sub(
+        1, 8, 2, "cube", r), ValueError, f"ratio must lie in (0, 1], got {r}")
+       for r in (0.0, 1.5, nan)},
+    **_rows("build_subsample", "slice kind needs dim >= 2",
+            slice_1d=lambda: _sub(1, 8, 2, "slice", 0.5)),
+    # the midpoint formulas would give |x|**inf ** (1/inf) = 1, for any u and for |grad 2x| = 2
+    **_rows("lp_norm", FINITE + "inf",
+            p_inf=lambda: lp_norm(GridFunction.constant(DomainSpec(2, 8), 0.3), inf)),
+    **_rows("lp_norm", FINITE + "nan",
+            p_nan=lambda: lp_norm(GridFunction.constant(DomainSpec(2, 8), 2.0), nan)),
+    **_rows("gradient_lp_norm", FINITE + "inf", p_inf=lambda: gradient_lp_norm(_ramp(2, 8), inf)),
+    **_rows("gradient_lp_norm", FINITE + "nan", p_nan=lambda: gradient_lp_norm(_ramp(2, 8), nan)),
+    **{f"gradient_lp_norm-weight-{dim}d-n{n}": Refusal(
+        "gradient_lp_norm", lambda s=DomainSpec(dim, n): gradient_lp_norm(
+            _ramp(1, 8), 2.0, weight=constant_coefficient(s)), ValueError,
+        f"weight grid DomainSpec(dim={dim}, n={n}) does not match the field grid")
+       for dim, n in [(1, 16), (1, 4), (2, 8)]},
+    # measurements
+    **_rows("contract", OTHER_GRID,
+            columns=lambda: contract(np.zeros((9, 9)), [np.ones((2, 5))] * 2)),
+    **_rows("MeasurementOperator.__getitem__", "functional 4 out of range for 4 functionals",
+            IndexError, range=lambda: build_functionals(_sub(2, 4, 2))[4]),
+    **_rows("measure_all", OTHER_GRID,
+            grid=lambda: measure_all(_ramp(2, 8), build_functionals(_sub(2, 4, 2)))),
+    **_rows("measure", OTHER_GRID,
+            grid=lambda: measure(_ramp(2, 8), build_functionals(_sub(2, 4, 2))[0])),
+    **{f"alpha_envelope-h-{what}": Refusal(
+        "alpha_envelope", lambda h=h: alpha_envelope("cube", 2, 1.0, h, 0.5), ValueError,
+        f"need 0 < h <= H, got h={h}, H=1.0")
+       for what, h in [("above-H", 2.0), ("zero", 0.0), ("nan", nan)]},
+    **_rows("alpha_envelope", "alpha envelope defined for cube and slice kinds, got 'point'",
+            kind=lambda: alpha_envelope("point", 2, 1.0, 0.5, 0.5)),
+    **{f"alpha_envelope-t-{t}": Refusal("alpha_envelope", lambda t=t: alpha_envelope(
+        "cube", 2, 1.0, 0.5, t), ValueError, f"t must lie in [0,1], got {t}") for t in (1.5, nan)},
+    **_rows("bound_integral", "sliced measurements need p > 1",
+            slice_p1=lambda: bound_integral("slice", 1.0, 2, 1.0, 0.5)),
+    **_rows("bound_integral", "p must be >= 1, got nan",
+            p_nan=lambda: bound_integral("cube", nan, 2, 1.0, 0.5)),
+    # elliptic
+    **_rows("CoefficientField", SCALE, zero=lambda: CoefficientField(DomainSpec(1, 4), [0.0] * 4),
+            negative=lambda: CoefficientField(DomainSpec(1, 4), [-1.0] * 4),
+            nan=lambda: CoefficientField(DomainSpec(1, 4), [1.0, nan, 1.0, 1.0])),
+    **_rows("CoefficientField", "coefficient shape (3,) does not match cell shape (4,)",
+            shape=lambda: CoefficientField(DomainSpec(1, 4), [1.0] * 3)),
+    # the element scale a h^-1 overflows, a h underflows to 0
+    **_rows("constant_coefficient", SCALE + ", and so must a h^(d-2)",
+            scale_overflow=lambda: constant_coefficient(DomainSpec(1, 256), 1e308),
+            scale_underflow=lambda: constant_coefficient(DomainSpec(3, 16), 5e-324)),
+    **_rows("layered_coefficient", "layered axis must lie in 0..1, got 2",
+            axis=lambda: layered_coefficient(DomainSpec(2, 4), 10.0, axis=2)),
+    # assemble keeps its check of the coefficient against the grid it is given
+    **_rows("assemble", "coefficient and domain specs do not match", grid=lambda: assemble(
+        DomainSpec(2, 3), checkerboard_coefficient(DomainSpec(2, 6), 10.0))),
+    # a finer source used to give a wrong field from its first load entries, a coarser one
+    # an IndexError
+    **{f"solve-source-n{n}": Refusal(
+        "solve", lambda n=n: solve(_op(2, 8), fourier_h01(DomainSpec(2, n), 7)), ValueError,
+        f"source grid DomainSpec(dim=2, n={n}) does not match the operator grid "
+        "DomainSpec(dim=2, n=8)") for n in (16, 4)},
+    # recovery
+    **_rows("recover", "unknown recovery basis 'mss'", basis=lambda: recover(
+        fourier_h01(DomainSpec(1, 16), 0), _sub(1, 16, 2, "cube", 0.5), _op(1, 16), "mss")),
+    # an n = 8 field with the subsample and operator of n = 4 is malformed input
+    **_rows("recover", OTHER_GRID,
+            ms_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 4), "ms"),
+            pc_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 4), "pc")),
+    **_rows("ms_recover", "data and basis index sets do not match", length=lambda: ms_recover(
+        MeasurementVector(np.zeros(3)),
+        multiscale_basis(build_theta(build_functionals(_sub(1, 8, 2)), _op(1, 8))))),
+    **_rows("recovery_error_report", "fields live on different grids",
+            grid=lambda: recovery_error_report(_ramp(1, 8), _ramp(1, 4), {}, _op(1, 8))),
+    **_rows("sharp_constant_estimate", "the constant estimate runs on a single-patch",
+            multi_patch=lambda: sharp_constant_estimate(_sub(1, 16, 2))),
+    # weights
+    **_rows("build_weight", "polynomial profile needs beta > 0",
+            beta_zero=lambda: _weight("polynomial", beta=0.0),
+            beta_nan=lambda: _weight("polynomial", beta=nan)),
+    **_rows("build_weight", "logarithmic profile needs gamma > p - 1",
+            gamma_one=lambda: _weight("logarithmic", gamma=1.0),
+            gamma_nan=lambda: _weight("logarithmic", gamma=nan)),
+    **_rows("build_weight", "unknown weight profile 'pow'", profile=lambda: _weight("pow")),
+    # three cells per patch put a cell center exactly on a patch center
+    **_rows("build_weight", "limit weight (h=0) needs an even cell count", AlignmentError,
+            parity=lambda: _weight("polynomial", n=12, m=4, kind="point")),
+    **_rows("weight_condition_check", "the weight condition applies to p > 1 only",
+            p_one=lambda: weight_condition_check(*_weight("w11", m=1, p=1.0), 1.0),
+            p_nan=lambda: weight_condition_check(*_weight("w11", m=1, p=1.0), nan)),
+    # analytic
+    **_rows("rho", "variant must be 'sharp' or 'tilde', got 'bogus'",
+            variant=lambda: rho("bogus", 2, 2, 1.0)),
+    **_rows("rho", "x must be >= 0", x_negative=lambda: rho("sharp", 2, 2, -1.0),
+            x_nan=lambda: rho("sharp", 2, 2, nan)),
+    **_rows("rho", "p must be >= 1", p_below_one=lambda: rho("sharp", 0.5, 2, 3.0),
+            p_nan=lambda: rho("sharp", nan, 2, 3.0)),
+    # h must lie in (0, 1/4]; critical_ratio's h is radial_function's
+    **{f"radial_function-{kind}-h-{h}": Refusal(
+        "radial_function", lambda kind=kind, h=h: radial_function(kind, h), ValueError,
+        f"{kind} needs h in (0, 1/4]") for kind in ("critical_log", "critical_ramp")
+       for h in (None, 0.0, 0.3, nan)},
+    **_rows("critical_ratio", "critical_ramp needs h in (0, 1/4]",
+            h=lambda: critical_ratio(3, 2, 0.3)),
+    **_rows("radial_function", "unknown radial kind 'nope'", kind=lambda: radial_function("nope")),
+    **_rows("eval_radial", "loglog diverges at r = 0",
+            loglog_at_zero=lambda: eval_radial(radial_function("loglog"), 0.0)),
+    **_rows("power_profile", "power profile needs q > 0", q_zero=lambda: power_profile(0.0),
+            q_nan=lambda: power_profile(nan)),
+    **_rows("critical_ratio", "critical profiles exist for dim >= p only",
+            dim_below_p=lambda: critical_ratio(1, 2, 0.1),
+            p_nan=lambda: critical_ratio(2, nan, 0.1)),
+    **_rows("ball_average_sequence", "radii must be strictly decreasing",
+            repeated=lambda: _radii(0.5, 0.5)),
+    **_rows("ball_average_sequence", "radii must lie in [2.2250738585072014e-308, 1], the normal",
+            above_one=lambda: _radii(2.0, 1.0), empty=lambda: _radii(),
+            nan=lambda: _radii(0.5, nan)),
+    # harness
+    **_rows("fit_loglog", "need at least 3 distinct x values to fit",
+            two_points=lambda: fit_loglog([(1.0, 1.0), (2.0, 4.0)]),
+            repeated_x=lambda: fit_loglog([(0.5, 1.0), (0.5, 1.0), (0.25, 0.25)])),
+    **_rows("fit_loglog", "log-log fit needs strictly positive data",
+            nonpositive=lambda: fit_loglog([(1.0, 1.0), (2.0, -4.0), (3.0, 9.0)]),
+            nan=lambda: fit_loglog([(1.0, 1.0), (2.0, nan), (3.0, 9.0)])),
+    **_rows("ExperimentConfig", "profile_kind must be one of", ConfigError,
+            profile_kind=lambda: ExperimentConfig(profile_kind="bogus")),
+}
+
+# refusing callables whose refusals another table or test holds: (test module, its name)
+REFUSED_ELSEWHERE = {
+    "StiffnessOperator.solve_interior": ("test_elliptic.py", "SOLVE_FAILURES"),
+    "StiffnessOperator.solve_neumann": ("test_elliptic.py", "SOLVE_FAILURES"),
+    "load_grid_function": ("test_harness.py", "REFUSALS"),  # its rows with --input bytes
+    "build_theta": ("test_recovery.py", "test_build_theta_rejects_dependent_functionals"),
+}
+
+
+@pytest.mark.parametrize("row_id", LIBRARY_REFUSALS)
+def test_library_refusal_raises_its_error(row_id):
+    row = LIBRARY_REFUSALS[row_id]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would escape as an exception
+        with pytest.raises(Exception) as caught:
+            row.call()
+    assert type(caught.value) is row.error, repr(caught.value)
+    assert str(caught.value).startswith(row.start), str(caught.value)
+
+
+LIBRARY = (grid, measurements, elliptic, recovery, weights, analytic)
+
+
+def _refusing_callables(module) -> set:
+    """The public functions, methods (``Class.method``) and classes (by ``__init__``
+    or ``__post_init__``) of ``module`` whose source holds a ``raise``, nested
+    functions included, or reaches one through a private function of the module
+    or a private ``self`` member."""
+    defs = {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs.update({f"{node.name}.{m.name}": m for m in node.body
+                         if isinstance(m, ast.FunctionDef)})
+
+    def private_refs(name):
+        cls = name.rpartition(".")[0]
+        return {n.id if isinstance(n, ast.Name) else f"{cls}.{n.attr}" for n in ast.walk(defs[name])
+                if isinstance(n, ast.Name) and n.id.startswith("_") or isinstance(n, ast.Attribute)
+                and n.attr.startswith("_") and getattr(n.value, "id", None) == "self"}
+
+    refs = {name: private_refs(name) for name in defs}
+    raising = {name for name, node in defs.items()
+               if any(isinstance(n, ast.Raise) for n in ast.walk(node))}
+    for _ in defs:  # each pass reaches one helper deeper
+        raising |= {name for name in defs if refs[name] & raising}
+    named = {name.removesuffix(".__init__").removesuffix(".__post_init__") for name in raising}
+    return {name for name in named if not re.search(r"(^|\.)_(?!_)", name)}
+
+
+def test_every_refusing_callable_has_a_row_or_names_where_its_refusals_are_tested():
+    refusing = set().union(*map(_refusing_callables, LIBRARY))
+    rowed = {row.name for row in LIBRARY_REFUSALS.values()}
+    assert rowed & set(REFUSED_ELSEWHERE) == set()
+    assert refusing - rowed - set(REFUSED_ELSEWHERE) == set()
+    assert set(REFUSED_ELSEWHERE) - refusing == set()
+    for name in rowed:  # a public callable of the library
+        owner = next(m for m in (*LIBRARY, harness) if hasattr(m, name.split(".")[0]))
+        assert callable(functools.reduce(getattr, name.split("."), owner)), name
+    here = pathlib.Path(__file__).parent
+    for module, name in REFUSED_ELSEWHERE.values():  # a table or test of that module
+        assert re.search(rf"^({name} = |def {name}\()", (here / module).read_text(), re.M), name
