@@ -96,7 +96,7 @@ def radial_function(kind: str, h: float | None = None) -> RadialFunction:
 
         def f(r):
             r = np.asarray(r, dtype=float)
-            if np.any(r <= 0.0):
+            if not np.all(r > 0.0):
                 raise ValueError("loglog diverges at r = 0 (the pointwise value is infinite)")
             return np.log(np.log(1.0 / r + 1.0))
 

@@ -63,6 +63,8 @@ def build_weight(dist: DistanceField, profile: str, p: float, *, beta: float = 1
     """
     if profile not in WEIGHT_PROFILES:
         raise ValueError(f"unknown weight profile {profile!r}")
+    if not p >= 1.0:
+        raise ValueError(f"p must be >= 1, got {p}")
     sub = dist.sub
     spec, H, h = sub.partition.spec, sub.H, sub.h
     dim = spec.dim

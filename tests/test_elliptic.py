@@ -437,61 +437,6 @@ def _eager_assembly(spec, a):
     return full, full[interior][:, interior].tocsr()
 
 
-def test_stiffness_scales_with_coefficient():
-    spec = DomainSpec(2, 8)
-    K1 = assemble(spec, constant_coefficient(spec, 1.0)).matrix
-    K3 = assemble(spec, constant_coefficient(spec, 3.0)).matrix
-    np.testing.assert_allclose(K3.toarray(), 3.0 * K1.toarray(), rtol=1e-14)
-
-
-def test_stiffness_symmetry_and_definiteness():
-    spec = DomainSpec(2, 8)
-    op = assemble(spec, lognormal_coefficient(spec, sigma=0.5, seed=1))
-    K = op.matrix.toarray()
-    assert np.max(np.abs(K - K.T)) <= 1e-14 * np.max(np.abs(K))
-    np.linalg.cholesky(K)  # raises if not SPD
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        v = rng.standard_normal(K.shape[0])
-        assert v @ K @ v > 0.0
-
-
-def test_energy_inner_symmetry_and_positivity():
-    spec = DomainSpec(2, 8)
-    a = constant_coefficient(spec)
-    op = assemble(spec, a)
-    rng = np.random.default_rng(2)
-    u = GridFunction(spec, rng.standard_normal(spec.node_shape))
-    v = GridFunction(spec, rng.standard_normal(spec.node_shape))
-    assert energy_inner(u, v, op) == pytest.approx(energy_inner(v, u, op), rel=1e-14)
-    assert energy_inner(u, u, op) > 0.0
-    z = GridFunction.constant(spec, 5.0)
-    assert energy_inner(z, z, op) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_galerkin_consistency():
-    spec = DomainSpec(2, 16)
-    a = lognormal_coefficient(spec, sigma=0.4, seed=3)
-    op = assemble(spec, a)
-    f = GridFunction.from_callable(spec, lambda x, y: np.cos(np.pi * x) + y)
-    u = solve(op, f)
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        vv = np.zeros(spec.node_shape)
-        vv[1:-1, 1:-1] = rng.standard_normal((spec.n - 1, spec.n - 1))
-        v = GridFunction(spec, vv)
-        assert energy_inner(u, v, op) == pytest.approx(l2_inner(f, v), abs=1e-9)
-
-
-def test_maximum_principle_1d():
-    spec = DomainSpec(1, 32)
-    op = assemble(spec, lognormal_coefficient(spec, sigma=0.5, seed=7))
-    rng = np.random.default_rng(8)
-    f = GridFunction(spec, rng.random(spec.node_shape))
-    u = solve(op, f)
-    assert np.all(u.values >= -1e-12)
-
-
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 12), (3, 6)])
 @pytest.mark.parametrize("coefficient", COEFFICIENTS)
 def test_operator_forms_are_one_spd_galerkin_operator(monkeypatch, dim, n, coefficient):

@@ -6,7 +6,6 @@ import pathlib
 import struct
 import subprocess
 import sys
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 from msrecover import cli, harness
 from msrecover.cli import main as cli_main
 from msrecover.elliptic import StiffnessOperator
-from msrecover.errors import ConfigError
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
                             save_grid_function)
 from msrecover.harness import (CONSTANT_SLACK, POINTWISE_PROFILES, RATE_SLACK, RECOVER_DEFAULTS,
@@ -23,6 +21,48 @@ from msrecover.harness import (CONSTANT_SLACK, POINTWISE_PROFILES, RATE_SLACK, R
                                fit_loglog, run_convergence_study, run_study)
 from msrecover.testfuncs import LIBRARY_VERSION, fourier_h01
 from msrecover.weights import WEIGHT_PROFILES, build_weight, distance_field
+
+
+def _argv(run_dir: pathlib.Path, command: str, config: str | None = None, field=None,
+          argv: tuple = ()) -> list:
+    """Write a run's files in ``run_dir`` and return its ``msrecover`` argv: ``config``
+    (JSON text) as ``--config cfg.json``; for recover, ``field`` (CSV bytes or a
+    ``GridFunction``) as ``--input u.csv`` and ``--output rec.csv``; for a study,
+    ``--out out``. ``argv`` comes last, with ``{tmp}`` read as ``run_dir``, so an
+    option there overrides these."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    args = [command]
+    if config is not None:
+        (run_dir / "cfg.json").write_text(config)
+        args += ["--config", str(run_dir / "cfg.json")]
+    if command == "recover":
+        if isinstance(field, GridFunction):
+            save_grid_function(field, run_dir / "u.csv")
+        else:
+            (run_dir / "u.csv").write_bytes(field)
+        args += ["--input", str(run_dir / "u.csv"), "--output", str(run_dir / "rec.csv")]
+    else:
+        args += ["--out", str(run_dir / "out")]
+    return args + [arg.format(tmp=run_dir) for arg in argv]
+
+
+def _run(run_dir: pathlib.Path, capsys, *args, **kwargs) -> tuple:
+    """Run the command line ``_argv(run_dir, *args, **kwargs)`` writes; return its
+    (exit code, stdout, stderr)."""
+    code = cli_main(_argv(run_dir, *args, **kwargs))
+    return (code, *capsys.readouterr())
+
+
+def _sines(dim: int, n: int) -> GridFunction:
+    """The product of sin(pi x_i) on the ``dim``-D grid of ``n`` cells a side."""
+    return GridFunction.from_callable(
+        DomainSpec(dim, n), lambda *x: np.prod([np.sin(np.pi * xi) for xi in x], axis=0))
+
+
+def _grid_csv(dim: int, n: int, last: str = "1.0") -> bytes:
+    """A grid-function CSV of ones on the ``dim``-D grid of ``n`` cells a side, with
+    ``last`` as its last node value."""
+    return (f"{dim},{n}\n" + "1.0\n" * ((n + 1) ** dim - 1) + f"{last}\n").encode()
 
 
 def test_fit_loglog_exact_quadratic():
@@ -46,23 +86,6 @@ def test_fit_loglog_noisy_quadratic():
     assert fit["slope"] == pytest.approx(2.0, abs=0.05)
 
 
-def test_config_from_json(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"name": "t", "dim": 1, "n": 64,
-                                "H_sweep": [0.5, 0.25, 0.125]}))
-    cfg = ExperimentConfig.from_json(path, STUDIES["converge"].defaults)
-    assert cfg.n == 64 and len(cfg.H_sweep) == 3
-    # a key the file leaves out keeps the study's default, not the class default
-    assert cfg.r == STUDIES["converge"].defaults["r"] != ExperimentConfig().r
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"name": "t", "bogus_key": 1}))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_json(bad, STUDIES["converge"].defaults)
-    # a field the command does not read is rejected like an unknown key
-    with pytest.raises(ConfigError, match="does not read"):
-        ExperimentConfig.from_json(path, STUDIES["pointwise"].defaults)
-
-
 def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a recovery ran before the weights were checked")
@@ -70,10 +93,9 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
     # the check comes before every recovery, so no operator solve may run
     monkeypatch.setattr(StiffnessOperator, "solve_interior", no_solve)
     # the weight is constant at both ratios, which leaves only the point endpoint
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**STUDIES["degeneracy"].defaults, "r_sweep": [1.0, 0.5]}))
-    assert cli_main(["degeneracy", "--config", str(path)]) == 2
-    assert "weight to act" in capsys.readouterr().err
+    config = json.dumps({**STUDIES["degeneracy"].defaults, "r_sweep": [1.0, 0.5]})
+    code, _, err = _run(tmp_path, capsys, "degeneracy", config)
+    assert code == 2 and "weight to act" in err
 
 
 @pytest.mark.parametrize("profile", list(WEIGHT_PROFILES))
@@ -98,30 +120,21 @@ def test_a_config_coeff_of_only_its_required_keys_takes_its_generators_defaults(
 
 def test_a_lognormal_coeff_without_a_seed_draws_with_the_seed_option(tmp_path, capsys):
     rows = {}
-    for label, seed, argv in [("option", {}, ["--seed", "3"]), ("config", {"seed": 3}, []),
-                              ("other", {}, ["--seed", "4"])]:
-        path = tmp_path / f"{label}.json"
-        path.write_text(json.dumps({"coeff": {"name": "lognormal", "sigma": 0.5, **seed}}))
-        out = tmp_path / label
-        assert cli_main(["converge", "--config", str(path), "--out", str(out)] + argv) in (0, 1)
-        rows[label] = (out / "converge_rows.csv").read_bytes()
-    capsys.readouterr()
+    for label, seed, argv in [("option", {}, ("--seed", "3")), ("config", {"seed": 3}, ()),
+                              ("other", {}, ("--seed", "4"))]:
+        config = json.dumps({"coeff": {"name": "lognormal", "sigma": 0.5, **seed}})
+        assert _run(tmp_path / label, capsys, "converge", config, argv=argv)[0] in (0, 1)
+        rows[label] = (tmp_path / label / "out" / "converge_rows.csv").read_bytes()
     assert rows["option"] == rows["config"] != rows["other"]
 
 
 def test_cli_a_study_that_reads_no_seed_ignores_the_seed_option(tmp_path, capsys):
-    assert cli_main(["pointwise", "--seed", "5", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert "seed" not in json.loads((tmp_path / "pointwise_report.json").read_text())["config"]
+    assert _run(tmp_path, capsys, "pointwise", argv=("--seed", "5"))[0] == 0
+    report = json.loads((tmp_path / "out" / "pointwise_report.json").read_text())
+    assert "seed" not in report["config"]
 
 
-def _grid_csv(dim: int, n: int, last: str = "1.0") -> bytes:
-    """A grid-function CSV of ones on the ``dim``-D grid of ``n`` cells a side, with
-    ``last`` as its last node value."""
-    return (f"{dim},{n}\n" + "1.0\n" * ((n + 1) ** dim - 1) + f"{last}\n").encode()
-
-
-# stderr prefixes; {tmp} is the test's directory, and u.csv its --input file
+# stderr prefixes; {tmp} is the run's directory, and u.csv its --input file
 CONFIG, SOLVER, INPUT = "configuration error: ", "solver error: ", "input error: {tmp}/u.csv: "
 SEED = "seed must be a non-negative integer, got -1\n"
 UNREAD = "keys this command does not read: "  # each such config has one key
@@ -136,105 +149,12 @@ class Refusal(NamedTuple):
     config: str | None  # the --config file's JSON text; None: no --config
     start: str
     prefix: str = CONFIG
-    data: bytes | None = None  # recover's --input bytes; None: a valid 2D n=16 field
-    argv: tuple = ()  # appended last, so an option here overrides the test's own
+    data: bytes = _grid_csv(2, 16)  # recover's --input bytes
+    argv: tuple = ()  # appended last, so an option here overrides the runner's own
     early: bool = False  # refused before the study's runner or `recover` starts
 
 
-# one bad key or value in a command's config, an exit-2 case of the command line
-BAD_CONFIG_KEYS = [
-    # gate widths are constants, so no config key sets them
-    Refusal("rates", '{"tolerances": {"grid_bnad": 0.0}}', UNREAD),
-    Refusal("rates", '{"tolerances": {"grid_band": 0.5}}', UNREAD),
-    Refusal("converge", '{"coeff": {"name": "checkerboard", "contrst": 10}}',
-            "unknown checkerboard coeff keys: ['contrst']"),
-    Refusal("converge", '{"coeff": {"name": "checkerboard"}}',
-            "checkerboard coeff needs keys: ['contrast']"),
-    Refusal("converge", '{"coeff": {"name": "stripes"}}',
-            "unknown coefficient generator 'stripes'"),
-    Refusal("converge", '{"coeff": "checkerboard"}', "coeff must be a JSON object"),
-    Refusal("degeneracy", '{"weight": {"betta": 5.0}}',
-            "unknown polynomial weight keys: ['betta']"),
-    # values of the wrong JSON type
-    Refusal("converge", '{"H_sweep": 0.5}', "H_sweep must be a JSON array"),
-    Refusal("converge", '{"n": 256.0}', "n must be a JSON integer"),
-    Refusal("converge", '{"dim": true}', "dim must be a JSON integer"),
-    Refusal("converge", '{"r": "0.5"}', "r must be a JSON number"),
-    Refusal("rates", '{"name": 3}', "name must be a JSON string"),
-    Refusal("converge", '{"seed": null}', "seed must be a JSON integer"),
-    # values inside coeff and the sweep lists
-    Refusal("converge", '{"coeff": {"name": "checkerboard", "contrast": "ten"}}',
-            "coeff contrast must be a positive finite number"),
-    Refusal("converge", '{"coeff": {"name": "constant", "value": -1}}',
-            "coeff value must be a positive finite number"),
-    Refusal("converge", '{"coeff": {"name": "constant", "value": true}}',
-            "coeff value must be a positive finite number"),
-    Refusal("converge", '{"coeff": {"name": "layered", "contrast": 10, "axis": 1}}',
-            "layered axis must lie in 0..0"),  # dim 1
-    Refusal("converge", '{"coeff": {"name": "lognormal", "sigma": "1"}}',
-            "coeff sigma must be a finite number"),
-    Refusal("converge", '{"coeff": {"name": "lognormal", "seed": 2.0}}',
-            "coeff seed must be a non-negative integer"),
-    Refusal("converge", '{"H_sweep": [0.5, "1/4", 0.125]}',
-            "H_sweep entries must be a positive finite number"),
-    Refusal("rates", '{"r_sweep": [1.0, 0.5, 0.0]}',
-            "r_sweep entries must be a positive finite number"),
-    Refusal("critical", '{"h_sweep": [0.25, 0.125, -0.0625]}',
-            "h_sweep entries must be a positive finite number"),
-    Refusal("pointwise", '{"radii": [0.5, 0.25, 0.125, null]}',
-            "radii entries must be a positive finite number"),
-    # the slope bands and the condition class are constants too: tolerances is
-    # an unknown key in every study, whatever it holds
-    Refusal("converge", '{"tolerances": {"slopes": {"ms_l3": [2.0, 0.2]}}}', UNREAD),
-    Refusal("converge", '{"tolerances": {"slopes": {"ms_l2": 2.0}}}', UNREAD),
-    Refusal("converge", '{"tolerances": {"slopes": {"ms_l2": [2.0, 0.2, 0.1]}}}', UNREAD),
-    Refusal("converge", '{"tolerances": {"slopes": {"ms_l2": [2.0, "wide"]}}}', UNREAD),
-    Refusal("converge", '{"tolerances": {"slopes": [["ms_l2", 2.0, 0.2]]}}', UNREAD),
-    Refusal("weighted", '{"tolerances": {"expect_condition": "bouned"}}', UNREAD),
-    # names and types inside weight, and the named choices
-    Refusal("degeneracy", '{"weight": {"profile": "polinomial"}}', "weight profile must be one of"),
-    Refusal("degeneracy", '{"weight": {"beta": "one"}}', "weight beta must be a finite number"),
-    Refusal("degeneracy", '{"weight": {"validate": "yes"}}',
-            "weight validate must be true or false"),
-    Refusal("degeneracy", '{"weight": {"beta": 0.0, "validate": true}}',
-            "polynomial profile needs beta > 0"),  # build_weight's rule
-    Refusal("rates", '{"kind": "cubee"}', "kind must be one of"),
-    Refusal("converge", '{"basis": "pcc"}', UNREAD),
-    # a valid field the command does not read
-    Refusal("converge", '{"m": 4}', UNREAD),
-    Refusal("rates", '{"seed": 1}', UNREAD),
-    Refusal("critical", '{"weight": {"beta": 2.0}}', UNREAD),
-    Refusal("degeneracy", '{"kind": "slice"}', UNREAD),
-    Refusal("weighted", '{"coeff": {"name": "checkerboard", "contrast": 10.0}}', UNREAD),
-    Refusal("pointwise", '{"coeff": {"name": "checkerboard", "contrast": 1e9}}', UNREAD),
-    Refusal("recover", '{"dim": 2}', UNREAD),
-    # pointwise's target rate is the polynomial weight's: it reads beta alone
-    Refusal("pointwise", '{"weight": {"profile": "w11", "gamma": 3.0, "validate": false}}',
-            "unknown w11 weight keys: ['gamma', 'validate']"),
-    Refusal("pointwise", '{"weight": {"profile": "logarithmic"}}',
-            "pointwise reads only a polynomial weight's beta"),
-    Refusal("pointwise", '{"weight": {"beta": 2.0, "validate": true}}',
-            "pointwise reads only a polynomial weight's beta"),
-    # p below 1 is no norm exponent, and weighted draws at least one function
-    Refusal("pointwise", '{"p": 0}', "p must be a finite number >= 1"),
-    Refusal("pointwise", '{"p": -2.0}', "p must be a finite number >= 1"),
-    Refusal("degeneracy", '{"p": -1.0}', "p must be a finite number >= 1"),
-    Refusal("weighted", '{"num_functions": 0}', "num_functions must be >= 1"),
-    # a repeated sweep value: the fits and bands would read fewer distinct points
-    Refusal("converge", '{"H_sweep": [0.5, 0.5, 0.5]}', "H_sweep repeats a value"),
-    Refusal("rates", '{"r_sweep": [0.5, 0.5]}', "r_sweep repeats a value"),
-    Refusal("critical", '{"h_sweep": [0.25, 0.25, 0.25]}', "h_sweep repeats a value"),
-    Refusal("degeneracy", '{"r_sweep": [0.25, 0.25]}', "r_sweep repeats a value"),
-    # a key the weight's profile does not read
-    Refusal("weighted", '{"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}',
-            "unknown polynomial weight keys: ['gamma']"),
-    Refusal("weighted", '{"weight": {"profile": "w11", "beta": 7.0, "gamma": 9.0}}',
-            "unknown w11 weight keys: ['beta', 'gamma']"),
-    Refusal("degeneracy", '{"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}',
-            "unknown polynomial weight keys: ['gamma']"),
-]
-
-# every other exit-2 case of the command line
+# every exit-2 case of the command line
 REFUSALS = [
     # a negative seed, from the config or --seed, even where the study reads none
     Refusal("converge", '{"seed": -1}', SEED),
@@ -364,16 +284,99 @@ REFUSALS = [
     Refusal("pointwise", '{"profile_kind": "logloglog"}',
             "profile_kind must be one of ['power', 'constant', 'loglog'], got 'logloglog'\n",
             early=True),
+    # gate widths, slope bands and the condition class are constants: tolerances
+    # is an unknown key in every study, whatever it holds
+    Refusal("rates", '{"tolerances": {"grid_band": 0.5}}', UNREAD),
+    Refusal("converge", '{"coeff": {"name": "checkerboard", "contrst": 10}}',
+            "unknown checkerboard coeff keys: ['contrst']"),
+    Refusal("converge", '{"coeff": {"name": "checkerboard"}}',
+            "checkerboard coeff needs keys: ['contrast']"),
+    Refusal("converge", '{"coeff": {"name": "stripes"}}',
+            "unknown coefficient generator 'stripes'"),
+    Refusal("converge", '{"coeff": "checkerboard"}', "coeff must be a JSON object"),
+    Refusal("degeneracy", '{"weight": {"betta": 5.0}}',
+            "unknown polynomial weight keys: ['betta']"),
+    # values of the wrong JSON type
+    Refusal("converge", '{"H_sweep": 0.5}', "H_sweep must be a JSON array"),
+    Refusal("converge", '{"n": 256.0}', "n must be a JSON integer"),
+    Refusal("converge", '{"dim": true}', "dim must be a JSON integer"),
+    Refusal("converge", '{"r": "0.5"}', "r must be a JSON number"),
+    Refusal("rates", '{"name": 3}', "name must be a JSON string"),
+    Refusal("converge", '{"seed": null}', "seed must be a JSON integer"),
+    # values inside coeff and the sweep lists
+    Refusal("converge", '{"coeff": {"name": "checkerboard", "contrast": "ten"}}',
+            "coeff contrast must be a positive finite number"),
+    Refusal("converge", '{"coeff": {"name": "constant", "value": -1}}',
+            "coeff value must be a positive finite number"),
+    Refusal("converge", '{"coeff": {"name": "constant", "value": true}}',
+            "coeff value must be a positive finite number"),
+    Refusal("converge", '{"coeff": {"name": "layered", "contrast": 10, "axis": 1}}',
+            "layered axis must lie in 0..0"),  # dim 1
+    Refusal("converge", '{"coeff": {"name": "lognormal", "sigma": "1"}}',
+            "coeff sigma must be a finite number"),
+    Refusal("converge", '{"coeff": {"name": "lognormal", "seed": 2.0}}',
+            "coeff seed must be a non-negative integer"),
+    Refusal("converge", '{"H_sweep": [0.5, "1/4", 0.125]}',
+            "H_sweep entries must be a positive finite number"),
+    Refusal("rates", '{"r_sweep": [1.0, 0.5, 0.0]}',
+            "r_sweep entries must be a positive finite number"),
+    Refusal("critical", '{"h_sweep": [0.25, 0.125, -0.0625]}',
+            "h_sweep entries must be a positive finite number"),
+    Refusal("pointwise", '{"radii": [0.5, 0.25, 0.125, null]}',
+            "radii entries must be a positive finite number"),
+    # names and types inside weight, and the named choices
+    Refusal("degeneracy", '{"weight": {"profile": "polinomial"}}', "weight profile must be one of"),
+    Refusal("degeneracy", '{"weight": {"beta": "one"}}', "weight beta must be a finite number"),
+    Refusal("degeneracy", '{"weight": {"validate": "yes"}}',
+            "weight validate must be true or false"),
+    Refusal("degeneracy", '{"weight": {"beta": 0.0, "validate": true}}',
+            "polynomial profile needs beta > 0"),  # build_weight's rule
+    Refusal("rates", '{"kind": "cubee"}', "kind must be one of"),
+    Refusal("converge", '{"basis": "pcc"}', UNREAD),
+    # a valid field the command does not read
+    Refusal("converge", '{"m": 4}', UNREAD),
+    Refusal("rates", '{"seed": 1}', UNREAD),
+    Refusal("critical", '{"weight": {"beta": 2.0}}', UNREAD),
+    Refusal("degeneracy", '{"kind": "slice"}', UNREAD),
+    Refusal("weighted", '{"coeff": {"name": "checkerboard", "contrast": 10.0}}', UNREAD),
+    Refusal("pointwise", '{"coeff": {"name": "checkerboard", "contrast": 1e9}}', UNREAD),
+    Refusal("recover", '{"dim": 2}', UNREAD),
+    # pointwise's target rate is the polynomial weight's: it reads beta alone
+    Refusal("pointwise", '{"weight": {"profile": "w11", "gamma": 3.0, "validate": false}}',
+            "unknown w11 weight keys: ['gamma', 'validate']"),
+    Refusal("pointwise", '{"weight": {"profile": "logarithmic"}}',
+            "pointwise reads only a polynomial weight's beta"),
+    Refusal("pointwise", '{"weight": {"beta": 2.0, "validate": true}}',
+            "pointwise reads only a polynomial weight's beta"),
+    # p below 1 is no norm exponent, and weighted draws at least one function
+    Refusal("pointwise", '{"p": 0}', "p must be a finite number >= 1"),
+    Refusal("pointwise", '{"p": -2.0}', "p must be a finite number >= 1"),
+    Refusal("degeneracy", '{"p": -1.0}', "p must be a finite number >= 1"),
+    Refusal("weighted", '{"num_functions": 0}', "num_functions must be >= 1"),
+    # a repeated sweep value: the fits and bands would read fewer distinct points
+    Refusal("converge", '{"H_sweep": [0.5, 0.5, 0.5]}', "H_sweep repeats a value"),
+    Refusal("rates", '{"r_sweep": [0.5, 0.5]}', "r_sweep repeats a value"),
+    Refusal("critical", '{"h_sweep": [0.25, 0.25, 0.25]}', "h_sweep repeats a value"),
+    Refusal("degeneracy", '{"r_sweep": [0.25, 0.25]}', "r_sweep repeats a value"),
+    # a key the weight's profile does not read
+    Refusal("weighted", '{"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}',
+            "unknown polynomial weight keys: ['gamma']"),
+    Refusal("weighted", '{"weight": {"profile": "w11", "beta": 7.0, "gamma": 9.0}}',
+            "unknown w11 weight keys: ['beta', 'gamma']"),
+    Refusal("degeneracy", '{"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}',
+            "unknown polynomial weight keys: ['gamma']"),
 ]
 
 
 def _tree(root: pathlib.Path) -> dict:
-    """Every path under ``root``, with a file's bytes."""
-    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+    """Every path under ``root``, relative to it, with a file's bytes."""
+    return {path.relative_to(root): path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
 
 
-def _assert_refused(tmp_path: pathlib.Path, capsys, monkeypatch, row: Refusal) -> None:
-    """Run ``row``'s command line in ``tmp_path`` and check that it is refused."""
+@pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.command}-{i}")
+                                 for i, row in enumerate(REFUSALS)])
+def test_cli_refusal_exits_two(tmp_path, capsys, monkeypatch, row):
     started = []  # the work an early row must not start
 
     def recorded(work):
@@ -385,41 +388,19 @@ def _assert_refused(tmp_path: pathlib.Path, capsys, monkeypatch, row: Refusal) -
         study = STUDIES[row.command]
         monkeypatch.setitem(STUDIES, row.command,
                             dataclasses.replace(study, runner=recorded(study.runner)))
-    argv = [row.command]
-    if row.config is not None:
-        (tmp_path / "cfg.json").write_text(row.config)
-        argv += ["--config", str(tmp_path / "cfg.json")]
-    if row.command == "recover":
-        (tmp_path / "u.csv").write_bytes(_grid_csv(2, 16) if row.data is None else row.data)
-        argv += ["--input", str(tmp_path / "u.csv"), "--output", str(tmp_path / "rec.csv")]
-    else:
-        argv += ["--out", str(tmp_path / "out")]
-    argv += [arg.format(tmp=tmp_path) for arg in row.argv]
-    before = _tree(tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning would escape as an exception
-        assert cli_main(argv) == 2
-    out, err = capsys.readouterr()
-    prefix = row.prefix.format(tmp=tmp_path)
-    # one line, no traceback, and nothing on stdout or on disk: no rec.csv, no report
-    assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    run, args = tmp_path / "run", (row.command, row.config, row.data, row.argv)
+    code, out, err = _run(run, capsys, *args)
+    prefix = row.prefix.format(tmp=run)
+    # one line, no traceback, and nothing on stdout
+    assert code == 2 and out == "" and err.count("\n") == 1 and err.endswith("\n")
     assert err.startswith(prefix + row.start), err
     if prefix.startswith("input error"):  # a malformed file is quoted, not dumped
-        assert len(err[len(prefix):-1].replace(str(tmp_path), "")) <= 120
-    assert _tree(tmp_path) == before
+        assert len(err[len(prefix):-1].replace(str(run), "")) <= 120
+    # nothing on disk but the run's inputs, as the same argv writes them unrun:
+    # no rec.csv, no report
+    _argv(tmp_path / "unrun", *args)
+    assert _tree(run) == _tree(tmp_path / "unrun")
     assert started == []
-
-
-@pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.command}-override{i}")
-                                 for i, row in enumerate(BAD_CONFIG_KEYS)])
-def test_cli_rejects_bad_config_keys(tmp_path, capsys, monkeypatch, row):
-    _assert_refused(tmp_path, capsys, monkeypatch, row)
-
-
-@pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.command}-{i}")
-                                 for i, row in enumerate(REFUSALS)])
-def test_cli_refusal_exits_two(tmp_path, capsys, monkeypatch, row):
-    _assert_refused(tmp_path, capsys, monkeypatch, row)
 
 
 def test_cli_help_lists_every_study_with_its_columns(capsys):
@@ -613,15 +594,10 @@ def test_study_gate_reads_as_declared(tmp_path, capsys, row):
     if row.config is None:
         report = json.loads((GOLDEN / f"{row.command}_report.json").read_text())
     else:
-        (tmp_path / "cfg.json").write_text(row.config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning would escape as an exception
-            code = cli_main([row.command, "--config", str(tmp_path / "cfg.json"),
-                             "--out", str(tmp_path)])
-        out, err = capsys.readouterr()
+        code, out, err = _run(tmp_path, capsys, row.command, row.config)
         assert (code, err) == (row.exit, "")
-        assert (tmp_path / f"{row.command}_rows.csv").exists()
-        report = json.loads((tmp_path / f"{row.command}_report.json").read_text())
+        assert (tmp_path / "out" / f"{row.command}_rows.csv").exists()
+        report = json.loads((tmp_path / "out" / f"{row.command}_report.json").read_text())
         # the printed summary: one JSON line, the report less its rows and config
         assert out.count("\n") == 1 and out.endswith("\n")
         assert json.loads(out) == {k: v for k, v in report.items() if k not in ("rows", "config")}
@@ -674,49 +650,36 @@ THREAD_RUNS = [
               '"coeff": {"name": "layered", "contrast": 10}}', (2, 128), cg=True),
 ]
 
-# runs each [argv, output directory, cg] of the JSON list in argv[1] through
-# cli.main; prints [exit code, sha256 of stdout and of each written file] of each
+# runs each [argv, run directory, cg] of the JSON list in argv[1] through cli.main;
+# prints [exit code, sha256 of stdout and of each file under the run directory] of each
 _THREAD_CHILD = """
 import contextlib, hashlib, io, json, pathlib, sys
 from msrecover import cli, elliptic
 direct, results = elliptic.DIRECT_SOLVE_MAX_NODES, []
-for argv, out, cg in json.loads(sys.argv[1]):
+for argv, run_dir, cg in json.loads(sys.argv[1]):
     elliptic.DIRECT_SOLVE_MAX_NODES = 0 if cg else direct
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(argv)
     digest = hashlib.sha256(stdout.getvalue().encode())
-    for path in sorted(pathlib.Path(out).iterdir()):
-        digest.update(path.name.encode() + b"\\0" + path.read_bytes())
+    for path in sorted(p for p in pathlib.Path(run_dir).rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(run_dir)).encode() + b"\\0" + path.read_bytes())
     results.append([code, digest.hexdigest()])
 print(json.dumps(results))
 """
 
 
 def test_no_output_bit_depends_on_the_blas_thread_count(tmp_path):
-    inputs = tmp_path / "inputs"
-    inputs.mkdir()
-    for i, row in enumerate(THREAD_RUNS):
-        if row.config is not None:
-            (inputs / f"{i}.json").write_text(row.config)
-    for field in {row.field for row in THREAD_RUNS} - {None}:
-        save_grid_function(fourier_h01(DomainSpec(*field), 7), inputs / f"{field}.csv")
+    fields = {row.field: fourier_h01(DomainSpec(*row.field), 7)
+              for row in THREAD_RUNS if row.field is not None}
     src = str(pathlib.Path(harness.__file__).parents[1])
     children = {}
     for threads in ("1", "2"):  # both children at once
         jobs = []
         for i, row in enumerate(THREAD_RUNS):
-            out = tmp_path / threads / str(i)
-            out.mkdir(parents=True)
-            argv = [row.command]
-            if row.config is not None:
-                argv += ["--config", str(inputs / f"{i}.json")]
-            if row.command == "recover":
-                argv += ["--input", str(inputs / f"{row.field}.csv"),
-                         "--output", str(out / "rec.csv")]
-            else:
-                argv += ["--out", str(out)]
-            jobs.append([argv, str(out), row.cg])
+            run_dir = tmp_path / threads / str(i)
+            jobs.append([_argv(run_dir, row.command, row.config, fields.get(row.field)),
+                         str(run_dir), row.cg])
         env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
                    OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         children[threads] = subprocess.Popen(
@@ -765,47 +728,39 @@ def test_convergence_study_variable_coefficient(coeff):
     assert all(a[3] != b[3] for a, b in zip(rep["rows"], plain["rows"]))
 
 
-def _recover(tmp_path, capsys, u, config=None):
-    upath = tmp_path / "u.csv"
-    save_grid_function(u, upath)
-    argv = ["recover", "--input", str(upath), "--output", str(tmp_path / "rec.csv")]
-    if config is not None:
-        cfgpath = tmp_path / "rc.json"
-        cfgpath.write_text(json.dumps(config))
-        argv += ["--config", str(cfgpath)]
-    assert cli_main(argv) == 0
-    return json.loads(capsys.readouterr().out)
+_CUBES = '{"m": 4, "kind": "cube", "r": 0.5, "basis": "%s"}'
 
 
-def _field_2d():
-    return GridFunction.from_callable(
-        DomainSpec(2, 16), lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-
-
-@pytest.mark.parametrize("basis", ["ms", "pc"])
-def test_cli_recover_reports_the_grid_dim(tmp_path, capsys, basis):
-    # rc.json carries neither dim nor n: both come from the input file
-    report = _recover(tmp_path, capsys, _field_2d(),
-                      {"m": 4, "kind": "cube", "r": 0.5, "basis": basis})
-    assert report["params"] == {"basis": basis, "dim": 2, "h": 0.125, "H": 0.25}
-    assert len(report["per_patch_l2"]) == 16
-    assert report["energy_stable"] is (True if basis == "ms" else None)
+@pytest.mark.parametrize("field,config,params,stable,l2_below", [
+    # the config carries neither dim nor n: both come from the input file
+    pytest.param((2, 16), _CUBES % "ms", {"basis": "ms", "dim": 2, "h": 0.125, "H": 0.25}, True,
+                 np.inf, id="2d-ms"),
+    pytest.param((2, 16), _CUBES % "pc", {"basis": "pc", "dim": 2, "h": 0.125, "H": 0.25}, None,
+                 np.inf, id="2d-pc"),
+    # RECOVER_DEFAULTS: m = 2, full-patch cubes, multiscale basis
+    pytest.param((2, 16), None, {"basis": "ms", "dim": 2, "h": 0.5, "H": 0.5}, True, np.inf,
+                 id="2d-defaults"),
+    pytest.param((1, 32), _CUBES % "ms", {"basis": "ms", "dim": 1, "h": 0.125, "H": 0.25}, True,
+                 0.05, id="1d-ms"),
+])
+def test_cli_recover_reports_its_grid_and_error(tmp_path, capsys, field, config, params, stable,
+                                                l2_below):
+    code, out, err = _run(tmp_path, capsys, "recover", config, _sines(*field))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["params"] == params
+    assert len(report["per_patch_l2"]) == round(1 / params["H"]) ** params["dim"]
+    assert report["energy_stable"] is stable
+    assert report["l2_error"] < l2_below
 
 
 def test_cli_recover_layered_axis_is_checked_against_the_input_grid(tmp_path, capsys):
     # the config carries no dim: axis 1 is valid because the input is 2D
-    _recover(tmp_path, capsys, _field_2d(),
-             {"m": 2, "coeff": {"name": "layered", "contrast": 10, "axis": 1}})
+    config = '{"m": 2, "coeff": {"name": "layered", "contrast": 10, "axis": 1}}'
+    assert _run(tmp_path, capsys, "recover", config, _sines(2, 16))[0] == 0
     layered = (tmp_path / "rec.csv").read_bytes()
-    _recover(tmp_path, capsys, _field_2d(), {"m": 2})
+    assert _run(tmp_path, capsys, "recover", '{"m": 2}', _sines(2, 16))[0] == 0
     assert (tmp_path / "rec.csv").read_bytes() != layered
-
-
-def test_cli_recover_without_config(tmp_path, capsys):
-    report = _recover(tmp_path, capsys, _field_2d())
-    # RECOVER_DEFAULTS: m = 2, full-patch cubes, multiscale basis
-    assert report["params"] == {"basis": "ms", "dim": 2, "h": 0.5, "H": 0.5}
-    assert report["energy_stable"] is True
 
 
 @pytest.mark.parametrize("command,override", [
@@ -820,25 +775,16 @@ def test_cli_recover_without_config(tmp_path, capsys):
 ])
 def test_cli_config_overrides_the_defaults_key_by_key(tmp_path, capsys, command, override):
     if command == "recover":
-        partial = _recover(tmp_path, capsys, _field_2d(), override)
+        partial = _run(tmp_path, capsys, "recover", json.dumps(override), _sines(2, 16))
         recovered = (tmp_path / "rec.csv").read_bytes()
-        assert _recover(tmp_path, capsys, _field_2d(), {**RECOVER_DEFAULTS, **override}) == partial
-        assert (tmp_path / "rec.csv").read_bytes() == recovered
+        full = {**RECOVER_DEFAULTS, **override}
+        assert _run(tmp_path, capsys, "recover", json.dumps(full), _sines(2, 16)) == partial
+        assert partial[0] == 0 and (tmp_path / "rec.csv").read_bytes() == recovered
         return
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(override))
-    assert cli_main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    report = json.loads((tmp_path / f"{command}_report.json").read_text())
+    assert _run(tmp_path, capsys, command, json.dumps(override))[0] == 0
+    report = json.loads((tmp_path / "out" / f"{command}_report.json").read_text())
     assert report["config"] == {**STUDIES[command].defaults, **override,
                                 "library_version": LIBRARY_VERSION}
-
-
-def test_cli_recover_roundtrip(tmp_path, capsys):
-    u = GridFunction.from_callable(DomainSpec(1, 32), lambda x: np.sin(np.pi * x))
-    report = _recover(tmp_path, capsys, u, {"m": 4, "kind": "cube", "r": 0.5, "basis": "ms"})
-    assert report["l2_error"] < 0.05
-    assert report["energy_stable"] is True
 
 
 def _record_reads(monkeypatch) -> set:
@@ -864,5 +810,6 @@ def _record_reads(monkeypatch) -> set:
 
 def test_recover_reads_exactly_its_declared_fields(tmp_path, capsys, monkeypatch):
     read = _record_reads(monkeypatch)
-    _recover(tmp_path, capsys, _field_2d(), {"coeff": {"name": "lognormal", "sigma": 0.5}})
+    config = '{"coeff": {"name": "lognormal", "sigma": 0.5}}'
+    assert _run(tmp_path, capsys, "recover", config, _sines(2, 16))[0] == 0
     assert read == set(RECOVER_DEFAULTS)

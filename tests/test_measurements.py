@@ -171,18 +171,6 @@ def _closed_form_cube(p, d, H, h):
                             + (1 + x) ** ((d - p) / p) - 1)
 
 
-@pytest.mark.parametrize("d,p,ratio", [
-    (1, 2, 2), (1, 2, 10), (1, 3, 4),
-    (2, 2, 2), (2, 2, 10), (3, 3, 8),
-    (3, 2, 4), (3, 2, 16), (2, 1, 8),
-])
-def test_bound_integral_matches_closed_form(d, p, ratio):
-    H, h = 1.0, 1.0 / ratio
-    num = bound_integral("cube", p, d, H, h)
-    ref = _closed_form_cube(p, d, H, h)
-    assert num == pytest.approx(ref, rel=1e-6)
-
-
 def test_bound_integral_exact_value():
     assert bound_integral("cube", 2, 2, 1.0, 0.1) == pytest.approx(
         10 * np.log(1.1) + np.log(11.0), rel=1e-9)
