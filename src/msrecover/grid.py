@@ -32,8 +32,10 @@ __all__ = [
     "load_grid_function",
 ]
 
-# the subsample kinds, in the order errors list them
-SUBSAMPLE_KINDS = ("cube", "slice", "point")
+# each subsample kind's extents (see SubsampleSpec) at a given dim, in the order errors list them
+SUBSAMPLE_KINDS = {"cube": lambda dim: ("thin",) * dim,
+                   "slice": lambda dim: ("thin",) * (dim - 1) + ("flat",),
+                   "point": lambda dim: ("flat",) * dim}
 
 
 @dataclass(frozen=True)
@@ -157,12 +159,10 @@ def build_partition(spec: DomainSpec, m: int) -> CoarsePartition:
 
 @dataclass(frozen=True)
 class SubsampleSpec:
-    """Concentric subsampled sets, one per patch.
-
-    kind "cube": an axis-aligned cube of side h = ratio*H centered in the patch.
-    kind "slice": an axis-aligned (dim-1)-square of side h through the patch
-    center, orthogonal to the last axis.
-    kind "point": the patch center itself (h treated as 0).
+    """Concentric subsampled sets, one per patch, each the product of its ``extents``:
+    width h = ratio*H centred in the patch on a "thin" axis, the patch centre's
+    coordinate on a "flat" one.  A cube is thin on every axis, a slice on all but
+    the last, a point on none (h is 0 there).
     """
 
     partition: CoarsePartition
@@ -174,23 +174,22 @@ class SubsampleSpec:
         return self.partition.H
 
     @property
+    def extents(self) -> tuple:
+        return SUBSAMPLE_KINDS[self.kind](self.partition.spec.dim)
+
+    @property
     def h(self) -> float:
-        if self.kind == "point":
-            return 0.0
-        return self.ratio * self.partition.H
+        return self.ratio * self.partition.H if "thin" in self.extents else 0.0
 
     def axis_intervals(self, axis: int) -> tuple:
         """(lo, hi) arrays over the patch coordinates k = 0..m-1 along ``axis``.
 
-        The set spans (k + 1/2)H -+ h/2 there; the interval is flat on every
-        axis of the point kind and on the slice kind's last axis.  Every set
-        is the product of its axes' intervals, so the union of the sets is the
-        product of the per-axis unions.
+        The set spans (k + 1/2)H -+ h/2 on a thin axis and is the centre (k + 1/2)H
+        on a flat one.  Every set is the product of its axes' intervals, so the
+        union of the sets is the product of the per-axis unions.
         """
         c = (np.arange(self.partition.m) + 0.5) * self.H
-        normal = self.kind == "slice" and axis == self.partition.spec.dim - 1
-        flat = self.kind == "point" or normal
-        half = 0.0 if flat else 0.5 * self.h
+        half = 0.5 * self.h if self.extents[axis] == "thin" else 0.0
         return c - half, c + half
 
     def distance(self, coords) -> np.ndarray:
@@ -214,18 +213,18 @@ class SubsampleSpec:
 def build_subsample(part: CoarsePartition, kind: str, ratio: float = 1.0) -> SubsampleSpec:
     """Build the subsampled sets inside each patch.
 
-    For cube and slice kinds the side h = ratio*H must be a whole number of fine
-    cells and the concentric placement must put the set's corners on grid lines,
-    i.e. cells_per_patch - h*n must be even.
+    A set with a thin axis needs a side h = ratio*H that is a whole number of fine
+    cells, placed concentrically with its corners on grid lines, i.e.
+    cells_per_patch - h*n must be even; a set with none has ratio 0.
     """
     if kind not in SUBSAMPLE_KINDS:
         raise ValueError(f"unknown subsample kind {kind!r}")
-    if kind == "point":
+    if kind == "slice" and part.spec.dim < 2:
+        raise ValueError("slice kind needs dim >= 2")
+    if "thin" not in SUBSAMPLE_KINDS[kind](part.spec.dim):
         return SubsampleSpec(part, kind, 0.0)
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    if kind == "slice" and part.spec.dim < 2:
-        raise ValueError("slice kind needs dim >= 2")
     q = part.cells_per_patch
     k = ratio * q
     k_int = int(round(k))

@@ -271,11 +271,12 @@ def _at_least(cfg: ExperimentConfig, key: str, least: int, what: str) -> None:
 
 
 def _ratio_sweep(cfg: ExperimentConfig, part) -> list:
-    """The subsamples of ``cfg.kind`` at each ``r_sweep`` ratio on ``part``.  A point
-    set has no ratio: a sweep over it would repeat one set."""
-    if cfg.kind == "point":
+    """The subsamples of ``cfg.kind`` at each ``r_sweep`` ratio on ``part``.  A set with
+    no thin axis has no ratio: a sweep over it would repeat one set."""
+    sweep = [build_subsample(part, cfg.kind, r) for r in cfg.r_sweep]
+    if "thin" not in sweep[0].extents:
         raise ConfigError("an r_sweep needs a cube or slice kind: a point set has no ratio")
-    return [build_subsample(part, cfg.kind, r) for r in cfg.r_sweep]
+    return sweep
 
 
 def _fmt(value):

@@ -1,12 +1,12 @@
 """Measurement functionals over subsampled sets and their growth envelopes.
 
-A measurement functional is a unit-mass measure: the normalized indicator of a
-subsampled cube (density 1/h^dim), a normalized (dim-1)-dimensional slice
-density (1/h^(dim-1)), or a point evaluation at the patch center.  Applied to a
-grid function it returns the measured average.  Its node weights, consistent
-with the midpoint-rule inner product, are a tensor product of per-axis factors
-(every subsampled set is a product of intervals), so measuring u integrates u
-against the functional's grid density by one contraction per axis.
+A measurement functional is a unit-mass measure on a subsampled set, described
+by its extent on every axis: the set averages over width h on each thin axis
+(density 1/h per axis) and takes the patch centre's coordinate on each flat one.
+Applied to a grid function it returns the measured average.  Its node weights,
+consistent with the midpoint-rule inner product, are a tensor product of per-axis
+factors (every subsampled set is a product of intervals), so measuring u
+integrates u against the functional's grid density by one contraction per axis.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, SubsampleSpec
+from .grid import SUBSAMPLE_KINDS, GridFunction, SubsampleSpec
 
 __all__ = [
     "MeasurementFunctional",
@@ -97,7 +97,7 @@ def axis_factors(sub: SubsampleSpec, axis: int) -> np.ndarray:
     n = sub.partition.spec.n
     node = np.arange(n + 1)
     lo, hi = (x[:, None] * n for x in sub.axis_intervals(axis))  # in cells
-    if np.array_equal(lo, hi):
+    if sub.extents[axis] == "flat":
         lo = np.where(np.abs(lo - np.rint(lo)) < 1e-12, np.rint(lo), lo)  # on a node: it alone
         return np.maximum(0.0, 1.0 - np.abs(lo - node))
     lo, hi = np.rint(lo), np.rint(hi)
@@ -128,12 +128,13 @@ def measure_all(u: GridFunction, functionals: MeasurementOperator) -> Measuremen
 
 
 def _envelope_exponent(what: str, kind: str, dim: int, H: float, h: float) -> int:
-    """The envelope's exponent, dim for a cube and dim - 1 for a slice; checks kind and h."""
-    if kind not in ("cube", "slice"):
-        raise ValueError(f"{what} defined for cube and slice kinds, got {kind!r}")
+    """The envelope's exponent: the number of thin axes of ``kind`` at ``dim``, never 0."""
+    e = SUBSAMPLE_KINDS[kind](dim).count("thin") if kind in SUBSAMPLE_KINDS else 0
+    if e == 0:
+        raise ValueError(f"{what} defined for cube and slice kinds, got {kind!r} at dim {dim}")
     if not (0.0 < h <= H):
         raise ValueError(f"need 0 < h <= H, got h={h}, H={H}")
-    return dim if kind == "cube" else dim - 1
+    return e
 
 
 def _envelope(e: int, H: float, h: float, t: float) -> float:
@@ -144,9 +145,9 @@ def _envelope(e: int, H: float, h: float, t: float) -> float:
 def alpha_envelope(kind: str, dim: int, H: float, h: float, t: float) -> float:
     """Upper envelope for the mass of the subsample measure under t-shrinking.
 
-    cube:  min{1, (H/h)^dim * (t/(1-t))^dim}
-    slice: min{1, (H/h)^(dim-1) * (t/(1-t))^(dim-1)}
-    Nondecreasing in t, equal to 1 from the breakpoint t = h/(H+h) on.
+    min{1, (H/h)^e * (t/(1-t))^e}, e the number of thin axes (dim for a cube,
+    dim - 1 for a slice).  Nondecreasing in t, equal to 1 from the breakpoint
+    t = h/(H+h) on.
     """
     e = _envelope_exponent("alpha envelope", kind, dim, H, h)
     if not (0.0 <= t <= 1.0):
@@ -158,16 +159,15 @@ def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
     """Numeric value of the envelope integral int_0^1 alpha(t)^(1/p) / t^(dim/p) dt.
 
     Adaptive quadrature with the envelope breakpoint t = h/(H+h) as a forced
-    subdivision node.  The slice integrand carries a t^(-1/p) endpoint
-    singularity, which is integrable only for p > 1.
+    subdivision node.  A set flat on f axes gives the integrand a t^(-f/p)
+    endpoint singularity, which is integrable only for p > f.
     """
     e = _envelope_exponent("bound integral", kind, dim, H, h)
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    if kind == "slice" and p == 1.0:
-        raise ValueError(
-            "sliced measurements need p > 1: the envelope integral diverges at t=0 for p=1"
-        )
+    if dim - e >= p:
+        raise ValueError(f"sliced measurements need p > {dim - e}: "
+                         f"the envelope integral diverges at t=0 for p={p:g}")
     from scipy.integrate import quad
 
     def integrand(t):  # quad's nodes lie inside (0, 1), so alpha_envelope's checks hold

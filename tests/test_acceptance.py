@@ -50,8 +50,7 @@ def test_criterion_01_biorthogonality():
             for kind in kinds:
                 ratios = [1.0] if kind == "point" else [1.0, 0.5, 0.25]
                 for r in ratios:
-                    sub = (build_subsample(part, kind, r) if kind != "point"
-                           else build_subsample(part, kind))
+                    sub = build_subsample(part, kind, r)
                     functionals = build_functionals(sub)
                     basis = multiscale_basis(build_theta(functionals, op))
                     gram = np.array([[measure(basis[i], phi) for phi in functionals]

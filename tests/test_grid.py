@@ -3,17 +3,13 @@ import pytest
 
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
                             cell_center_values, load_grid_function, lp_norm, save_grid_function)
+from msrecover.measurements import alpha_envelope
 
 
 def test_partition_uniform_bisection():
-    spec = DomainSpec(1, 8)
-    part = build_partition(spec, 2)
+    part = build_partition(DomainSpec(1, 8), 2)
     assert part.H == 0.5
     assert part.num_patches == 2
-    centers, _ = build_subsample(part, "point").axis_intervals(0)
-    assert np.allclose(centers, [0.25, 0.75])
-    lo, hi = build_subsample(part, "cube", 1.0).axis_intervals(0)
-    assert lo[0] == 0.0 and hi[0] == 0.5
 
 
 def test_partition_cardinality_2d():
@@ -32,46 +28,38 @@ def test_partition_tiling_volume():
         assert abs(total - 1.0) <= 1e-13
 
 
-def test_subsample_full_patch():
-    part = build_partition(DomainSpec(1, 8), 2)
-    lo, hi = build_subsample(part, "cube", 1.0).axis_intervals(0)
-    k = np.arange(part.m)
-    assert np.allclose(lo, k * part.H) and np.allclose(hi, (k + 1) * part.H)
+# One row per kind and dim: grid (n, m), ratio, and the set's extent on each axis, "thin"
+# (width h centred in the patch) or "flat" (the patch centre); the 1D slice is refused.
+SUBSAMPLE_SETS = {
+    "cube-1d": ("cube", 8, 2, 1.0, ("thin",)),
+    "cube-2d": ("cube", 16, 4, 0.5, ("thin", "thin")),
+    "cube-3d": ("cube", 8, 2, 0.5, ("thin", "thin", "thin")),
+    "slice-2d": ("slice", 16, 4, 0.5, ("thin", "flat")),
+    "slice-3d": ("slice", 8, 2, 0.5, ("thin", "thin", "flat")),
+    "point-1d": ("point", 8, 2, 0.5, ("flat",)),
+    "point-2d": ("point", 16, 4, 0.5, ("flat", "flat")),
+    "point-3d": ("point", 8, 2, 0.5, ("flat", "flat", "flat")),
+}
 
 
-def test_subsample_concentric_squares():
-    part = build_partition(DomainSpec(2, 16), 4)
-    sub = build_subsample(part, "cube", 0.5)
-    assert sub.h == pytest.approx(0.125)
-    sides = [np.subtract(*sub.axis_intervals(axis)[::-1]) for axis in range(2)]
-    assert np.allclose(sides, 0.125)
-    area = sides[0][1] * sides[1][1]  # patch 5 is (1, 1)
-    assert area == pytest.approx(0.125**2, rel=1e-12)
-
-
-def test_subsample_slice_segments():
-    part = build_partition(DomainSpec(2, 16), 4)
-    sub = build_subsample(part, "slice", 0.5)
-    (lo0, hi0), (lo1, hi1) = sub.axis_intervals(0), sub.axis_intervals(1)
-    assert np.allclose(hi1 - lo1, 0.0)  # degenerate along the normal
-    assert np.allclose(hi0 - lo0, 0.125)
-    centers = (np.arange(part.m) + 0.5) * part.H
-    assert np.allclose(0.5 * (lo0 + hi0), centers) and np.allclose(lo1, centers)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_slice_is_normal_to_the_last_axis(dim):
-    sub = build_subsample(build_partition(DomainSpec(dim, 8), 2), "slice", 0.5)
-    flat = [np.array_equal(*sub.axis_intervals(axis)) for axis in range(dim)]
-    assert flat == [False] * (dim - 1) + [True]
-
-
-def test_point_subsample():
-    part = build_partition(DomainSpec(1, 8), 2)
-    sub = build_subsample(part, "point")
-    assert sub.h == 0.0
-    lo, hi = sub.axis_intervals(0)
-    assert np.array_equal(lo, hi) and lo[1] == pytest.approx(0.75)
+@pytest.mark.parametrize("kind,n,m,ratio,extents", SUBSAMPLE_SETS.values(), ids=SUBSAMPLE_SETS)
+def test_subsample_is_the_product_of_its_axis_extents(kind, n, m, ratio, extents):
+    dim, thin = len(extents), extents.count("thin")
+    sub = build_subsample(build_partition(DomainSpec(dim, n), m), kind, ratio)
+    assert sub.extents == extents == ("thin",) * thin + ("flat",) * (dim - thin)  # flat last
+    h = ratio / m if thin else 0.0
+    assert sub.h == h
+    centres = (np.arange(m) + 0.5) / m
+    for axis, extent in enumerate(extents):
+        half = 0.5 * h if extent == "thin" else 0.0
+        np.testing.assert_array_equal(sub.axis_intervals(axis), [centres - half, centres + half])
+    # the envelope's exponent is the number of thin axes; a set with none has no envelope
+    if thin:
+        assert alpha_envelope(kind, dim, 1.0, 0.5, 0.1) == pytest.approx(
+            (2.0 * 0.1 / 0.9) ** thin, rel=1e-13)
+    else:
+        with pytest.raises(ValueError, match="alpha envelope defined for cube and slice kinds"):
+            alpha_envelope(kind, dim, 1.0, 0.5, 0.1)
 
 
 @pytest.mark.parametrize("dim,n,m", [(1, 32, 4), (2, 16, 4), (3, 8, 2)])

@@ -12,17 +12,12 @@ from msrecover.measurements import (alpha_envelope, bound_integral, build_functi
 from msrecover.recovery import build_theta, pc_recover, recovery_error_report
 
 
-def _functionals(dim, n, m, kind, r):
-    part = build_partition(DomainSpec(dim, n), m)
-    sub = build_subsample(part, kind, r) if kind != "point" else build_subsample(part, kind)
-    return part, sub, build_functionals(sub)
-
-
 @pytest.mark.parametrize("dim,n,m", [(1, 12, 4), (2, 12, 4), (3, 6, 2)])
 def test_point_functional_between_nodes_is_multilinear_interpolation(dim, n, m):
     # three cells per patch put every patch center midway between two nodes
     spec = DomainSpec(dim, n)
-    part, sub, phis = _functionals(dim, n, m, "point", 1.0)
+    sub = build_subsample(build_partition(spec, m), "point")
+    phis = build_functionals(sub)
     assert all(len(phi.node_indices) == 2**dim for phi in phis)
     coef = np.random.default_rng(dim).standard_normal(2**dim)
 
@@ -46,6 +41,7 @@ def _turned(sub, axis):
         return sub
     swap = {axis: last, last: axis}
     return SimpleNamespace(partition=sub.partition,
+                           extents=[sub.extents[swap.get(a, a)] for a in range(last + 1)],
                            axis_intervals=lambda a: sub.axis_intervals(swap.get(a, a)))
 
 
@@ -83,7 +79,7 @@ def _dense_node_weights(sub):
 def test_operator_matches_the_dense_node_weights(dim, n, m, kind, r, normal):
     spec = DomainSpec(dim, n)
     part = build_partition(spec, m)
-    sub = build_subsample(part, kind) if r is None else build_subsample(part, kind, r)
+    sub = build_subsample(part, kind, r)
     if normal is not None:
         sub = _turned(sub, normal)
     dense = _dense_node_weights(sub)
@@ -159,18 +155,6 @@ def test_alpha_envelope_monotonicity():
         assert v_small >= v_large - 1e-15
 
 
-def _closed_form_cube(p, d, H, h):
-    """Exact envelope integral for the cube kind, by regime."""
-    x = H / h
-    if d < p:
-        return (p / (p - d)) * (x ** (d / p) * (1 - (H / (H + h)) ** (1 - d / p))
-                                + 1 - (h / (H + h)) ** (1 - d / p))
-    if d == p:
-        return x * np.log(1 + 1 / x) + np.log(1 + x)
-    return (p / (d - p)) * (x ** (d / p) * ((1 + h / H) ** ((d - p) / p) - 1)
-                            + (1 + x) ** ((d - p) / p) - 1)
-
-
 def test_bound_integral_exact_value():
     assert bound_integral("cube", 2, 2, 1.0, 0.1) == pytest.approx(
         10 * np.log(1.1) + np.log(11.0), rel=1e-9)
@@ -178,7 +162,8 @@ def test_bound_integral_exact_value():
 
 def test_bound_integral_equal_scales_finite():
     val = bound_integral("cube", 2, 1, 1.0, 1.0)
-    assert val == pytest.approx(_closed_form_cube(2, 1, 1.0, 1.0), rel=1e-8)
+    # int_0^1/2 (1-t)^(-1/2) dt + int_1/2^1 t^(-1/2) dt, the d < p closed form at H = h
+    assert val == pytest.approx(4.0 - 2.0 * np.sqrt(2.0), rel=1e-8)
     assert val < 4.0
 
 

@@ -22,7 +22,7 @@ from msrecover.weights import build_weight, distance_field
 def _pipeline(dim, n, m, kind, r, a=None):
     spec = DomainSpec(dim, n)
     part = build_partition(spec, m)
-    sub = build_subsample(part, kind, r) if kind != "point" else build_subsample(part, kind)
+    sub = build_subsample(part, kind, r)
     functionals = build_functionals(sub)
     coeff = a if a is not None else constant_coefficient(spec)
     op = assemble(spec, coeff)

@@ -76,6 +76,7 @@ SCALE = "coefficient must be strictly positive and finite on every cell"
 # u = 2x gives [0.25, 0.25, 0.75, 0.75], not the patch averages [0.5, 0.5, 1.5, 1.5]
 OTHER_GRID = "axis 1: the matrix has 5 columns, the values 9 entries"
 FINITE = "p must be a finite number >= 1, got "
+KINDS = "defined for cube and slice kinds, got "
 
 LIBRARY_REFUSALS = {
     # grid
@@ -123,12 +124,18 @@ LIBRARY_REFUSALS = {
         "alpha_envelope", lambda h=h: alpha_envelope("cube", 2, 1.0, h, 0.5), ValueError,
         f"need 0 < h <= H, got h={h}, H=1.0")
        for what, h in [("above-H", 2.0), ("zero", 0.0), ("nan", nan)]},
-    **_rows("alpha_envelope", "alpha envelope defined for cube and slice kinds, got 'point'",
+    **_rows("alpha_envelope", f"alpha envelope {KINDS}'point' at dim 2",
             kind=lambda: alpha_envelope("point", 2, 1.0, 0.5, 0.5)),
+    # a 1D slice is flat on its one axis, the set build_subsample refuses
+    **_rows("alpha_envelope", f"alpha envelope {KINDS}'slice' at dim 1",
+            slice_1d=lambda: alpha_envelope("slice", 1, 0.5, 0.25, 0.1)),
     **{f"alpha_envelope-t-{t}": Refusal("alpha_envelope", lambda t=t: alpha_envelope(
         "cube", 2, 1.0, 0.5, t), ValueError, f"t must lie in [0,1], got {t}") for t in (1.5, nan)},
-    **_rows("bound_integral", "sliced measurements need p > 1",
+    **_rows("bound_integral",
+            "sliced measurements need p > 1: the envelope integral diverges at t=0 for p=1",
             slice_p1=lambda: bound_integral("slice", 1.0, 2, 1.0, 0.5)),
+    **_rows("bound_integral", f"bound integral {KINDS}'slice' at dim 1",
+            slice_1d=lambda: bound_integral("slice", 2.0, 1, 0.5, 0.25)),
     **_rows("bound_integral", "p must be >= 1, got nan",
             p_nan=lambda: bound_integral("cube", nan, 2, 1.0, 0.5)),
     # elliptic

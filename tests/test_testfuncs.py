@@ -1,5 +1,8 @@
+import ast
 import itertools
 import os
+import pathlib
+import re
 import subprocess
 import sys
 from typing import NamedTuple
@@ -180,6 +183,24 @@ assert M.recovery_error_report(u, rec, {"basis": "ms"}, a=op).energy_stable
 def test_a_fresh_interpreter_loads_what_the_run_needs(run):
     code, probed, loaded = IMPORT_RUNS[run]
     assert _loaded_after(code, probed) == str(sorted(loaded))
+
+
+def test_every_test_and_table_the_readme_cites_exists():
+    """Each backticked ``test_...`` id in README is a test function under tests/ or
+    bench/tests/, and each backticked ALL-CAPS name a name the code there or in the library
+    uses: a rename or a deletion cannot leave README stale."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    trees = [(path.parts[-2] == "tests", ast.parse(path.read_text())) for pattern in (
+        "tests/*.py", "bench/tests/*.py", "src/msrecover/*.py") for path in root.glob(pattern)]
+    tests = {node.name for in_tests, tree in trees if in_tests for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    used = {getattr(node, field, None) for _, tree in trees for node in ast.walk(tree)
+            for field in ("id", "arg", "attr", "name")}
+    readme = (root / "README.md").read_text()
+    ids, tables = (set(re.findall(f"`({name})`", readme))
+                   for name in (r"test_\w+", "[A-Z][A-Z0-9_]+"))
+    assert ids and tables  # the patterns still match README's backticked names
+    assert sorted(ids - tests) == [] and sorted(tables - used) == []
 
 
 # every center is a node; for m = 3 the centers are inexact in floating point

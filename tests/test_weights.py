@@ -42,8 +42,7 @@ def _subsample_cases():
 @pytest.mark.parametrize("dim,n,m,kind,r,axis", list(_subsample_cases()))
 def test_distance_equals_brute_force_box_minimum(dim, n, m, kind, r, axis):
     part = build_partition(DomainSpec(dim, n), m)
-    sub = (build_subsample(part, "point") if kind == "point"
-           else build_subsample(part, kind, r))
+    sub = build_subsample(part, kind, r)
     if axis is not None:
         sub = _turned(sub, axis)
     # at the cell centers through distance_field, and at the nodes
