@@ -129,6 +129,8 @@ def measure_all(u: GridFunction, functionals: MeasurementOperator) -> Measuremen
 
 def _envelope_exponent(what: str, kind: str, dim: int, H: float, h: float) -> int:
     """The envelope's exponent: the number of thin axes of ``kind`` at ``dim``, never 0."""
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     e = SUBSAMPLE_KINDS[kind](dim).count("thin") if kind in SUBSAMPLE_KINDS else 0
     if e == 0:
         raise ValueError(f"{what} defined for cube and slice kinds, got {kind!r} at dim {dim}")

@@ -156,6 +156,11 @@ def recover(u: GridFunction, sub: SubsampleSpec, op: StiffnessOperator,
     """
     if basis not in BASES:
         raise ValueError(f"unknown recovery basis {basis!r}")
+    spec = sub.partition.spec
+    if u.spec != spec:
+        raise ValueError(f"field grid {u.spec} does not match the subsample grid {spec}")
+    if basis == "ms" and op.spec != spec:
+        raise ValueError(f"operator grid {op.spec} does not match the subsample grid {spec}")
     functionals = build_functionals(sub)
     data = measure_all(u, functionals)
     if basis == "pc":

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per shipped criterion, at pinned tolerances.
+"""Acceptance suite: one test per shipped criterion, at pinned tolerances (slope and
+normalized-ratio bands, biorthogonality and oracle thresholds, determinism).
 
 Each test prints a single pass/fail line so a `pytest -s tests/test_acceptance.py`
 run doubles as the sign-off record.

@@ -278,7 +278,8 @@ FACTORS = ("_lu", "_lu_pinned")  # every factor an operator may keep
 
 # each solver path as name: (setup(monkeypatch), which sends solves down it; the
 # bound on its normwise backward error; the form it solves, interior (Dirichlet)
-# or natural (zero-sum right-hand sides, x[0] pinned to 0); the factors it keeps)
+# or natural (zero-sum right-hand sides, x[0] pinned to 0); the factors it keeps);
+# a new path is one line, a new way for a solve to fail one SOLVE_FAILURES row
 SOLVE_PATHS = {
     "direct": (lambda mp: None, 1e-13, "interior", ("_lu",)),
     "cg": (lambda mp: mp.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0), elliptic.BACKWARD_TOL,
@@ -440,6 +441,8 @@ def _eager_assembly(spec, a):
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 12), (3, 6)])
 @pytest.mark.parametrize("coefficient", COEFFICIENTS)
 def test_operator_forms_are_one_spd_galerkin_operator(monkeypatch, dim, n, coefficient):
+    """Every form is one SPD Galerkin operator: a new way to build or apply it (a
+    stencil-built CSR, a matrix-free apply) runs this battery."""
     spec = DomainSpec(dim, n)
     a = COEFFICIENTS[coefficient](spec)
     op = assemble(spec, a)

@@ -29,7 +29,8 @@ def _argv(run_dir: pathlib.Path, command: str, config: str | None = None, field=
     (JSON text) as ``--config cfg.json``; for recover, ``field`` (CSV bytes or a
     ``GridFunction``) as ``--input u.csv`` and ``--output rec.csv``; for a study,
     ``--out out``. ``argv`` comes last, with ``{tmp}`` read as ``run_dir``, so an
-    option there overrides these."""
+    option there overrides these. Every command line here is built by it, so a flag or
+    file layout is one edit; only the two argparse tests call cli.main directly."""
     run_dir.mkdir(parents=True, exist_ok=True)
     args = [command]
     if config is not None:
@@ -154,7 +155,8 @@ class Refusal(NamedTuple):
     early: bool = False  # refused before the study's runner or `recover` starts
 
 
-# every exit-2 case of the command line
+# every exit-2 case of the command line, one row each; warnings are errors
+# (pyproject.toml), so a warning on the way to a refusal fails its row
 REFUSALS = [
     # a negative seed, from the config or --seed, even where the study reads none
     Refusal("converge", '{"seed": -1}', SEED),
@@ -567,7 +569,9 @@ GATE_CONTROLS = [
             and r["measured_ratio"] == pytest.approx(2.0 ** -r["config"]["profile_q"], rel=1e-12)),
     GateRun("pointwise", '{"profile_kind": "constant"}', 0, "classification",
             lambda r: _declared(r) and r["measured_ratio"] == 0.0),  # no difference to decay
-    # ln ln(1/r + 1) passes the divergence level 3 only below r ~ 1e-12
+    # ln ln(1/r + 1) passes the divergence level 3 only below r ~ 1e-12; a slower
+    # profile, ln ln ln(1/r + 1) (1.88 at r = 1e-300), passes it at no float radius,
+    # so the study could only read it convergent
     GateRun("pointwise", '{"profile_kind": "loglog", "radii": [%s]}'
             % ", ".join(f"1e-{k}" for k in range(1, 13)), 0, "classification",
             lambda r: _declared(r) and r["classification"] == "divergent"),

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from msrecover.elliptic import assemble, constant_coefficient
-from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
-                            cell_center_values)
+from msrecover.grid import (DomainSpec, GridFunction, SubsampleSpec, build_partition,
+                            build_subsample, cell_center_values)
 from msrecover.measurements import (alpha_envelope, bound_integral, build_functionals,
                                     measure, measure_all)
 from msrecover.recovery import build_theta, pc_recover, recovery_error_report
@@ -40,9 +40,11 @@ def _turned(sub, axis):
     if axis == last:
         return sub
     swap = {axis: last, last: axis}
-    return SimpleNamespace(partition=sub.partition,
-                           extents=[sub.extents[swap.get(a, a)] for a in range(last + 1)],
-                           axis_intervals=lambda a: sub.axis_intervals(swap.get(a, a)))
+    turned = SimpleNamespace(partition=sub.partition,
+                             extents=[sub.extents[swap.get(a, a)] for a in range(last + 1)],
+                             axis_intervals=lambda a: sub.axis_intervals(swap.get(a, a)))
+    turned.distance = lambda coords: SubsampleSpec.distance(turned, coords)
+    return turned
 
 
 def _dense_node_weights(sub):
@@ -77,6 +79,7 @@ def _dense_node_weights(sub):
     (3, 12, 2, "slice", 1 / 3, 0), (3, 6, 2, "point", None, None),
 ])
 def test_operator_matches_the_dense_node_weights(dim, n, m, kind, r, normal):
+    """A brute-force dense matrix of node weights is the oracle of every consumer."""
     spec = DomainSpec(dim, n)
     part = build_partition(spec, m)
     sub = build_subsample(part, kind, r)

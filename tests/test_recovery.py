@@ -121,7 +121,8 @@ def test_recover_is_the_step_by_step_chain(dim, n, m, kind, r, basis):
 
 
 # each solver path of `recover`, one line each: name -> (setup on pytest's
-# monkeypatch, relative tolerance of the properties below)
+# monkeypatch, relative tolerance of the properties below); the battery runs every
+# case, coefficient and property on a new line's path
 RECOVERY_PATHS = {
     "splu": (lambda mp: None, 1e-12),
     "cg": (lambda mp: mp.setattr(elliptic, "DIRECT_SOLVE_MAX_NODES", 0), elliptic.BACKWARD_TOL),
@@ -145,6 +146,7 @@ BATTERY_COEFFICIENTS = {
 @pytest.mark.parametrize("path", RECOVERY_PATHS)
 def test_recovery_is_the_energy_projection_onto_the_data(monkeypatch, path, dim, n, m, kind,
                                                           coeff):
+    """Only ``recover`` runs; measure_all, energy_inner and the matrix K are the oracle."""
     setup, tol = RECOVERY_PATHS[path]
     setup(monkeypatch)
     spec = DomainSpec(dim, n)

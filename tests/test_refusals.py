@@ -1,7 +1,8 @@
 """Every call the library refuses, with its exact exception class and message.
 
 Each guard checks a hypothesis of the paper or a shape the grid fixes, and is
-False for NaN too: a NaN argument is refused, never computed with.
+False for NaN too (``not p >= 1.0``, never ``p < 1.0``): a NaN argument is
+refused, never computed with.
 """
 
 import ast
@@ -129,6 +130,11 @@ LIBRARY_REFUSALS = {
     # a 1D slice is flat on its one axis, the set build_subsample refuses
     **_rows("alpha_envelope", f"alpha envelope {KINDS}'slice' at dim 1",
             slice_1d=lambda: alpha_envelope("slice", 1, 0.5, 0.25, 0.1)),
+    # a dim no grid has
+    **{f"{name}-dim-{dim}": Refusal(name, call, ValueError, f"dim must be 1, 2 or 3, got {dim}")
+       for dim in (5, 2.5) for name, call in [
+           ("alpha_envelope", lambda dim=dim: alpha_envelope("cube", dim, 1.0, 0.5, 0.1)),
+           ("bound_integral", lambda dim=dim: bound_integral("cube", 6.0, dim, 1.0, 0.5))]},
     **{f"alpha_envelope-t-{t}": Refusal("alpha_envelope", lambda t=t: alpha_envelope(
         "cube", 2, 1.0, 0.5, t), ValueError, f"t must lie in [0,1], got {t}") for t in (1.5, nan)},
     **_rows("bound_integral",
@@ -162,10 +168,13 @@ LIBRARY_REFUSALS = {
     # recovery
     **_rows("recover", "unknown recovery basis 'mss'", basis=lambda: recover(
         fourier_h01(DomainSpec(1, 16), 0), _sub(1, 16, 2, "cube", 0.5), _op(1, 16), "mss")),
-    # an n = 8 field with the subsample and operator of n = 4 is malformed input
-    **_rows("recover", OTHER_GRID,
+    # a field, or an ms operator, off the subsample's grid
+    **_rows("recover", "field grid DomainSpec(dim=2, n=8) does not match the subsample grid",
             ms_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 4), "ms"),
-            pc_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 4), "pc")),
+            pc_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 4), "pc"),
+            subsample_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 8))),
+    **_rows("recover", "operator grid DomainSpec(dim=2, n=8) does not match the subsample grid",
+            operator_grid=lambda: recover(_ramp(2, 4), _sub(2, 4, 2), _op(2, 8))),
     **_rows("ms_recover", "data and basis index sets do not match", length=lambda: ms_recover(
         MeasurementVector(np.zeros(3)),
         multiscale_basis(build_theta(build_functionals(_sub(1, 8, 2)), _op(1, 8))))),
@@ -242,6 +251,7 @@ def test_library_refusal_raises_its_error(row_id):
     row = LIBRARY_REFUSALS[row_id]
     with pytest.raises(Exception) as caught:
         row.call()
+    # the exact class: an AlignmentError or a ConfigError is not a plain ValueError
     assert type(caught.value) is row.error, repr(caught.value)
     assert str(caught.value).startswith(row.start), str(caught.value)
 

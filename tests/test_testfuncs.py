@@ -2,6 +2,7 @@ import ast
 import itertools
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -187,8 +188,9 @@ def test_a_fresh_interpreter_loads_what_the_run_needs(run):
 
 def test_every_test_and_table_the_readme_cites_exists():
     """Each backticked ``test_...`` id in README is a test function under tests/ or
-    bench/tests/, and each backticked ALL-CAPS name a name the code there or in the library
-    uses: a rename or a deletion cannot leave README stale."""
+    bench/tests/, each backticked ALL-CAPS name a name the code there or in the library
+    uses, and each dotted package name (``harness.STUDIES``) resolves; no table row is
+    cited by number or count, both of which shift as rows are added."""
     root = pathlib.Path(__file__).resolve().parents[1]
     trees = [(path.parts[-2] == "tests", ast.parse(path.read_text())) for pattern in (
         "tests/*.py", "bench/tests/*.py", "src/msrecover/*.py") for path in root.glob(pattern)]
@@ -201,6 +203,12 @@ def test_every_test_and_table_the_readme_cites_exists():
                    for name in (r"test_\w+", "[A-Z][A-Z0-9_]+"))
     assert ids and tables  # the patterns still match README's backticked names
     assert sorted(ids - tests) == [] and sorted(tables - used) == []
+    modules = "|".join(path.stem for path in root.glob("src/msrecover/[!_]*.py"))
+    dotted = set(re.findall(rf"`((?:msrecover|{modules})(?:\.\w+)+)", readme))
+    assert dotted  # the pattern still matches README's dotted names
+    for name in sorted(dotted):  # raises ImportError or AttributeError on a stale name
+        pkgutil.resolve_name(name if name.startswith("msrecover.") else f"msrecover.{name}")
+    assert re.findall(r"\brows? \d+|\b\d+ rows\b", readme) == []
 
 
 # every center is a node; for m = 3 the centers are inexact in floating point

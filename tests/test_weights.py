@@ -4,27 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from msrecover.grid import (DomainSpec, GridFunction, SubsampleSpec, build_partition,
-                            build_subsample, gradient_lp_norm)
+from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
+                            gradient_lp_norm)
 from msrecover.measurements import build_functionals, measure, measure_all
 from msrecover.recovery import ms_recover, recover
 from msrecover.elliptic import assemble
 from msrecover.testfuncs import fourier_h01
 from msrecover.weights import (DistanceField, build_weight, distance_field,
                                weight_condition_check, weighted_basis)
-
-
-def _turned(sub, axis):
-    """``sub`` with its last axis swapped onto ``axis``: a slice normal to ``axis``,
-    an orientation the library never builds but its per-axis code must handle."""
-    last = sub.partition.spec.dim - 1
-    if axis == last:
-        return sub
-    swap = {axis: last, last: axis}
-    turned = SimpleNamespace(partition=sub.partition,
-                             axis_intervals=lambda a: sub.axis_intervals(swap.get(a, a)))
-    turned.distance = lambda coords: SubsampleSpec.distance(turned, coords)
-    return turned
+from test_measurements import _turned
 
 
 def _subsample_cases():
