@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from .errors import SolverError
-from .grid import DomainSpec, GridFunction, cell_center_values, scatter_cells_to_nodes
+from .grid import (DomainSpec, GridFunction, cell_center_values, check_same_grid,
+                   scatter_cells_to_nodes)
 
 __all__ = [
     "CoefficientField",
@@ -289,8 +290,7 @@ def assemble(spec: DomainSpec, a: CoefficientField) -> StiffnessOperator:
 
     The sparse matrices are built at their first use (see ``StiffnessOperator``).
     """
-    if a.spec != spec:
-        raise ValueError("coefficient and domain specs do not match")
+    check_same_grid("coefficient", a.spec, "domain", spec)
     return StiffnessOperator(a)
 
 
@@ -320,8 +320,7 @@ def load_vector(f: GridFunction) -> np.ndarray:
 
 def solve(op: StiffnessOperator, f: GridFunction) -> GridFunction:
     """Solve the operator against source f on its grid; the result vanishes on the boundary."""
-    if f.spec != op.spec:
-        raise ValueError(f"source grid {f.spec} does not match the operator grid {op.spec}")
+    check_same_grid("source", f.spec, "operator", op.spec)
     b = load_vector(f)
     x = op.solve_interior(b[op.interior_indices])
     return GridFunction(op.spec, op.embed_interior(x))
@@ -334,6 +333,8 @@ def energy_inner(u: GridFunction, v: GridFunction, op: StiffnessOperator) -> flo
     (no boundary condition) form, so arbitrary nodal fields are admissible;
     for boundary-vanishing fields it coincides with the Dirichlet form.
     """
+    for w in (u, v):
+        check_same_grid("field", w.spec, "operator", op.spec)
     kref = _reference_stiffness(op.spec.dim)
     uc = _corner_values(u.values)
     vc = _corner_values(v.values)
@@ -351,6 +352,7 @@ def _corner_values(values: np.ndarray) -> np.ndarray:
 
 def l2_inner(u: GridFunction, v: GridFunction) -> float:
     """Midpoint-rule scalar product int u v over the cube."""
+    check_same_grid("operand", v.spec, "field", u.spec)
     uc = cell_center_values(u)
     vc = cell_center_values(v)
     return float(np.sum(uc * vc) * u.spec.cell_volume)

@@ -21,6 +21,8 @@ __all__ = [
     "CoarsePartition",
     "SubsampleSpec",
     "GridFunction",
+    "check_dim",
+    "check_same_grid",
     "build_partition",
     "build_subsample",
     "lp_norm",
@@ -38,6 +40,18 @@ SUBSAMPLE_KINDS = {"cube": lambda dim: ("thin",) * dim,
                    "point": lambda dim: ("flat",) * dim}
 
 
+def check_dim(dim) -> None:
+    """The dimension rule: the domain is [0,1]^dim for dim 1, 2 or 3."""
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+
+
+def check_same_grid(role: str, spec, other_role: str, other_spec) -> None:
+    """The same-grid rule: two objects that meet, named by their roles, share one grid."""
+    if spec != other_spec:
+        raise ValueError(f"{role} grid {spec} does not match the {other_role} grid {other_spec}")
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Unit cube [0,1]^dim discretized by n cells per axis."""
@@ -46,8 +60,7 @@ class DomainSpec:
     n: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+        check_dim(self.dim)
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
 
@@ -108,9 +121,11 @@ class GridFunction:
         return cls(spec, np.full(spec.node_shape, float(c)))
 
     def __add__(self, other):
+        check_same_grid("operand", other.spec, "field", self.spec)
         return GridFunction(self.spec, self.values + other.values)
 
     def __sub__(self, other):
+        check_same_grid("operand", other.spec, "field", self.spec)
         return GridFunction(self.spec, self.values - other.values)
 
     def __mul__(self, scalar):
@@ -310,8 +325,8 @@ def gradient_lp_norm(u: GridFunction, p: float, weight=None) -> float:
     """
     if not 1.0 <= p < np.inf:  # p = inf would read |x|**inf ** (1/inf) = 1
         raise ValueError(f"p must be a finite number >= 1, got {p}")
-    if weight is not None and weight.spec != u.spec:
-        raise ValueError(f"weight grid {weight.spec} does not match the field grid {u.spec}")
+    if weight is not None:
+        check_same_grid("weight", weight.spec, "field", u.spec)
     comps = cell_gradient(u)
     mag2 = np.zeros(u.spec.cell_shape)
     for g in comps:

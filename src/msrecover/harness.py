@@ -24,8 +24,8 @@ from .analytic import ball_average_sequence, critical_ratio, power_profile, radi
 from .elliptic import (assemble, checkerboard_coefficient, constant_coefficient,
                        layered_coefficient, lognormal_coefficient)
 from .errors import ConfigError
-from .grid import (SUBSAMPLE_KINDS, DomainSpec, build_partition, build_subsample, lp_norm,
-                   gradient_lp_norm)
+from .grid import (SUBSAMPLE_KINDS, DomainSpec, build_partition, build_subsample, check_dim,
+                   lp_norm, gradient_lp_norm)
 from .measurements import build_functionals, measure_all
 from .recovery import (BASES, pc_recover, recover, recovery_error_report,
                        sharp_constant_estimate)
@@ -125,8 +125,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be a JSON {what}, got {value!r}")
             if f.type == "float":  # NaN and Infinity parse as JSON numbers
                 _check_number(f.name, value, positive=False)
-        if self.dim not in (1, 2, 3):  # DomainSpec's rule, for the studies that build no grid
-            raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
+        check_dim(self.dim)  # DomainSpec's rule, for the studies that build no grid
         if self.p < 1:  # the range lp_norm accepts
             raise ConfigError(f"p must be a finite number >= 1, got {self.p!r}")
         if self.num_functions < 1:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SUBSAMPLE_KINDS, GridFunction, SubsampleSpec
+from .grid import (SUBSAMPLE_KINDS, DomainSpec, GridFunction, SubsampleSpec, check_dim,
+                   check_same_grid)
 
 __all__ = [
     "MeasurementFunctional",
@@ -77,6 +78,10 @@ class MeasurementOperator:
 
     factors: list
 
+    @property
+    def spec(self) -> DomainSpec:  # one axis per factor, of n + 1 nodes
+        return DomainSpec(len(self.factors), self.factors[0].shape[1] - 1)
+
     def __len__(self) -> int:
         return math.prod(len(w) for w in self.factors)
 
@@ -112,7 +117,7 @@ def build_functionals(sub: SubsampleSpec) -> MeasurementOperator:
 
 def measure(u: GridFunction, phi: MeasurementFunctional) -> float:
     """Measured average of u under one functional: ``measure_all`` with its rows alone."""
-    return contract(u.values, [row[None] for row in phi.rows]).item()
+    return measure_all(u, MeasurementOperator([row[None] for row in phi.rows])).values.item()
 
 
 @dataclass(frozen=True)
@@ -124,13 +129,13 @@ class MeasurementVector:
 
 def measure_all(u: GridFunction, functionals: MeasurementOperator) -> MeasurementVector:
     """Measured averages of u under each functional."""
+    check_same_grid("field", u.spec, "functional", functionals.spec)
     return MeasurementVector(contract(u.values, functionals.factors).reshape(-1))
 
 
 def _envelope_exponent(what: str, kind: str, dim: int, H: float, h: float) -> int:
     """The envelope's exponent: the number of thin axes of ``kind`` at ``dim``, never 0."""
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    check_dim(dim)
     e = SUBSAMPLE_KINDS[kind](dim).count("thin") if kind in SUBSAMPLE_KINDS else 0
     if e == 0:
         raise ValueError(f"{what} defined for cube and slice kinds, got {kind!r} at dim {dim}")

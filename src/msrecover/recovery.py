@@ -17,8 +17,8 @@ import numpy as np
 
 from .elliptic import StiffnessOperator, energy_inner, kronecker_sum, q1_spectrum
 from .errors import SolverError
-from .grid import (CoarsePartition, GridFunction, SubsampleSpec, cell_center_values, lp_norm,
-                   midpoint_lp)
+from .grid import (CoarsePartition, GridFunction, SubsampleSpec, cell_center_values,
+                   check_same_grid, lp_norm, midpoint_lp)
 from .measurements import (MeasurementOperator, MeasurementVector, axis_factors,
                            build_functionals, contract, measure_all)
 
@@ -45,6 +45,9 @@ def pc_recover(data: MeasurementVector, part: CoarsePartition) -> GridFunction:
     Nodes shared by several patches take the average of the adjacent patch
     values (a measure-zero convention, fixed here for reproducibility).
     """
+    if len(data.values) != part.num_patches:
+        raise ValueError(f"data and patch index sets do not match: {len(data.values)} values, "
+                         f"{part.num_patches} patches")
     spec, q = part.spec, part.cells_per_patch
     node = np.arange(spec.n + 1)[:, None]
     on = (q * np.arange(part.m) <= node) & (node <= q * np.arange(1, part.m + 1))
@@ -83,6 +86,7 @@ def build_theta(functionals: MeasurementOperator, op: StiffnessOperator) -> Thet
     Raises ``SolverError`` if the coupling matrix is not numerically positive
     definite, e.g. for a repeated or nearly linearly dependent functional.
     """
+    check_same_grid("operator", op.spec, "functional", functionals.spec)
     spec = op.spec
     nfun = len(functionals)
     solves = np.empty((nfun, spec.num_nodes))
@@ -156,11 +160,6 @@ def recover(u: GridFunction, sub: SubsampleSpec, op: StiffnessOperator,
     """
     if basis not in BASES:
         raise ValueError(f"unknown recovery basis {basis!r}")
-    spec = sub.partition.spec
-    if u.spec != spec:
-        raise ValueError(f"field grid {u.spec} does not match the subsample grid {spec}")
-    if basis == "ms" and op.spec != spec:
-        raise ValueError(f"operator grid {op.spec} does not match the subsample grid {spec}")
     functionals = build_functionals(sub)
     data = measure_all(u, functionals)
     if basis == "pc":
@@ -190,8 +189,6 @@ def recovery_error_report(u: GridFunction, recovered: GridFunction, params: dict
     itself.  Piecewise-constant recoveries carry no stability flag: no such
     bound holds for them.
     """
-    if u.spec != recovered.spec:
-        raise ValueError("fields live on different grids")
     diff = u - recovered
     l2 = lp_norm(diff, 2.0)
     energy = float(np.sqrt(max(energy_inner(diff, diff, a), 0.0)))
@@ -201,6 +198,7 @@ def recovery_error_report(u: GridFunction, recovered: GridFunction, params: dict
         stable = energy <= u_energy * (1.0 + 1e-10)
     per_patch = []
     if partition is not None:
+        check_same_grid("partition", partition.spec, "field", u.spec)
         # one row of cells per patch: (m, q)^d transposed to (m^d, q^d), in patch order
         m, q, dim = partition.m, partition.cells_per_patch, u.spec.dim
         cells = cell_center_values(diff).reshape((m, q) * dim)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .elliptic import CoefficientField, assemble
 from .errors import AlignmentError
-from .grid import SubsampleSpec
+from .grid import SubsampleSpec, check_same_grid
 from .measurements import build_functionals
 from .recovery import build_theta, multiscale_basis
 
@@ -106,6 +106,7 @@ def weight_condition_check(w: CoefficientField, dist: DistanceField, p: float) -
     if not p > 1.0:
         raise ValueError("the weight condition applies to p > 1 only")
     spec = w.spec
+    check_same_grid("weight", spec, "distance", dist.sub.partition.spec)
     dim = spec.dim
     H = dist.sub.H
     s = np.maximum(dist.values, dist.sub.h)

@@ -20,14 +20,15 @@ from msrecover import analytic, elliptic, grid, harness, measurements, recovery,
 from msrecover.analytic import (ball_average_sequence, critical_ratio, eval_radial,
                                 power_profile, radial_function, rho)
 from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coefficient,
-                                constant_coefficient, layered_coefficient, solve)
+                                constant_coefficient, energy_inner, l2_inner,
+                                layered_coefficient, solve)
 from msrecover.errors import AlignmentError, ConfigError
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
-                            gradient_lp_norm, lp_norm)
+                            check_dim, check_same_grid, gradient_lp_norm, lp_norm)
 from msrecover.harness import ExperimentConfig, fit_loglog
 from msrecover.measurements import (MeasurementVector, alpha_envelope, bound_integral,
                                     build_functionals, contract, measure, measure_all)
-from msrecover.recovery import (build_theta, ms_recover, multiscale_basis, recover,
+from msrecover.recovery import (build_theta, ms_recover, multiscale_basis, pc_recover, recover,
                                 recovery_error_report, sharp_constant_estimate)
 from msrecover.testfuncs import fourier_h01
 from msrecover.weights import build_weight, distance_field, weight_condition_check
@@ -68,23 +69,35 @@ def _weight(profile, n=16, m=2, kind="cube", p=2.0, **params):
     return build_weight(dist, profile, p, **params), dist
 
 
-def _radii(*radii):
-    return ball_average_sequence(power_profile(0.5), radii, 2)
+def _radii(*radii, dim=2):
+    return ball_average_sequence(power_profile(0.5), radii, dim)
+
+
+def _grids(role, grid, other_role, other_grid):
+    """The same-grid rule's refusal for two ``(dim, n)`` grids."""
+    return (f"{role} grid {DomainSpec(*grid)} does not match the {other_role} grid "
+            f"{DomainSpec(*other_grid)}")
 
 
 SCALE = "coefficient must be strictly positive and finite on every cell"
-# read without the check, the n = 4 functionals take a prefix of each n = 8 axis:
-# u = 2x gives [0.25, 0.25, 0.75, 0.75], not the patch averages [0.5, 0.5, 1.5, 1.5]
-OTHER_GRID = "axis 1: the matrix has 5 columns, the values 9 entries"
 FINITE = "p must be a finite number >= 1, got "
 KINDS = "defined for cube and slice kinds, got "
 
 LIBRARY_REFUSALS = {
     # grid
+    **_rows("check_dim", "dim must be 1, 2 or 3, got 0", zero=lambda: check_dim(0)),
+    **_rows("check_dim", "dim must be 1, 2 or 3, got nan", nan=lambda: check_dim(nan)),
+    **_rows("check_same_grid", _grids("field", (1, 8), "operator", (2, 8)), dim=lambda:
+            check_same_grid("field", DomainSpec(1, 8), "operator", DomainSpec(2, 8))),
     **_rows("DomainSpec", "dim must be 1, 2 or 3, got 4", dim=lambda: DomainSpec(4, 8)),
     **_rows("DomainSpec", "n must be >= 2, got 1", n=lambda: DomainSpec(1, 1)),
     **_rows("GridFunction", "values shape (4,) does not match node shape (5,)",
             shape=lambda: GridFunction(DomainSpec(1, 4), np.zeros(4))),
+    # a 1D operand used to broadcast along the last axis of the 2D field
+    **_rows("GridFunction.__add__", _grids("operand", (1, 8), "field", (2, 8)),
+            dim=lambda: _ramp(2, 8) + _ramp(1, 8)),
+    **_rows("GridFunction.__sub__", _grids("operand", (1, 8), "field", (2, 8)),
+            dim=lambda: _ramp(2, 8) - _ramp(1, 8)),
     **_rows("build_partition", "m must be >= 1, got 0", m=lambda: _sub(1, 8, 0)),
     **_rows("build_partition", "patch count m=3 does not divide fine resolution n=8",
             AlignmentError, divides=lambda: _sub(1, 8, 3)),
@@ -113,14 +126,21 @@ LIBRARY_REFUSALS = {
         f"weight grid DomainSpec(dim={dim}, n={n}) does not match the field grid")
        for dim, n in [(1, 16), (1, 4), (2, 8)]},
     # measurements
-    **_rows("contract", OTHER_GRID,
+    # read without the check, the n = 4 functionals take a prefix of each n = 8 axis:
+    # u = 2x gives [0.25, 0.25, 0.75, 0.75], not the patch averages [0.5, 0.5, 1.5, 1.5]
+    **_rows("contract", "axis 1: the matrix has 5 columns, the values 9 entries",
             columns=lambda: contract(np.zeros((9, 9)), [np.ones((2, 5))] * 2)),
     **_rows("MeasurementOperator.__getitem__", "functional 4 out of range for 4 functionals",
             IndexError, range=lambda: build_functionals(_sub(2, 4, 2))[4]),
-    **_rows("measure_all", OTHER_GRID,
-            grid=lambda: measure_all(_ramp(2, 8), build_functionals(_sub(2, 4, 2)))),
-    **_rows("measure", OTHER_GRID,
-            grid=lambda: measure(_ramp(2, 8), build_functionals(_sub(2, 4, 2))[0])),
+    # functionals on another n, or on another dim with the same n: 1D functionals used to
+    # contract the last axis of a 2D field alone, 18 values from measure_all
+    **{f"{name}-{case}": Refusal(name, call, ValueError,
+                                 _grids("field", (2, 8), "functional", other))
+       for case, other in [("grid", (2, 4)), ("dim", (1, 8))] for name, call in [
+           ("measure_all", lambda o=other: measure_all(_ramp(2, 8), build_functionals(
+               _sub(*o, 2)))),
+           ("measure", lambda o=other: measure(_ramp(2, 8), build_functionals(
+               _sub(*o, 2))[0]))]},
     **{f"alpha_envelope-h-{what}": Refusal(
         "alpha_envelope", lambda h=h: alpha_envelope("cube", 2, 1.0, h, 0.5), ValueError,
         f"need 0 < h <= H, got h={h}, H=1.0")
@@ -157,29 +177,53 @@ LIBRARY_REFUSALS = {
     **_rows("layered_coefficient", "layered axis must lie in 0..1, got 2",
             axis=lambda: layered_coefficient(DomainSpec(2, 4), 10.0, axis=2)),
     # assemble keeps its check of the coefficient against the grid it is given
-    **_rows("assemble", "coefficient and domain specs do not match", grid=lambda: assemble(
+    **_rows("assemble", _grids("coefficient", (2, 6), "domain", (2, 3)), grid=lambda: assemble(
         DomainSpec(2, 3), checkerboard_coefficient(DomainSpec(2, 6), 10.0))),
+    **_rows("assemble", _grids("coefficient", (2, 8), "domain", (1, 8)), dim=lambda: assemble(
+        DomainSpec(1, 8), constant_coefficient(DomainSpec(2, 8)))),
     # a finer source used to give a wrong field from its first load entries, a coarser one
     # an IndexError
     **{f"solve-source-n{n}": Refusal(
         "solve", lambda n=n: solve(_op(2, 8), fourier_h01(DomainSpec(2, n), 7)), ValueError,
         f"source grid DomainSpec(dim=2, n={n}) does not match the operator grid "
         "DomainSpec(dim=2, n=8)") for n in (16, 4)},
+    # off the operator's grid, numpy used to refuse the shapes (n) or the product (dim)
+    **_rows("energy_inner", _grids("field", (2, 8), "operator", (2, 16)),
+            grid=lambda: energy_inner(_ramp(2, 8), _ramp(2, 8), _op(2, 16))),
+    **_rows("energy_inner", _grids("field", (1, 8), "operator", (2, 8)),
+            dim=lambda: energy_inner(_ramp(1, 8), _ramp(1, 8), _op(2, 8))),
+    # it used to return a number, from the 1D cell values broadcast along the last axis
+    **_rows("l2_inner", _grids("operand", (1, 8), "field", (2, 8)),
+            dim=lambda: l2_inner(_ramp(2, 8), _ramp(1, 8))),
     # recovery
     **_rows("recover", "unknown recovery basis 'mss'", basis=lambda: recover(
         fourier_h01(DomainSpec(1, 16), 0), _sub(1, 16, 2, "cube", 0.5), _op(1, 16), "mss")),
-    # a field, or an ms operator, off the subsample's grid
-    **_rows("recover", "field grid DomainSpec(dim=2, n=8) does not match the subsample grid",
+    # a field, or an ms operator, off the subsample's grid: measure_all's and build_theta's
+    # refusals
+    **_rows("recover", _grids("field", (2, 8), "functional", (2, 4)),
             ms_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 4), "ms"),
             pc_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 4), "pc"),
             subsample_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 8))),
-    **_rows("recover", "operator grid DomainSpec(dim=2, n=8) does not match the subsample grid",
+    **_rows("recover", _grids("operator", (2, 8), "functional", (2, 4)),
             operator_grid=lambda: recover(_ramp(2, 4), _sub(2, 4, 2), _op(2, 8))),
+    # SuperLU used to refuse the n = 8 loads against the n = 16 operator
+    **_rows("build_theta", _grids("operator", (2, 16), "functional", (2, 8)),
+            grid=lambda: build_theta(build_functionals(_sub(2, 8, 2)), _op(2, 16))),
+    **_rows("build_theta", _grids("operator", (2, 8), "functional", (1, 8)),
+            dim=lambda: build_theta(build_functionals(_sub(1, 8, 2)), _op(2, 8))),
+    # numpy used to refuse the reshape of 4 values into 2 patches
+    **_rows("pc_recover", "data and patch index sets do not match: 4 values, 2 patches",
+            length=lambda: pc_recover(MeasurementVector(np.ones(4)),
+                                      build_partition(DomainSpec(1, 8), 2))),
     **_rows("ms_recover", "data and basis index sets do not match", length=lambda: ms_recover(
         MeasurementVector(np.zeros(3)),
         multiscale_basis(build_theta(build_functionals(_sub(1, 8, 2)), _op(1, 8))))),
-    **_rows("recovery_error_report", "fields live on different grids",
+    **_rows("recovery_error_report", _grids("operand", (1, 4), "field", (1, 8)),
             grid=lambda: recovery_error_report(_ramp(1, 8), _ramp(1, 4), {}, _op(1, 8))),
+    # a 1D partition used to cut the 2D field into 4 patches it does not have
+    **_rows("recovery_error_report", _grids("partition", (1, 8), "field", (2, 8)),
+            partition=lambda: recovery_error_report(_ramp(2, 8), _ramp(2, 8), {}, _op(2, 8),
+                                                    build_partition(DomainSpec(1, 8), 2))),
     **_rows("sharp_constant_estimate", "the constant estimate runs on a single-patch",
             multi_patch=lambda: sharp_constant_estimate(_sub(1, 16, 2))),
     # weights
@@ -198,6 +242,10 @@ LIBRARY_REFUSALS = {
     **_rows("weight_condition_check", "the weight condition applies to p > 1 only",
             p_one=lambda: weight_condition_check(*_weight("w11", m=1, p=1.0), 1.0),
             p_nan=lambda: weight_condition_check(*_weight("w11", m=1, p=1.0), nan)),
+    # it used to return an integral of the 1D distances broadcast over the 2D weight
+    **_rows("weight_condition_check", _grids("weight", (2, 8), "distance", (1, 8)),
+            dim=lambda: weight_condition_check(constant_coefficient(DomainSpec(2, 8)),
+                                               distance_field(_sub(1, 8, 2)), 2.0)),
     # analytic
     **_rows("rho", "variant must be 'sharp' or 'tilde', got 'bogus'",
             variant=lambda: rho("bogus", 2, 2, 1.0)),
@@ -221,6 +269,15 @@ LIBRARY_REFUSALS = {
     **_rows("critical_ratio", "critical profiles exist for dim >= p only",
             dim_below_p=lambda: critical_ratio(1, 2, 0.1),
             p_nan=lambda: critical_ratio(2, nan, 0.1)),
+    **_rows("critical_ratio", "p must be >= 1", p_below_one=lambda: critical_ratio(1, 0.5, 0.25)),
+    # a ball's dimension is an integer >= 1 of any size (criterion 04 runs dim 4); dim 0
+    # used to give rho 1 and ball averages 0, dim 2.5 a ball of fractional dimension
+    **{f"{name}-dim-{dim}": Refusal(name, call, ValueError,
+                                    f"dim must be an integer >= 1, got {dim}")
+       for dim in (0, 2.5, nan) for name, call in [
+           ("rho", lambda dim=dim: rho("sharp", 2, dim, 3.0)),
+           ("critical_ratio", lambda dim=dim: critical_ratio(dim, 1, 0.1)),
+           ("ball_average_sequence", lambda dim=dim: _radii(0.5, 0.25, dim=dim))]},
     **_rows("ball_average_sequence", "radii must be strictly decreasing",
             repeated=lambda: _radii(0.5, 0.5)),
     **_rows("ball_average_sequence", "radii must lie in [2.2250738585072014e-308, 1], the normal",
@@ -242,7 +299,6 @@ REFUSED_ELSEWHERE = {
     "StiffnessOperator.solve_interior": ("test_elliptic.py", "SOLVE_FAILURES"),
     "StiffnessOperator.solve_neumann": ("test_elliptic.py", "SOLVE_FAILURES"),
     "load_grid_function": ("test_harness.py", "REFUSALS"),  # its rows with --input bytes
-    "build_theta": ("test_recovery.py", "test_build_theta_rejects_dependent_functionals"),
 }
 
 
@@ -257,13 +313,15 @@ def test_library_refusal_raises_its_error(row_id):
 
 
 LIBRARY = (grid, measurements, elliptic, recovery, weights, analytic)
+# grid's two rules: a call to one refuses like a raise
+GRID_RULES = {"check_dim", "check_same_grid"}
 
 
 def _refusing_callables(module) -> set:
     """The public functions, methods (``Class.method``) and classes (by ``__init__``
-    or ``__post_init__``) of ``module`` whose source holds a ``raise``, nested
-    functions included, or reaches one through a private function of the module
-    or a private ``self`` member."""
+    or ``__post_init__``) of ``module`` whose source holds a ``raise`` or a call
+    to one of ``GRID_RULES``, nested functions included, or reaches one through a
+    private function of the module or a private ``self`` member."""
     defs = {}
     for node in ast.parse(inspect.getsource(module)).body:
         if isinstance(node, ast.FunctionDef):
@@ -280,7 +338,8 @@ def _refusing_callables(module) -> set:
 
     refs = {name: private_refs(name) for name in defs}
     raising = {name for name, node in defs.items()
-               if any(isinstance(n, ast.Raise) for n in ast.walk(node))}
+               if any(isinstance(n, ast.Raise) or isinstance(n, ast.Call)
+                      and getattr(n.func, "id", None) in GRID_RULES for n in ast.walk(node))}
     for _ in defs:  # each pass reaches one helper deeper
         raising |= {name for name in defs if refs[name] & raising}
     named = {name.removesuffix(".__init__").removesuffix(".__post_init__") for name in raising}
