@@ -22,9 +22,9 @@ from .measurements import (MeasurementOperator, MeasurementVector, alpha_envelop
 from .elliptic import (CoefficientField, StiffnessOperator, assemble,
                        checkerboard_coefficient, constant_coefficient, energy_inner,
                        l2_inner, layered_coefficient, lognormal_coefficient, solve)
-from .recovery import (BasisSet, RecoveryReport, ThetaMatrix, build_theta, ms_recover,
-                       multiscale_basis, pc_recover, recover, recovery_error_report,
-                       sharp_constant_estimate)
+from .recovery import (BasisSet, RecoveryReport, ThetaMatrix, build_theta,
+                       constrained_minimizer, ms_recover, multiscale_basis, pc_recover, recover,
+                       recovery_error_report, sharp_constant_estimate)
 from .weights import (DistanceField, build_weight, distance_field, weight_condition_check,
                       weighted_basis)
 from .analytic import (RadialFunction, ball_average_sequence, critical_ratio, eval_radial,

@@ -69,7 +69,7 @@ def _run_recover(args, harness) -> int:
     part = build_partition(u.spec, cfg.m)
     sub = build_subsample(part, cfg.kind, cfg.r)
     op = assemble(u.spec, harness.coefficient(u.spec, cfg))
-    rec = recover(u, sub, op, cfg.basis)
+    rec = recover(u, sub, op if cfg.basis == "ms" else None)
     report = recovery_error_report(u, rec, {"basis": cfg.basis, "dim": u.spec.dim,
                                             "h": sub.h, "H": part.H}, a=op,
                                    partition=part)

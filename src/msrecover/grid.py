@@ -40,9 +40,14 @@ SUBSAMPLE_KINDS = {"cube": lambda dim: ("thin",) * dim,
                    "point": lambda dim: ("flat",) * dim}
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool, a float of integer value or NaN is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_dim(dim) -> None:
     """The dimension rule: the domain is [0,1]^dim for dim 1, 2 or 3."""
-    if dim not in (1, 2, 3):
+    if not (_is_integer(dim) and dim in (1, 2, 3)):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
 
 
@@ -61,8 +66,8 @@ class DomainSpec:
 
     def __post_init__(self):
         check_dim(self.dim)
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        if not (_is_integer(self.n) and self.n >= 2):
+            raise ValueError(f"n must be an integer >= 2, got {self.n}")
 
     @property
     def spacing(self) -> float:
@@ -162,8 +167,8 @@ class CoarsePartition:
 
 def build_partition(spec: DomainSpec, m: int) -> CoarsePartition:
     """Partition the cube into m^dim patches; m must divide the fine resolution."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    if not (_is_integer(m) and m >= 1):
+        raise ValueError(f"m must be an integer >= 1, got {m}")
     if spec.n % m != 0:
         raise AlignmentError(
             f"patch count m={m} does not divide fine resolution n={spec.n}; "

@@ -312,8 +312,8 @@ def run_convergence_study(cfg: ExperimentConfig) -> dict:
             raise ConfigError(f"H={H} is not 1/m for integer m")
         part = build_partition(spec, m)
         sub = build_subsample(part, cfg.kind, cfg.r)
-        rep_pc = recovery_error_report(u, recover(u, sub, op, "pc"), {"basis": "pc"}, a=op)
-        rep_ms = recovery_error_report(u, recover(u, sub, op, "ms"), {"basis": "ms"}, a=op)
+        rep_pc = recovery_error_report(u, recover(u, sub), {"basis": "pc"}, a=op)
+        rep_ms = recovery_error_report(u, recover(u, sub, op), {"basis": "ms"}, a=op)
         return (H, sub.h, rep_pc.l2_error, rep_ms.l2_error, rep_ms.energy_error,
                 rep_ms.energy_stable)
 

@@ -30,6 +30,7 @@ __all__ = [
     "build_theta",
     "multiscale_basis",
     "ms_recover",
+    "constrained_minimizer",
     "recover",
     "recovery_error_report",
     "sharp_constant_estimate",
@@ -151,20 +152,27 @@ def ms_recover(data: MeasurementVector, basis: BasisSet) -> GridFunction:
     return GridFunction(basis.spec, vals.reshape(basis.spec.node_shape))
 
 
-def recover(u: GridFunction, sub: SubsampleSpec, op: StiffnessOperator,
-            basis: str = "ms") -> GridFunction:
-    """Measure ``u`` with the functionals of ``sub`` and recover it from the data.
+def constrained_minimizer(op: StiffnessOperator, functionals: MeasurementOperator,
+                          data: MeasurementVector) -> GridFunction:
+    """The least-energy field of ``op``, zero on the boundary, whose measurements
+    under ``functionals`` are ``data``.
 
-    ``basis`` is "pc" (piecewise constant, ``op`` unused) or "ms" (the
-    energy-minimizing multiscale basis of ``op``).
+    Computed as the data's expansion in the multiscale basis: the operator solves
+    against the functionals, combined through the inverse coupling matrix.
     """
-    if basis not in BASES:
-        raise ValueError(f"unknown recovery basis {basis!r}")
+    return ms_recover(data, multiscale_basis(build_theta(functionals, op)))
+
+
+def recover(u: GridFunction, sub: SubsampleSpec,
+            op: StiffnessOperator | None = None) -> GridFunction:
+    """Measure ``u`` with the functionals of ``sub`` and recover it from the data:
+    piecewise constant without ``op``, else the constrained minimizer of ``op``.
+    """
     functionals = build_functionals(sub)
     data = measure_all(u, functionals)
-    if basis == "pc":
+    if op is None:
         return pc_recover(data, sub.partition)
-    return ms_recover(data, multiscale_basis(build_theta(functionals, op)))
+    return constrained_minimizer(op, functionals, data)
 
 
 @dataclass

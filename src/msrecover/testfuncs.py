@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import CoarsePartition, DomainSpec, GridFunction, build_subsample
-from .measurements import build_functionals, contract, measure_all
-from .recovery import pc_recover
+from .measurements import contract
+from .recovery import recover
 
 LIBRARY_VERSION = 3
 # the seeded series keep the modes k_a = 0..KMAX on every axis
@@ -76,8 +76,8 @@ def flattened_profile(part: CoarsePartition, seed: int) -> GridFunction:
     base = fourier_h01(spec, seed)
     centers = build_subsample(part, "point")
     # each patch's anchor is the base field's point measurement at its center; the
-    # face averages of pc_recover never show, the blend being 1 from 0.25*H on
-    anchor = pc_recover(measure_all(base, build_functionals(centers)), part)
+    # pc recovery's face averages never show, the blend being 1 from 0.25*H on
+    anchor = recover(base, centers)
     s = np.clip((centers.distance(spec.node_coordinates()) - plateau) / ramp, 0.0, 1.0)
     eta = s * s * (3.0 - 2.0 * s)
     return GridFunction(spec, eta * base.values + (1.0 - eta) * anchor.values)

@@ -10,6 +10,8 @@ def test_partition_uniform_bisection():
     part = build_partition(DomainSpec(1, 8), 2)
     assert part.H == 0.5
     assert part.num_patches == 2
+    # numpy integers are sizes too (LIBRARY_REFUSALS holds the bools and floats refused)
+    assert build_partition(DomainSpec(np.int64(1), np.int32(8)), np.int64(2)) == part
 
 
 def test_partition_cardinality_2d():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import inspect
 import json
@@ -186,14 +187,14 @@ REFUSALS = [
     # ExperimentConfig accepts each value; a library constructor rejects it
     Refusal("recover", '{"kind": "slice"}', "slice kind needs dim >= 2", data=_grid_csv(1, 16)),
     Refusal("recover", '{"r": 1.5}', "ratio must lie in (0, 1]"),
-    Refusal("recover", '{"m": 0}', "m must be >= 1"),
-    Refusal("recover", '{"m": -2}', "m must be >= 1"),
+    Refusal("recover", '{"m": 0}', "m must be an integer >= 1"),
+    Refusal("recover", '{"m": -2}', "m must be an integer >= 1"),
     Refusal("rates", '{"dim": 1, "kind": "slice"}', "slice kind needs dim >= 2"),
     Refusal("rates", '{"r_sweep": [1.0, 2.0]}', "ratio must lie in (0, 1]"),
-    Refusal("degeneracy", '{"m": 0}', "m must be >= 1"),
+    Refusal("degeneracy", '{"m": 0}', "m must be an integer >= 1"),
     # (but the config itself rejects a dim outside 1..3, as DomainSpec does)
     Refusal("weighted", '{"dim": 4}', "dim must be 1, 2 or 3", early=True),
-    Refusal("converge", '{"n": 1}', "n must be >= 2"),
+    Refusal("converge", '{"n": 1}', "n must be an integer >= 2"),
     Refusal("pointwise", '{"profile_q": 0}', "power profile needs q > 0"),
     Refusal("critical", '{"h_sweep": [0.5, 0.25, 0.125]}', "critical_log needs h in (0, 1/4]"),
     # the grid is 2D: a layered axis is checked against the input, not a config dim
@@ -367,6 +368,10 @@ REFUSALS = [
             "unknown w11 weight keys: ['beta', 'gamma']"),
     Refusal("degeneracy", '{"weight": {"profile": "polynomial", "beta": 1.0, "gamma": 5.0}}',
             "unknown polynomial weight keys: ['gamma']"),
+    # a patch size that is no patch count's reciprocal
+    Refusal("converge", '{"H_sweep": [0.5, 0.3, 0.25]}', "H=0.3 is not 1/m for integer m\n"),
+    # an integer beyond the float range
+    Refusal("pointwise", '{"profile_q": 1%s}' % ("0" * 400), "profile_q must be a finite number"),
 ]
 
 
@@ -589,6 +594,10 @@ GATE_CONTROLS = [
     # radii that do not halve: the averages stay accurate down to 1e-110
     GateRun("pointwise", '{"dim": 3, "radii": [0.5, 0.25, 0.125, 1e-110]}', 1, "classification",
             lambda r: r["classification"] == "inconclusive"),
+    # the weight condition applies to p > 1 only: at p = 1 each point's is None, an
+    # empty CSV field
+    GateRun("weighted", '{"p": 1, "weight": {"profile": "w11"}}', 0, "constant_growth",
+            lambda r: r["condition_normalized"] == [None] * len(r["rows"])),
 ]
 
 
@@ -600,8 +609,12 @@ def test_study_gate_reads_as_declared(tmp_path, capsys, row):
     else:
         code, out, err = _run(tmp_path, capsys, row.command, row.config)
         assert (code, err) == (row.exit, "")
-        assert (tmp_path / "out" / f"{row.command}_rows.csv").exists()
         report = json.loads((tmp_path / "out" / f"{row.command}_report.json").read_text())
+        # the written rows: a field is empty exactly where the report's value is None
+        with open(tmp_path / "out" / f"{row.command}_rows.csv", newline="") as fh:
+            written = list(csv.reader(fh))[1:]
+        assert [[field == "" for field in line] for line in written] == [
+            [value is None for value in line] for line in report["rows"]]
         # the printed summary: one JSON line, the report less its rows and config
         assert out.count("\n") == 1 and out.endswith("\n")
         assert json.loads(out) == {k: v for k, v in report.items() if k not in ("rows", "config")}

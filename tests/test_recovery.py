@@ -13,8 +13,9 @@ from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_sub
 from msrecover.errors import SolverError
 from msrecover.measurements import (MeasurementOperator, MeasurementVector,
                                     build_functionals, measure, measure_all)
-from msrecover.recovery import (build_theta, ms_recover, multiscale_basis, pc_recover,
-                                recover, recovery_error_report, sharp_constant_estimate)
+from msrecover.recovery import (build_theta, constrained_minimizer, ms_recover, multiscale_basis,
+                                pc_recover, recover, recovery_error_report,
+                                sharp_constant_estimate)
 from msrecover.testfuncs import fourier_h01
 from msrecover.weights import build_weight, distance_field
 
@@ -76,16 +77,26 @@ def test_theta_scales_inversely_with_coefficient():
 
 def test_build_theta_rejects_dependent_functionals():
     spec = DomainSpec(1, 16)
+    op = assemble(spec, constant_coefficient(spec))
     (w,) = build_functionals(build_subsample(build_partition(spec, 2), "cube", 0.5)).factors
-    # a zero copy of a functional: its row and column of the coupling matrix are exactly 0
-    zero = MeasurementOperator([np.stack([w[0], 0.0 * w[0]])])
-    with pytest.raises(SolverError, match="not numerically positive definite"):
-        build_theta(zero, assemble(spec, constant_coefficient(spec)))
-    # a repeated functional: Cholesky ends on a pivot that rounding left positive
-    (w,) = build_functionals(build_subsample(build_partition(spec, 1), "cube", 0.5)).factors
-    repeated = MeasurementOperator([np.stack([w[0], w[0]])])
-    with pytest.raises(SolverError, match="not numerically positive definite"):
-        build_theta(repeated, assemble(spec, constant_coefficient(spec)))
+    (whole,) = build_functionals(build_subsample(build_partition(spec, 1), "cube", 0.5)).factors
+    # pairs of functionals -> the refusal's cause, or None for any LinAlgError
+    cases = [
+        # a zero copy of a functional: its row and column of the coupling matrix are
+        # exactly 0, and LAPACK refuses the pivot
+        (np.stack([w[0], 0.0 * w[0]]), None),
+        # a repeated functional: LAPACK refuses the pivot rounding left at or below 0
+        (np.stack([whole[0], whole[0]]), None),
+        # functional 0 and functional 0 plus 1e-8 functional 1: Cholesky ends on a pivot
+        # that rounding left positive, which build_theta's own guard refuses (1e-7
+        # passes, LAPACK refuses 1e-9)
+        (np.stack([w[0], w[0] + 1e-8 * w[1]]), "pivot at the rounding level"),
+    ]
+    for rows, cause in cases:
+        with pytest.raises(SolverError, match="not numerically positive definite") as caught:
+            build_theta(MeasurementOperator([rows]), op)
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+        assert cause is None or str(caught.value.__cause__) == cause
 
 
 def test_single_patch_basis_is_parabola():
@@ -112,11 +123,16 @@ _PIPELINE_CASES = [
     (3, 8, 2, "point", 1.0),
 ])
 def test_recover_is_the_step_by_step_chain(dim, n, m, kind, r, basis):
+    """``recover`` is pc_recover without an operator and the constrained minimizer
+    with one, which is the Theta chain bit for bit."""
     spec, part, sub, functionals, op, theta, ms_basis = _pipeline(dim, n, m, kind, r)
     u = fourier_h01(spec, 7)
     data = measure_all(u, functionals)
-    chain = pc_recover(data, part) if basis == "pc" else ms_recover(data, ms_basis)
-    rec = recover(u, sub, op, basis)
+    if basis == "pc":
+        chain, rec = pc_recover(data, part), recover(u, sub)
+    else:
+        chain, rec = constrained_minimizer(op, functionals, data), recover(u, sub, op)
+        assert np.array_equal(chain.values, ms_recover(data, ms_basis).values)
     assert rec.spec == spec and np.array_equal(rec.values, chain.values)
 
 

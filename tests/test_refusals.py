@@ -87,10 +87,18 @@ LIBRARY_REFUSALS = {
     # grid
     **_rows("check_dim", "dim must be 1, 2 or 3, got 0", zero=lambda: check_dim(0)),
     **_rows("check_dim", "dim must be 1, 2 or 3, got nan", nan=lambda: check_dim(nan)),
+    # an integer-valued float and a bool used to pass the `in (1, 2, 3)` test
+    **_rows("check_dim", "dim must be 1, 2 or 3, got 2.0", float=lambda: check_dim(2.0)),
+    **_rows("check_dim", "dim must be 1, 2 or 3, got True", bool=lambda: check_dim(True)),
     **_rows("check_same_grid", _grids("field", (1, 8), "operator", (2, 8)), dim=lambda:
             check_same_grid("field", DomainSpec(1, 8), "operator", DomainSpec(2, 8))),
     **_rows("DomainSpec", "dim must be 1, 2 or 3, got 4", dim=lambda: DomainSpec(4, 8)),
-    **_rows("DomainSpec", "n must be >= 2, got 1", n=lambda: DomainSpec(1, 1)),
+    **_rows("DomainSpec", "dim must be 1, 2 or 3, got 2.0", dim_float=lambda: DomainSpec(2.0, 8)),
+    **_rows("DomainSpec", "n must be an integer >= 2, got 1", n=lambda: DomainSpec(1, 1)),
+    # each used to construct a grid that raised a bare TypeError at its first field
+    **{f"DomainSpec-n-{case}": Refusal("DomainSpec", lambda n=n: DomainSpec(1, n), ValueError,
+                                       f"n must be an integer >= 2, got {n}")
+       for case, n in [("float", 8.5), ("nan", nan), ("bool", True)]},
     **_rows("GridFunction", "values shape (4,) does not match node shape (5,)",
             shape=lambda: GridFunction(DomainSpec(1, 4), np.zeros(4))),
     # a 1D operand used to broadcast along the last axis of the 2D field
@@ -98,7 +106,12 @@ LIBRARY_REFUSALS = {
             dim=lambda: _ramp(2, 8) + _ramp(1, 8)),
     **_rows("GridFunction.__sub__", _grids("operand", (1, 8), "field", (2, 8)),
             dim=lambda: _ramp(2, 8) - _ramp(1, 8)),
-    **_rows("build_partition", "m must be >= 1, got 0", m=lambda: _sub(1, 8, 0)),
+    **_rows("build_partition", "m must be an integer >= 1, got 0", m=lambda: _sub(1, 8, 0)),
+    # m = 2.5 divides n = 10 as a float: 3 functionals, the last set spanning [0.8, 1.2]
+    **_rows("build_partition", "m must be an integer >= 1, got 2.5",
+            m_float=lambda: build_partition(DomainSpec(1, 10), 2.5)),
+    **_rows("build_partition", "m must be an integer >= 1, got True",
+            m_bool=lambda: build_partition(DomainSpec(1, 8), True)),
     **_rows("build_partition", "patch count m=3 does not divide fine resolution n=8",
             AlignmentError, divides=lambda: _sub(1, 8, 3)),
     **_rows("build_subsample", "unknown subsample kind 'disk'",
@@ -196,13 +209,11 @@ LIBRARY_REFUSALS = {
     **_rows("l2_inner", _grids("operand", (1, 8), "field", (2, 8)),
             dim=lambda: l2_inner(_ramp(2, 8), _ramp(1, 8))),
     # recovery
-    **_rows("recover", "unknown recovery basis 'mss'", basis=lambda: recover(
-        fourier_h01(DomainSpec(1, 16), 0), _sub(1, 16, 2, "cube", 0.5), _op(1, 16), "mss")),
-    # a field, or an ms operator, off the subsample's grid: measure_all's and build_theta's
+    # a field, or an operator, off the subsample's grid: measure_all's and build_theta's
     # refusals
     **_rows("recover", _grids("field", (2, 8), "functional", (2, 4)),
-            ms_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 4), "ms"),
-            pc_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 4), "pc"),
+            ms_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 4)),
+            pc_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2)),
             subsample_grid=lambda: recover(_ramp(2, 8), _sub(2, 4, 2), _op(2, 8))),
     **_rows("recover", _grids("operator", (2, 8), "functional", (2, 4)),
             operator_grid=lambda: recover(_ramp(2, 4), _sub(2, 4, 2), _op(2, 8))),

@@ -174,7 +174,7 @@ part = M.build_partition(M.DomainSpec(2, 32), 1)
 assert M.sharp_constant_estimate(M.build_subsample(part, "cube", 0.25)) > 0.0
 """, ("scipy", "scipy.fft", "scipy.sparse") + SOLVER_STACK),
     "ms-chain": ImportRun(CHAIN_SETUP + """
-rec = M.ms_recover(data, M.multiscale_basis(M.build_theta(funs, op)))
+rec = M.constrained_minimizer(op, funs, data)
 assert M.recovery_error_report(u, rec, {"basis": "ms"}, a=op).energy_stable
 """, SOLVER_STACK, SOLVER_STACK),
 }
@@ -209,6 +209,20 @@ def test_every_test_and_table_the_readme_cites_exists():
     for name in sorted(dotted):  # raises ImportError or AttributeError on a stale name
         pkgutil.resolve_name(name if name.startswith("msrecover.") else f"msrecover.{name}")
     assert re.findall(r"\brows? \d+|\b\d+ rows\b", readme) == []
+
+
+def test_the_readme_library_sketch_runs_as_written():
+    """README's Python blocks, in order, in one fresh interpreter; its hand-run
+    chain gives the same bits as ``recover`` and ``constrained_minimizer``."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) >= 2  # the pattern still matches the sketch
+    check = """
+from msrecover import constrained_minimizer
+assert np.array_equal(recovered.values, recover(u, sub, op).values)
+assert np.array_equal(recovered.values, constrained_minimizer(op, functionals, data).values)
+"""
+    _loaded_after("".join(blocks) + check, ())
 
 
 # every center is a node; for m = 3 the centers are inexact in floating point
