@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import check_integer, check_p
+
 __all__ = [
     "rho",
     "RadialFunction",
@@ -24,11 +26,6 @@ __all__ = [
     "critical_ratio",
     "ball_average_sequence",
 ]
-
-
-def _check_dim(dim) -> None:
-    if not (dim >= 1 and dim % 1 == 0):  # a ball's dimension, of any size; False for NaN
-        raise ValueError(f"dim must be an integer >= 1, got {dim}")
 
 
 def rho(variant: str, p: float, dim: int, x: float) -> float:
@@ -42,9 +39,8 @@ def rho(variant: str, p: float, dim: int, x: float) -> float:
         raise ValueError(f"variant must be 'sharp' or 'tilde', got {variant!r}")
     if not x >= 0.0:
         raise ValueError("x must be >= 0")
-    if not p >= 1.0:
-        raise ValueError("p must be >= 1")
-    _check_dim(dim)
+    check_p(p)
+    check_integer("dim", dim, 1)  # a ball's dimension, of any size
     if dim < p:
         return 1.0
     if dim > p:
@@ -159,11 +155,10 @@ def critical_ratio(dim: int, p: float, h: float) -> float:
     average is exactly zero and the numerator is the plain p-norm.  Valid for
     dim >= p; h must lie in (0, 1/4].
     """
-    _check_dim(dim)
+    check_integer("dim", dim, 1)
+    check_p(p)
     if not p <= dim:
         raise ValueError("critical profiles exist for dim >= p only")
-    if not p >= 1.0:
-        raise ValueError("p must be >= 1")
     fn = radial_function("critical_log" if dim == p else "critical_ramp", h)
     num_p = _radial_integral(lambda r: np.abs(fn.f(r)) ** p, dim, kinks=fn.kinks + (0.5,))
     den_p = _radial_integral(lambda r: np.abs(fn.df(r)) ** p, dim, kinks=fn.kinks + (0.5,))
@@ -180,7 +175,7 @@ def ball_average_sequence(fn: RadialFunction, radii, dim: int) -> dict:
     consecutive differences; a divergent profile shows averages growing beyond
     any bound instead of settling.
     """
-    _check_dim(dim)
+    check_integer("dim", dim, 1)
     radii = list(radii)
     tiny = float(np.finfo(float).tiny)
     if not radii or any(not (tiny <= r <= 1.0) for r in radii):

@@ -22,6 +22,8 @@ __all__ = [
     "SubsampleSpec",
     "GridFunction",
     "check_dim",
+    "check_integer",
+    "check_p",
     "check_same_grid",
     "build_partition",
     "build_subsample",
@@ -45,10 +47,24 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_dim(dim) -> None:
-    """The dimension rule: the domain is [0,1]^dim for dim 1, 2 or 3."""
+def check_dim(dim) -> int:
+    """The dimension rule: the domain is [0,1]^dim for dim 1, 2 or 3; returns ``int(dim)``."""
     if not (_is_integer(dim) and dim in (1, 2, 3)):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    return int(dim)
+
+
+def check_integer(what: str, value, least: int) -> int:
+    """The integer rule: ``what`` is an integer >= ``least``; returns ``int(value)``."""
+    if not (_is_integer(value) and value >= least):
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_p(p) -> None:
+    """The exponent rule: p is a finite number >= 1, not a bool; at p = inf every norm reads 1."""
+    if isinstance(p, bool) or not 1.0 <= p < np.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
 
 
 def check_same_grid(role: str, spec, other_role: str, other_spec) -> None:
@@ -64,10 +80,9 @@ class DomainSpec:
     dim: int
     n: int
 
-    def __post_init__(self):
-        check_dim(self.dim)
-        if not (_is_integer(self.n) and self.n >= 2):
-            raise ValueError(f"n must be an integer >= 2, got {self.n}")
+    def __post_init__(self):  # Python ints, so a grid prints the same whatever built it
+        object.__setattr__(self, "dim", check_dim(self.dim))
+        object.__setattr__(self, "n", check_integer("n", self.n, 2))
 
     @property
     def spacing(self) -> float:
@@ -167,8 +182,7 @@ class CoarsePartition:
 
 def build_partition(spec: DomainSpec, m: int) -> CoarsePartition:
     """Partition the cube into m^dim patches; m must divide the fine resolution."""
-    if not (_is_integer(m) and m >= 1):
-        raise ValueError(f"m must be an integer >= 1, got {m}")
+    m = check_integer("m", m, 1)
     if spec.n % m != 0:
         raise AlignmentError(
             f"patch count m={m} does not divide fine resolution n={spec.n}; "
@@ -311,8 +325,7 @@ def scatter_cells_to_nodes(cellvals: np.ndarray) -> np.ndarray:
 
 def lp_norm(u: GridFunction, p: float) -> float:
     """Midpoint-rule L^p norm of u over the cube."""
-    if not 1.0 <= p < np.inf:  # p = inf would read |x|**inf ** (1/inf) = 1
-        raise ValueError(f"p must be a finite number >= 1, got {p}")
+    check_p(p)
     return float(midpoint_lp(cell_center_values(u), p, u.spec.cell_volume))
 
 
@@ -328,8 +341,7 @@ def gradient_lp_norm(u: GridFunction, p: float, weight=None) -> float:
     weight is a ``CoefficientField`` on the grid of u (strictly positive by
     construction), or None for 1.
     """
-    if not 1.0 <= p < np.inf:  # p = inf would read |x|**inf ** (1/inf) = 1
-        raise ValueError(f"p must be a finite number >= 1, got {p}")
+    check_p(p)
     if weight is not None:
         check_same_grid("weight", weight.spec, "field", u.spec)
     comps = cell_gradient(u)

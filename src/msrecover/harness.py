@@ -25,7 +25,7 @@ from .elliptic import (assemble, checkerboard_coefficient, constant_coefficient,
                        layered_coefficient, lognormal_coefficient)
 from .errors import ConfigError
 from .grid import (SUBSAMPLE_KINDS, DomainSpec, build_partition, build_subsample, check_dim,
-                   lp_norm, gradient_lp_norm)
+                   check_integer, check_p, lp_norm, gradient_lp_norm)
 from .measurements import build_functionals, measure_all
 from .recovery import (BASES, pc_recover, recover, recovery_error_report,
                        sharp_constant_estimate)
@@ -125,11 +125,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be a JSON {what}, got {value!r}")
             if f.type == "float":  # NaN and Infinity parse as JSON numbers
                 _check_number(f.name, value, positive=False)
-        check_dim(self.dim)  # DomainSpec's rule, for the studies that build no grid
-        if self.p < 1:  # the range lp_norm accepts
-            raise ConfigError(f"p must be a finite number >= 1, got {self.p!r}")
-        if self.num_functions < 1:
-            raise ConfigError(f"num_functions must be >= 1, got {self.num_functions!r}")
+        check_dim(self.dim)  # the grid's rules, for the studies that build no grid
+        check_p(self.p)
+        check_integer("num_functions", self.num_functions, 1)
         _check_choice("kind", self.kind, SUBSAMPLE_KINDS)
         _check_choice("basis", self.basis, BASES)
         _check_choice("profile_kind", self.profile_kind, POINTWISE_PROFILES)
@@ -152,12 +150,11 @@ class ExperimentConfig:
         for key in ("value", "contrast", "sigma"):
             if key in self.coeff:
                 _check_number(f"coeff {key}", self.coeff[key], positive=key != "sigma")
-        if "axis" in self.coeff and not _is_int(self.coeff["axis"]):  # its range: the grid's
-            raise ConfigError(f"coeff axis must be an integer, got {self.coeff['axis']!r}")
-        # the seed a generator draws with is the coeff's, else the config's
-        for what, seed in (("seed", self.seed), ("coeff seed", self.coeff.get("seed", self.seed))):
-            if not (_is_int(seed) and seed >= 0):  # numpy seeds are non-negative
-                raise ConfigError(f"{what} must be a non-negative integer, got {seed!r}")
+        check_integer("seed", self.seed, 0)  # numpy seeds are non-negative
+        # stored as Python ints, which the report can write; the generator checks an
+        # axis against the grid
+        self.coeff = {**self.coeff, **{key: check_integer(f"coeff {key}", self.coeff[key], 0)
+                                       for key in ("axis", "seed") if key in self.coeff}}
         for key in ("H_sweep", "r_sweep", "h_sweep", "radii"):
             values = getattr(self, key)
             for value in values:
@@ -185,10 +182,6 @@ def _unique_keys(pairs: list) -> dict:
     if repeated:
         raise ConfigError(f"a config object repeats keys: {repeated}")
     return dict(pairs)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_number(what: str, value, positive: bool) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (SUBSAMPLE_KINDS, DomainSpec, GridFunction, SubsampleSpec, check_dim,
+from .grid import (SUBSAMPLE_KINDS, DomainSpec, GridFunction, SubsampleSpec, check_dim, check_p,
                    check_same_grid)
 
 __all__ = [
@@ -170,8 +170,7 @@ def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
     endpoint singularity, which is integrable only for p > f.
     """
     e = _envelope_exponent("bound integral", kind, dim, H, h)
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     if dim - e >= p:
         raise ValueError(f"sliced measurements need p > {dim - e}: "
                          f"the envelope integral diverges at t=0 for p={p:g}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .elliptic import CoefficientField, assemble
 from .errors import AlignmentError
-from .grid import SubsampleSpec, check_same_grid
+from .grid import SubsampleSpec, check_p, check_same_grid
 from .measurements import build_functionals
 from .recovery import build_theta, multiscale_basis
 
@@ -63,8 +63,7 @@ def build_weight(dist: DistanceField, profile: str, p: float, *, beta: float = 1
     """
     if profile not in WEIGHT_PROFILES:
         raise ValueError(f"unknown weight profile {profile!r}")
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     sub = dist.sub
     spec, H, h = sub.partition.spec, sub.H, sub.h
     dim = spec.dim
@@ -103,6 +102,7 @@ def weight_condition_check(w: CoefficientField, dist: DistanceField, p: float) -
     integral/H^dim bounded as h decreases at fixed H.  Only defined for p > 1
     (the p = 1 inequality needs no condition).
     """
+    check_p(p)
     if not p > 1.0:
         raise ValueError("the weight condition applies to p > 1 only")
     spec = w.spec

@@ -41,6 +41,8 @@ SUBSAMPLE_SETS = {
     "point-1d": ("point", 8, 2, 0.5, ("flat",)),
     "point-2d": ("point", 16, 4, 0.5, ("flat", "flat")),
     "point-3d": ("point", 8, 2, 0.5, ("flat", "flat", "flat")),
+    # numpy sizes build the same set, and a grid stores and prints them as Python ints
+    "cube-2d-numpy-sizes": ("cube", np.int64(16), np.int32(4), 0.5, ("thin", "thin")),
 }
 
 
@@ -48,6 +50,7 @@ SUBSAMPLE_SETS = {
 def test_subsample_is_the_product_of_its_axis_extents(kind, n, m, ratio, extents):
     dim, thin = len(extents), extents.count("thin")
     sub = build_subsample(build_partition(DomainSpec(dim, n), m), kind, ratio)
+    assert repr(sub.partition) == f"CoarsePartition(spec=DomainSpec(dim={dim}, n={n}), m={m})"
     assert sub.extents == extents == ("thin",) * thin + ("flat",) * (dim - thin)  # flat last
     h = ratio / m if thin else 0.0
     assert sub.h == h

@@ -120,6 +120,12 @@ def test_a_config_coeff_of_only_its_required_keys_takes_its_generators_defaults(
     assert np.array_equal(harness.coefficient(spec, cfg).values, expected.values)
 
 
+@pytest.mark.parametrize("coeff", [{"name": "layered", "contrast": 10.0, "axis": np.int64(0)},
+                                   {"name": "lognormal", "seed": np.int32(3)}])
+def test_a_config_stores_a_numpy_coeff_integer_as_an_int_its_report_can_write(coeff):
+    assert json.loads(json.dumps(ExperimentConfig(coeff=coeff).coeff)) == coeff
+
+
 def test_a_lognormal_coeff_without_a_seed_draws_with_the_seed_option(tmp_path, capsys):
     rows = {}
     for label, seed, argv in [("option", {}, ("--seed", "3")), ("config", {"seed": 3}, ()),
@@ -138,7 +144,7 @@ def test_cli_a_study_that_reads_no_seed_ignores_the_seed_option(tmp_path, capsys
 
 # stderr prefixes; {tmp} is the run's directory, and u.csv its --input file
 CONFIG, SOLVER, INPUT = "configuration error: ", "solver error: ", "input error: {tmp}/u.csv: "
-SEED = "seed must be a non-negative integer, got -1\n"
+SEED = "seed must be an integer >= 0, got -1\n"
 UNREAD = "keys this command does not read: "  # each such config has one key
 SCALE = "coefficient must be strictly positive and finite"  # an element scale a h^(d-2)
 
@@ -270,7 +276,7 @@ REFUSALS = [
     # a value outside the construction a study's runner measures
     Refusal("converge", '{"r": 1.5}', "fixed ratio r must lie in (0, 1]\n"),
     Refusal("converge", '{"coeff": {"name": "layered", "contrast": 10, "axis": 0.5}}',
-            "coeff axis must be an integer, got 0.5\n"),
+            "coeff axis must be an integer >= 0, got 0.5\n"),
     Refusal("rates", '{"r_sweep": [], "h_sweep": []}',
             "rate study needs an r_sweep (grid) or h_sweep (grid-free)\n"),
     Refusal("rates", '{"p": 3.0}', "the grid eigen estimate is a p = 2 construction\n"),
@@ -318,7 +324,7 @@ REFUSALS = [
     Refusal("converge", '{"coeff": {"name": "lognormal", "sigma": "1"}}',
             "coeff sigma must be a finite number"),
     Refusal("converge", '{"coeff": {"name": "lognormal", "seed": 2.0}}',
-            "coeff seed must be a non-negative integer"),
+            "coeff seed must be an integer >= 0, got 2.0\n"),
     Refusal("converge", '{"H_sweep": [0.5, "1/4", 0.125]}',
             "H_sweep entries must be a positive finite number"),
     Refusal("rates", '{"r_sweep": [1.0, 0.5, 0.0]}',
@@ -355,7 +361,7 @@ REFUSALS = [
     Refusal("pointwise", '{"p": 0}', "p must be a finite number >= 1"),
     Refusal("pointwise", '{"p": -2.0}', "p must be a finite number >= 1"),
     Refusal("degeneracy", '{"p": -1.0}', "p must be a finite number >= 1"),
-    Refusal("weighted", '{"num_functions": 0}', "num_functions must be >= 1"),
+    Refusal("weighted", '{"num_functions": 0}', "num_functions must be an integer >= 1, got 0\n"),
     # a repeated sweep value: the fits and bands would read fewer distinct points
     Refusal("converge", '{"H_sweep": [0.5, 0.5, 0.5]}', "H_sweep repeats a value"),
     Refusal("rates", '{"r_sweep": [0.5, 0.5]}', "r_sweep repeats a value"),
@@ -372,6 +378,9 @@ REFUSALS = [
     Refusal("converge", '{"H_sweep": [0.5, 0.3, 0.25]}', "H=0.3 is not 1/m for integer m\n"),
     # an integer beyond the float range
     Refusal("pointwise", '{"profile_q": 1%s}' % ("0" * 400), "profile_q must be a finite number"),
+    # a negative coeff axis: the layered generator used to refuse it, against the grid's axes
+    Refusal("converge", '{"coeff": {"name": "layered", "contrast": 10, "axis": -1}}',
+            "coeff axis must be an integer >= 0, got -1\n"),
 ]
 
 

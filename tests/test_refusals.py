@@ -24,7 +24,8 @@ from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coeffic
                                 layered_coefficient, solve)
 from msrecover.errors import AlignmentError, ConfigError
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
-                            check_dim, check_same_grid, gradient_lp_norm, lp_norm)
+                            check_dim, check_integer, check_p, check_same_grid,
+                            gradient_lp_norm, lp_norm)
 from msrecover.harness import ExperimentConfig, fit_loglog
 from msrecover.measurements import (MeasurementVector, alpha_envelope, bound_integral,
                                     build_functionals, contract, measure, measure_all)
@@ -90,6 +91,13 @@ LIBRARY_REFUSALS = {
     # an integer-valued float and a bool used to pass the `in (1, 2, 3)` test
     **_rows("check_dim", "dim must be 1, 2 or 3, got 2.0", float=lambda: check_dim(2.0)),
     **_rows("check_dim", "dim must be 1, 2 or 3, got True", bool=lambda: check_dim(True)),
+    # a bool, an integer-valued float and NaN are no integer; a bool and inf no exponent
+    **{f"check_integer-{case}": Refusal("check_integer", lambda v=v: check_integer(
+        "size", v, 2), ValueError, f"size must be an integer >= 2, got {v!r}")
+       for case, v in [("below", 1), ("float", 2.0), ("bool", True), ("nan", nan),
+                       ("string", "3"), ("numpy-below", np.int64(1))]},
+    **{f"check_p-{case}": Refusal("check_p", lambda p=p: check_p(p), ValueError, FINITE + f"{p}")
+       for case, p in [("below", 0.5), ("inf", inf), ("nan", nan), ("bool", True)]},
     **_rows("check_same_grid", _grids("field", (1, 8), "operator", (2, 8)), dim=lambda:
             check_same_grid("field", DomainSpec(1, 8), "operator", DomainSpec(2, 8))),
     **_rows("DomainSpec", "dim must be 1, 2 or 3, got 4", dim=lambda: DomainSpec(4, 8)),
@@ -131,6 +139,9 @@ LIBRARY_REFUSALS = {
             p_inf=lambda: lp_norm(GridFunction.constant(DomainSpec(2, 8), 0.3), inf)),
     **_rows("lp_norm", FINITE + "nan",
             p_nan=lambda: lp_norm(GridFunction.constant(DomainSpec(2, 8), 2.0), nan)),
+    # True used to be read as p = 1: the mean of |u|, 0.3
+    **_rows("lp_norm", FINITE + "True",
+            p_bool=lambda: lp_norm(GridFunction.constant(DomainSpec(2, 8), 0.3), True)),
     **_rows("gradient_lp_norm", FINITE + "inf", p_inf=lambda: gradient_lp_norm(_ramp(2, 8), inf)),
     **_rows("gradient_lp_norm", FINITE + "nan", p_nan=lambda: gradient_lp_norm(_ramp(2, 8), nan)),
     **{f"gradient_lp_norm-weight-{dim}d-n{n}": Refusal(
@@ -175,8 +186,11 @@ LIBRARY_REFUSALS = {
             slice_p1=lambda: bound_integral("slice", 1.0, 2, 1.0, 0.5)),
     **_rows("bound_integral", f"bound integral {KINDS}'slice' at dim 1",
             slice_1d=lambda: bound_integral("slice", 2.0, 1, 0.5, 0.25)),
-    **_rows("bound_integral", "p must be >= 1, got nan",
+    **_rows("bound_integral", FINITE + "nan",
             p_nan=lambda: bound_integral("cube", nan, 2, 1.0, 0.5)),
+    # it used to return 1.0, the integral of t^0
+    **_rows("bound_integral", FINITE + "inf",
+            p_inf=lambda: bound_integral("cube", inf, 2, 1.0, 0.5)),
     # elliptic
     **_rows("CoefficientField", SCALE, zero=lambda: CoefficientField(DomainSpec(1, 4), [0.0] * 4),
             negative=lambda: CoefficientField(DomainSpec(1, 4), [-1.0] * 4),
@@ -245,14 +259,19 @@ LIBRARY_REFUSALS = {
             gamma_one=lambda: _weight("logarithmic", gamma=1.0),
             gamma_nan=lambda: _weight("logarithmic", gamma=nan)),
     **_rows("build_weight", "unknown weight profile 'pow'", profile=lambda: _weight("pow")),
-    **_rows("build_weight", "p must be >= 1, got 0.5", p_below_one=lambda: _weight("w11", p=0.5)),
-    **_rows("build_weight", "p must be >= 1, got nan", p_nan=lambda: _weight("polynomial", p=nan)),
+    **_rows("build_weight", FINITE + "0.5", p_below_one=lambda: _weight("w11", p=0.5)),
+    **_rows("build_weight", FINITE + "nan", p_nan=lambda: _weight("polynomial", p=nan)),
+    # it used to fail on the coefficient's positivity, (H/s)^-inf being 0
+    **_rows("build_weight", FINITE + "inf", p_inf=lambda: _weight("polynomial", p=inf)),
     # three cells per patch put a cell center exactly on a patch center
     **_rows("build_weight", "limit weight (h=0) needs an even cell count", AlignmentError,
             parity=lambda: _weight("polynomial", n=12, m=4, kind="point")),
     **_rows("weight_condition_check", "the weight condition applies to p > 1 only",
-            p_one=lambda: weight_condition_check(*_weight("w11", m=1, p=1.0), 1.0),
-            p_nan=lambda: weight_condition_check(*_weight("w11", m=1, p=1.0), nan)),
+            p_one=lambda: weight_condition_check(*_weight("w11", m=1, p=1.0), 1.0)),
+    # p = inf used to give a NaN integral, its exponent reading inf/inf
+    **{f"weight_condition_check-p-{p}": Refusal("weight_condition_check", lambda p=p:
+       weight_condition_check(*_weight("w11", m=1, p=1.0), p), ValueError, FINITE + f"{p}")
+       for p in (nan, inf)},
     # it used to return an integral of the 1D distances broadcast over the 2D weight
     **_rows("weight_condition_check", _grids("weight", (2, 8), "distance", (1, 8)),
             dim=lambda: weight_condition_check(constant_coefficient(DomainSpec(2, 8)),
@@ -262,8 +281,10 @@ LIBRARY_REFUSALS = {
             variant=lambda: rho("bogus", 2, 2, 1.0)),
     **_rows("rho", "x must be >= 0", x_negative=lambda: rho("sharp", 2, 2, -1.0),
             x_nan=lambda: rho("sharp", 2, 2, nan)),
-    **_rows("rho", "p must be >= 1", p_below_one=lambda: rho("sharp", 0.5, 2, 3.0),
-            p_nan=lambda: rho("sharp", nan, 2, 3.0)),
+    **_rows("rho", FINITE + "0.5", p_below_one=lambda: rho("sharp", 0.5, 2, 3.0)),
+    **_rows("rho", FINITE + "nan", p_nan=lambda: rho("sharp", nan, 2, 3.0)),
+    # it used to return 1.0, dim < p
+    **_rows("rho", FINITE + "inf", p_inf=lambda: rho("sharp", inf, 2, 3.0)),
     # h must lie in (0, 1/4]; critical_ratio's h is radial_function's
     **{f"radial_function-{kind}-h-{h}": Refusal(
         "radial_function", lambda kind=kind, h=h: radial_function(kind, h), ValueError,
@@ -278,14 +299,15 @@ LIBRARY_REFUSALS = {
     **_rows("power_profile", "power profile needs q > 0", q_zero=lambda: power_profile(0.0),
             q_nan=lambda: power_profile(nan)),
     **_rows("critical_ratio", "critical profiles exist for dim >= p only",
-            dim_below_p=lambda: critical_ratio(1, 2, 0.1),
-            p_nan=lambda: critical_ratio(2, nan, 0.1)),
-    **_rows("critical_ratio", "p must be >= 1", p_below_one=lambda: critical_ratio(1, 0.5, 0.25)),
+            dim_below_p=lambda: critical_ratio(1, 2, 0.1)),
+    **_rows("critical_ratio", FINITE + "nan", p_nan=lambda: critical_ratio(2, nan, 0.1)),
+    **_rows("critical_ratio", FINITE + "0.5", p_below_one=lambda: critical_ratio(1, 0.5, 0.25)),
     # a ball's dimension is an integer >= 1 of any size (criterion 04 runs dim 4); dim 0
-    # used to give rho 1 and ball averages 0, dim 2.5 a ball of fractional dimension
+    # used to give rho 1 and ball averages 0, dim 2.5 a ball of fractional dimension,
+    # and dim 2.0 and True computed, True as dim 1
     **{f"{name}-dim-{dim}": Refusal(name, call, ValueError,
                                     f"dim must be an integer >= 1, got {dim}")
-       for dim in (0, 2.5, nan) for name, call in [
+       for dim in (0, 2.5, nan, 2.0, True) for name, call in [
            ("rho", lambda dim=dim: rho("sharp", 2, dim, 3.0)),
            ("critical_ratio", lambda dim=dim: critical_ratio(dim, 1, 0.1)),
            ("ball_average_sequence", lambda dim=dim: _radii(0.5, 0.25, dim=dim))]},
@@ -324,8 +346,8 @@ def test_library_refusal_raises_its_error(row_id):
 
 
 LIBRARY = (grid, measurements, elliptic, recovery, weights, analytic)
-# grid's two rules: a call to one refuses like a raise
-GRID_RULES = {"check_dim", "check_same_grid"}
+# grid's four rules: a call to one refuses like a raise
+GRID_RULES = {"check_dim", "check_integer", "check_p", "check_same_grid"}
 
 
 def _refusing_callables(module) -> set:
@@ -369,3 +391,16 @@ def test_every_refusing_callable_has_a_row_or_names_where_its_refusals_are_teste
     here = pathlib.Path(__file__).parent
     for module, name in REFUSED_ELSEWHERE.values():  # a table or test of that module
         assert re.search(rf"^({name} = |def {name}\()", (here / module).read_text(), re.M), name
+
+
+# the message of each of GRID_RULES, as its f-string reads in the source
+RULE_MESSAGES = ["must be 1, 2 or 3, got", "must be an integer >= {",
+                 "must be a finite number >= 1", "grid {spec} does not match the"]
+
+
+@pytest.mark.parametrize("message", RULE_MESSAGES)
+def test_each_grid_rule_message_is_formatted_once_in_grid(message):
+    sources = {path.name: path.read_text()
+               for path in pathlib.Path(grid.__file__).parent.glob("*.py")}
+    assert {name: text.count(message) for name, text in sources.items()
+            if message in text} == {"grid.py": 1}
