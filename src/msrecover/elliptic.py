@@ -43,15 +43,13 @@ _CG_ITERATIONS = 4000
 
 
 class CoefficientField:
-    """Strictly positive cellwise-constant coefficient; a and its element scale
-    a h^(d-2) are finite on every cell."""
+    """Strictly positive cellwise-constant coefficient, of its grid's cell shape; a and
+    its element scale a h^(d-2) are finite on every cell."""
 
     __slots__ = ("spec", "values", "a_min", "a_max")
 
     def __init__(self, spec: DomainSpec, values):
         values = np.asarray(values, dtype=float)
-        if values.shape == (spec.n**spec.dim,):
-            values = values.reshape(spec.cell_shape)
         if values.shape != spec.cell_shape:
             raise ValueError(
                 f"coefficient shape {values.shape} does not match cell shape {spec.cell_shape}"

@@ -329,29 +329,35 @@ def lp_norm(u: GridFunction, p: float) -> float:
     return float(midpoint_lp(cell_center_values(u), p, u.spec.cell_volume))
 
 
-def midpoint_lp(cells: np.ndarray, p: float, cell_volume: float, axis=None):
-    """Midpoint-rule L^p norm of cell-center values over ``axis`` (default all): the
-    formula behind ``lp_norm``, with the same bits for one norm or an array of them."""
-    return np.power(np.sum(np.abs(cells) ** p, axis=axis) * cell_volume, 1.0 / p)
+def midpoint_lp(cells: np.ndarray, p: float, cell_volume: float, axis=None, weight=1.0,
+                squared: bool = False):
+    """Midpoint-rule L^p norm, weighted cell by cell, of cell-center values (``squared``:
+    of their squares) over ``axis`` (default all), with the same bits for one norm or an
+    array of them.  A p-th-power sum that leaves the normal float range, while some value
+    is not 0, is taken relative to its largest term, in logarithms."""
+    base, power = (cells, p / 2.0) if squared else (np.abs(cells), p)
+    with np.errstate(all="ignore"):  # powers that overflow or underflow, and log 0 = -inf
+        total = np.sum(base**power * weight, axis=axis) * cell_volume
+        normal = (total >= np.finfo(float).tiny) & (total < np.inf) | ~np.any(base, axis=axis)
+        if np.all(normal):
+            return np.power(total, 1.0 / p)
+        logs = power * np.log(base) + np.log(weight)
+        top = np.max(logs, axis=axis, keepdims=True)
+        rest = np.sum(np.exp(logs - top), axis=axis) * cell_volume  # its top term is 1
+        top = np.squeeze(top, axis=axis)  # an inf or NaN value keeps its inf or NaN norm
+        return np.where(normal | ~np.isfinite(top), np.power(total, 1.0 / p),
+                        np.exp((top + np.log(rest)) / p))
 
 
 def gradient_lp_norm(u: GridFunction, p: float, weight=None) -> float:
-    """Midpoint-rule (weighted) L^p norm of the gradient magnitude.
-
-    weight is a ``CoefficientField`` on the grid of u (strictly positive by
-    construction), or None for 1.
-    """
+    """Midpoint-rule L^p norm of the gradient magnitude, weighted by ``weight``: a
+    ``CoefficientField`` on the grid of u (strictly positive by construction), or None for 1."""
     check_p(p)
     if weight is not None:
         check_same_grid("weight", weight.spec, "field", u.spec)
-    comps = cell_gradient(u)
-    mag2 = np.zeros(u.spec.cell_shape)
-    for g in comps:
-        mag2 += g * g
-    integrand = mag2 ** (p / 2.0)
-    if weight is not None:
-        integrand = integrand * weight.values
-    return float(np.sum(integrand) * u.spec.cell_volume) ** (1.0 / p)
+    mag2 = sum(g * g for g in cell_gradient(u))
+    return float(midpoint_lp(mag2, p, u.spec.cell_volume, squared=True,
+                             weight=1.0 if weight is None else weight.values))
 
 
 def save_grid_function(u: GridFunction, path) -> None:

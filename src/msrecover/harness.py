@@ -384,8 +384,8 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
     """Paired recovery-error curves as the subsample shrinks to points.
 
     The weighted multiscale recovery must stay flat (bounded max/min) down to
-    the point-measurement endpoint, while the single-patch optimal constant on
-    the same ratios grows monotonically.  The flatness gate reads only the
+    the point-measurement endpoint, while the optimal constant of one patch of
+    the same sets grows monotonically.  The flatness gate reads only the
     points where the weight acts: a weight that is constant on every cell only
     rescales the operator, so there the weighted recovery is the unweighted
     one.
@@ -410,10 +410,7 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
             for sub, w in zip(sweep, weights)]
     active = [row[2] for row, a in zip(rows, acts) if a]
 
-    # single-patch optimal constants on the same ratios (cross-check curve)
-    part1 = build_partition(DomainSpec(cfg.dim, cfg.n // cfg.m), 1)
-    constants = [sharp_constant_estimate(build_subsample(part1, sub.kind, sub.ratio))
-                 for sub in sweep]
+    constants = [sharp_constant_estimate(sub) for sub in sweep]  # one patch's (cross-check)
 
     _, unweighted_vals, weighted_vals = zip(*rows)
     active_max_min = max(active) / min(active)

@@ -23,7 +23,6 @@ __all__ = [
     "MeasurementFunctional",
     "MeasurementOperator",
     "MeasurementVector",
-    "axis_factors",
     "build_functionals",
     "contract",
     "measure",
@@ -92,7 +91,7 @@ class MeasurementOperator:
         return MeasurementFunctional([w[k] for w, k in zip(self.factors, multi)])
 
 
-def axis_factors(sub: SubsampleSpec, axis: int) -> np.ndarray:
+def _axis_factors(sub: SubsampleSpec, axis: int) -> np.ndarray:
     """(m, n+1) node weights of the patch coordinates k = 0..m-1 along ``axis``.
 
     A flat interval is a point value, interpolated between its two nearest
@@ -112,7 +111,7 @@ def axis_factors(sub: SubsampleSpec, axis: int) -> np.ndarray:
 
 def build_functionals(sub: SubsampleSpec) -> MeasurementOperator:
     """The measurement operator of ``sub``: one functional per patch, in patch index order."""
-    return MeasurementOperator([axis_factors(sub, a) for a in range(sub.partition.spec.dim)])
+    return MeasurementOperator([_axis_factors(sub, a) for a in range(sub.partition.spec.dim)])
 
 
 def measure(u: GridFunction, phi: MeasurementFunctional) -> float:

@@ -19,8 +19,8 @@ from .elliptic import StiffnessOperator, energy_inner, kronecker_sum, q1_spectru
 from .errors import SolverError
 from .grid import (CoarsePartition, GridFunction, SubsampleSpec, cell_center_values,
                    check_same_grid, lp_norm, midpoint_lp)
-from .measurements import (MeasurementOperator, MeasurementVector, axis_factors,
-                           build_functionals, contract, measure_all)
+from .measurements import (MeasurementOperator, MeasurementVector, build_functionals,
+                           contract, measure_all)
 
 __all__ = [
     "ThetaMatrix",
@@ -216,28 +216,25 @@ def recovery_error_report(u: GridFunction, recovered: GridFunction, params: dict
 
 
 def sharp_constant_estimate(sub: SubsampleSpec) -> float:
-    """Optimal constant of the measured-average inequality on a single patch.
+    """Optimal constant of the measured-average inequality on one patch of ``sub``: patch
+    0's, of q = n/m cells, as the patches are congruent and each set is centred in its own.
 
-    Maximizes  ||u - measured(u)||_L2 / ||grad u||_L2  over discrete fields
-    with free boundary values and unit coefficient.  The tensor DCT-I basis
-    diagonalizes the natural stiffness and the midpoint mass (fast
-    diagonalization) and the centering adds a rank-one term, so the constant
-    squared is the largest root of a secular equation.
+    Maximizes  ||u - measured(u)||_L2 / ||grad u||_L2  over discrete fields with free
+    boundary values and unit coefficient.  The tensor DCT-I basis diagonalizes the natural
+    stiffness and the midpoint mass (fast diagonalization) and the centering adds a
+    rank-one term, so the constant squared is the largest root of a secular equation.
     """
-    part = sub.partition
-    if part.m != 1:
-        raise ValueError("the constant estimate runs on a single-patch configuration")
-    n, dim = part.spec.n, part.spec.dim
+    q, dim = sub.partition.cells_per_patch, sub.partition.spec.dim
     outer = functools.partial(functools.reduce, np.multiply.outer)  # of one array per axis
-    theta, consistent, midpoint, c, cos = q1_spectrum(n)
+    theta, consistent, midpoint, c, cos = q1_spectrum(q)
     kappa = kronecker_sum(theta, consistent, dim, np.multiply.outer)
     mu = outer([midpoint] * dim)
     # g = Q^T w for the L-orthonormal tensor DCT-I basis Q; the functional's node
     # weights are a product of axis factors, so g is the product of their cosine sums
-    k = np.arange(n + 1)[:, None]
+    k = np.arange(q + 1)[:, None]
     # (elementwise sums over each row's support, so no bit depends on the BLAS thread count)
-    rows = [axis_factors(sub, axis)[0] for axis in range(dim)]  # of the one patch
-    g = outer([c * np.sum(cos[k * j % (2 * n)] * row[j], axis=1)
+    rows = [w[0, :q + 1] for w in build_functionals(sub).factors]  # patch 0's nodes
+    g = outer([c * np.sum(cos[k * j % (2 * q)] * row[j], axis=1)
                for row, j in zip(rows, map(np.flatnonzero, rows))])
     # k = 0 is the constants, which the quotient leaves out
     kappa, mu, g = (v.reshape(-1)[1:] for v in (kappa, mu, g))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
-                            cell_center_values, load_grid_function, lp_norm, save_grid_function)
+                            cell_center_values, gradient_lp_norm, load_grid_function, lp_norm,
+                            save_grid_function)
 from msrecover.measurements import alpha_envelope
 
 
@@ -82,6 +83,17 @@ def test_lp_norm_is_a_norm_summed_patch_by_patch(dim, n, m):
         assert lp_norm(u + v, p) <= lp_norm(u, p) + lp_norm(v, p) + 1e-12
         total = sum(np.sum(np.abs(cells[c]) ** p) * spec.cell_volume for c in patches)
         assert total == pytest.approx(lp_norm(u, p) ** p, rel=1e-12)
+
+
+# |c|^p leaves the float range: the norms used to read 0.0 (c = 0.5, p = 2000) or
+# inf (c = 2, p = 1100, with an overflow warning)
+@pytest.mark.parametrize("p", [600.0, 2000.0, 1e4])
+@pytest.mark.parametrize("c", [1e-3, 0.5, 2.0, 1e3])
+def test_norms_of_a_constant_and_a_ramp_hold_at_large_p(c, p):
+    spec = DomainSpec(2, 8)
+    assert lp_norm(GridFunction.constant(spec, c), p) == pytest.approx(c, rel=1e-12)
+    ramp = GridFunction.from_callable(spec, lambda x, _: c * x)  # gradient (c, 0) on every cell
+    assert gradient_lp_norm(ramp, p) == pytest.approx(c, rel=1e-12)
 
 
 def test_serialization_roundtrip(tmp_path):

@@ -301,3 +301,21 @@ def test_sharp_constant_matches_dense_eigh(dim, n, kind, r):
     sub = build_subsample(part, kind) if r is None else build_subsample(part, kind, r)
     assert sharp_constant_estimate(sub) == pytest.approx(_dense_sharp_constant(sub), rel=1e-12)
 
+
+# each set of an m-partition: (kind, ratio or None, cells per patch q)
+PATCH_SETS = [("cube", 0.5, 8), ("cube", 0.25, 8), ("slice", 0.5, 8), ("slice", 0.25, 8),
+              ("point", None, 7), ("point", None, 8)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sharp_constant_of_a_partition_is_that_of_its_patch_grid(dim, m):
+    # the patches are congruent: the constant of patch 0 of the n = m q grid is the
+    # constant of the same set on the one-patch grid of q cells, bit for bit
+    for kind, r, q in PATCH_SETS:
+        if kind == "slice" and dim < 2:
+            continue
+        args = (kind,) if r is None else (kind, r)
+        sub = build_subsample(build_partition(DomainSpec(dim, m * q), m), *args)
+        alone = build_subsample(build_partition(DomainSpec(dim, q), 1), *args)
+        assert sharp_constant_estimate(sub) == sharp_constant_estimate(alone), (kind, r, q)
