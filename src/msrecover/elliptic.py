@@ -321,7 +321,7 @@ def solve(op: StiffnessOperator, f: GridFunction) -> GridFunction:
     check_same_grid("source", f.spec, "operator", op.spec)
     b = load_vector(f)
     x = op.solve_interior(b[op.interior_indices])
-    return GridFunction(op.spec, op.embed_interior(x))
+    return GridFunction(op.spec, op.embed_interior(x).reshape(op.spec.node_shape))
 
 
 def energy_inner(u: GridFunction, v: GridFunction, op: StiffnessOperator) -> float:

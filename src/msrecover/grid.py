@@ -121,8 +121,6 @@ class GridFunction:
 
     def __init__(self, spec: DomainSpec, values):
         values = np.asarray(values, dtype=float)
-        if values.shape == (spec.num_nodes,):
-            values = values.reshape(spec.node_shape)
         if values.shape != spec.node_shape:
             raise ValueError(
                 f"values shape {values.shape} does not match node shape {spec.node_shape}"
@@ -374,7 +372,7 @@ def load_grid_function(path) -> GridFunction:
     """Read a grid function written by save_grid_function.
 
     Raises ValueError on a malformed or truncated file, a value row that is not
-    exactly one field, or a value that is not finite.
+    exactly one field, a value that is not finite, or other than (n+1)^dim values.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -386,7 +384,11 @@ def load_grid_function(path) -> GridFunction:
             raise ValueError(f"not a grid-function CSV: {exc}") from exc
     if not np.isfinite(vals).all():
         raise ValueError("grid-function values must be finite")
-    return GridFunction(DomainSpec(dim, n), vals)
+    spec = DomainSpec(dim, n)
+    if len(vals) != spec.num_nodes:
+        raise ValueError(f"a dim-{dim} n={n} grid function has {spec.num_nodes} values, "
+                         f"got {len(vals)}")
+    return GridFunction(spec, vals.reshape(spec.node_shape))
 
 
 def _parse_row(row: list, convert, count: int, rule: str) -> list:

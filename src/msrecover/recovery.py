@@ -36,9 +36,6 @@ __all__ = [
     "sharp_constant_estimate",
 ]
 
-# the recovery bases, in the order errors list them
-BASES = ("ms", "pc")
-
 
 def pc_recover(data: MeasurementVector, part: CoarsePartition) -> GridFunction:
     """Piecewise-constant recovery: the measured value on each patch.

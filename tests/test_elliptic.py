@@ -448,7 +448,7 @@ def test_operator_forms_are_one_spd_galerkin_operator(monkeypatch, dim, n, coeff
     op = assemble(spec, a)
     builds = _count_assembly(monkeypatch)
     rng = np.random.default_rng(dim)
-    u, v = (GridFunction(spec, rng.standard_normal(spec.num_nodes)) for _ in range(2))
+    u, v = (GridFunction(spec, rng.standard_normal(spec.node_shape)) for _ in range(2))
     uv = energy_inner(u, v, op)
     assert energy_inner(v, u, op) == pytest.approx(uv, rel=1e-14)
     z = GridFunction.constant(spec, 2.5)
@@ -472,9 +472,10 @@ def test_operator_forms_are_one_spd_galerkin_operator(monkeypatch, dim, n, coeff
     tripled = assemble(spec, CoefficientField(spec, 3.0 * a.values)).matrix.toarray()
     np.testing.assert_allclose(tripled, 3.0 * dense, rtol=1e-14)
     # Galerkin with the midpoint product, and a nonnegative source gives u >= 0
-    f = GridFunction(spec, rng.random(spec.num_nodes))
+    f = GridFunction(spec, rng.random(spec.node_shape))
     u_f = solve(op, f)
-    w = GridFunction(spec, op.embed_interior(rng.standard_normal(op.num_interior)))
+    w = GridFunction(spec, op.embed_interior(rng.standard_normal(op.num_interior))
+                     .reshape(spec.node_shape))
     assert abs(energy_inner(u_f, w, op) - l2_inner(f, w)) <= 1e-9
     assert u_f.values.min() >= 0.0
 

@@ -73,7 +73,7 @@ def test_lp_norm_is_a_norm_summed_patch_by_patch(dim, n, m):
     spec = DomainSpec(dim, n)
     part = build_partition(spec, m)
     rng = np.random.default_rng(dim)
-    u, v = (GridFunction(spec, rng.standard_normal(spec.num_nodes)) for _ in range(2))
+    u, v = (GridFunction(spec, rng.standard_normal(spec.node_shape)) for _ in range(2))
     cells = cell_center_values(u)
     # a patch's cells: its node slices less the last node on each axis
     patches = [tuple(slice(s.start, s.stop - 1) for s in part.patch_nodes(i))

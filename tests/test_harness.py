@@ -381,6 +381,11 @@ REFUSALS = [
     # a negative coeff axis: the layered generator used to refuse it, against the grid's axes
     Refusal("converge", '{"coeff": {"name": "layered", "contrast": 10, "axis": -1}}',
             "coeff axis must be an integer >= 0, got -1\n"),
+    # a value count other than the header grid's: one short, one over
+    Refusal("recover", None, "a dim-2 n=4 grid function has 25 values, got 24\n", INPUT,
+            _grid_csv(2, 4)[:-len(b"1.0\n")]),
+    Refusal("recover", None, "a dim-2 n=4 grid function has 25 values, got 26\n", INPUT,
+            _grid_csv(2, 4) + b"1.0\n"),
 ]
 
 

@@ -109,6 +109,9 @@ LIBRARY_REFUSALS = {
        for case, n in [("float", 8.5), ("nan", nan), ("bool", True)]},
     **_rows("GridFunction", "values shape (4,) does not match node shape (5,)",
             shape=lambda: GridFunction(DomainSpec(1, 4), np.zeros(4))),
+    # a flat array of the node count used to be reshaped to the grid
+    **_rows("GridFunction", "values shape (25,) does not match node shape (5, 5)",
+            flat=lambda: GridFunction(DomainSpec(2, 4), np.zeros(25))),
     # a 1D operand used to broadcast along the last axis of the 2D field
     **_rows("GridFunction.__add__", _grids("operand", (1, 8), "field", (2, 8)),
             dim=lambda: _ramp(2, 8) + _ramp(1, 8)),
