@@ -2,11 +2,11 @@
 
 Submodules:
   grid          two-scale geometry, grid functions, midpoint-rule norms
-  measurements  unit-mass measurement functionals and growth envelopes
+  measurements  the measurement operator: unit-mass functionals, measuring a field
   elliptic      multilinear stiffness operator, solves, inner products
   recovery      piecewise-constant and multiscale recovery, constant estimator
   weights       singular weight fields and weighted recovery
-  analytic      rate functions and grid-free radial optimality computations
+  analytic      rate functions, the envelope bound, grid-free radial computations
   harness       experiment runners, slope fits, CSV/JSON persistence; not
                 imported by the package: ``import msrecover.harness``
 """
@@ -17,8 +17,8 @@ Submodules:
 from .errors import AlignmentError, ConfigError, SolverError
 from .grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
                    build_partition, build_subsample, gradient_lp_norm, lp_norm)
-from .measurements import (MeasurementOperator, MeasurementVector, alpha_envelope,
-                           bound_integral, build_functionals, measure, measure_all)
+from .measurements import (MeasurementOperator, MeasurementVector, build_functionals, measure,
+                           measure_all)
 from .elliptic import (CoefficientField, StiffnessOperator, assemble,
                        checkerboard_coefficient, constant_coefficient, energy_inner,
                        l2_inner, layered_coefficient, lognormal_coefficient, solve)
@@ -27,7 +27,8 @@ from .recovery import (BasisSet, RecoveryReport, ThetaMatrix, build_theta,
                        recovery_error_report, sharp_constant_estimate)
 from .weights import (DistanceField, build_weight, distance_field, weight_condition_check,
                       weighted_basis)
-from .analytic import (RadialFunction, ball_average_sequence, critical_ratio, eval_radial,
-                       eval_radial_deriv, power_profile, radial_function, rho)
+from .analytic import (RadialFunction, alpha_envelope, ball_average_sequence, bound_integral,
+                       critical_ratio, eval_radial, eval_radial_deriv, power_profile,
+                       radial_function, rho)
 
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
-"""Closed-form rate functions and grid-free radial computations on the unit ball.
+"""The paper's grid-free quantities: rate functions, the envelope bound, radial optimality.
 
-The optimality studies live here: explicit radial profiles whose
-average-removed p-norm to gradient p-norm ratio realizes the lower bound of
-the subsampled inequality, and ball-average sequences probing whether a
-pointwise value at the origin exists.  All integrals are one-dimensional in
-the radius with the surface factor r^(dim-1); the unit-sphere measure cancels
-in every ratio and is never materialized.
+The envelope integral of the subsample measure's mass bounds the constant whose
+growth the rates rho describe.  Explicit radial profiles realize the lower bound
+of the subsampled inequality, and ball-average sequences probe whether a
+pointwise value at the origin exists; their integrals carry the surface factor
+r^(dim-1), the unit-sphere measure cancelling in every ratio.  Every integral is
+one quadrature over [0, 1], split at the integrand's kinks.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import check_integer, check_p
+from .grid import SUBSAMPLE_KINDS, check_dim, check_integer, check_p
 
 __all__ = [
     "rho",
+    "alpha_envelope",
+    "bound_integral",
     "RadialFunction",
     "radial_function",
     "power_profile",
@@ -48,6 +50,61 @@ def rho(variant: str, p: float, dim: int, x: float) -> float:
     if variant == "tilde":
         return float(np.log(x + 1.0))
     return float(np.log(x + 1.0) ** ((dim - 1) / dim))
+
+
+def _unit_integral(g, kinks=()) -> float:
+    """int_0^1 g(t) dt, split at the kinks inside (0, 1)."""
+    from scipy.integrate import quad  # loaded by the first integral, never by the package
+
+    pts = sorted({k for k in kinks if 0.0 < k < 1.0})
+    val, _ = quad(g, 0.0, 1.0, points=pts or None, limit=300, epsabs=0.0, epsrel=1e-10)
+    return float(val)
+
+
+def _envelope_exponent(what: str, kind: str, dim: int, H: float, h: float) -> int:
+    """The envelope's exponent: the number of thin axes of ``kind`` at ``dim``, never 0."""
+    check_dim(dim)
+    e = SUBSAMPLE_KINDS[kind](dim).count("thin") if kind in SUBSAMPLE_KINDS else 0
+    if e == 0:
+        raise ValueError(f"{what} defined for cube and slice kinds, got {kind!r} at dim {dim}")
+    if not (0.0 < h <= H):
+        raise ValueError(f"need 0 < h <= H, got h={h}, H={H}")
+    return e
+
+
+def _envelope(e: int, H: float, h: float, t: float) -> float:
+    """The envelope of exponent e at t, unchecked."""
+    return 1.0 if t >= 1.0 else min(1.0, (H / h) ** e * (t / (1.0 - t)) ** e)
+
+
+def alpha_envelope(kind: str, dim: int, H: float, h: float, t: float) -> float:
+    """Upper envelope for the mass of the subsample measure under t-shrinking.
+
+    min{1, (H/h)^e * (t/(1-t))^e}, e the number of thin axes (dim for a cube,
+    dim - 1 for a slice).  Nondecreasing in t, equal to 1 from the breakpoint
+    t = h/(H+h) on.
+    """
+    e = _envelope_exponent("alpha envelope", kind, dim, H, h)
+    if not (0.0 <= t <= 1.0):
+        raise ValueError(f"t must lie in [0,1], got {t}")
+    return _envelope(e, H, h, t)
+
+
+def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
+    """Numeric value of the envelope integral int_0^1 alpha(t)^(1/p) / t^(dim/p) dt.
+
+    Adaptive quadrature with the envelope breakpoint t = h/(H+h) as a forced
+    subdivision node.  A set flat on f axes gives the integrand a t^(-f/p)
+    endpoint singularity, which is integrable only for p > f.
+    """
+    e = _envelope_exponent("bound integral", kind, dim, H, h)
+    check_p(p)
+    if dim - e >= p:
+        raise ValueError(f"sliced measurements need p > {dim - e}: "
+                         f"the envelope integral diverges at t=0 for p={p:g}")
+    # quad's nodes lie inside (0, 1), so alpha_envelope's checks hold
+    return _unit_integral(lambda t: _envelope(e, H, h, t) ** (1.0 / p) * t ** (-dim / p),
+                          kinks=(h / (H + h),))
 
 
 @dataclass(frozen=True)
@@ -133,20 +190,6 @@ def eval_radial_deriv(fn: RadialFunction, r: float) -> float:
     return float(fn.df(r))
 
 
-def _radial_integral(g, dim: int, kinks=()) -> float:
-    """int_0^1 g(r) r^(dim-1) dr, split at the kinks inside (0, 1)."""
-    from scipy.integrate import quad
-
-    pts = sorted({k for k in kinks if 0.0 < k < 1.0})
-
-    def integrand(r):
-        return g(r) * r ** (dim - 1)
-
-    val, _ = quad(integrand, 0.0, 1.0, points=pts or None, limit=300,
-                  epsabs=0.0, epsrel=1e-10)
-    return float(val)
-
-
 def critical_ratio(dim: int, p: float, h: float) -> float:
     """Average-removed to gradient p-norm ratio of the critical profile on the ball.
 
@@ -160,8 +203,9 @@ def critical_ratio(dim: int, p: float, h: float) -> float:
     if not p <= dim:
         raise ValueError("critical profiles exist for dim >= p only")
     fn = radial_function("critical_log" if dim == p else "critical_ramp", h)
-    num_p = _radial_integral(lambda r: np.abs(fn.f(r)) ** p, dim, kinks=fn.kinks + (0.5,))
-    den_p = _radial_integral(lambda r: np.abs(fn.df(r)) ** p, dim, kinks=fn.kinks + (0.5,))
+    kinks = fn.kinks + (0.5,)
+    num_p = _unit_integral(lambda r: np.abs(fn.f(r)) ** p * r ** (dim - 1), kinks)
+    den_p = _unit_integral(lambda r: np.abs(fn.df(r)) ** p * r ** (dim - 1), kinks)
     return (num_p ** (1.0 / p)) / (den_p ** (1.0 / p))
 
 
@@ -184,7 +228,7 @@ def ball_average_sequence(fn: RadialFunction, radii, dim: int) -> dict:
         raise ValueError("radii must be strictly decreasing")
     averages = []
     for r in radii:
-        mass = _radial_integral(lambda t: fn.f(r * t), dim, kinks=[k / r for k in fn.kinks])
+        mass = _unit_integral(lambda t: fn.f(r * t) * t ** (dim - 1), [k / r for k in fn.kinks])
         averages.append(mass * dim)
     diffs = [abs(a - b) for a, b in zip(averages, averages[1:])]
     return {"radii": radii, "averages": averages, "differences": diffs}

@@ -1,4 +1,4 @@
-"""Measurement functionals over subsampled sets and their growth envelopes.
+"""The measurement operator: one functional per subsampled set, and measuring by it.
 
 A measurement functional is a unit-mass measure on a subsampled set, described
 by its extent on every axis: the set averages over width h on each thin axis
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (SUBSAMPLE_KINDS, DomainSpec, GridFunction, SubsampleSpec, check_dim, check_p,
-                   check_same_grid)
+from .grid import DomainSpec, GridFunction, SubsampleSpec, check_same_grid
 
 __all__ = [
     "MeasurementFunctional",
@@ -27,8 +26,6 @@ __all__ = [
     "contract",
     "measure",
     "measure_all",
-    "alpha_envelope",
-    "bound_integral",
 ]
 
 
@@ -130,54 +127,3 @@ def measure_all(u: GridFunction, functionals: MeasurementOperator) -> Measuremen
     """Measured averages of u under each functional."""
     check_same_grid("field", u.spec, "functional", functionals.spec)
     return MeasurementVector(contract(u.values, functionals.factors).reshape(-1))
-
-
-def _envelope_exponent(what: str, kind: str, dim: int, H: float, h: float) -> int:
-    """The envelope's exponent: the number of thin axes of ``kind`` at ``dim``, never 0."""
-    check_dim(dim)
-    e = SUBSAMPLE_KINDS[kind](dim).count("thin") if kind in SUBSAMPLE_KINDS else 0
-    if e == 0:
-        raise ValueError(f"{what} defined for cube and slice kinds, got {kind!r} at dim {dim}")
-    if not (0.0 < h <= H):
-        raise ValueError(f"need 0 < h <= H, got h={h}, H={H}")
-    return e
-
-
-def _envelope(e: int, H: float, h: float, t: float) -> float:
-    """The envelope of exponent e at t, unchecked."""
-    return 1.0 if t >= 1.0 else min(1.0, (H / h) ** e * (t / (1.0 - t)) ** e)
-
-
-def alpha_envelope(kind: str, dim: int, H: float, h: float, t: float) -> float:
-    """Upper envelope for the mass of the subsample measure under t-shrinking.
-
-    min{1, (H/h)^e * (t/(1-t))^e}, e the number of thin axes (dim for a cube,
-    dim - 1 for a slice).  Nondecreasing in t, equal to 1 from the breakpoint
-    t = h/(H+h) on.
-    """
-    e = _envelope_exponent("alpha envelope", kind, dim, H, h)
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0,1], got {t}")
-    return _envelope(e, H, h, t)
-
-
-def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
-    """Numeric value of the envelope integral int_0^1 alpha(t)^(1/p) / t^(dim/p) dt.
-
-    Adaptive quadrature with the envelope breakpoint t = h/(H+h) as a forced
-    subdivision node.  A set flat on f axes gives the integrand a t^(-f/p)
-    endpoint singularity, which is integrable only for p > f.
-    """
-    e = _envelope_exponent("bound integral", kind, dim, H, h)
-    check_p(p)
-    if dim - e >= p:
-        raise ValueError(f"sliced measurements need p > {dim - e}: "
-                         f"the envelope integral diverges at t=0 for p={p:g}")
-    from scipy.integrate import quad
-
-    def integrand(t):  # quad's nodes lie inside (0, 1), so alpha_envelope's checks hold
-        return _envelope(e, H, h, t) ** (1.0 / p) * t ** (-dim / p)
-
-    val, _ = quad(integrand, 0.0, 1.0, points=[h / (H + h)], limit=200, epsabs=0.0,
-                  epsrel=1e-10)
-    return float(val)

@@ -8,13 +8,13 @@ run doubles as the sign-off record.
 import numpy as np
 import pytest
 
-from msrecover.analytic import critical_ratio, rho
+from msrecover.analytic import bound_integral, critical_ratio, rho
 from msrecover.elliptic import assemble, constant_coefficient
 from msrecover.grid import DomainSpec, GridFunction, build_partition, build_subsample
 from msrecover.harness import (ExperimentConfig, fit_loglog, run_convergence_study,
                                run_degeneracy_study, run_pointwise_limit_study, run_study,
                                run_weighted_study)
-from msrecover.measurements import bound_integral, build_functionals, measure, measure_all
+from msrecover.measurements import build_functionals, measure, measure_all
 from msrecover.recovery import (build_theta, ms_recover, multiscale_basis,
                                 sharp_constant_estimate)
 

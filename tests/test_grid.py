@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from msrecover.analytic import alpha_envelope
 from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
                             cell_center_values, gradient_lp_norm, load_grid_function, lp_norm,
                             save_grid_function)
-from msrecover.measurements import alpha_envelope
 
 
 def test_partition_uniform_bisection():

@@ -7,8 +7,7 @@ import pytest
 from msrecover.elliptic import assemble, constant_coefficient
 from msrecover.grid import (DomainSpec, GridFunction, SubsampleSpec, build_partition,
                             build_subsample, cell_center_values)
-from msrecover.measurements import (alpha_envelope, bound_integral, build_functionals,
-                                    measure, measure_all)
+from msrecover.measurements import build_functionals, measure, measure_all
 from msrecover.recovery import build_theta, pc_recover, recovery_error_report
 
 
@@ -134,58 +133,3 @@ def test_operator_matches_the_dense_node_weights(dim, n, m, kind, r, normal):
     per_patch = np.sqrt(np.bincount(owner.reshape(-1), cells.reshape(-1) ** 2) * spec.cell_volume)
     report = recovery_error_report(u, rec, {"basis": "pc"}, a=op, partition=part)
     np.testing.assert_allclose(report.per_patch_l2, per_patch, rtol=1e-13, atol=0.0)
-
-
-def test_alpha_envelope_values():
-    # breakpoint: both branches meet at 1
-    t_star = 0.1 / 1.1
-    assert alpha_envelope("cube", 2, 1.0, 0.1, t_star) == pytest.approx(1.0, rel=1e-9)
-    assert alpha_envelope("cube", 2, 1.0, 0.1, 0.0) == 0.0
-    val = alpha_envelope("cube", 2, 1.0, 0.1, 0.05)
-    assert val == pytest.approx(min(1.0, 100 * (0.05 / 0.95) ** 2), rel=1e-12)
-    assert val == pytest.approx(0.2770, abs=5e-5)
-    assert alpha_envelope("cube", 2, 1.0, 0.1, 1.0) == 1.0
-
-
-def test_alpha_envelope_monotonicity():
-    ts = np.linspace(0.0, 1.0, 101)
-    vals = [alpha_envelope("cube", 2, 1.0, 0.25, t) for t in ts]
-    assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-    # smaller subsample concentrates the measure: envelope grows as h shrinks
-    for t in (0.05, 0.2, 0.7):
-        v_small = alpha_envelope("cube", 2, 1.0, 0.1, t)
-        v_large = alpha_envelope("cube", 2, 1.0, 0.5, t)
-        assert v_small >= v_large - 1e-15
-
-
-def test_bound_integral_exact_value():
-    assert bound_integral("cube", 2, 2, 1.0, 0.1) == pytest.approx(
-        10 * np.log(1.1) + np.log(11.0), rel=1e-9)
-
-
-def test_bound_integral_equal_scales_finite():
-    val = bound_integral("cube", 2, 1, 1.0, 1.0)
-    # int_0^1/2 (1-t)^(-1/2) dt + int_1/2^1 t^(-1/2) dt, the d < p closed form at H = h
-    assert val == pytest.approx(4.0 - 2.0 * np.sqrt(2.0), rel=1e-8)
-    assert val < 4.0
-
-
-def test_bound_integral_growth_rate_d3p2():
-    # grows like (H/h)^{1/2} with a stable prefactor
-    vals = {x: bound_integral("cube", 2, 3, 1.0, 1.0 / x) for x in (4, 16, 64)}
-    normalized = [vals[x] / np.sqrt(x) for x in (4, 16, 64)]
-    center = np.mean(normalized)
-    assert all(abs(v - center) <= 0.2 * center for v in normalized)
-
-
-def test_bound_integral_vs_rate_function():
-    from msrecover.analytic import rho
-
-    for d, p in [(1, 2), (2, 2), (3, 2), (2, 1)]:
-        ratios = []
-        for x in (2, 4, 8, 16, 32, 64, 128):
-            val = bound_integral("cube", p, d, 1.0, 1.0 / x)
-            ratios.append(val / rho("tilde", p, d, x))
-        assert min(ratios) > 0.0
-        assert max(ratios) / min(ratios) < 4.0
-

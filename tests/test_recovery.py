@@ -302,6 +302,12 @@ def test_sharp_constant_matches_dense_eigh(dim, n, kind, r):
     assert sharp_constant_estimate(sub) == pytest.approx(_dense_sharp_constant(sub), rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [np.zeros(4), np.full(4, 1e-160)], ids=["zero", "subnormal"])
+def test_rank_one_top_with_every_z_counted_as_zero_is_the_largest_delta(z):
+    # 1e-160 squared is positive but below the normal range, so it counts as 0 too
+    assert recovery._rank_one_top(np.array([0.5, 2.0, 0.25, 1.0]), z) == 2.0
+
+
 # each set of an m-partition: (kind, ratio or None, cells per patch q)
 PATCH_SETS = [("cube", 0.5, 8), ("cube", 0.25, 8), ("slice", 0.5, 8), ("slice", 0.25, 8),
               ("point", None, 7), ("point", None, 8)]

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from msrecover import analytic, elliptic, grid, harness, measurements, recovery, weights
-from msrecover.analytic import (ball_average_sequence, critical_ratio, eval_radial,
-                                power_profile, radial_function, rho)
+from msrecover.analytic import (alpha_envelope, ball_average_sequence, bound_integral,
+                                critical_ratio, eval_radial, power_profile, radial_function, rho)
 from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coefficient,
                                 constant_coefficient, energy_inner, l2_inner,
                                 layered_coefficient, solve)
@@ -27,8 +27,8 @@ from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_sub
                             check_dim, check_integer, check_p, check_same_grid,
                             gradient_lp_norm, lp_norm)
 from msrecover.harness import ExperimentConfig, fit_loglog
-from msrecover.measurements import (MeasurementVector, alpha_envelope, bound_integral,
-                                    build_functionals, contract, measure, measure_all)
+from msrecover.measurements import (MeasurementVector, build_functionals, contract, measure,
+                                    measure_all)
 from msrecover.recovery import (build_theta, ms_recover, multiscale_basis, pc_recover, recover,
                                 recovery_error_report)
 from msrecover.testfuncs import fourier_h01

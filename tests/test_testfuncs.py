@@ -173,6 +173,15 @@ import msrecover as M
 part = M.build_partition(M.DomainSpec(2, 32), 1)
 assert M.sharp_constant_estimate(M.build_subsample(part, "cube", 0.25)) > 0.0
 """, ("scipy", "scipy.fft", "scipy.sparse") + SOLVER_STACK),
+    # measuring contracts node weights axis by axis, and the envelope is a closed
+    # form: neither integrates, so no quadrature (or any scipy module) is loaded
+    "envelope": ImportRun("""
+import msrecover as M
+spec = M.DomainSpec(2, 16)
+funs = M.build_functionals(M.build_subsample(M.build_partition(spec, 4), "cube", 0.5))
+assert M.measure_all(M.GridFunction.from_callable(spec, lambda x, y: x * y), funs).values.size
+assert M.alpha_envelope("cube", 2, 1.0, 0.1, 0.05) > 0.0
+""", ("scipy", "scipy.integrate", "scipy.sparse")),
     "ms-chain": ImportRun(CHAIN_SETUP + """
 rec = M.constrained_minimizer(op, funs, data)
 assert M.recovery_error_report(u, rec, {"basis": "ms"}, a=op).energy_stable
