@@ -15,7 +15,7 @@ import sys
 
 from .elliptic import assemble
 from .errors import SolverError
-from .grid import build_partition, build_subsample, load_grid_function, save_grid_function
+from .grid import CoarsePartition, SubsampleSpec, load_grid_function, save_grid_function
 from .recovery import recover, recovery_error_report
 
 
@@ -66,8 +66,8 @@ def _run_recover(args, harness) -> int:
         print(f"input error: {args.input}: {exc}", file=sys.stderr)
         return 2
     cfg = _load_config(args, harness.RECOVER_DEFAULTS, harness)
-    part = build_partition(u.spec, cfg.m)
-    sub = build_subsample(part, cfg.kind, cfg.r)
+    part = CoarsePartition(u.spec, cfg.m)
+    sub = SubsampleSpec(part, cfg.kind, cfg.r)
     op = assemble(u.spec, harness.coefficient(u.spec, cfg))
     rec = recover(u, sub, op if cfg.basis == "ms" else None)
     report = recovery_error_report(u, rec, {"basis": cfg.basis, "dim": u.spec.dim,

@@ -24,7 +24,7 @@ from .analytic import ball_average_sequence, critical_ratio, power_profile, radi
 from .elliptic import (assemble, checkerboard_coefficient, constant_coefficient,
                        layered_coefficient, lognormal_coefficient)
 from .errors import ConfigError
-from .grid import (SUBSAMPLE_KINDS, DomainSpec, build_partition, build_subsample, check_dim,
+from .grid import (SUBSAMPLE_KINDS, CoarsePartition, DomainSpec, SubsampleSpec, check_dim,
                    check_integer, check_p, lp_norm, gradient_lp_norm)
 from .measurements import build_functionals  # noqa: F401  (uncalled; bench's tracing test reads it)
 from .recovery import recover, recovery_error_report, sharp_constant_estimate
@@ -266,7 +266,7 @@ def _at_least(cfg: ExperimentConfig, key: str, least: int, what: str) -> None:
 def _ratio_sweep(cfg: ExperimentConfig, part) -> list:
     """The subsamples of ``cfg.kind`` at each ``r_sweep`` ratio on ``part``.  A set with
     no thin axis has no ratio: a sweep over it would repeat one set."""
-    sweep = [build_subsample(part, cfg.kind, r) for r in cfg.r_sweep]
+    sweep = [SubsampleSpec(part, cfg.kind, r) for r in cfg.r_sweep]
     if "thin" not in sweep[0].extents:
         raise ConfigError("an r_sweep needs a cube or slice kind: a point set has no ratio")
     return sweep
@@ -304,8 +304,8 @@ def run_convergence_study(cfg: ExperimentConfig) -> dict:
         m = round(1.0 / H)
         if abs(m * H - 1.0) > 1e-12:
             raise ConfigError(f"H={H} is not 1/m for integer m")
-        part = build_partition(spec, m)
-        sub = build_subsample(part, cfg.kind, cfg.r)
+        part = CoarsePartition(spec, m)
+        sub = SubsampleSpec(part, cfg.kind, cfg.r)
         rep_pc = recovery_error_report(u, recover(u, sub), {"basis": "pc"}, a=op)
         rep_ms = recovery_error_report(u, recover(u, sub, op), {"basis": "ms"}, a=op)
         return (H, sub.h, rep_pc.l2_error, rep_ms.l2_error, rep_ms.energy_error,
@@ -349,7 +349,7 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
             raise ConfigError("the grid eigen estimate is a p = 2 construction")
         spec = DomainSpec(cfg.dim, cfg.n)
         grid_rows = []
-        for sub in _ratio_sweep(cfg, build_partition(spec, 1)):
+        for sub in _ratio_sweep(cfg, CoarsePartition(spec, 1)):
             est = sharp_constant_estimate(sub)
             rv = rho("sharp", cfg.p, cfg.dim, 1.0 / sub.ratio)
             grid_rows.append((sub.ratio, est, rv, est / rv, "grid"))
@@ -395,11 +395,11 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
         raise ConfigError("the degeneracy regime needs dim >= p")
     _at_least(cfg, "r_sweep", 2, "ratios")
     spec = DomainSpec(cfg.dim, cfg.n)
-    part = build_partition(spec, cfg.m)
+    part = CoarsePartition(spec, cfg.m)
     u = testfuncs.flattened_profile(part, cfg.seed)
     op = assemble(spec, constant_coefficient(spec))
-    sweep = [build_subsample(part, "cube", r) for r in cfg.r_sweep] + [
-        build_subsample(part, "point")]
+    sweep = [SubsampleSpec(part, "cube", r) for r in cfg.r_sweep] + [
+        SubsampleSpec(part, "point")]
     # the weights first: the gate's precondition fails before any recovery runs
     weights = [_weight(cfg, distance_field(sub)) for sub in sweep]
     acts = [w.a_min < w.a_max for w in weights]
@@ -438,7 +438,7 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
     """
     _at_least(cfg, "r_sweep", 2, "ratios")
     spec = DomainSpec(cfg.dim, cfg.n)
-    part = build_partition(spec, 1)
+    part = CoarsePartition(spec, 1)
     H = part.H
     if _profile(cfg.weight) != "w11" and cfg.p <= 1.0:
         raise ConfigError("p must exceed 1 unless using the w11 profile")

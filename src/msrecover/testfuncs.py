@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import CoarsePartition, DomainSpec, GridFunction, build_subsample
+from .grid import CoarsePartition, DomainSpec, GridFunction, SubsampleSpec
 from .measurements import contract
 from .recovery import recover
 
@@ -74,7 +74,7 @@ def flattened_profile(part: CoarsePartition, seed: int) -> GridFunction:
     spec = part.spec
     plateau, ramp = 0.05 * part.H, 0.2 * part.H
     base = fourier_h01(spec, seed)
-    centers = build_subsample(part, "point")
+    centers = SubsampleSpec(part, "point")
     # each patch's anchor is the base field's point measurement at its center; the
     # pc recovery's face averages never show, the blend being 1 from 0.25*H on
     anchor = recover(base, centers)

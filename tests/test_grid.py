@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from msrecover.analytic import alpha_envelope
-from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
-                            cell_center_values, gradient_lp_norm, load_grid_function, lp_norm,
-                            save_grid_function)
+from msrecover.grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
+                            build_partition, build_subsample, cell_center_values,
+                            gradient_lp_norm, load_grid_function, lp_norm, save_grid_function)
 
 
 def test_partition_uniform_bisection():
@@ -66,6 +66,16 @@ def test_subsample_is_the_product_of_its_axis_extents(kind, n, m, ratio, extents
     else:
         with pytest.raises(ValueError, match="alpha envelope defined for cube and slice kinds"):
             alpha_envelope(kind, dim, 1.0, 0.5, 0.1)
+
+
+def test_the_builders_are_the_checked_constructors():
+    spec = DomainSpec(1, 8)
+    part = CoarsePartition(spec, np.int64(2))
+    assert type(part.m) is int
+    # a set with no thin axis stores ratio 0, whatever ratio it was given
+    point = SubsampleSpec(part, "point", 0.7)
+    assert point == build_subsample(part, "point") and point.ratio == 0.0
+    assert build_partition is CoarsePartition and build_subsample is SubsampleSpec
 
 
 @pytest.mark.parametrize("dim,n,m", [(1, 32, 4), (2, 16, 4), (3, 8, 2)])

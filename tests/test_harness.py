@@ -439,6 +439,18 @@ def test_cli_help_lists_every_study_with_its_columns(capsys):
     assert listed == [f"{name} {', '.join(defaults)}" for name, defaults in declared.items()]
 
 
+def test_the_module_run_prints_the_same_help(capsys, monkeypatch):
+    # `python -m msrecover.cli` reaches main through the module's __main__ guard alone
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps to the terminal width
+    src = str(pathlib.Path(harness.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-m", "msrecover.cli", "--help"], capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src), text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    with pytest.raises(SystemExit):
+        cli_main(["--help"])
+    assert run.stdout == capsys.readouterr().out
+
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 

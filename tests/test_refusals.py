@@ -23,7 +23,7 @@ from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coeffic
                                 constant_coefficient, energy_inner, l2_inner,
                                 layered_coefficient, solve)
 from msrecover.errors import AlignmentError, ConfigError
-from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
+from msrecover.grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
                             check_dim, check_integer, check_p, check_same_grid,
                             gradient_lp_norm, lp_norm)
 from msrecover.harness import ExperimentConfig, fit_loglog
@@ -54,7 +54,10 @@ def _rows(name, start, error=ValueError, **calls):
 
 
 def _sub(dim, n, m, kind="cube", ratio=1.0):
-    return build_subsample(build_partition(DomainSpec(dim, n), m), kind, ratio)
+    return SubsampleSpec(CoarsePartition(DomainSpec(dim, n), m), kind, ratio)
+
+
+PART_1D = CoarsePartition(DomainSpec(1, 8), 2)  # two 4-cell patches
 
 
 def _op(dim, n):
@@ -117,26 +120,32 @@ LIBRARY_REFUSALS = {
             dim=lambda: _ramp(2, 8) + _ramp(1, 8)),
     **_rows("GridFunction.__sub__", _grids("operand", (1, 8), "field", (2, 8)),
             dim=lambda: _ramp(2, 8) - _ramp(1, 8)),
-    **_rows("build_partition", "m must be an integer >= 1, got 0", m=lambda: _sub(1, 8, 0)),
+    **_rows("CoarsePartition", "m must be an integer >= 1, got 0",
+            m=lambda: CoarsePartition(DomainSpec(1, 8), 0)),
     # m = 2.5 divides n = 10 as a float: 3 functionals, the last set spanning [0.8, 1.2]
-    **_rows("build_partition", "m must be an integer >= 1, got 2.5",
-            m_float=lambda: build_partition(DomainSpec(1, 10), 2.5)),
-    **_rows("build_partition", "m must be an integer >= 1, got True",
-            m_bool=lambda: build_partition(DomainSpec(1, 8), True)),
-    **_rows("build_partition", "patch count m=3 does not divide fine resolution n=8",
-            AlignmentError, divides=lambda: _sub(1, 8, 3)),
-    **_rows("build_subsample", "unknown subsample kind 'disk'",
-            kind=lambda: _sub(1, 8, 2, "disk")),
-    **_rows("build_subsample", "subsample side h = 0.3333333333333333*H is not a whole number",
-            AlignmentError, whole_cells=lambda: _sub(1, 8, 2, "cube", 1 / 3)),
+    **_rows("CoarsePartition", "m must be an integer >= 1, got 2.5",
+            m_float=lambda: CoarsePartition(DomainSpec(1, 10), 2.5)),
+    **_rows("CoarsePartition", "m must be an integer >= 1, got True",
+            m_bool=lambda: CoarsePartition(DomainSpec(1, 8), True)),
+    # three 2-cell patches used to leave the last two nodes of a recovery NaN
+    **_rows("CoarsePartition", "patch count m=3 does not divide fine resolution n=8",
+            AlignmentError, divides=lambda: CoarsePartition(DomainSpec(1, 8), 3)),
+    **_rows("SubsampleSpec", "unknown subsample kind 'disk'",
+            kind=lambda: SubsampleSpec(PART_1D, "disk")),
+    # a 0.3*H cube used to be measured on 2 cells, r = 1/2's set, while reporting h = 0.15
+    **_rows("SubsampleSpec", "subsample side h = 0.3333333333333333*H is not a whole number",
+            AlignmentError, whole_cells=lambda: SubsampleSpec(PART_1D, "cube", 1 / 3)),
+    **_rows("SubsampleSpec", "subsample side h = 0.3*H is not a whole number",
+            AlignmentError, tenths=lambda: SubsampleSpec(PART_1D, "cube", 0.3)),
     # one cell inside four
-    **_rows("build_subsample", "concentric subsample of 1 cells inside a 4-cell patch has corners",
-            AlignmentError, parity=lambda: _sub(1, 8, 2, "cube", 0.25)),
-    **{f"build_subsample-ratio-{r}": Refusal("build_subsample", lambda r=r: _sub(
-        1, 8, 2, "cube", r), ValueError, f"ratio must lie in (0, 1], got {r}")
+    **_rows("SubsampleSpec", "concentric subsample of 1 cells inside a 4-cell patch has corners",
+            AlignmentError, parity=lambda: SubsampleSpec(PART_1D, "cube", 0.25)),
+    **{f"SubsampleSpec-ratio-{r}": Refusal("SubsampleSpec", lambda r=r: SubsampleSpec(
+        PART_1D, "cube", r), ValueError, f"ratio must lie in (0, 1], got {r}")
        for r in (0.0, 1.5, nan)},
-    **_rows("build_subsample", "slice kind needs dim >= 2",
-            slice_1d=lambda: _sub(1, 8, 2, "slice", 0.5)),
+    # a 1D slice used to be a point set
+    **_rows("SubsampleSpec", "slice kind needs dim >= 2",
+            slice_1d=lambda: SubsampleSpec(PART_1D, "slice", 0.5)),
     # the midpoint formulas would give |x|**inf ** (1/inf) = 1, for any u and for |grad 2x| = 2
     **_rows("lp_norm", FINITE + "inf",
             p_inf=lambda: lp_norm(GridFunction.constant(DomainSpec(2, 8), 0.3), inf)),
@@ -174,7 +183,7 @@ LIBRARY_REFUSALS = {
        for what, h in [("above-H", 2.0), ("zero", 0.0), ("nan", nan)]},
     **_rows("alpha_envelope", f"alpha envelope {KINDS}'point' at dim 2",
             kind=lambda: alpha_envelope("point", 2, 1.0, 0.5, 0.5)),
-    # a 1D slice is flat on its one axis, the set build_subsample refuses
+    # a 1D slice is flat on its one axis, the set SubsampleSpec refuses
     **_rows("alpha_envelope", f"alpha envelope {KINDS}'slice' at dim 1",
             slice_1d=lambda: alpha_envelope("slice", 1, 0.5, 0.25, 0.1)),
     # a dim no grid has
@@ -244,8 +253,7 @@ LIBRARY_REFUSALS = {
             dim=lambda: build_theta(build_functionals(_sub(1, 8, 2)), _op(2, 8))),
     # numpy used to refuse the reshape of 4 values into 2 patches
     **_rows("pc_recover", "data and patch index sets do not match: 4 values, 2 patches",
-            length=lambda: pc_recover(MeasurementVector(np.ones(4)),
-                                      build_partition(DomainSpec(1, 8), 2))),
+            length=lambda: pc_recover(MeasurementVector(np.ones(4)), PART_1D)),
     **_rows("ms_recover", "data and basis index sets do not match", length=lambda: ms_recover(
         MeasurementVector(np.zeros(3)),
         multiscale_basis(build_theta(build_functionals(_sub(1, 8, 2)), _op(1, 8))))),
@@ -254,7 +262,7 @@ LIBRARY_REFUSALS = {
     # a 1D partition used to cut the 2D field into 4 patches it does not have
     **_rows("recovery_error_report", _grids("partition", (1, 8), "field", (2, 8)),
             partition=lambda: recovery_error_report(_ramp(2, 8), _ramp(2, 8), {}, _op(2, 8),
-                                                    build_partition(DomainSpec(1, 8), 2))),
+                                                    PART_1D)),
     # weights
     **_rows("build_weight", "polynomial profile needs beta > 0",
             beta_zero=lambda: _weight("polynomial", beta=0.0),

@@ -195,6 +195,19 @@ def test_a_fresh_interpreter_loads_what_the_run_needs(run):
     assert _loaded_after(code, probed) == str(sorted(loaded))
 
 
+def test_every_source_file_parses_at_the_python_floor():
+    """The package, its tests and the benchmark use no grammar newer than the
+    ``requires-python`` floor, which this interpreter may be above."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', (root / "pyproject.toml").read_text(),
+                      re.M)
+    paths = [path for pattern in ("src/msrecover/*.py", "tests/*.py", "bench/**/*.py")
+             for path in root.glob(pattern)]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, int(floor[1])))
+
+
 def test_every_test_and_table_the_readme_cites_exists():
     """Each backticked ``test_...`` id in README is a test function under tests/ or
     bench/tests/, each backticked ALL-CAPS name a name the code there or in the library
