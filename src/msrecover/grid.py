@@ -211,8 +211,9 @@ class SubsampleSpec:
         if "thin" not in self.extents:
             object.__setattr__(self, "ratio", 0.0)
             return
-        if not (0.0 < self.ratio <= 1.0):
+        if isinstance(self.ratio, bool) or not (0.0 < self.ratio <= 1.0):
             raise ValueError(f"ratio must lie in (0, 1], got {self.ratio}")
+        object.__setattr__(self, "ratio", float(self.ratio))  # a float the report can write
         q = self.partition.cells_per_patch
         k = self.ratio * q
         k_int = int(round(k))
@@ -237,7 +238,7 @@ class SubsampleSpec:
 
     @property
     def h(self) -> float:
-        return self.ratio * self.partition.H if "thin" in self.extents else 0.0
+        return self.ratio * self.partition.H
 
     def axis_intervals(self, axis: int) -> tuple:
         """(lo, hi) arrays over the patch coordinates k = 0..m-1 along ``axis``.

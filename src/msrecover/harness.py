@@ -217,13 +217,9 @@ def _generator_name(coeff: dict):
 
 
 def coefficient(spec: DomainSpec, cfg: ExperimentConfig):
-    """The config coeff on ``spec``: its generator called with the coeff's other keys,
-    plus the config's seed if the generator takes a seed and the coeff gives none."""
-    generator = COEFFICIENTS[_generator_name(cfg.coeff)]
+    """The config coeff on ``spec``: its generator called with the coeff's other keys."""
     keys = {k: v for k, v in cfg.coeff.items() if k != "name"}
-    if "seed" in inspect.signature(generator).parameters and "seed" not in keys:
-        keys["seed"] = cfg.seed
-    return generator(spec, **keys)
+    return COEFFICIENTS[_generator_name(cfg.coeff)](spec, **keys)
 
 
 def _profile(weight: dict) -> str:
@@ -549,10 +545,9 @@ _RATE_COLUMNS = ("h", "ratio", "rho_value", "normalized_ratio", "source")
 
 STUDIES = {
     "converge": Study(run_convergence_study,
-                      # a lognormal coeff without a seed of its own draws with seed
                       dict(name="converge", dim=1, n=256, kind="cube", r=0.5,
                            H_sweep=[1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32],
-                           coeff={"name": "constant", "value": 1.0}, seed=0),
+                           coeff={"name": "constant", "value": 1.0}),
                       ("H", "h", "pc_l2_error", "ms_l2_error", "ms_energy_error",
                        "energy_stable")),
     "rates": Study(run_rate_study,
@@ -583,7 +578,7 @@ STUDIES = {
 }
 # `msrecover recover`: the grid (dim, n) comes from its input file
 RECOVER_DEFAULTS = dict(m=2, kind="cube", r=1.0, basis="ms",
-                        coeff={"name": "constant", "value": 1.0}, seed=0)
+                        coeff={"name": "constant", "value": 1.0})
 
 
 def _check_out_dir(out_dir) -> None:

@@ -10,7 +10,7 @@ import pytest
 
 from msrecover.analytic import bound_integral, critical_ratio, rho
 from msrecover.elliptic import assemble, constant_coefficient
-from msrecover.grid import DomainSpec, GridFunction, build_partition, build_subsample
+from msrecover.grid import CoarsePartition, DomainSpec, GridFunction, SubsampleSpec
 from msrecover.harness import (ExperimentConfig, fit_loglog, run_convergence_study,
                                run_degeneracy_study, run_pointwise_limit_study, run_study,
                                run_weighted_study)
@@ -28,13 +28,13 @@ def _verdict(num, name, ok):
 def grid2d_sweeps():
     """Single-patch optimal-constant sweeps on the 2D grid, cube and slice kinds."""
     spec = DomainSpec(2, 256)
-    part = build_partition(spec, 1)
+    part = CoarsePartition(spec, 1)
     rs = [1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16]
     out = {}
     for kind in ("cube", "slice"):
         ests = []
         for r in rs:
-            sub = build_subsample(part, kind, r)
+            sub = SubsampleSpec(part, kind, r)
             ests.append(sharp_constant_estimate(sub))
         out[kind] = (rs, ests)
     return out
@@ -46,12 +46,12 @@ def test_criterion_01_biorthogonality():
         kinds = ["cube", "point"] if dim == 1 else ["cube", "slice", "point"]
         for m in (2, 4):
             spec = DomainSpec(dim, 32)
-            part = build_partition(spec, m)
+            part = CoarsePartition(spec, m)
             op = assemble(spec, constant_coefficient(spec))
             for kind in kinds:
                 ratios = [1.0] if kind == "point" else [1.0, 0.5, 0.25]
                 for r in ratios:
-                    sub = build_subsample(part, kind, r)
+                    sub = SubsampleSpec(part, kind, r)
                     functionals = build_functionals(sub)
                     basis = multiscale_basis(build_theta(functionals, op))
                     gram = np.array([[measure(basis[i], phi) for phi in functionals]
@@ -63,8 +63,8 @@ def test_criterion_01_biorthogonality():
 def test_criterion_02_dense_oracle_equivalence():
     n, m, r = 64, 2, 0.5
     spec = DomainSpec(1, n)
-    part = build_partition(spec, m)
-    sub = build_subsample(part, "cube", r)
+    part = CoarsePartition(spec, m)
+    sub = SubsampleSpec(part, "cube", r)
     functionals = build_functionals(sub)
     op = assemble(spec, constant_coefficient(spec))
     theta = build_theta(functionals, op)

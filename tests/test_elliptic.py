@@ -11,7 +11,7 @@ from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coeffic
                                 constant_coefficient, energy_inner, l2_inner,
                                 layered_coefficient, load_vector, lognormal_coefficient, solve)
 from msrecover.errors import SolverError
-from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
+from msrecover.grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
                             cell_center_values, gradient_lp_norm, lp_norm)
 from msrecover.measurements import build_functionals, measure
 from msrecover.testfuncs import fourier_h01
@@ -199,8 +199,8 @@ def test_stiffness_operator_reads_its_grid_off_its_coefficient():
 def test_l2_inner_reproduces_measurement():
     # the measurement equals integrating against the normalized indicator density
     spec = DomainSpec(2, 16)
-    part = build_partition(spec, 2)
-    sub = build_subsample(part, "cube", 0.5)
+    part = CoarsePartition(spec, 2)
+    sub = SubsampleSpec(part, "cube", 0.5)
     phi = build_functionals(sub)[2]
     rng = np.random.default_rng(9)
     u = GridFunction(spec, rng.standard_normal(spec.node_shape))

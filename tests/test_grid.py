@@ -8,25 +8,25 @@ from msrecover.grid import (CoarsePartition, DomainSpec, GridFunction, Subsample
 
 
 def test_partition_uniform_bisection():
-    part = build_partition(DomainSpec(1, 8), 2)
+    part = CoarsePartition(DomainSpec(1, 8), 2)
     assert part.H == 0.5
     assert part.num_patches == 2
     # numpy integers are sizes too (LIBRARY_REFUSALS holds the bools and floats refused)
-    assert build_partition(DomainSpec(np.int64(1), np.int32(8)), np.int64(2)) == part
+    assert CoarsePartition(DomainSpec(np.int64(1), np.int32(8)), np.int64(2)) == part
 
 
 def test_partition_cardinality_2d():
     spec = DomainSpec(2, 16)
     assert spec.num_nodes == 17**2
     assert spec.cell_volume == (1 / 16) ** 2
-    part = build_partition(spec, 4)
+    part = CoarsePartition(spec, 4)
     assert part.num_patches == 16
     assert part.num_patches == round(1.0 / part.H**2)
 
 
 def test_partition_tiling_volume():
     for dim, n, m in [(1, 12, 3), (2, 12, 3), (3, 8, 2)]:
-        part = build_partition(DomainSpec(dim, n), m)
+        part = CoarsePartition(DomainSpec(dim, n), m)
         total = sum(part.H**dim for _ in range(part.num_patches))
         assert abs(total - 1.0) <= 1e-13
 
@@ -42,16 +42,18 @@ SUBSAMPLE_SETS = {
     "point-1d": ("point", 8, 2, 0.5, ("flat",)),
     "point-2d": ("point", 16, 4, 0.5, ("flat", "flat")),
     "point-3d": ("point", 8, 2, 0.5, ("flat", "flat", "flat")),
-    # numpy sizes build the same set, and a grid stores and prints them as Python ints
-    "cube-2d-numpy-sizes": ("cube", np.int64(16), np.int32(4), 0.5, ("thin", "thin")),
+    # numpy sizes and ratio build the same set, which stores and prints them as Python
+    # numbers
+    "cube-2d-numpy-sizes": ("cube", np.int64(16), np.int32(4), np.float32(0.5), ("thin", "thin")),
 }
 
 
 @pytest.mark.parametrize("kind,n,m,ratio,extents", SUBSAMPLE_SETS.values(), ids=SUBSAMPLE_SETS)
 def test_subsample_is_the_product_of_its_axis_extents(kind, n, m, ratio, extents):
     dim, thin = len(extents), extents.count("thin")
-    sub = build_subsample(build_partition(DomainSpec(dim, n), m), kind, ratio)
+    sub = SubsampleSpec(CoarsePartition(DomainSpec(dim, n), m), kind, ratio)
     assert repr(sub.partition) == f"CoarsePartition(spec=DomainSpec(dim={dim}, n={n}), m={m})"
+    assert repr(sub).endswith(f"ratio={float(ratio) if thin else 0.0})")
     assert sub.extents == extents == ("thin",) * thin + ("flat",) * (dim - thin)  # flat last
     h = ratio / m if thin else 0.0
     assert sub.h == h
@@ -74,14 +76,14 @@ def test_the_builders_are_the_checked_constructors():
     assert type(part.m) is int
     # a set with no thin axis stores ratio 0, whatever ratio it was given
     point = SubsampleSpec(part, "point", 0.7)
-    assert point == build_subsample(part, "point") and point.ratio == 0.0
+    assert point == SubsampleSpec(part, "point") and point.ratio == 0.0
     assert build_partition is CoarsePartition and build_subsample is SubsampleSpec
 
 
 @pytest.mark.parametrize("dim,n,m", [(1, 32, 4), (2, 16, 4), (3, 8, 2)])
 def test_lp_norm_is_a_norm_summed_patch_by_patch(dim, n, m):
     spec = DomainSpec(dim, n)
-    part = build_partition(spec, m)
+    part = CoarsePartition(spec, m)
     rng = np.random.default_rng(dim)
     u, v = (GridFunction(spec, rng.standard_normal(spec.node_shape)) for _ in range(2))
     cells = cell_center_values(u)

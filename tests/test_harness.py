@@ -15,7 +15,7 @@ import pytest
 from msrecover import cli, harness
 from msrecover.cli import main as cli_main
 from msrecover.elliptic import StiffnessOperator
-from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
+from msrecover.grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
                             save_grid_function)
 from msrecover.harness import (CONSTANT_SLACK, POINTWISE_PROFILES, RATE_SLACK, RECOVER_DEFAULTS,
                                SLOPE_BANDS, STUDIES, WEIGHTED_MAX_MIN, ExperimentConfig,
@@ -102,7 +102,7 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
 
 @pytest.mark.parametrize("profile", list(WEIGHT_PROFILES))
 def test_a_config_weight_of_only_a_profile_takes_build_weights_defaults(profile):
-    dist = distance_field(build_subsample(build_partition(DomainSpec(2, 16), 2), "cube", 0.5))
+    dist = distance_field(SubsampleSpec(CoarsePartition(DomainSpec(2, 16), 2), "cube", 0.5))
     cfg = ExperimentConfig(p=3.0, weight={"profile": profile})
     got = harness._weight(cfg, dist)
     assert np.array_equal(got.values, build_weight(dist, profile, cfg.p).values)
@@ -114,9 +114,8 @@ def test_a_config_coeff_of_only_its_required_keys_takes_its_generators_defaults(
     generator = harness.COEFFICIENTS[name]
     required = {"contrast": 10.0} if name in ("checkerboard", "layered") else {}
     cfg = ExperimentConfig(coeff={"name": name, **required}, seed=4)
-    # every left-out key takes the signature default, but a seed is the config's
-    seed = {"seed": cfg.seed} if name == "lognormal" else {}
-    expected = generator(spec, **required, **seed)
+    # every left-out key takes the signature default, a lognormal seed too
+    expected = generator(spec, **required)
     assert np.array_equal(harness.coefficient(spec, cfg).values, expected.values)
 
 
@@ -126,19 +125,20 @@ def test_a_config_stores_a_numpy_coeff_integer_as_an_int_its_report_can_write(co
     assert json.loads(json.dumps(ExperimentConfig(coeff=coeff).coeff)) == coeff
 
 
-def test_a_lognormal_coeff_without_a_seed_draws_with_the_seed_option(tmp_path, capsys):
-    rows = {}
-    for label, seed, argv in [("option", {}, ("--seed", "3")), ("config", {"seed": 3}, ()),
-                              ("other", {}, ("--seed", "4"))]:
-        config = json.dumps({"coeff": {"name": "lognormal", "sigma": 0.5, **seed}})
-        assert _run(tmp_path / label, capsys, "converge", config, argv=argv)[0] in (0, 1)
-        rows[label] = (tmp_path / label / "out" / "converge_rows.csv").read_bytes()
-    assert rows["option"] == rows["config"] != rows["other"]
-
-
-def test_cli_a_study_that_reads_no_seed_ignores_the_seed_option(tmp_path, capsys):
-    assert _run(tmp_path, capsys, "pointwise", argv=("--seed", "5"))[0] == 0
-    report = json.loads((tmp_path / "out" / "pointwise_report.json").read_text())
+# a lognormal coeff draws with its own seed, never the run's; sine_product is not
+# L_a^-1 f, so converge fails its slope gates on a lognormal medium (ROADMAP item 17)
+@pytest.mark.parametrize("command,config,code", [
+    ("pointwise", None, 0),
+    ("converge", '{"coeff": {"name": "lognormal", "sigma": 0.5}}', 1)],
+    ids=["pointwise", "converge-lognormal"])
+def test_cli_a_study_that_reads_no_seed_ignores_the_seed_option(tmp_path, capsys, command,
+                                                                config, code):
+    files = {}
+    for seed in ("5", "6"):
+        assert _run(tmp_path / seed, capsys, command, config, argv=("--seed", seed))[0] == code
+        files[seed] = _tree(tmp_path / seed / "out")
+    assert files["5"] == files["6"]
+    report = json.loads(files["5"][pathlib.Path(f"{command}_report.json")])
     assert "seed" not in report["config"]
 
 
@@ -165,8 +165,9 @@ class Refusal(NamedTuple):
 # every exit-2 case of the command line, one row each; warnings are errors
 # (pyproject.toml), so a warning on the way to a refusal fails its row
 REFUSALS = [
-    # a negative seed, from the config or --seed, even where the study reads none
-    Refusal("converge", '{"seed": -1}', SEED),
+    # a negative seed: in a config, refused as unread where the study reads no seed;
+    # from --seed, refused even there
+    Refusal("converge", '{"seed": -1}', UNREAD + "['seed']"),
     Refusal("degeneracy", '{"seed": -1}', SEED),
     Refusal("weighted", '{"seed": -1}', SEED),
     Refusal("converge", None, SEED, argv=("--seed", "-1")),
@@ -311,7 +312,7 @@ REFUSALS = [
     Refusal("converge", '{"dim": true}', "dim must be a JSON integer"),
     Refusal("converge", '{"r": "0.5"}', "r must be a JSON number"),
     Refusal("rates", '{"name": 3}', "name must be a JSON string"),
-    Refusal("converge", '{"seed": null}', "seed must be a JSON integer"),
+    Refusal("weighted", '{"seed": null}', "seed must be a JSON integer"),
     # values inside coeff and the sweep lists
     Refusal("converge", '{"coeff": {"name": "checkerboard", "contrast": "ten"}}',
             "coeff contrast must be a positive finite number"),
@@ -471,10 +472,6 @@ def _assert_matches(new, old, path):
         assert new == old, path
 
 
-# declared fields a study's defaults leave unread: converge reads seed only for a
-# lognormal coeff, as test_a_lognormal_coeff_without_a_seed_draws_with_the_seed_option shows
-UNREAD_AT_DEFAULTS = {"converge": {"seed"}}
-
 _DEFAULT_RUNS = {}
 
 
@@ -512,10 +509,8 @@ def test_default_report_matches_its_golden_file(tmp_path_factory, name):
 @pytest.mark.parametrize("name", list(STUDIES))
 def test_each_study_reads_exactly_its_declared_fields(tmp_path_factory, name):
     _, _, read_by_runner = _default_run(name, tmp_path_factory)
-    unread = UNREAD_AT_DEFAULTS.get(name, set())
-    assert read_by_runner.isdisjoint(unread)
     # name is read by run_study alone, for the output file names
-    assert read_by_runner | {"name"} | unread == set(STUDIES[name].defaults)
+    assert read_by_runner | {"name"} == set(STUDIES[name].defaults)
 
 
 # each study's gates at its defaults, by the report entry (or fit) holding the statistic

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from msrecover.elliptic import assemble, constant_coefficient
-from msrecover.grid import (DomainSpec, GridFunction, SubsampleSpec, build_partition,
-                            build_subsample, cell_center_values)
+from msrecover.grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
+                            cell_center_values)
 from msrecover.measurements import build_functionals, measure, measure_all
 from msrecover.recovery import build_theta, pc_recover, recovery_error_report
 
@@ -15,7 +15,7 @@ from msrecover.recovery import build_theta, pc_recover, recovery_error_report
 def test_point_functional_between_nodes_is_multilinear_interpolation(dim, n, m):
     # three cells per patch put every patch center midway between two nodes
     spec = DomainSpec(dim, n)
-    sub = build_subsample(build_partition(spec, m), "point")
+    sub = SubsampleSpec(CoarsePartition(spec, m), "point")
     phis = build_functionals(sub)
     assert all(len(phi.node_indices) == 2**dim for phi in phis)
     coef = np.random.default_rng(dim).standard_normal(2**dim)
@@ -80,8 +80,8 @@ def _dense_node_weights(sub):
 def test_operator_matches_the_dense_node_weights(dim, n, m, kind, r, normal):
     """A brute-force dense matrix of node weights is the oracle of every consumer."""
     spec = DomainSpec(dim, n)
-    part = build_partition(spec, m)
-    sub = build_subsample(part, kind, r)
+    part = CoarsePartition(spec, m)
+    sub = SubsampleSpec(part, kind, r)
     if normal is not None:
         sub = _turned(sub, normal)
     dense = _dense_node_weights(sub)

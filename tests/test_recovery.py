@@ -8,7 +8,7 @@ from msrecover import elliptic, recovery
 from msrecover.elliptic import (CoefficientField, assemble, checkerboard_coefficient,
                                 constant_coefficient, energy_inner, layered_coefficient,
                                 lognormal_coefficient)
-from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
+from msrecover.grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
                             cell_center_values, lp_norm, midpoint_lp)
 from msrecover.errors import SolverError
 from msrecover.measurements import (MeasurementOperator, MeasurementVector,
@@ -22,8 +22,8 @@ from msrecover.weights import build_weight, distance_field
 
 def _pipeline(dim, n, m, kind, r, a=None):
     spec = DomainSpec(dim, n)
-    part = build_partition(spec, m)
-    sub = build_subsample(part, kind, r)
+    part = CoarsePartition(spec, m)
+    sub = SubsampleSpec(part, kind, r)
     functionals = build_functionals(sub)
     coeff = a if a is not None else constant_coefficient(spec)
     op = assemble(spec, coeff)
@@ -34,8 +34,8 @@ def _pipeline(dim, n, m, kind, r, a=None):
 
 def test_pc_linear_values_and_error():
     spec = DomainSpec(1, 256)
-    part = build_partition(spec, 2)
-    sub = build_subsample(part, "cube", 1.0)
+    part = CoarsePartition(spec, 2)
+    sub = SubsampleSpec(part, "cube", 1.0)
     u = GridFunction.from_callable(spec, lambda x: x)
     data = measure_all(u, build_functionals(sub))
     np.testing.assert_allclose(data.values, [0.25, 0.75], rtol=1e-12)
@@ -53,8 +53,8 @@ def test_pc_error_rate_halves():
     u = GridFunction.from_callable(spec, lambda x: np.sin(np.pi * x))
     errs = []
     for m in (4, 8):
-        part = build_partition(spec, m)
-        sub = build_subsample(part, "cube", 1.0)
+        part = CoarsePartition(spec, m)
+        sub = SubsampleSpec(part, "cube", 1.0)
         data = measure_all(u, build_functionals(sub))
         errs.append(lp_norm(u - pc_recover(data, part), 2.0))
     assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.25)
@@ -67,8 +67,8 @@ def test_theta_single_patch_value():
 
 def test_theta_scales_inversely_with_coefficient():
     spec = DomainSpec(1, 32)
-    part = build_partition(spec, 2)
-    sub = build_subsample(part, "cube", 0.5)
+    part = CoarsePartition(spec, 2)
+    sub = SubsampleSpec(part, "cube", 0.5)
     functionals = build_functionals(sub)
     t1 = build_theta(functionals, assemble(spec, constant_coefficient(spec, 1.0)))
     t5 = build_theta(functionals, assemble(spec, constant_coefficient(spec, 5.0)))
@@ -78,8 +78,8 @@ def test_theta_scales_inversely_with_coefficient():
 def test_build_theta_rejects_dependent_functionals():
     spec = DomainSpec(1, 16)
     op = assemble(spec, constant_coefficient(spec))
-    (w,) = build_functionals(build_subsample(build_partition(spec, 2), "cube", 0.5)).factors
-    (whole,) = build_functionals(build_subsample(build_partition(spec, 1), "cube", 0.5)).factors
+    (w,) = build_functionals(SubsampleSpec(CoarsePartition(spec, 2), "cube", 0.5)).factors
+    (whole,) = build_functionals(SubsampleSpec(CoarsePartition(spec, 1), "cube", 0.5)).factors
     # pairs of functionals -> the refusal's cause, or None for any LinAlgError
     cases = [
         # a zero copy of a functional: its row and column of the coupling matrix are
@@ -166,7 +166,7 @@ def test_recovery_is_the_energy_projection_onto_the_data(monkeypatch, path, dim,
     setup, tol = RECOVERY_PATHS[path]
     setup(monkeypatch)
     spec = DomainSpec(dim, n)
-    sub = build_subsample(build_partition(spec, m), kind, 0.5)
+    sub = SubsampleSpec(CoarsePartition(spec, m), kind, 0.5)
     a = BATTERY_COEFFICIENTS[coeff](sub, spec)
     op = assemble(spec, a)
     functionals = build_functionals(sub)
@@ -238,9 +238,9 @@ def test_report_flags_and_errors():
 @pytest.mark.parametrize("dim,n,m", [(1, 64, 8), (2, 32, 4), (3, 16, 4)])
 def test_per_patch_l2_equals_the_region_norms(monkeypatch, dim, n, m):
     spec = DomainSpec(dim, n)
-    part = build_partition(spec, m)
+    part = CoarsePartition(spec, m)
     u = fourier_h01(spec, 3)
-    rec = pc_recover(measure_all(u, build_functionals(build_subsample(part, "cube", 0.5))), part)
+    rec = pc_recover(measure_all(u, build_functionals(SubsampleSpec(part, "cube", 0.5))), part)
     cells = cell_center_values(u - rec)
     # each patch's cells: its node slices less the last node
     patches = [tuple(slice(s.start, s.stop - 1) for s in part.patch_nodes(i))
@@ -256,18 +256,18 @@ def test_per_patch_l2_equals_the_region_norms(monkeypatch, dim, n, m):
 
 def test_sharp_constant_classical():
     spec = DomainSpec(1, 512)
-    part = build_partition(spec, 1)
-    sub = build_subsample(part, "cube", 1.0)
+    part = CoarsePartition(spec, 1)
+    sub = SubsampleSpec(part, "cube", 1.0)
     est = sharp_constant_estimate(sub)
     assert est == pytest.approx(1.0 / np.pi, rel=0.02)
 
 
 def test_sharp_constant_monotone_in_subsample():
     spec = DomainSpec(2, 64)
-    part = build_partition(spec, 1)
+    part = CoarsePartition(spec, 1)
     ests = []
     for r in (1.0, 0.5, 0.25):
-        sub = build_subsample(part, "cube", r)
+        sub = SubsampleSpec(part, "cube", r)
         ests.append(sharp_constant_estimate(sub))
     assert ests[0] <= ests[1] + 1e-8 <= ests[2] + 2e-8
 
@@ -297,8 +297,8 @@ def _dense_sharp_constant(sub):
     (3, 6, "cube", 1 / 3),
 ])
 def test_sharp_constant_matches_dense_eigh(dim, n, kind, r):
-    part = build_partition(DomainSpec(dim, n), 1)
-    sub = build_subsample(part, kind) if r is None else build_subsample(part, kind, r)
+    part = CoarsePartition(DomainSpec(dim, n), 1)
+    sub = SubsampleSpec(part, kind) if r is None else SubsampleSpec(part, kind, r)
     assert sharp_constant_estimate(sub) == pytest.approx(_dense_sharp_constant(sub), rel=1e-12)
 
 
@@ -322,6 +322,6 @@ def test_sharp_constant_of_a_partition_is_that_of_its_patch_grid(dim, m):
         if kind == "slice" and dim < 2:
             continue
         args = (kind,) if r is None else (kind, r)
-        sub = build_subsample(build_partition(DomainSpec(dim, m * q), m), *args)
-        alone = build_subsample(build_partition(DomainSpec(dim, q), 1), *args)
+        sub = SubsampleSpec(CoarsePartition(DomainSpec(dim, m * q), m), *args)
+        alone = SubsampleSpec(CoarsePartition(DomainSpec(dim, q), 1), *args)
         assert sharp_constant_estimate(sub) == sharp_constant_estimate(alone), (kind, r, q)

@@ -142,7 +142,7 @@ LIBRARY_REFUSALS = {
             AlignmentError, parity=lambda: SubsampleSpec(PART_1D, "cube", 0.25)),
     **{f"SubsampleSpec-ratio-{r}": Refusal("SubsampleSpec", lambda r=r: SubsampleSpec(
         PART_1D, "cube", r), ValueError, f"ratio must lie in (0, 1], got {r}")
-       for r in (0.0, 1.5, nan)},
+       for r in (0.0, 1.5, nan, True)},
     # a 1D slice used to be a point set
     **_rows("SubsampleSpec", "slice kind needs dim >= 2",
             slice_1d=lambda: SubsampleSpec(PART_1D, "slice", 0.5)),

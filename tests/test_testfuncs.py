@@ -13,7 +13,7 @@ import pytest
 
 import msrecover
 from msrecover import testfuncs
-from msrecover.grid import DomainSpec, build_partition, build_subsample
+from msrecover.grid import CoarsePartition, DomainSpec, SubsampleSpec
 from msrecover.measurements import build_functionals, measure_all
 from msrecover.testfuncs import KMAX, flattened_profile, fourier_free, fourier_h01
 
@@ -132,8 +132,8 @@ SOLVER_STACK = ("scipy.linalg", "scipy.sparse.linalg")
 CHAIN_SETUP = """
 import msrecover as M
 spec = M.DomainSpec(3, 16)
-part = M.build_partition(spec, 4)
-funs = M.build_functionals(M.build_subsample(part, "cube", 0.5))
+part = M.CoarsePartition(spec, 4)
+funs = M.build_functionals(M.SubsampleSpec(part, "cube", 0.5))
 u = M.GridFunction.from_callable(spec, lambda x, y, z: x * (1 - x) * y * (1 - y) * z * (1 - z))
 data = M.measure_all(u, funs)
 op = M.assemble(spec, M.constant_coefficient(spec))
@@ -170,15 +170,15 @@ M.recovery_error_report(u, rec, {"basis": "pc"}, a=op, partition=part)
     # nothing and needs no FFT, so it loads no scipy module at all
     "sharp-constant": ImportRun("""
 import msrecover as M
-part = M.build_partition(M.DomainSpec(2, 32), 1)
-assert M.sharp_constant_estimate(M.build_subsample(part, "cube", 0.25)) > 0.0
+part = M.CoarsePartition(M.DomainSpec(2, 32), 1)
+assert M.sharp_constant_estimate(M.SubsampleSpec(part, "cube", 0.25)) > 0.0
 """, ("scipy", "scipy.fft", "scipy.sparse") + SOLVER_STACK),
     # measuring contracts node weights axis by axis, and the envelope is a closed
     # form: neither integrates, so no quadrature (or any scipy module) is loaded
     "envelope": ImportRun("""
 import msrecover as M
 spec = M.DomainSpec(2, 16)
-funs = M.build_functionals(M.build_subsample(M.build_partition(spec, 4), "cube", 0.5))
+funs = M.build_functionals(M.SubsampleSpec(M.CoarsePartition(spec, 4), "cube", 0.5))
 assert M.measure_all(M.GridFunction.from_callable(spec, lambda x, y: x * y), funs).values.size
 assert M.alpha_envelope("cube", 2, 1.0, 0.1, 0.05) > 0.0
 """, ("scipy", "scipy.integrate", "scipy.sparse")),
@@ -251,9 +251,9 @@ assert np.array_equal(recovered.values, constrained_minimizer(op, functionals, d
 @pytest.mark.parametrize("dim,n,m", [(1, 48, 2), (2, 24, 2), (3, 12, 2),
                                      (1, 36, 3), (2, 18, 3), (3, 18, 3)])
 def test_flattened_profile_plateau_is_the_center_point_value(dim, n, m):
-    part = build_partition(DomainSpec(dim, n), m)
+    part = CoarsePartition(DomainSpec(dim, n), m)
     vals = flattened_profile(part, seed=4).values.reshape(-1)
-    sub = build_subsample(part, "point")
+    sub = SubsampleSpec(part, "point")
     values = measure_all(fourier_h01(part.spec, 4), build_functionals(sub)).values
     grids = np.meshgrid(*part.spec.node_coordinates(), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
@@ -270,10 +270,10 @@ def test_flattened_profile_plateau_is_the_center_point_value(dim, n, m):
 @pytest.mark.parametrize("dim,n,m", [(1, 48, 2), (2, 24, 2), (3, 12, 2),
                                      (1, 36, 3), (2, 18, 3), (3, 18, 3)])
 def test_flattened_profile_is_the_base_field_from_a_quarter_patch_on(dim, n, m):
-    part = build_partition(DomainSpec(dim, n), m)
+    part = CoarsePartition(DomainSpec(dim, n), m)
     vals = flattened_profile(part, seed=4).values.reshape(-1)
     base = fourier_h01(part.spec, 4).values.reshape(-1)
-    sub = build_subsample(part, "point")
+    sub = SubsampleSpec(part, "point")
     grids = np.meshgrid(*part.spec.node_coordinates(), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     centers = itertools.product(*(sub.axis_intervals(axis)[0] for axis in range(dim)))

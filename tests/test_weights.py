@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from msrecover.grid import (DomainSpec, GridFunction, build_partition, build_subsample,
+from msrecover.grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
                             gradient_lp_norm)
 from msrecover.measurements import build_functionals, measure, measure_all
 from msrecover.recovery import ms_recover, recover
@@ -29,8 +29,8 @@ def _subsample_cases():
 
 @pytest.mark.parametrize("dim,n,m,kind,r,axis", list(_subsample_cases()))
 def test_distance_equals_brute_force_box_minimum(dim, n, m, kind, r, axis):
-    part = build_partition(DomainSpec(dim, n), m)
-    sub = build_subsample(part, kind, r)
+    part = CoarsePartition(DomainSpec(dim, n), m)
+    sub = SubsampleSpec(part, kind, r)
     if axis is not None:
         sub = _turned(sub, axis)
     # at the cell centers through distance_field, and at the nodes
@@ -57,7 +57,7 @@ def _at(sub, h):
 def test_weight_formula_values():
     # polynomial profile, dim=2, p=2, beta=1, H=1: w = 1/max{h, dist}
     spec = DomainSpec(2, 16)
-    one_patch = build_subsample(build_partition(spec, 1), "point")  # H = 1
+    one_patch = SubsampleSpec(CoarsePartition(spec, 1), "point")  # H = 1
 
     def weight(values, h):
         return build_weight(DistanceField(_at(one_patch, h), values), "polynomial", 2.0,
@@ -72,12 +72,12 @@ def test_weight_formula_values():
 
 
 def test_weight_lower_bound():
-    part = build_partition(DomainSpec(2, 32), 2)
+    part = CoarsePartition(DomainSpec(2, 32), 2)
     p = 2.0
     # validate=False admits the beta = 0 that build_weight's check refuses
     for beta, validate in ((1.0, True), (0.0, False)):
         for r in (1.0, 0.5, 0.25, 0.125):
-            sub = build_subsample(part, "cube", r)
+            sub = SubsampleSpec(part, "cube", r)
             dist = distance_field(sub)
             w = build_weight(dist, "polynomial", p, beta=beta, validate=validate)
             lower = (part.H / np.sqrt(2.0)) ** (2 - p + beta)
@@ -87,8 +87,8 @@ def test_weight_lower_bound():
 def test_weight_monotone_limit():
     # with the distance argument held at the limit point set, max{h, dist} is
     # nonincreasing in h, so the weight grows cellwise to its limit field
-    part = build_partition(DomainSpec(2, 32), 2)
-    sub = build_subsample(part, "point")
+    part = CoarsePartition(DomainSpec(2, 32), 2)
+    sub = SubsampleSpec(part, "point")
     dist = distance_field(sub)
     w_h = [build_weight(DistanceField(_at(sub, h), dist.values), "polynomial", 2.0,
                         beta=1.0).values
@@ -105,8 +105,8 @@ def test_weight_monotone_limit():
 
 def test_weighted_norm_sandwich():
     spec = DomainSpec(2, 16)
-    part = build_partition(spec, 2)
-    sub = build_subsample(part, "cube", 0.5)
+    part = CoarsePartition(spec, 2)
+    sub = SubsampleSpec(part, "cube", 0.5)
     dist = distance_field(sub)
     w = build_weight(dist, "polynomial", 2.0, beta=1.0)
     rng = np.random.default_rng(0)
@@ -120,12 +120,12 @@ def test_weighted_norm_sandwich():
 
 def test_condition_bounded_vs_divergent():
     spec = DomainSpec(2, 128)
-    part = build_partition(spec, 1)
+    part = CoarsePartition(spec, 1)
     res = {}
     for beta in (1.0, 0.0):
         vals = []
         for r in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625):
-            sub = build_subsample(part, "cube", r)
+            sub = SubsampleSpec(part, "cube", r)
             dist = distance_field(sub)
             w = build_weight(dist, "polynomial", 2.0, beta=beta,
                              validate=False)
@@ -137,10 +137,10 @@ def test_condition_bounded_vs_divergent():
 
 def test_condition_logarithmic_bounded():
     spec = DomainSpec(2, 64)
-    part = build_partition(spec, 1)
+    part = CoarsePartition(spec, 1)
     vals = []
     for r in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-        sub = build_subsample(part, "cube", r)
+        sub = SubsampleSpec(part, "cube", r)
         dist = distance_field(sub)
         w = build_weight(dist, "logarithmic", 2.0, gamma=2.0)
         vals.append(weight_condition_check(w, dist, 2.0)["normalized"])
@@ -149,8 +149,8 @@ def test_condition_logarithmic_bounded():
 
 def test_recover_with_a_weight_is_the_weighted_basis_recovery():
     spec = DomainSpec(2, 16)
-    part = build_partition(spec, 2)
-    sub = build_subsample(part, "cube", 0.25)
+    part = CoarsePartition(spec, 2)
+    sub = SubsampleSpec(part, "cube", 0.25)
     w = build_weight(distance_field(sub), "polynomial", 2.0, beta=1.0)
     assert w.a_min < w.a_max
     u = fourier_h01(spec, 5)
@@ -161,8 +161,8 @@ def test_recover_with_a_weight_is_the_weighted_basis_recovery():
 
 def test_weighted_biorthogonality():
     spec = DomainSpec(2, 32)
-    part = build_partition(spec, 2)
-    sub = build_subsample(part, "cube", 0.5)
+    part = CoarsePartition(spec, 2)
+    sub = SubsampleSpec(part, "cube", 0.5)
     dist = distance_field(sub)
     w = build_weight(dist, "polynomial", 2.0, beta=1.0)
     basis, op = weighted_basis(sub, w)
