@@ -113,7 +113,7 @@ def main(argv=None) -> int:
         return 2
     summary = {k: v for k, v in report.items() if k not in ("rows", "config")}
     print(json.dumps(summary, sort_keys=True))
-    return 0 if report.get("passed", False) else 1
+    return 0 if report["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Experiment orchestration: sweeps, slope fits, pass/fail gates, persistence.
 
 ``STUDIES`` declares each CLI subcommand once: its runner, CSV columns and
-default config, whose keys are the fields it reads.  ``run_study`` runs one,
-records those fields in its report and, given an output directory, writes
+default config, whose keys are the fields it reads; ``GATES`` declares each
+study's gates.  ``run_study`` runs one, records those fields in its report,
+sets its ``passed`` from its gates and, given an output directory, writes
 deterministic CSV/JSON: same config and seed, byte-identical files.
 """
 
@@ -39,6 +40,7 @@ __all__ = [
     "run_weighted_study",
     "run_pointwise_limit_study",
     "STUDIES",
+    "GATES",
     "RECOVER_DEFAULTS",
     "run_study",
     "COEFFICIENTS",
@@ -314,13 +316,9 @@ def run_convergence_study(cfg: ExperimentConfig) -> dict:
         "ms_l2": fit_loglog(zip(hs, [r[3] for r in rows])),
         "ms_energy": fit_loglog(zip(hs, [r[4] for r in rows])),
     }
-    stable = all(r[5] for r in rows)
-    passed = stable and all(
-        abs(fits[k]["slope"] - target) <= width for k, (target, width) in SLOPE_BANDS.items())
     return {
         "fits": fits,
-        "energy_stable_everywhere": stable,
-        "passed": bool(passed),
+        "energy_stable_everywhere": all(r[5] for r in rows),
         "rows": [list(r) for r in rows],
     }
 
@@ -337,8 +335,7 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
     for key, least, what in (("r_sweep", 2, "ratios"), ("h_sweep", 3, "radii")):
         if getattr(cfg, key):
             _at_least(cfg, key, least, what)
-    report = {"passed": True}
-    rows = []
+    report, rows = {}, []
 
     if cfg.r_sweep:
         if cfg.p != 2.0:
@@ -353,7 +350,6 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
         report["grid"] = {"estimates": [g[1] for g in grid_rows],
                           **_band_gate([g[3] for g in grid_rows], GRID_BAND),
                           "monotone_growth": _nondecreasing([g[1] for g in grid_rows])}
-        report["passed"] = report["passed"] and report["grid"]["passed"]
 
     if cfg.h_sweep:
         free_rows = []
@@ -365,13 +361,10 @@ def run_rate_study(cfg: ExperimentConfig) -> dict:
         if cfg.dim > cfg.p:
             fit = fit_loglog([(1.0 / h, ratio) for h, ratio, _, _, _ in free_rows])
             target = (cfg.dim - cfg.p) / cfg.p
-            free_pass = abs(fit["slope"] - target) <= EXPONENT_WIDTH
-            report["grid_free"] = {"fit": fit, "target_exponent": target,
-                                   "width": EXPONENT_WIDTH, "passed": bool(free_pass)}
+            report["grid_free"] = {"fit": fit, "target_exponent": target, "width": EXPONENT_WIDTH,
+                                   "passed": abs(fit["slope"] - target) <= EXPONENT_WIDTH}
         else:
             report["grid_free"] = _band_gate([fr[3] for fr in free_rows], FREE_BAND)
-            free_pass = report["grid_free"]["passed"]
-        report["passed"] = report["passed"] and free_pass
 
     report["rows"] = [list(r) for r in rows]
     return report
@@ -410,16 +403,12 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
     constants = [sharp_constant_estimate(sub) for sub in sweep]  # one patch's (cross-check)
 
     _, unweighted_vals, weighted_vals = zip(*rows)
-    active_max_min = max(active) / min(active)
-    monotone = _nondecreasing(constants)
-    passed = (active_max_min <= WEIGHTED_MAX_MIN) and monotone
     return {
         "weighted_max_min": max(weighted_vals) / min(weighted_vals),
-        "weighted_active_max_min": active_max_min,
+        "weighted_active_max_min": max(active) / min(active),
         "unweighted_growth": max(unweighted_vals) / unweighted_vals[0],
         "sharp_constants": constants,
-        "sharp_monotone": bool(monotone),
-        "passed": bool(passed),
+        "sharp_monotone": _nondecreasing(constants),
         "rows": [[*r, c] for r, c in zip(rows, constants)],
     }
 
@@ -458,12 +447,6 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
         condition.append(cond)
         rows.append((sub.h, cmax, cond))
 
-    # one constant, fitted at h = H, must keep covering the whole sweep: the
-    # fitted ratio may not grow as the subsample shrinks
-    fitted = per_h_max[0] * (1.0 + CONSTANT_SLACK)
-    growth = max(per_h_max) / per_h_max[0]
-    passed = growth <= 1.0 + CONSTANT_SLACK
-
     condition_class = None
     if cfg.p > 1.0 and len(condition) >= CONDITION_POINTS:
         cond_growth = condition[-1] / condition[CONDITION_REFERENCE]
@@ -471,13 +454,12 @@ def run_weighted_study(cfg: ExperimentConfig) -> dict:
             "divergent" if cond_growth >= CONDITION_DIVERGENT else "inconclusive")
 
     return {
-        "fitted_constant": fitted,
+        "fitted_constant": per_h_max[0] * (1.0 + CONSTANT_SLACK),
         "per_h_max_ratio": per_h_max,
-        "constant_growth": growth,
+        "constant_growth": max(per_h_max) / per_h_max[0],
         "constant_slack": CONSTANT_SLACK,
         "condition_normalized": condition,
         "condition_class": condition_class,
-        "passed": bool(passed),
         "rows": [list(r) for r in rows],
     }
 
@@ -517,16 +499,13 @@ def run_pointwise_limit_study(cfg: ExperimentConfig) -> dict:
         rate_ok = measured <= target * (1.0 + RATE_SLACK)
         shrinking = diffs[-1] <= diffs[0]
         classification = "convergent" if (rate_ok and shrinking) else "inconclusive"
-    expect = POINTWISE_PROFILES[cfg.profile_kind]
-    passed = classification == expect
     rows = list(zip(seq["radii"], seq["averages"], [float("nan")] + diffs))
     return {
         "classification": classification,
-        "expected": expect,
+        "expected": POINTWISE_PROFILES[cfg.profile_kind],
         "measured_ratio": measured,
         "target_ratio": target,
         "rate_band_pass": bool(rate_ok),
-        "passed": bool(passed),
         "rows": [list(r) for r in rows],
     }
 
@@ -576,6 +555,24 @@ STUDIES = {
                             profile_kind="power", profile_q=0.55),
                        ("h", "average", "difference")),
 }
+# each study's gates: gate name -> (the config sweep it needs, None if it always applies;
+# its verdict on the runner's report, which raises KeyError on a missing statistic).
+# A rate section's passed is its _band_gate band or, off balance, its exponent fit.
+_RATE_GATES = {"grid": ("r_sweep", lambda r: r["grid"]["passed"]),
+               "grid_free": ("h_sweep", lambda r: r["grid_free"]["passed"])}
+GATES = {
+    "converge": {**{fit: (None, lambda r, fit=fit, band=band:
+                          abs(r["fits"][fit]["slope"] - band[0]) <= band[1])
+                    for fit, band in SLOPE_BANDS.items()},
+                 "energy_stable_everywhere": (None, lambda r: r["energy_stable_everywhere"])},
+    "rates": _RATE_GATES, "critical": _RATE_GATES,  # one runner, one set of rows
+    "degeneracy": {"weighted_active_max_min":
+                   (None, lambda r: r["weighted_active_max_min"] <= WEIGHTED_MAX_MIN),
+                   "sharp_monotone": (None, lambda r: r["sharp_monotone"])},
+    # one constant, fitted at h = H, keeps covering the sweep: the ratio may not grow
+    "weighted": {"constant_growth": (None, lambda r: r["constant_growth"] <= 1 + CONSTANT_SLACK)},
+    "pointwise": {"classification": (None, lambda r: r["classification"] == r["expected"])},
+}
 # `msrecover recover`: the grid (dim, n) comes from its input file
 RECOVER_DEFAULTS = dict(m=2, kind="cube", r=1.0, basis="ms",
                         coeff={"name": "constant", "value": 1.0})
@@ -596,6 +593,7 @@ def run_study(name: str, cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run the study ``name`` of ``STUDIES`` on ``cfg`` and return its report.
 
     The report's config is the fields the study reads, with the library version.
+    Its ``passed`` is every verdict of ``GATES[name]`` that applies.
     Given ``out_dir``, writes ``<cfg.name>_rows.csv`` (the report's rows under
     the study's columns) and ``<cfg.name>_report.json`` there.
     """
@@ -605,6 +603,8 @@ def run_study(name: str, cfg: ExperimentConfig, out_dir=None) -> dict:
     report = study.runner(cfg)
     report["config"] = {**{k: getattr(cfg, k) for k in study.defaults},
                         "library_version": testfuncs.LIBRARY_VERSION}
+    report["passed"] = all([verdict(report) for sweep, verdict in GATES[name].values()
+                            if sweep is None or getattr(cfg, sweep)])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         stem = os.path.join(out_dir, cfg.name)

@@ -17,9 +17,9 @@ from msrecover.cli import main as cli_main
 from msrecover.elliptic import StiffnessOperator
 from msrecover.grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
                             save_grid_function)
-from msrecover.harness import (CONSTANT_SLACK, POINTWISE_PROFILES, RATE_SLACK, RECOVER_DEFAULTS,
-                               SLOPE_BANDS, STUDIES, WEIGHTED_MAX_MIN, ExperimentConfig,
-                               fit_loglog, run_convergence_study, run_study)
+from msrecover.harness import (CONSTANT_SLACK, GATES, POINTWISE_PROFILES, RATE_SLACK,
+                               RECOVER_DEFAULTS, SLOPE_BANDS, STUDIES, WEIGHTED_MAX_MIN,
+                               ExperimentConfig, fit_loglog, run_convergence_study, run_study)
 from msrecover.testfuncs import LIBRARY_VERSION, fourier_h01
 from msrecover.weights import WEIGHT_PROFILES, build_weight, distance_field
 
@@ -477,27 +477,30 @@ _DEFAULT_RUNS = {}
 
 def _default_run(name, tmp_path_factory):
     """Run study ``name`` through ``run_study`` at its defaults, once per session.
-    Return its report, its output directory and the config fields its runner read."""
+    Return its report, its output directory, the config fields its runner read and
+    the keys of the report its runner returned."""
     if name not in _DEFAULT_RUNS:
         out_dir, study, read_by_runner = tmp_path_factory.mktemp(name), STUDIES[name], set()
+        runner_keys = set()
         with pytest.MonkeyPatch.context() as mp:
             read = _record_reads(mp)
 
             def runner(cfg):  # run_study reads every declared field after it, for the report
                 report = study.runner(cfg)
                 read_by_runner.update(read)
+                runner_keys.update(report)
                 return report
 
             mp.setitem(STUDIES, name, dataclasses.replace(study, runner=runner))
             report = run_study(name, harness.ExperimentConfig(**study.defaults), out_dir=out_dir)
-        _DEFAULT_RUNS[name] = report, out_dir, frozenset(read_by_runner)
+        _DEFAULT_RUNS[name] = report, out_dir, frozenset(read_by_runner), frozenset(runner_keys)
     return _DEFAULT_RUNS[name]
 
 
 @pytest.mark.parametrize("name", list(STUDIES))
 def test_default_report_matches_its_golden_file(tmp_path_factory, name):
     # tests/golden holds the report `msrecover <name>` writes at the defaults
-    report, out_dir, _ = _default_run(name, tmp_path_factory)
+    report, out_dir, _, _ = _default_run(name, tmp_path_factory)
     new = json.loads((out_dir / f"{name}_report.json").read_text())
     _assert_matches(new, json.loads((GOLDEN / f"{name}_report.json").read_text()), name)
     header, *rows = (out_dir / f"{name}_rows.csv").read_text().splitlines()
@@ -508,16 +511,42 @@ def test_default_report_matches_its_golden_file(tmp_path_factory, name):
 
 @pytest.mark.parametrize("name", list(STUDIES))
 def test_each_study_reads_exactly_its_declared_fields(tmp_path_factory, name):
-    _, _, read_by_runner = _default_run(name, tmp_path_factory)
+    _, _, read_by_runner, _ = _default_run(name, tmp_path_factory)
     # name is read by run_study alone, for the output file names
     assert read_by_runner | {"name"} == set(STUDIES[name].defaults)
 
 
-# each study's gates at its defaults, by the report entry (or fit) holding the statistic
-GATES = {"converge": ("pc_l2", "ms_l2", "ms_energy", "energy_stable_everywhere"),
-         "rates": ("grid",), "critical": ("grid", "grid_free"),
-         "degeneracy": ("weighted_active_max_min", "sharp_monotone"),
-         "weighted": ("constant_growth",), "pointwise": ("classification",)}
+@pytest.mark.parametrize("name", list(STUDIES))
+def test_a_runner_reports_statistics_and_run_study_alone_decides_passed(tmp_path_factory, name):
+    report, _, _, runner_keys = _default_run(name, tmp_path_factory)
+    assert "passed" not in runner_keys and set(report) == runner_keys | {"config", "passed"}
+
+
+# (critical's config, its runner's report less rows, passed or the KeyError raised): a
+# gate applies where its sweep is not empty, and one that applies reads its statistic
+GATE_SWEEPS = [
+    ({}, {"grid": {"passed": True}, "grid_free": {"passed": True}}, True),
+    ({}, {"grid": {"passed": True}, "grid_free": {"passed": False}}, False),
+    ({"h_sweep": []}, {"grid": {"passed": True}, "grid_free": {"passed": False}}, True),
+    ({"r_sweep": []}, {"grid": {"passed": False}, "grid_free": {"passed": True}}, True),
+    ({}, {"grid": {"passed": False}}, "grid_free"),
+    ({"h_sweep": []}, {"grid_free": {"passed": True}}, "grid"),
+]
+
+
+@pytest.mark.parametrize("config,statistics,verdict", GATE_SWEEPS)
+def test_passed_is_every_gate_that_applies_and_a_missing_statistic_raises(monkeypatch, config,
+                                                                           statistics, verdict):
+    study = STUDIES["critical"]
+    monkeypatch.setitem(STUDIES, "critical", dataclasses.replace(
+        study, runner=lambda cfg: {**statistics, "rows": []}))
+    cfg = ExperimentConfig(**{**study.defaults, **config})
+    if isinstance(verdict, bool):
+        assert run_study("critical", cfg)["passed"] is verdict
+    else:
+        with pytest.raises(KeyError, match=verdict):
+            run_study("critical", cfg)
+
 
 # the gates no config fails today, each with the ROADMAP item that will supply a
 # must-fail row; a control lands as one GATE_CONTROLS row and one deleted entry
@@ -526,9 +555,9 @@ NO_FAILING_CONTROL = {
     ("converge", "energy_stable_everywhere"): "none: a projection cannot fail it",
     ("rates", "grid"): "items 11(a) and 14: the same band against the plain-log rho",
     ("critical", "grid"): "items 11(a) and 14: the same band against the plain-log rho",
+    ("rates", "grid_free"): "item 9: a construction check, profile and rate built alike",
     ("critical", "grid_free"): "item 9: a construction check, profile and rate built alike",
     ("degeneracy", "weighted_active_max_min"): "items 4 (gate B), 11(c): unweighted passes too",
-    ("degeneracy", "sharp_monotone"): "items 4 (gate B) and 11(c)",
 }
 # not a control: weighted passes at the critical beta = 0, growth 1.058 (items 5, 11(b))
 
@@ -624,6 +653,15 @@ GATE_CONTROLS = [
     GateRun("weighted", '{"p": 600, "n": 32, "num_functions": 3, "weight": {"profile": "w11"}}',
             0, "constant_growth", lambda r: min(r["per_h_max_ratio"]) > 0.0
             and r["constant_growth"] <= 1.0 + CONSTANT_SLACK),
+    # the gate reads the constants in the sweep's order: a shrinking subsample given
+    # first reads them falling (0.515, 0.405, 0.318, 0.318, then the point set's 0.896)
+    GateRun("degeneracy", '{"r_sweep": [0.125, 0.25, 0.5, 1.0]}', 1, "sharp_monotone",
+            lambda r: not r["sharp_monotone"] and r["weighted_active_max_min"] <= WEIGHTED_MAX_MIN),
+    # past the critical exponent but closer to it than beta = -1: the growth (1.495)
+    # fails the slack but would pass twice the slack
+    GateRun("weighted", '{"weight": {"profile": "polynomial", "beta": -0.5, "validate": false}}',
+            1, "constant_growth",
+            lambda r: 1.0 + CONSTANT_SLACK < r["constant_growth"] <= 1.0 + 2 * CONSTANT_SLACK),
 ]
 
 
@@ -649,17 +687,19 @@ def test_study_gate_reads_as_declared(tmp_path, capsys, row):
 
 
 def test_every_gate_has_a_must_fail_row_or_names_what_will_supply_one():
-    gates = {(study, gate) for study, names in GATES.items() for gate in names}
+    gates = {(study, gate) for study, rows in GATES.items() for gate in rows}
     failing = {(row.command, row.gate) for row in GATE_CONTROLS if row.exit == 1}
     assert {(row.command, row.gate) for row in GATE_CONTROLS} <= gates
     assert failing.isdisjoint(NO_FAILING_CONTROL)
     assert failing | set(NO_FAILING_CONTROL) == gates
-    # every study has its defaults' row, and names only gates its report holds
+    # every study has its defaults' row, whose report holds each gate that applies
     defaults = {row.command for row in GATE_CONTROLS if row.config is None}
     assert defaults == set(GATES) == set(STUDIES)
-    for study, names in GATES.items():
+    for study, rows in GATES.items():
         golden = json.loads((GOLDEN / f"{study}_report.json").read_text())
-        assert set(names) <= {*golden, *golden.get("fits", ())}
+        applies = {gate for gate, (sweep, _) in rows.items()
+                   if sweep is None or golden["config"][sweep]}
+        assert applies <= {*golden, *golden.get("fits", ())}
 
 
 class ThreadRun(NamedTuple):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import msrecover
-from msrecover import testfuncs
+from msrecover import harness, testfuncs
 from msrecover.grid import CoarsePartition, DomainSpec, SubsampleSpec
 from msrecover.measurements import build_functionals, measure_all
 from msrecover.testfuncs import KMAX, flattened_profile, fourier_free, fourier_h01
@@ -211,8 +211,9 @@ def test_every_source_file_parses_at_the_python_floor():
 def test_every_test_and_table_the_readme_cites_exists():
     """Each backticked ``test_...`` id in README is a test function under tests/ or
     bench/tests/, each backticked ALL-CAPS name a name the code there or in the library
-    uses, and each dotted package name (``harness.STUDIES``) resolves; no table row is
-    cited by number or count, both of which shift as rows are added."""
+    uses, and each dotted package name (``harness.STUDIES``) resolves; the claims table
+    cites each row of ``harness.GATES`` and no other gate; no table row is cited by
+    number or count, both of which shift as rows are added."""
     root = pathlib.Path(__file__).resolve().parents[1]
     trees = [(path.parts[-2] == "tests", ast.parse(path.read_text())) for pattern in (
         "tests/*.py", "bench/tests/*.py", "src/msrecover/*.py") for path in root.glob(pattern)]
@@ -231,6 +232,14 @@ def test_every_test_and_table_the_readme_cites_exists():
     for name in sorted(dotted):  # raises ImportError or AttributeError on a stale name
         pkgutil.resolve_name(name if name.startswith("msrecover.") else f"msrecover.{name}")
     assert re.findall(r"\brows? \d+|\b\d+ rows\b", readme) == []
+    # its "study: gate" column, e.g. `rates`, `critical`: `grid` (`C/ρ_sharp` in `GRID_BAND`)
+    claims = readme.split("\n## Claims and their gates\n")[1].split("\n## ")[0]
+    cited = set()
+    for cell in (line.split("|")[2] for line in claims.splitlines() if line.startswith("|")):
+        studies, _, gates = re.sub(r"\(.*?\)", "", cell).partition(":")
+        cited |= {(study, gate) for study in re.findall(r"`(\w+)`", studies)
+                  for gate in re.findall(r"`(\w+)`", gates)}
+    assert cited == {(study, gate) for study, rows in harness.GATES.items() for gate in rows}
 
 
 def test_the_readme_library_sketch_runs_as_written():

@@ -69,6 +69,16 @@ def test_weight_formula_values():
     assert w2.values[0, 0] == pytest.approx(10.0, rel=1e-12)
     w3 = weight(np.full(spec.cell_shape, 0.25), 0.0)
     assert w3.values[0, 0] == pytest.approx(4.0, rel=1e-12)
+    # logarithmic profile, dim=p=2, gamma=3, at H = 1/2: at H = 1 the normalization
+    # (log(1/H)+1)^(gamma-p+1) is 1 whatever its exponent.  A cell in the set has
+    # s = h = 1/4: w = (log 4 + 1)^3 / (log 2 + 1)^2
+    sub = SubsampleSpec(CoarsePartition(spec, 2), "cube", 0.5)
+    dist = distance_field(sub)
+    inside = dist.values == 0.0
+    assert sub.h == 0.25 and inside.any()
+    w4 = build_weight(dist, "logarithmic", 2.0, gamma=3.0)
+    assert w4.values[inside] == pytest.approx((np.log(4.0) + 1.0) ** 3 / (np.log(2.0) + 1.0) ** 2,
+                                              rel=1e-12)
 
 
 def test_weight_lower_bound():
