@@ -152,7 +152,7 @@ class StiffnessOperator:
     @functools.cached_property
     def matrix(self):
         """CSR Dirichlet form: the interior rows and columns of ``full_matrix``."""
-        return self.full_matrix[self.interior_indices][:, self.interior_indices].tocsr()
+        return self.full_matrix[self.interior_indices][:, self.interior_indices]
 
     @functools.cached_property
     def matrix_norm(self) -> float:
@@ -306,9 +306,7 @@ def _assemble_full(a: CoefficientField):
     vals = (scale[:, None] * kref.reshape(-1)[None, :]).reshape(-1)
 
     nn = spec.num_nodes
-    full = coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()
-    full.sum_duplicates()
-    return full
+    return coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()
 
 
 def load_vector(f: GridFunction) -> np.ndarray:

@@ -382,6 +382,8 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
     """
     if cfg.dim < cfg.p:
         raise ConfigError("the degeneracy regime needs dim >= p")
+    if cfg.p != 2.0:
+        raise ConfigError("the grid eigen estimate is a p = 2 construction")
     _at_least(cfg, "r_sweep", 2, "ratios")
     spec = DomainSpec(cfg.dim, cfg.n)
     part = CoarsePartition(spec, cfg.m)
@@ -396,8 +398,8 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
         raise ConfigError("degeneracy study needs the weight to act (vary across cells) "
                           "at 2 or more sweep points")
     rows = [(sub.h, lp_norm(u - recover(u, sub, op), 2.0),
-             lp_norm(u - recover(u, sub, assemble(spec, w)), 2.0))
-            for sub, w in zip(sweep, weights)]
+             lp_norm(u - recover(u, sub, assemble(spec, w) if act else op), 2.0))
+            for sub, w, act in zip(sweep, weights, acts)]
     active = [row[2] for row, a in zip(rows, acts) if a]
 
     constants = [sharp_constant_estimate(sub) for sub in sweep]  # one patch's (cross-check)

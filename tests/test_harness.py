@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from msrecover import cli, harness
+from msrecover import cli, elliptic, harness
 from msrecover.cli import main as cli_main
 from msrecover.elliptic import StiffnessOperator
 from msrecover.grid import (CoarsePartition, DomainSpec, GridFunction, SubsampleSpec,
@@ -98,6 +98,20 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
     config = json.dumps({**STUDIES["degeneracy"].defaults, "r_sweep": [1.0, 0.5]})
     code, _, err = _run(tmp_path, capsys, "degeneracy", config)
     assert code == 2 and "weight to act" in err
+
+
+def test_degeneracy_recovers_with_the_unweighted_operator_where_the_weight_is_constant(
+        monkeypatch):
+    factored = []
+    factor = elliptic._splu
+    monkeypatch.setattr(elliptic, "_splu", lambda matrix: factored.append(1) or factor(matrix))
+    cfg = ExperimentConfig(**{**STUDIES["degeneracy"].defaults,
+                              "weight": {"profile": "logarithmic"}})
+    rows = harness.run_degeneracy_study(cfg)["rows"]
+    # the weight is constant at r = 1 and 1/2 and acts at the other three points:
+    # one factorization for the unweighted operator, one per point where the weight acts
+    assert len(factored) == 4
+    assert [row[1] == row[2] for row in rows] == [True, True, False, False, False]
 
 
 @pytest.mark.parametrize("profile", list(WEIGHT_PROFILES))
@@ -387,6 +401,8 @@ REFUSALS = [
             _grid_csv(2, 4)[:-len(b"1.0\n")]),
     Refusal("recover", None, "a dim-2 n=4 grid function has 25 values, got 26\n", INPUT,
             _grid_csv(2, 4) + b"1.0\n"),
+    # degeneracy gates the sharp constants, an L^2 estimate
+    Refusal("degeneracy", '{"p": 1.5}', "the grid eigen estimate is a p = 2 construction\n"),
 ]
 
 
