@@ -100,7 +100,6 @@ def fit_loglog(points) -> dict:
 class ExperimentConfig:
     """Bag of sweep parameters; each command reads those its defaults list."""
 
-    name: str = "study"
     dim: int = 1
     p: float = 2.0
     n: int = 256
@@ -397,8 +396,8 @@ def run_degeneracy_study(cfg: ExperimentConfig) -> dict:
     if sum(acts) < 2:
         raise ConfigError("degeneracy study needs the weight to act (vary across cells) "
                           "at 2 or more sweep points")
-    rows = [(sub.h, lp_norm(u - recover(u, sub, op), 2.0),
-             lp_norm(u - recover(u, sub, assemble(spec, w) if act else op), 2.0))
+    rows = [(sub.h, e := lp_norm(u - recover(u, sub, op), 2.0),
+             lp_norm(u - recover(u, sub, assemble(spec, w)), 2.0) if act else e)
             for sub, w, act in zip(sweep, weights, acts)]
     active = [row[2] for row, a in zip(rows, acts) if a]
 
@@ -526,33 +525,32 @@ _RATE_COLUMNS = ("h", "ratio", "rho_value", "normalized_ratio", "source")
 
 STUDIES = {
     "converge": Study(run_convergence_study,
-                      dict(name="converge", dim=1, n=256, kind="cube", r=0.5,
+                      dict(dim=1, n=256, kind="cube", r=0.5,
                            H_sweep=[1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32],
                            coeff={"name": "constant", "value": 1.0}),
                       ("H", "h", "pc_l2_error", "ms_l2_error", "ms_energy_error",
                        "energy_stable")),
     "rates": Study(run_rate_study,
-                   dict(name="rates", dim=2, p=2.0, n=256, kind="cube",
+                   dict(dim=2, p=2.0, n=256, kind="cube",
                         r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16], h_sweep=[]),
                    _RATE_COLUMNS),
     "critical": Study(run_rate_study,
-                      dict(name="critical", dim=2, p=2.0, n=256, kind="cube",
+                      dict(dim=2, p=2.0, n=256, kind="cube",
                            r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16],
                            h_sweep=[1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]),
                       _RATE_COLUMNS),
     "degeneracy": Study(run_degeneracy_study,
-                        dict(name="degeneracy", dim=2, p=2.0, n=128, m=2,
+                        dict(dim=2, p=2.0, n=128, m=2,
                              r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8],
                              weight={"profile": "polynomial", "beta": 1.0}, seed=0),
                         ("h", "unweighted_ms_l2", "weighted_ms_l2", "sharp_constant")),
     "weighted": Study(run_weighted_study,
-                      dict(name="weighted", dim=2, p=2.0, n=64, kind="cube",
+                      dict(dim=2, p=2.0, n=64, kind="cube",
                            r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16],
                            weight={"profile": "polynomial", "beta": 1.0}, seed=0, num_functions=50),
                       ("h", "max_ratio", "condition_normalized")),
     "pointwise": Study(run_pointwise_limit_study,
-                       dict(name="pointwise", dim=2, p=2.0,
-                            radii=[2.0**-k for k in range(1, 11)],
+                       dict(dim=2, p=2.0, radii=[2.0**-k for k in range(1, 11)],
                             weight={"profile": "polynomial", "beta": 1.0},
                             profile_kind="power", profile_q=0.55),
                        ("h", "average", "difference")),
@@ -580,15 +578,17 @@ RECOVER_DEFAULTS = dict(m=2, kind="cube", r=1.0, basis="ms",
                         coeff={"name": "constant", "value": 1.0})
 
 
-def _check_out_dir(out_dir) -> None:
-    """Raise the ``OSError`` that creating ``out_dir`` would, creating nothing: it
-    must not be an existing non-directory, and neither may its nearest existing
-    ancestor."""
+def _check_out_dir(out_dir, files) -> None:
+    """Raise the ``OSError`` that creating ``out_dir`` and writing ``files`` there
+    would, creating nothing: it must not be an existing non-directory, and neither
+    may its nearest existing ancestor; no file may be an existing directory."""
     path = pathlib.Path(out_dir)
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         code = errno.EEXIST if existing == path else errno.ENOTDIR
         raise OSError(code, os.strerror(code), str(out_dir))
+    for file in filter(os.path.isdir, files):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), file)
 
 
 def run_study(name: str, cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -596,12 +596,13 @@ def run_study(name: str, cfg: ExperimentConfig, out_dir=None) -> dict:
 
     The report's config is the fields the study reads, with the library version.
     Its ``passed`` is every verdict of ``GATES[name]`` that applies.
-    Given ``out_dir``, writes ``<cfg.name>_rows.csv`` (the report's rows under
-    the study's columns) and ``<cfg.name>_report.json`` there.
+    Given ``out_dir``, writes ``<name>_rows.csv`` (the report's rows under the
+    study's columns) and ``<name>_report.json`` there.
     """
     study = STUDIES[name]
     if out_dir is not None:
-        _check_out_dir(out_dir)
+        stem = os.path.join(out_dir, name)
+        _check_out_dir(out_dir, (f"{stem}_rows.csv", f"{stem}_report.json"))
     report = study.runner(cfg)
     report["config"] = {**{k: getattr(cfg, k) for k in study.defaults},
                         "library_version": testfuncs.LIBRARY_VERSION}
@@ -609,7 +610,6 @@ def run_study(name: str, cfg: ExperimentConfig, out_dir=None) -> dict:
                             if sweep is None or getattr(cfg, sweep)])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        stem = os.path.join(out_dir, cfg.name)
         with open(f"{stem}_rows.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(study.columns)

@@ -98,7 +98,7 @@ def test_criterion_03_convergence_rates():
     details = []
     for dim, n, sweep in ((1, 256, [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32]),
                           (2, 128, [1 / 2, 1 / 4, 1 / 8, 1 / 16])):
-        cfg = ExperimentConfig(name=f"conv{dim}d", dim=dim, n=n, r=0.5,
+        cfg = ExperimentConfig(dim=dim, n=n, r=0.5,
                                H_sweep=sweep)
         rep = run_convergence_study(cfg)
         s = {k: rep["fits"][k]["slope"] for k in rep["fits"]}
@@ -187,7 +187,7 @@ def test_criterion_08_weighted_inequalities():
     for p, weight in ((1.0, {"profile": "w11"}),
                       (2.0, {"profile": "polynomial", "beta": 1.0}),
                       (2.0, {"profile": "logarithmic", "gamma": 2.0})):
-        cfg = ExperimentConfig(name="w", dim=2, p=p, n=64, seed=3, num_functions=50,
+        cfg = ExperimentConfig(dim=2, p=p, n=64, seed=3, num_functions=50,
                                r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16],
                                weight=weight)
         rep = run_weighted_study(cfg)
@@ -199,7 +199,7 @@ def test_criterion_08_weighted_inequalities():
                            ({"profile": "logarithmic", "gamma": 2.0}, "bounded"),
                            ({"profile": "polynomial", "beta": 0.0,
                              "validate": False}, "divergent")):
-        cfg = ExperimentConfig(name="wc", dim=2, p=2.0, n=128, seed=3,
+        cfg = ExperimentConfig(dim=2, p=2.0, n=128, seed=3,
                                num_functions=3, r_sweep=deep, weight=weight)
         rep = run_weighted_study(cfg)
         ok &= rep["condition_class"] == expect
@@ -208,7 +208,7 @@ def test_criterion_08_weighted_inequalities():
 
 
 def test_criterion_09_nondegenerate_recovery():
-    cfg = ExperimentConfig(name="deg", dim=2, p=2.0, n=128, m=2, seed=7,
+    cfg = ExperimentConfig(dim=2, p=2.0, n=128, m=2, seed=7,
                            r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8])
     rep = run_degeneracy_study(cfg)
     ok = rep["weighted_max_min"] <= 3.0 and rep["sharp_monotone"]
@@ -218,14 +218,14 @@ def test_criterion_09_nondegenerate_recovery():
 
 def test_criterion_10_pointwise_limit():
     radii = [2.0**-k for k in range(1, 11)]
-    cfg = ExperimentConfig(name="pw", dim=2, p=2.0, profile_kind="power",
+    cfg = ExperimentConfig(dim=2, p=2.0, profile_kind="power",
                            profile_q=0.55, radii=radii, weight={"beta": 1.0})
     rep = run_pointwise_limit_study(cfg)
     target = 2.0**-0.5
     two_sided = abs(rep["measured_ratio"] - target) <= 0.2 * target
     ok = rep["classification"] == "convergent" and two_sided
 
-    cfg_ll = ExperimentConfig(name="pwll", dim=2, profile_kind="loglog",
+    cfg_ll = ExperimentConfig(dim=2, profile_kind="loglog",
                               radii=[10.0**-k for k in range(1, 13)])
     rep_ll = run_pointwise_limit_study(cfg_ll)
     last_avg = rep_ll["rows"][-1][1]
@@ -239,10 +239,10 @@ def test_criterion_11_determinism(tmp_path):
     for tag in ("first", "second"):
         out = tmp_path / tag
         run_study("converge", ExperimentConfig(
-            name="det", dim=1, n=64, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8], seed=9),
+            dim=1, n=64, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8], seed=9),
             out_dir=out)
         run_study("pointwise", ExperimentConfig(
-            name="detpw", dim=2, profile_kind="loglog", seed=9,
+            dim=2, profile_kind="loglog", seed=9,
             radii=[10.0**-k for k in range(1, 13)]), out_dir=out)
         runs[tag] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
     ok = runs["first"] == runs["second"] and len(runs["first"]) == 4

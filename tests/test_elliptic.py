@@ -365,6 +365,8 @@ NAN = BACKWARD + " nan"  # a NaN residual
 SINGULAR = "sparse LU factorization failed: Factor is exactly singular"
 CG_CAP = "conjugate gradients did not converge in 4000 iterations"
 CG_STALL = "conjugate gradients stagnated: no new least residual in 4000 iterations"
+# a new row goes at the end: an id is f"{path}-{i}", so a row put in between renames
+# every later id
 SOLVE_FAILURES = [
     # a NaN factor or iterate on each path: a stub is kept, never a real factor
     SolveFailure("direct", NAN, _stub("_lu"), kept=("_lu",)),

@@ -102,15 +102,17 @@ def test_cli_degeneracy_needs_two_points_where_the_weight_acts(tmp_path, capsys,
 
 def test_degeneracy_recovers_with_the_unweighted_operator_where_the_weight_is_constant(
         monkeypatch):
-    factored = []
-    factor = elliptic._splu
+    factored, recovered = [], []
+    factor, recover = elliptic._splu, harness.recover
     monkeypatch.setattr(elliptic, "_splu", lambda matrix: factored.append(1) or factor(matrix))
+    monkeypatch.setattr(harness, "recover", lambda *args: recovered.append(1) or recover(*args))
     cfg = ExperimentConfig(**{**STUDIES["degeneracy"].defaults,
                               "weight": {"profile": "logarithmic"}})
     rows = harness.run_degeneracy_study(cfg)["rows"]
     # the weight is constant at r = 1 and 1/2 and acts at the other three points:
-    # one factorization for the unweighted operator, one per point where the weight acts
-    assert len(factored) == 4
+    # one factorization for the unweighted operator, one per point where the weight acts,
+    # and one recovery per point plus one per point where the weight acts
+    assert len(factored) == 4 and len(recovered) == 5 + 3
     assert [row[1] == row[2] for row in rows] == [True, True, False, False, False]
 
 
@@ -177,7 +179,8 @@ class Refusal(NamedTuple):
 
 
 # every exit-2 case of the command line, one row each; warnings are errors
-# (pyproject.toml), so a warning on the way to a refusal fails its row
+# (pyproject.toml), so a warning on the way to a refusal fails its row. A new row goes
+# at the end: an id is f"{command}-{i}", so a row put in between renames every later id
 REFUSALS = [
     # a negative seed: in a config, refused as unread where the study reads no seed;
     # from --seed, refused even there
@@ -325,7 +328,8 @@ REFUSALS = [
     Refusal("converge", '{"n": 256.0}', "n must be a JSON integer"),
     Refusal("converge", '{"dim": true}', "dim must be a JSON integer"),
     Refusal("converge", '{"r": "0.5"}', "r must be a JSON number"),
-    Refusal("rates", '{"name": 3}', "name must be a JSON string"),
+    # (a study's output files take the command's name, which no config sets)
+    Refusal("rates", '{"name": 3}', UNREAD + "['name']", early=True),
     Refusal("weighted", '{"seed": null}', "seed must be a JSON integer"),
     # values inside coeff and the sweep lists
     Refusal("converge", '{"coeff": {"name": "checkerboard", "contrast": "ten"}}',
@@ -441,6 +445,19 @@ def test_cli_refusal_exits_two(tmp_path, capsys, monkeypatch, row):
     assert started == []
 
 
+def test_cli_an_output_file_that_is_a_directory_is_refused_before_the_study_runs(
+        tmp_path, capsys, monkeypatch):
+    started, study = [], STUDIES["rates"]
+    monkeypatch.setitem(STUDIES, "rates", dataclasses.replace(
+        study, runner=lambda cfg: started.append(cfg) or study.runner(cfg)))
+    # the report is written after the rows: a late check would leave rates_rows.csv behind
+    (tmp_path / "out" / "rates_report.json").mkdir(parents=True)
+    before = _tree(tmp_path)
+    code, out, err = _run(tmp_path, capsys, "rates")
+    assert code == 2 and out == "" and err.startswith(CONFIG + "[Errno 21] Is a directory")
+    assert started == [] and _tree(tmp_path) == before
+
+
 def test_cli_help_lists_every_study_with_its_columns(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["--help"])
@@ -528,8 +545,7 @@ def test_default_report_matches_its_golden_file(tmp_path_factory, name):
 @pytest.mark.parametrize("name", list(STUDIES))
 def test_each_study_reads_exactly_its_declared_fields(tmp_path_factory, name):
     _, _, read_by_runner, _ = _default_run(name, tmp_path_factory)
-    # name is read by run_study alone, for the output file names
-    assert read_by_runner | {"name"} == set(STUDIES[name].defaults)
+    assert read_by_runner == set(STUDIES[name].defaults)
 
 
 @pytest.mark.parametrize("name", list(STUDIES))
@@ -604,7 +620,8 @@ _ROUGH = '{"coeff": {"name": "checkerboard", "contrast": 1e4}}'
 _BETA = inspect.signature(build_weight).parameters["beta"].default
 
 # each study's must-pass run at its defaults, the runs whose verdict rests on
-# one gate, and a must-fail run of each gate that has one
+# one gate, and a must-fail run of each gate that has one. A new row goes at the end:
+# an id is f"{command}-{i}", so a row put in between renames every later id
 GATE_CONTROLS = [
     GateRun("converge", None, 0, "energy_stable_everywhere",
             lambda r: r["energy_stable_everywhere"] and _in_band(r, *SLOPE_BANDS)),
@@ -817,7 +834,7 @@ def test_cli_format_option_is_gone(capsys):
     {"name": "lognormal", "sigma": 0.5, "seed": 2},
 ])
 def test_convergence_study_variable_coefficient(coeff):
-    sweep = dict(name="vc", dim=2, n=32, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8])
+    sweep = dict(dim=2, n=32, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8])
     rep = run_study("converge", ExperimentConfig(coeff=coeff, **sweep))
     plain = run_convergence_study(ExperimentConfig(**sweep))
     # energy stability holds in the energy norm of every admissible coefficient
