@@ -72,11 +72,6 @@ def _envelope_exponent(what: str, kind: str, dim: int, H: float, h: float) -> in
     return e
 
 
-def _envelope(e: int, H: float, h: float, t: float) -> float:
-    """The envelope of exponent e at t, unchecked."""
-    return 1.0 if t >= 1.0 else min(1.0, (H / h) ** e * (t / (1.0 - t)) ** e)
-
-
 def alpha_envelope(kind: str, dim: int, H: float, h: float, t: float) -> float:
     """Upper envelope for the mass of the subsample measure under t-shrinking.
 
@@ -87,7 +82,7 @@ def alpha_envelope(kind: str, dim: int, H: float, h: float, t: float) -> float:
     e = _envelope_exponent("alpha envelope", kind, dim, H, h)
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0,1], got {t}")
-    return _envelope(e, H, h, t)
+    return 1.0 if t >= 1.0 else min(1.0, (H / h) ** e * (t / (1.0 - t)) ** e)
 
 
 def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
@@ -103,8 +98,8 @@ def bound_integral(kind: str, p: float, dim: int, H: float, h: float) -> float:
         raise ValueError(f"sliced measurements need p > {dim - e}: "
                          f"the envelope integral diverges at t=0 for p={p:g}")
     # quad's nodes lie inside (0, 1), so alpha_envelope's checks hold
-    return _unit_integral(lambda t: _envelope(e, H, h, t) ** (1.0 / p) * t ** (-dim / p),
-                          kinks=(h / (H + h),))
+    return _unit_integral(lambda t: alpha_envelope(kind, dim, H, h, t) ** (1.0 / p)
+                          * t ** (-dim / p), kinks=(h / (H + h),))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ Exit codes: 0 the study ran and passed its gates, 1 it ran and failed them,
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import json
 import os
@@ -15,7 +14,8 @@ import sys
 
 from .elliptic import assemble
 from .errors import SolverError
-from .grid import CoarsePartition, SubsampleSpec, load_grid_function, save_grid_function
+from .grid import (CoarsePartition, SubsampleSpec, check_integer, load_grid_function,
+                   save_grid_function)
 from .recovery import recover, recovery_error_report
 
 
@@ -39,7 +39,10 @@ def _load_config(args, defaults, harness):
     cfg = (harness.ExperimentConfig.from_json(args.config, defaults) if args.config
            else harness.ExperimentConfig(**defaults))
     if getattr(args, "seed", None) is not None:  # recover has no --seed
-        cfg = dataclasses.replace(cfg, seed=args.seed)  # checked like a config's seed
+        # checked like a config's seed for every study, kept by those that read one
+        seed = check_integer("seed", args.seed, 0)
+        if "seed" in defaults:
+            cfg.seed = seed
     return cfg
 
 

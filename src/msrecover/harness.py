@@ -16,7 +16,7 @@ import json
 import math
 import os
 import pathlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +63,14 @@ CONDITION_DIVERGENT = 2.0  # weighted: from this on "divergent", between "inconc
 RATE_SLACK = 0.2  # pointwise: slack on the per-halving difference ratio
 DIVERGENCE_LEVEL = 3.0  # pointwise: growing averages above this level diverge
 
-# ExperimentConfig field annotation -> (accepted Python types, JSON type name);
-# bool is an int subclass but is accepted nowhere
-_FIELD_TYPES = {"str": (str, "string"), "int": (int, "integer"), "float": ((int, float), "number"),
-                "list": (list, "array"), "dict": (dict, "object")}
+# ExperimentConfig field -> its JSON type, in the order the types are checked
+_FIELD_TYPES = dict(dim="integer", p="number", n="integer", kind="string", basis="string",
+                    r="number", m="integer", H_sweep="array", r_sweep="array", h_sweep="array",
+                    radii="array", coeff="object", weight="object", profile_kind="string",
+                    profile_q="number", seed="integer", num_functions="integer")
+# a JSON type -> the Python types it accepts; bool is an int subclass but is accepted nowhere
+_JSON_TYPES = {"string": str, "integer": int, "number": (int, float), "array": list,
+               "object": dict}
 # a config coeff's "name" -> its generator; the coeff's other keys are the
 # generator's parameters after spec, required where the signature has no default
 COEFFICIENTS = {"constant": constant_coefficient, "checkerboard": checkerboard_coefficient,
@@ -96,73 +100,68 @@ def fit_loglog(points) -> dict:
             "points_used": len(pts), "fit_domain": "log-log"}
 
 
-@dataclass
 class ExperimentConfig:
-    """Bag of sweep parameters; each command reads those its defaults list."""
+    """A command's sweep parameters, each checked: exactly the fields it is built with.
+    ``STUDIES`` and ``RECOVER_DEFAULTS`` hold the only defaults, so reading a field the
+    config was not given raises ``AttributeError``."""
 
-    dim: int = 1
-    p: float = 2.0
-    n: int = 256
-    kind: str = "cube"
-    basis: str = "ms"
-    r: float = 1.0
-    m: int = 2
-    H_sweep: list = field(default_factory=list)
-    r_sweep: list = field(default_factory=list)
-    h_sweep: list = field(default_factory=list)
-    radii: list = field(default_factory=list)
-    coeff: dict = field(default_factory=lambda: {"name": "constant"})
-    weight: dict = field(default_factory=lambda: {"profile": "polynomial"})
-    profile_kind: str = "power"
-    profile_q: float = 0.55
-    seed: int = 0
-    num_functions: int = 50
-
-    def __post_init__(self):
+    def __init__(self, **values):
+        unknown = sorted(set(values) - set(_FIELD_TYPES))
+        if unknown:
+            raise TypeError(f"ExperimentConfig got unknown fields: {unknown}")
         # validated, never coerced: the report records the values as given
-        for f in fields(self):
-            types, what = _FIELD_TYPES[f.type]
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigError(f"{f.name} must be a JSON {what}, got {value!r}")
-            if f.type == "float":  # NaN and Infinity parse as JSON numbers
-                _check_number(f.name, value, positive=False)
-        check_dim(self.dim)  # the grid's rules, for the studies that build no grid
-        check_p(self.p)
-        check_integer("num_functions", self.num_functions, 1)
-        _check_choice("kind", self.kind, SUBSAMPLE_KINDS)
-        _check_choice("basis", self.basis, BASES)
-        _check_choice("profile_kind", self.profile_kind, POINTWISE_PROFILES)
-        profile = _profile(self.weight)
-        _check_choice("weight profile", profile, WEIGHT_PROFILES)
-        _check_keys(f"{profile} weight", set(self.weight) - {"profile"}, (),
-                    WEIGHT_PROFILES[profile])
-        for key in ("beta", "gamma"):
-            if key in self.weight:
-                _check_number(f"weight {key}", self.weight[key], positive=False)
-        if "validate" in self.weight and not isinstance(self.weight["validate"], bool):
-            raise ConfigError(f"weight validate must be true or false, "
-                              f"got {self.weight['validate']!r}")
-        name = _generator_name(self.coeff)
-        if not (isinstance(name, str) and name in COEFFICIENTS):
-            raise ConfigError(f"unknown coefficient generator {name!r}")
-        params = list(inspect.signature(COEFFICIENTS[name]).parameters.values())[1:]
-        _check_keys(f"{name} coeff", set(self.coeff) - {"name"},
-                    [q.name for q in params if q.default is q.empty], [q.name for q in params])
-        for key in ("value", "contrast", "sigma"):
-            if key in self.coeff:
-                _check_number(f"coeff {key}", self.coeff[key], positive=key != "sigma")
-        check_integer("seed", self.seed, 0)  # numpy seeds are non-negative
-        # stored as Python ints, which the report can write; the generator checks an
-        # axis against the grid
-        self.coeff = {**self.coeff, **{key: check_integer(f"coeff {key}", self.coeff[key], 0)
-                                       for key in ("axis", "seed") if key in self.coeff}}
-        for key in ("H_sweep", "r_sweep", "h_sweep", "radii"):
-            values = getattr(self, key)
-            for value in values:
+        for key in filter(values.__contains__, _FIELD_TYPES):
+            what, value = _FIELD_TYPES[key], values[key]
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[what]):
+                raise ConfigError(f"{key} must be a JSON {what}, got {value!r}")
+            if what == "number":  # NaN and Infinity parse as JSON numbers
+                _check_number(key, value, positive=False)
+        if "dim" in values:
+            check_dim(values["dim"])  # the grid's rules, for the studies that build no grid
+        if "p" in values:
+            check_p(values["p"])
+        if "num_functions" in values:
+            check_integer("num_functions", values["num_functions"], 1)
+        for key, choices in (("kind", SUBSAMPLE_KINDS), ("basis", BASES),
+                             ("profile_kind", POINTWISE_PROFILES)):
+            if key in values:
+                _check_choice(key, values[key], choices)
+        if "weight" in values:
+            weight = values["weight"]
+            profile = _profile(weight)
+            _check_choice("weight profile", profile, WEIGHT_PROFILES)
+            _check_keys(f"{profile} weight", set(weight) - {"profile"}, (),
+                        WEIGHT_PROFILES[profile])
+            for key in ("beta", "gamma"):
+                if key in weight:
+                    _check_number(f"weight {key}", weight[key], positive=False)
+            if "validate" in weight and not isinstance(weight["validate"], bool):
+                raise ConfigError(f"weight validate must be true or false, "
+                                  f"got {weight['validate']!r}")
+        if "coeff" in values:
+            coeff = values["coeff"]
+            name = _generator_name(coeff)
+            if not (isinstance(name, str) and name in COEFFICIENTS):
+                raise ConfigError(f"unknown coefficient generator {name!r}")
+            params = list(inspect.signature(COEFFICIENTS[name]).parameters.values())[1:]
+            _check_keys(f"{name} coeff", set(coeff) - {"name"},
+                        [q.name for q in params if q.default is q.empty], [q.name for q in params])
+            for key in ("value", "contrast", "sigma"):
+                if key in coeff:
+                    _check_number(f"coeff {key}", coeff[key], positive=key != "sigma")
+            # stored as Python ints, which the report can write; the generator checks an
+            # axis against the grid
+            values["coeff"] = {**coeff, **{key: check_integer(f"coeff {key}", coeff[key], 0)
+                                           for key in ("axis", "seed") if key in coeff}}
+        if "seed" in values:
+            check_integer("seed", values["seed"], 0)  # numpy seeds are non-negative
+        for key in filter(values.__contains__, ("H_sweep", "r_sweep", "h_sweep", "radii")):
+            sweep = values[key]
+            for value in sweep:
                 _check_number(f"{key} entries", value, positive=True)
-            if len(set(values)) < len(values):  # a repeated point adds nothing to a gate
-                raise ConfigError(f"{key} repeats a value: {values!r}")
+            if len(set(sweep)) < len(sweep):  # a repeated point adds nothing to a gate
+                raise ConfigError(f"{key} repeats a value: {sweep!r}")
+        vars(self).update(values)
 
     @classmethod
     def from_json(cls, path, defaults) -> "ExperimentConfig":
@@ -303,10 +302,9 @@ def run_convergence_study(cfg: ExperimentConfig) -> dict:
             raise ConfigError(f"H={H} is not 1/m for integer m")
         part = CoarsePartition(spec, m)
         sub = SubsampleSpec(part, cfg.kind, cfg.r)
-        rep_pc = recovery_error_report(u, recover(u, sub), {"basis": "pc"}, a=op)
         rep_ms = recovery_error_report(u, recover(u, sub, op), {"basis": "ms"}, a=op)
-        return (H, sub.h, rep_pc.l2_error, rep_ms.l2_error, rep_ms.energy_error,
-                rep_ms.energy_stable)
+        return (H, sub.h, lp_norm(u - recover(u, sub), 2.0), rep_ms.l2_error,
+                rep_ms.energy_error, rep_ms.energy_stable)
 
     rows = [one_point(H) for H in cfg.H_sweep]
     hs = [row[0] for row in rows]

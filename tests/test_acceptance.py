@@ -11,7 +11,7 @@ import pytest
 from msrecover.analytic import bound_integral, critical_ratio, rho
 from msrecover.elliptic import assemble, constant_coefficient
 from msrecover.grid import CoarsePartition, DomainSpec, GridFunction, SubsampleSpec
-from msrecover.harness import (ExperimentConfig, fit_loglog, run_convergence_study,
+from msrecover.harness import (STUDIES, ExperimentConfig, fit_loglog, run_convergence_study,
                                run_degeneracy_study, run_pointwise_limit_study, run_study,
                                run_weighted_study)
 from msrecover.measurements import build_functionals, measure, measure_all
@@ -98,8 +98,8 @@ def test_criterion_03_convergence_rates():
     details = []
     for dim, n, sweep in ((1, 256, [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32]),
                           (2, 128, [1 / 2, 1 / 4, 1 / 8, 1 / 16])):
-        cfg = ExperimentConfig(dim=dim, n=n, r=0.5,
-                               H_sweep=sweep)
+        cfg = ExperimentConfig(**{**STUDIES["converge"].defaults, "dim": dim, "n": n, "r": 0.5,
+                                  "H_sweep": sweep})
         rep = run_convergence_study(cfg)
         s = {k: rep["fits"][k]["slope"] for k in rep["fits"]}
         ok &= abs(s["pc_l2"] - 1.0) <= 0.15
@@ -187,9 +187,10 @@ def test_criterion_08_weighted_inequalities():
     for p, weight in ((1.0, {"profile": "w11"}),
                       (2.0, {"profile": "polynomial", "beta": 1.0}),
                       (2.0, {"profile": "logarithmic", "gamma": 2.0})):
-        cfg = ExperimentConfig(dim=2, p=p, n=64, seed=3, num_functions=50,
-                               r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16],
-                               weight=weight)
+        cfg = ExperimentConfig(**{**STUDIES["weighted"].defaults, "dim": 2, "p": p, "n": 64,
+                                  "seed": 3, "num_functions": 50,
+                                  "r_sweep": [1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16],
+                                  "weight": weight})
         rep = run_weighted_study(cfg)
         ok &= rep["constant_growth"] <= 1.25
         details.append(f"{weight['profile']} growth {rep['constant_growth']:.3f}")
@@ -199,8 +200,9 @@ def test_criterion_08_weighted_inequalities():
                            ({"profile": "logarithmic", "gamma": 2.0}, "bounded"),
                            ({"profile": "polynomial", "beta": 0.0,
                              "validate": False}, "divergent")):
-        cfg = ExperimentConfig(dim=2, p=2.0, n=128, seed=3,
-                               num_functions=3, r_sweep=deep, weight=weight)
+        cfg = ExperimentConfig(**{**STUDIES["weighted"].defaults, "dim": 2, "p": 2.0, "n": 128,
+                                  "seed": 3, "num_functions": 3, "r_sweep": deep,
+                                  "weight": weight})
         rep = run_weighted_study(cfg)
         ok &= rep["condition_class"] == expect
         details.append(f"{weight.get('beta', weight.get('gamma'))}:{rep['condition_class']}")
@@ -208,8 +210,8 @@ def test_criterion_08_weighted_inequalities():
 
 
 def test_criterion_09_nondegenerate_recovery():
-    cfg = ExperimentConfig(dim=2, p=2.0, n=128, m=2, seed=7,
-                           r_sweep=[1.0, 1 / 2, 1 / 4, 1 / 8])
+    cfg = ExperimentConfig(**{**STUDIES["degeneracy"].defaults, "dim": 2, "p": 2.0, "n": 128,
+                              "m": 2, "seed": 7, "r_sweep": [1.0, 1 / 2, 1 / 4, 1 / 8]})
     rep = run_degeneracy_study(cfg)
     ok = rep["weighted_max_min"] <= 3.0 and rep["sharp_monotone"]
     _verdict(9, f"non-degenerate weighted recovery (max/min {rep['weighted_max_min']:.2f}, "
@@ -225,8 +227,9 @@ def test_criterion_10_pointwise_limit():
     two_sided = abs(rep["measured_ratio"] - target) <= 0.2 * target
     ok = rep["classification"] == "convergent" and two_sided
 
-    cfg_ll = ExperimentConfig(dim=2, profile_kind="loglog",
-                              radii=[10.0**-k for k in range(1, 13)])
+    cfg_ll = ExperimentConfig(**{**STUDIES["pointwise"].defaults, "dim": 2,
+                                 "profile_kind": "loglog",
+                                 "radii": [10.0**-k for k in range(1, 13)]})
     rep_ll = run_pointwise_limit_study(cfg_ll)
     last_avg = rep_ll["rows"][-1][1]
     ok = ok and rep_ll["classification"] == "divergent" and last_avg > 3.0
@@ -238,12 +241,12 @@ def test_criterion_11_determinism(tmp_path):
     runs = {}
     for tag in ("first", "second"):
         out = tmp_path / tag
-        run_study("converge", ExperimentConfig(
-            dim=1, n=64, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8], seed=9),
-            out_dir=out)
-        run_study("pointwise", ExperimentConfig(
-            dim=2, profile_kind="loglog", seed=9,
-            radii=[10.0**-k for k in range(1, 13)]), out_dir=out)
+        run_study("converge", ExperimentConfig(**{
+            **STUDIES["converge"].defaults, "dim": 1, "n": 64, "r": 0.5,
+            "H_sweep": [1 / 2, 1 / 4, 1 / 8]}), out_dir=out)
+        run_study("pointwise", ExperimentConfig(**{
+            **STUDIES["pointwise"].defaults, "dim": 2, "profile_kind": "loglog",
+            "radii": [10.0**-k for k in range(1, 13)]}), out_dir=out)
         runs[tag] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
     ok = runs["first"] == runs["second"] and len(runs["first"]) == 4
     _verdict(11, "determinism (byte-identical reruns)", ok)

@@ -141,12 +141,26 @@ def test_a_config_stores_a_numpy_coeff_integer_as_an_int_its_report_can_write(co
     assert json.loads(json.dumps(ExperimentConfig(coeff=coeff).coeff)) == coeff
 
 
+def test_a_config_holds_exactly_the_fields_it_is_built_with():
+    # a command's defaults are the only defaults: a field it does not declare is
+    # absent, so a runner that reads one (converge's weight, rates' seed) raises
+    for name, defaults in [*((name, study.defaults) for name, study in STUDIES.items()),
+                           ("recover", RECOVER_DEFAULTS)]:
+        cfg = ExperimentConfig(**defaults)
+        assert vars(cfg) == defaults, name
+        for key in set(harness._FIELD_TYPES) - set(defaults):
+            with pytest.raises(AttributeError, match=key):
+                getattr(cfg, key)
+
+
 # a lognormal coeff draws with its own seed, never the run's; sine_product is not
 # L_a^-1 f, so converge fails its slope gates on a lognormal medium (ROADMAP item 17)
 @pytest.mark.parametrize("command,config,code", [
     ("pointwise", None, 0),
-    ("converge", '{"coeff": {"name": "lognormal", "sigma": 0.5}}', 1)],
-    ids=["pointwise", "converge-lognormal"])
+    ("converge", '{"coeff": {"name": "lognormal", "sigma": 0.5}}', 1),
+    ("rates", None, 0),
+    ("critical", None, 0)],
+    ids=["pointwise", "converge-lognormal", "rates", "critical"])
 def test_cli_a_study_that_reads_no_seed_ignores_the_seed_option(tmp_path, capsys, command,
                                                                 config, code):
     files = {}
@@ -834,8 +848,9 @@ def test_cli_format_option_is_gone(capsys):
     {"name": "lognormal", "sigma": 0.5, "seed": 2},
 ])
 def test_convergence_study_variable_coefficient(coeff):
-    sweep = dict(dim=2, n=32, r=0.5, H_sweep=[1 / 2, 1 / 4, 1 / 8])
-    rep = run_study("converge", ExperimentConfig(coeff=coeff, **sweep))
+    sweep = {**STUDIES["converge"].defaults, "dim": 2, "n": 32, "r": 0.5,
+             "H_sweep": [1 / 2, 1 / 4, 1 / 8]}
+    rep = run_study("converge", ExperimentConfig(**{**sweep, "coeff": coeff}))
     plain = run_convergence_study(ExperimentConfig(**sweep))
     # energy stability holds in the energy norm of every admissible coefficient
     assert rep["energy_stable_everywhere"]
@@ -880,7 +895,6 @@ def test_cli_recover_layered_axis_is_checked_against_the_input_grid(tmp_path, ca
 
 
 @pytest.mark.parametrize("command,override", [
-    # r is left out: converge's 0.5 holds, not the class default 1.0
     ("converge", {"H_sweep": [0.5, 0.25, 0.125, 0.0625]}),
     ("rates", {"n": 32}),
     ("critical", {"n": 32}),
@@ -905,18 +919,12 @@ def test_cli_config_overrides_the_defaults_key_by_key(tmp_path, capsys, command,
 
 def _record_reads(monkeypatch) -> set:
     """Make ``harness.ExperimentConfig`` a subclass that adds the name of every
-    field read after construction to the returned set."""
-    read, names = set(), {f.name for f in dataclasses.fields(ExperimentConfig)}
+    field read to the returned set (its constructor reads none)."""
+    read = set()
 
     class RecordingConfig(ExperimentConfig):
-        built = False
-
-        def __post_init__(self):
-            super().__post_init__()
-            self.built = True
-
         def __getattribute__(self, key):
-            if key in names and object.__getattribute__(self, "built"):
+            if key in harness._FIELD_TYPES:
                 read.add(key)
             return object.__getattribute__(self, key)
 
